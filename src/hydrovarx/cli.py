@@ -8,8 +8,8 @@ resolved configuration in every file header, so any artifact can be traced
 back to the exact invocation. Outputs contain no timestamps: rerunning a
 command with the same config and inputs reproduces every file byte for byte.
 
-Exit codes: 0 success; 2 configuration or usage errors; 3 data errors;
-4 numerical failures.
+Exit codes: 0 success; 2 configuration or usage errors and failed leakage
+checks; 3 data errors; 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -193,7 +193,22 @@ def _write_delta_csv(path, result, header_lines) -> None:
 def _audit_or_die(report, frame) -> None:
     counts = leakage_audit(report, frame)
     if any(counts.values()):
-        raise ContractError(f"internal leakage audit failed: {counts}")
+        exc = ContractError(f"internal leakage audit failed: {counts}")
+        exc.stage = "audit"
+        raise exc
+
+
+def _check_stored_rows(model: FittedModel, split: SplitPlan) -> None:
+    """Reject a stored model whose fit or scaling rows reach past T2."""
+    ends = {"n_rows": model.n_rows}
+    if model.scaling.stat_rows is not None:
+        ends["scaling.stat_rows"] = model.scaling.stat_rows[1]
+    late = {name: end for name, end in ends.items() if end > split.T2}
+    if late:
+        exc = ContractError(f"stored model uses rows past the validation "
+                            f"segment (T2={split.T2}): {late}")
+        exc.stage = "evaluate"
+        raise exc
 
 
 # --- commands ----------------------------------------------------------------
@@ -243,7 +258,8 @@ def _load_model(path) -> FittedModel:
 
 
 def cmd_evaluate(config: RunConfig, model_path) -> int:
-    """Forecast the test segment with a stored model; write metric artifacts."""
+    """Check the stored model's rows, forecast the test segment with it, and
+    write metric artifacts."""
     model = _load_model(model_path)
     frame = _load_frame(config)
     pre = preprocess(frame, config.model_spec(), config.drop)
@@ -255,6 +271,7 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
             f"data and model disagree on regressors; data-only={extra}, "
             f"model-only={missing}")
     split = SplitPlan(design.n_eff)
+    _check_stored_rows(model, split)
     series = rolling_forecast(model, design, split, config.ci_multiplier)
     reports = tuple(full_report(series, n_predictors=len(model.support), target=t)
                     for t in range(design.k))
@@ -275,6 +292,7 @@ def cmd_ablate(config: RunConfig) -> int:
     frame = _load_frame(config)
     result = ablation_run(frame, config.model_spec(), dropped=config.drop)
     _audit_or_die(result.full, frame)
+    _audit_or_die(result.reduced, frame)
     out = _outdir(config)
     heads = _header_lines(config, "ablate")
     _write_metrics_csv(out / "metrics_full.csv", result.full.metrics,

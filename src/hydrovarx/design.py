@@ -263,43 +263,41 @@ def write_design_csv(design: DesignMatrix, path) -> None:
 def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
     """Recompute every regressor cell from the frame and count violations.
 
-    A violation is a design cell whose source row is not strictly earlier
-    than the design row, or whose value does not match the frame exactly.
-    Returns 0 for a clean design; used by leakage audits.
+    A violation is a design cell whose source row is missing, is not strictly
+    earlier than the design row, or holds a value that does not match the
+    frame exactly. A design row whose own date is not in the frame counts all
+    of its cells. Returns 0 for a clean design; used by leakage audits.
+
+    Source rows are located independently of ``build_design``: by exact date
+    lookup in the frame (calendar mode) or by position minus lag (positional
+    mode), one whole-column pass per (lag, block).
     """
-    date_pos = {d: i for i, d in enumerate(frame.dates)}
-    k, m = frame.k, frame.m
+    dates = design.row_dates
+
+    def locate(wanted):
+        """Frame position of each wanted date, and whether it is there."""
+        pos = np.searchsorted(frame.dates, wanted)
+        found = pos < frame.n
+        found[found] = frame.dates[pos[found]] == wanted[found]
+        return pos, found
+
+    row_pos, row_found = locate(dates)
+    k, m, p = frame.k, frame.m, design.p
+    entries = [(lag, frame.targets, k, (lag - 1) * k) for lag in range(1, p + 1)]
+    entries += [(lag, frame.exog, m, p * k + (lag - 1) * m)
+                for lag in range(1, design.s + 1)]
     bad = 0
-    for r in range(design.n_eff):
-        d = design.row_dates[r]
-        t = date_pos[d]
-        for lag in range(1, design.p + 1):
-            if design.mode == "calendar":
-                if frame.resolution == "daily":
-                    src_date = d - np.timedelta64(lag, "D")
-                else:
-                    src_date = (d.astype("datetime64[M]") - lag).astype("datetime64[D]")
-                src = date_pos.get(src_date)
-            else:
-                src = t - lag if t - lag >= 0 else None
-            cells = design.Z[r, (lag - 1) * k: lag * k]
-            if src is None or frame.dates[src] >= d:
-                bad += k
-            else:
-                bad += int(np.sum(frame.targets[src] != cells))
-        for lag in range(1, design.s + 1):
-            if design.mode == "calendar":
-                if frame.resolution == "daily":
-                    src_date = d - np.timedelta64(lag, "D")
-                else:
-                    src_date = (d.astype("datetime64[M]") - lag).astype("datetime64[D]")
-                src = date_pos.get(src_date)
-            else:
-                src = t - lag if t - lag >= 0 else None
-            off = design.p * k + (lag - 1) * m
-            cells = design.Z[r, off: off + m]
-            if src is None or frame.dates[src] >= d:
-                bad += m
-            else:
-                bad += int(np.sum(frame.exog[src] != cells))
+    for lag, source, width, off in entries:
+        if design.mode == "positional":
+            src, ok = row_pos - lag, row_pos >= lag
+        elif frame.resolution == "daily":
+            src, ok = locate(dates - np.timedelta64(lag, "D"))
+        else:
+            months = dates.astype("datetime64[M]") - lag
+            src, ok = locate(months.astype("datetime64[D]"))
+        ok &= row_found
+        ok[ok] = frame.dates[src[ok]] < dates[ok]
+        cells = design.Z[ok, off: off + width]
+        bad += width * int(np.count_nonzero(~ok)) \
+            + int(np.count_nonzero(source[src[ok]] != cells))
     return bad

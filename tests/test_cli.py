@@ -1,11 +1,14 @@
 """Command-line driver: artifacts, config layering, exit codes, reproducibility."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import hydrovarx.cli
 from hydrovarx.cli import _parse_range, main, parse_artifact_header, parse_grid
+from hydrovarx.design import standardize
 from hydrovarx.errors import ConfigError
 from hydrovarx.metrics import METRIC_ORDER
 
@@ -96,6 +99,57 @@ def test_reruns_are_byte_identical(synth_csv, tmp_path):
     snap = {p.name: p.read_bytes() for p in eval_dir.iterdir()}
     assert main(eval_args) == 0
     assert {p.name: p.read_bytes() for p in eval_dir.iterdir()} == snap
+
+
+def _stretch_stat_rows(model):
+    start, stop = model["scaling"]["stat_rows"]
+    model["scaling"]["stat_rows"] = [start, stop + 1]
+
+
+def _stretch_n_rows(model):
+    model["n_rows"] += 1
+
+
+@pytest.mark.parametrize("edit, field", [(_stretch_stat_rows, "stat_rows"),
+                                         (_stretch_n_rows, "n_rows")])
+def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
+                                                 edit, field):
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    path = fit_dir / "model.json"
+    doc = json.loads(path.read_text())
+    edit(doc["model"])          # now reaches one row into the test segment
+    path.write_text(json.dumps(doc))
+    eval_dir = tmp_path / "eval"
+    rc = main(["evaluate", "--model", str(path), "--input", str(synth_csv),
+               "--out", str(eval_dir), "--target", "Y1", "--grid", GRID])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hydrovarx evaluate: evaluate:" in err and field in err
+    assert not eval_dir.exists()
+
+
+def test_ablate_audits_the_reduced_run(synth_csv, tmp_path, capsys, monkeypatch):
+    real = hydrovarx.cli.ablation_run
+
+    def ablation_run(*args, **kwargs):
+        # forge a reduced run whose scaling statistics saw the test rows
+        result = real(*args, **kwargs)
+        red = result.reduced
+        model = dataclasses.replace(red.model,
+                                    scaling=standardize(red.design)[1])
+        return dataclasses.replace(
+            result, reduced=dataclasses.replace(red, model=model))
+
+    monkeypatch.setattr(hydrovarx.cli, "ablation_run", ablation_run)
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--input", str(synth_csv), "--out", str(out),
+               "--target", "Y1", "--p", "1", "--s", "1", "--grid", GRID,
+               "--drop", "x1"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "hydrovarx ablate: audit:" in err and "'scaling'" in err
+    assert not (out / "metrics_reduced.csv").exists()
 
 
 def test_config_errors_exit_2_before_reading_input(tmp_path, capsys):

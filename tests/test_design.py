@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import daily_dates, make_frame
 from hydrovarx import (
     DesignMatrix,
     LagSpec,
+    aggregate_monthly,
     build_design,
     destandardize_coeffs,
     lookahead_violations,
@@ -193,6 +195,114 @@ def test_lookahead_violations_detects_tampering():
                             exog_names=design.exog_names,
                             p=design.p, s=design.s, mode=design.mode)
     assert lookahead_violations(tampered, frame) == 1
+
+
+@pytest.mark.parametrize("mode", ["calendar", "positional"])
+def test_lookahead_violations_counts_row_missing_from_frame(mode):
+    rng = np.random.default_rng(6)
+    frame = make_frame(rng.normal(size=30), rng.normal(size=(30, 2)))
+    design = build_design(frame, LagSpec(p=2, s=1, mode=mode))
+    # the last design row's date is gone, but every source of its cells is not
+    short = replace(frame, dates=frame.dates[:-1], targets=frame.targets[:-1],
+                    exog=frame.exog[:-1], complete=frame.complete[:-1])
+    assert lookahead_violations(design, short) == design.q
+
+
+def reference_violations(design, frame):
+    """Per-row, per-lag reference audit: the loop the vectorized one replaced.
+
+    Raises KeyError when a design row's date is not in the frame.
+    """
+    date_pos = {d: i for i, d in enumerate(frame.dates)}
+    k, m = frame.k, frame.m
+    bad = 0
+    for r in range(design.n_eff):
+        d = design.row_dates[r]
+        t = date_pos[d]
+        for lag in range(1, design.p + 1):
+            if design.mode == "calendar":
+                if frame.resolution == "daily":
+                    src_date = d - np.timedelta64(lag, "D")
+                else:
+                    src_date = (d.astype("datetime64[M]") - lag).astype("datetime64[D]")
+                src = date_pos.get(src_date)
+            else:
+                src = t - lag if t - lag >= 0 else None
+            cells = design.Z[r, (lag - 1) * k: lag * k]
+            if src is None or frame.dates[src] >= d:
+                bad += k
+            else:
+                bad += int(np.sum(frame.targets[src] != cells))
+        for lag in range(1, design.s + 1):
+            if design.mode == "calendar":
+                if frame.resolution == "daily":
+                    src_date = d - np.timedelta64(lag, "D")
+                else:
+                    src_date = (d.astype("datetime64[M]") - lag).astype("datetime64[D]")
+                src = date_pos.get(src_date)
+            else:
+                src = t - lag if t - lag >= 0 else None
+            off = design.p * k + (lag - 1) * m
+            cells = design.Z[r, off: off + m]
+            if src is None or frame.dates[src] >= d:
+                bad += m
+            else:
+                bad += int(np.sum(frame.exog[src] != cells))
+    return bad
+
+
+def _gappy_frame(rng, n_days, k, m, gap_rate, start="2001-01-01"):
+    """Daily frame with small-integer values and randomly dropped days."""
+    keep = rng.random(n_days) >= gap_rate
+    n = int(keep.sum())
+    frame = make_frame(rng.integers(-3, 4, size=(n, k)).astype(float),
+                       rng.integers(-3, 4, size=(n, m)).astype(float),
+                       start=start)
+    return replace(frame, dates=daily_dates(n_days, start)[keep])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(setting=st.sampled_from(["daily", "monthly", "positional"]),
+       p=st.integers(1, 4), s=st.integers(0, 3), k=st.integers(1, 2),
+       m=st.integers(0, 2), n_bad=st.integers(0, 3), n_moved=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_lookahead_violations_match_reference(setting, p, s, k, m, n_bad,
+                                              n_moved, seed):
+    rng = np.random.default_rng(seed)
+    if setting == "monthly":
+        daily = _gappy_frame(rng, 1100, k, m, gap_rate=0.3)
+        # drop a few whole months so some monthly lags are missing
+        months = daily.dates.astype("datetime64[M]")
+        gone = rng.choice(np.unique(months), size=3, replace=False)
+        keep = ~np.isin(months, gone)
+        daily = replace(daily, dates=daily.dates[keep],
+                        targets=daily.targets[keep], exog=daily.exog[keep],
+                        complete=daily.complete[keep])
+        frame = aggregate_monthly(daily)
+    else:
+        frame = _gappy_frame(rng, 60, k, m, gap_rate=rng.uniform(0.0, 0.3))
+    mode = "positional" if setting == "positional" else "calendar"
+    try:
+        design = build_design(frame, LagSpec(p=p, s=s, mode=mode))
+    except InsufficientDataError:
+        assume(False)
+    assert lookahead_violations(design, frame) == 0
+
+    # overwrite up to three y-lag or x-lag cells with a value from any row,
+    # future rows included; a draw that repeats the true value is no violation
+    Z = design.Z.copy()
+    both = np.hstack([frame.targets, frame.exog])
+    for _ in range(n_bad):
+        row, col = rng.integers(design.n_eff), rng.integers(design.q)
+        Z[row, col] = both[rng.integers(frame.n), rng.integers(both.shape[1])]
+    # and re-date up to two rows to any frame date, the earliest included
+    dates = design.row_dates.copy()
+    for _ in range(n_moved):
+        dates[rng.integers(design.n_eff)] = frame.dates[rng.integers(frame.n)]
+    tampered = replace(design, Z=Z, row_dates=dates)
+    assert lookahead_violations(tampered, frame) \
+        == reference_violations(tampered, frame)
 
 
 def test_write_design_csv(tmp_path):

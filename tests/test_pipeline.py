@@ -80,6 +80,30 @@ def test_audit_catches_scaling_fit_on_test_rows():
     assert counts["scaling"] > 0
 
 
+@pytest.mark.parametrize("field", ["z_mean", "z_sd", "y_mean"])
+def test_audit_counts_one_nudged_scaling_statistic(field):
+    frame = _synth_frame(seed=14)
+    report = run_pipeline(frame, ModelSpec(p=2, s=1, grid=SMALL_GRID))
+    values = getattr(report.model.scaling, field).copy()
+    values[-1] = np.nextafter(values[-1], np.inf)   # one ulp off
+    scaling = dataclasses.replace(report.model.scaling, **{field: values})
+    forged = dataclasses.replace(
+        report, model=dataclasses.replace(report.model, scaling=scaling))
+    counts = leakage_audit(forged, frame)
+    assert counts["scaling"] == 1
+    assert counts["lookahead"] == 0
+
+
+def test_audit_counts_one_corrupted_design_cell():
+    frame = _synth_frame(seed=15)
+    report = run_pipeline(frame, ModelSpec(p=2, s=1, grid=SMALL_GRID))
+    Z = report.design.Z.copy()
+    Z[7, -1] = frame.exog[-1, 0]      # an x-lag cell fed from the last day
+    forged = dataclasses.replace(
+        report, design=dataclasses.replace(report.design, Z=Z))
+    assert leakage_audit(forged, frame)["lookahead"] == 1
+
+
 def test_unstandardized_run_audits_clean():
     frame = _synth_frame(seed=17)
     report = run_pipeline(frame, ModelSpec(p=1, s=1, grid=SMALL_GRID,
