@@ -211,6 +211,23 @@ def _check_stored_rows(model: FittedModel, split: SplitPlan) -> None:
         raise exc
 
 
+def _warn_outcomes(command: str, report, run: str = "") -> None:
+    """Say on stderr what the artifacts leave unsaid: a lambda at the grid's
+    edge, or a final fit that stopped at max_iter before converging."""
+    where = f" ({run} run)" if run else ""
+    path, model = report.lambda_path, report.model
+    if path.at_edge:
+        side = "smallest" if path.chosen_index == 0 else "largest"
+        print(f"hydrovarx {command}: warning: chosen lambda "
+              f"{path.chosen_lambda:.10g} is the {side} grid value{where}; "
+              "the validation MSFE minimum may lie outside the grid",
+              file=sys.stderr)
+    if not model.converged:
+        print(f"hydrovarx {command}: warning: final fit did not converge "
+              f"within max_iter={report.spec.max_iter} sweeps{where} "
+              f"(sweeps per equation: {list(model.n_iter)})", file=sys.stderr)
+
+
 # --- commands ----------------------------------------------------------------
 
 def _load_frame(config: RunConfig):
@@ -234,6 +251,7 @@ def cmd_fit(config: RunConfig) -> int:
     frame = _load_frame(config)
     report = run_pipeline(frame, config.model_spec(), dropped=config.drop)
     _audit_or_die(report, frame)
+    _warn_outcomes("fit", report)
     out = _outdir(config)
     heads = _header_lines(config, "fit")
     _write_json(out / "model.json",
@@ -293,6 +311,8 @@ def cmd_ablate(config: RunConfig) -> int:
     result = ablation_run(frame, config.model_spec(), dropped=config.drop)
     _audit_or_die(result.full, frame)
     _audit_or_die(result.reduced, frame)
+    _warn_outcomes("ablate", result.full, "full")
+    _warn_outcomes("ablate", result.reduced, "reduced")
     out = _outdir(config)
     heads = _header_lines(config, "ablate")
     _write_metrics_csv(out / "metrics_full.csv", result.full.metrics,

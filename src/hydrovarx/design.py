@@ -86,12 +86,20 @@ class DesignMatrix:
         return self.Z.shape[1]
 
     def take(self, rows) -> "DesignMatrix":
-        """Row-subset view (used by split-aware fitting)."""
-        return DesignMatrix(
-            Y=self.Y[rows], Z=self.Z[rows], row_dates=self.row_dates[rows],
-            col_labels=self.col_labels, target_names=self.target_names,
-            exog_names=self.exog_names, p=self.p, s=self.s, mode=self.mode,
-        )
+        """Row subset (used by split-aware fitting).
+
+        A row subset of a validated design is valid already, so the result
+        skips revalidation: slices stay read-only views, and fancy-index
+        copies (masks, index arrays) are marked read-only.
+        """
+        new = object.__new__(DesignMatrix)
+        for name in ("Y", "Z", "row_dates"):
+            arr = np.ascontiguousarray(getattr(self, name)[rows])
+            arr.setflags(write=False)
+            object.__setattr__(new, name, arr)
+        for name in ("col_labels", "target_names", "exog_names", "p", "s", "mode"):
+            object.__setattr__(new, name, getattr(self, name))
+        return new
 
 
 def regressor_labels(target_names, exog_names, p: int, s: int) -> tuple[str, ...]:
@@ -194,6 +202,23 @@ class ScalingInfo:
                    constant=np.zeros(q, dtype=bool), enabled=False)
 
 
+def _standardize_arrays(design: DesignMatrix, start: int, stop: int):
+    """Scaled Z, centered Y and their ScalingInfo, statistics on [start, stop)."""
+    # mean and ddof=1 standard deviation, spelled out as the operations
+    # numpy's mean and std run (same bits), without their per-call overhead
+    n = stop - start
+    Zs = design.Z[start:stop]
+    mu = Zs.sum(axis=0) / n
+    dev = Zs - mu
+    sd = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
+    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
+    sd_used = np.where(constant, 1.0, sd)
+    y_mean = design.Y[start:stop].sum(axis=0) / n
+    info = ScalingInfo(z_mean=mu, z_sd=sd_used, y_mean=y_mean,
+                       constant=constant, enabled=True, stat_rows=(start, stop))
+    return (design.Z - mu) / sd_used, design.Y - y_mean, info
+
+
 def standardize(design: DesignMatrix, stat_rows: slice | None = None):
     """Standardize a design; returns (scaled design, ScalingInfo).
 
@@ -209,21 +234,12 @@ def standardize(design: DesignMatrix, stat_rows: slice | None = None):
     if n_stat < 2:
         raise InsufficientDataError(
             f"need >= 2 statistic rows to standardize; have {n_stat}")
-    Zs = design.Z[start:stop]
-    mu = Zs.mean(axis=0)
-    sd = Zs.std(axis=0, ddof=1)
-    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
-    sd_used = np.where(constant, 1.0, sd)
-    y_mean = design.Y[start:stop].mean(axis=0)
-
+    Z, Y, info = _standardize_arrays(design, start, stop)
     scaled = DesignMatrix(
-        Y=design.Y - y_mean, Z=(design.Z - mu) / sd_used,
-        row_dates=design.row_dates, col_labels=design.col_labels,
+        Y=Y, Z=Z, row_dates=design.row_dates, col_labels=design.col_labels,
         target_names=design.target_names, exog_names=design.exog_names,
         p=design.p, s=design.s, mode=design.mode,
     )
-    info = ScalingInfo(z_mean=mu, z_sd=sd_used, y_mean=y_mean,
-                       constant=constant, enabled=True, stat_rows=(start, stop))
     return scaled, info
 
 
@@ -243,8 +259,7 @@ def destandardize_coeffs(coeffs: np.ndarray, info: ScalingInfo,
         raw_int = float(info.y_mean[equation] + intercept - raw @ info.z_mean)
         return raw, raw_int
     raw = coeffs / info.z_sd
-    intercept = np.broadcast_to(np.asarray(intercept, dtype=float), (coeffs.shape[0],))
-    raw_int = info.y_mean + intercept - raw @ info.z_mean
+    raw_int = info.y_mean + np.asarray(intercept, dtype=float) - raw @ info.z_mean
     return raw, raw_int
 
 

@@ -98,6 +98,15 @@ class LambdaPath:
     def chosen_lambda(self) -> float:
         return float(self.grid[self.chosen_index])
 
+    @property
+    def at_edge(self) -> bool:
+        """True when the chosen lambda is the grid's first or last value.
+
+        The validation-MSFE minimum may then lie outside the grid. A
+        one-value grid fixes lambda and has no edge to hit.
+        """
+        return self.grid.size > 1 and self.chosen_index in (0, self.grid.size - 1)
+
     def write_csv(self, path, header_lines=()) -> None:
         """Audit table: one (lambda, msfe) row per grid point."""
         with open(path, "w", newline="") as fh:

@@ -20,6 +20,17 @@ coordinate-wise minimizer is the soft-threshold rule
 
 with S(u, t) = sign(u) * max(|u| - t, 0). Sweeps visit coordinates in fixed
 order, so fitting is deterministic bit-for-bit.
+
+The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
+coefficients, the partial residuals rho = c - G b and the columns of G are
+lists, and an update subtracts G[:, j] * (new - old) from rho element by
+element. These are the same IEEE-double operations, in the same order, as
+the numpy form of the updates (no fused multiply-add), so every iterate,
+sweep count and stopping decision is bit-identical to it; the numpy form is
+kept in the test suite as the oracle. A sweep over all coordinates is
+followed by sweeps over the nonzero (active) set until it is stable, then
+all coordinates are checked again. Each fit reports its sweep count per
+equation (``n_iter``) and whether every equation converged.
 """
 
 from __future__ import annotations
@@ -29,7 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, ScalingInfo, destandardize_coeffs, standardize
+from .design import (
+    DesignMatrix,
+    ScalingInfo,
+    _standardize_arrays,
+    destandardize_coeffs,
+    standardize,
+)
 from .errors import (
     CompatibilityError,
     ContractError,
@@ -90,7 +107,6 @@ class FittedModel:
     n_rows: int
     converged: bool
     n_iter: tuple[int, ...]
-    objective_history: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         for name in ("nu", "coeffs", "scaled_intercept", "scaled_coeffs"):
@@ -153,6 +169,7 @@ class FittedModel:
             "exog_names": list(self.exog_names),
             "n_rows": self.n_rows,
             "converged": self.converged,
+            "n_iter": list(self.n_iter),
         }
 
     @classmethod
@@ -187,29 +204,28 @@ class FittedModel:
             exog_names=tuple(d["exog_names"]),
             p=p, s=s, lag_mode=str(d.get("lag_mode", "calendar")),
             scaling=scaling, n_rows=int(d["n_rows"]),
-            converged=bool(d["converged"]), n_iter=(), objective_history=(),
+            converged=bool(d["converged"]),
+            n_iter=tuple(int(v) for v in d.get("n_iter", ())),
         )
 
 
-def _soft(u: float, thr: float) -> float:
-    if u > thr:
-        return u - thr
-    if u < -thr:
-        return u + thr
-    return 0.0
-
-
-def _cd_solve(G, c, yty, diag, penalty, b, tol, max_iter):
+def _cd_solve(G, c, diag, penalty, b, tol, max_iter):
     """Coordinate descent for one equation on centered data.
 
-    Returns (b, history, sweeps, converged). ``history`` holds the objective
-    after every sweep and is non-increasing by construction of the updates.
+    Returns (b, sweeps, converged), b as a list of floats. The updates read
+    the columns of ``G``, which need not be bit-symmetric. See the module
+    docstring for why the list form is bit-identical to the numpy form.
     """
     q = len(c)
-    thr = penalty.lam * penalty.alpha / 2.0
-    den = diag + penalty.lam * (1.0 - penalty.alpha)
-    rho = c - G @ b
-    history: list[float] = []
+    lam, alpha = penalty.lam, penalty.alpha
+    thr = lam * alpha / 2.0
+    neg_thr = -thr
+    ridge = lam * (1.0 - alpha)
+    rho = (c - G @ b).tolist()
+    cols = G.T.tolist()
+    diag = diag.tolist()
+    den = [d + ridge for d in diag]
+    b = b.tolist()
     sweeps = 0
     converged = False
 
@@ -217,38 +233,42 @@ def _cd_solve(G, c, yty, diag, penalty, b, tol, max_iter):
         nonlocal rho
         delta = 0.0
         for j in idx:
+            dj = den[j]
             old = b[j]
-            u = rho[j] + diag[j] * old
-            new = _soft(u, thr) / den[j] if den[j] > 0 else 0.0
+            if dj > 0:
+                u = rho[j] + diag[j] * old
+                if u > thr:
+                    new = (u - thr) / dj
+                elif u < neg_thr:
+                    new = (u + thr) / dj
+                else:
+                    new = 0.0
+            else:
+                new = 0.0
             if new != old:
-                rho -= G[:, j] * (new - old)
+                diff = new - old
+                rho = [r - g * diff for r, g in zip(rho, cols[j])]
                 b[j] = new
-                step = abs(new - old)
+                step = abs(diff)
                 if step > delta:
                     delta = step
         return delta
-
-    def record() -> None:
-        rss = yty - b @ c - b @ rho
-        history.append(rss + penalty.value(b))
 
     all_idx = range(q)
     while sweeps < max_iter:
         delta = sweep(all_idx)
         sweeps += 1
-        record()
         if delta < tol:
             converged = True
             break
         # iterate the active set until stable, then re-check all coordinates
-        active = np.flatnonzero(b)
+        active = [j for j in all_idx if b[j] != 0.0]
         while sweeps < max_iter and len(active) < q:
             delta = sweep(active)
             sweeps += 1
-            record()
             if delta < tol:
                 break
-    return b, history, sweeps, converged
+    return b, sweeps, converged
 
 
 def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
@@ -264,46 +284,45 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
 
     Convergence: a sweep whose largest coefficient change is below ``tol``.
     """
-    if design.n_eff < 2:
-        raise DegenerateFitError(f"cannot fit on {design.n_eff} rows")
+    n = design.n_eff
+    if n < 2:
+        raise DegenerateFitError(f"cannot fit on {n} rows")
     if standardize_design:
-        solved, info = standardize(design)
+        Z, Y, info = _standardize_arrays(design, 0, n)
     else:
-        solved, info = design, ScalingInfo.identity(design.q, design.k)
+        Z, Y = design.Z, design.Y
+        info = ScalingInfo.identity(design.q, design.k)
 
     # center over the fitted rows; makes the unpenalized intercept exact
-    z_bar = solved.Z.mean(axis=0)
-    y_bar = solved.Y.mean(axis=0)
-    Zc = solved.Z - z_bar
+    z_bar = Z.sum(axis=0) / n
+    y_bar = Y.sum(axis=0) / n
+    Zc = Z - z_bar
     G = Zc.T @ Zc
-    diag = np.ascontiguousarray(np.diag(G))
+    diag = G.diagonal()
 
     k, q = design.k, design.q
     scaled_b = np.zeros((k, q))
     scaled_a = np.zeros(k)
     n_iter = []
-    histories = []
     converged_all = True
     for i in range(k):
-        yc = solved.Y[:, i] - y_bar[i]
+        yc = Y[:, i] - y_bar[i]
         b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
             else np.zeros(q)
-        b, hist, sweeps, ok = _cd_solve(G, Zc.T @ yc, float(yc @ yc), diag,
-                                        penalty, b0, tol, max_iter)
+        b, sweeps, ok = _cd_solve(G, Zc.T @ yc, diag, penalty, b0, tol, max_iter)
         scaled_b[i] = b
-        scaled_a[i] = y_bar[i] - z_bar @ b
+        scaled_a[i] = y_bar[i] - z_bar @ scaled_b[i]
         n_iter.append(sweeps)
-        histories.append(tuple(hist))
         converged_all &= ok
 
     raw_b, raw_nu = destandardize_coeffs(scaled_b, info, intercept=scaled_a)
     raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
-    nonzero = np.any(raw_b != 0.0, axis=0)
+    nonzero = (raw_b != 0.0).any(axis=0)
     support = tuple(lbl for lbl, nz in zip(design.col_labels, nonzero) if nz)
 
     resid = design.Y - (raw_nu + design.Z @ raw_b.T)
-    rss = float(np.sum(resid * resid))
-    dof = max(1, design.n_eff - len(support) - k)
+    rss = float((resid * resid).sum())
+    dof = max(1, n - len(support) - k)
     sigma2 = rss / dof
 
     return FittedModel(
@@ -311,9 +330,8 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
         lam=penalty.lam, alpha=penalty.alpha, sigma2=sigma2, support=support,
         col_labels=design.col_labels, target_names=design.target_names,
         exog_names=design.exog_names, p=design.p, s=design.s,
-        lag_mode=design.mode, scaling=info, n_rows=design.n_eff,
+        lag_mode=design.mode, scaling=info, n_rows=n,
         converged=converged_all, n_iter=tuple(n_iter),
-        objective_history=tuple(histories),
     )
 
 

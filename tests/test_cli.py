@@ -152,6 +152,55 @@ def test_ablate_audits_the_reduced_run(synth_csv, tmp_path, capsys, monkeypatch)
     assert not (out / "metrics_reduced.csv").exists()
 
 
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--grid", "1e4:1e6:3"], "is the largest grid value"),
+    (["--grid", "0.5:50:6", "--max-iter", "3"],
+     "final fit did not converge within max_iter=3 sweeps"),
+])
+def test_fit_warns_on_edge_lambda_or_unconverged_fit(synth_csv, tmp_path, capsys,
+                                                     monkeypatch, extra, needle):
+    # p=6, s=4 over this grid picks an interior lambda and converges: silent
+    args = ["fit", "--input", str(synth_csv), "--target", "Y1",
+            "--p", "6", "--s", "4"]
+    assert main([*args, "--grid", "0.5:50:6", "--out", str(tmp_path / "ok")]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    out = tmp_path / "fit"
+    assert main([*args, *extra, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("hydrovarx fit: warning:") == 1 and needle in err
+    warned = _snapshot(out)
+    assert all(b"warning" not in blob for blob in warned.values())
+    # the warning goes to stderr only: the artifacts are those of a silent run
+    monkeypatch.setattr(hydrovarx.cli, "_warn_outcomes", lambda *a: None)
+    assert main([*args, *extra, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _snapshot(out) == warned
+
+
+def test_ablate_warns_for_each_run(synth_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "abl"
+    args = ["ablate", "--input", str(synth_csv), "--out", str(out),
+            "--target", "Y1", "--p", "1", "--s", "1", "--grid", "1:1000:4",
+            "--max-iter", "1", "--drop", "x1"]
+    assert main(args) == 0, capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("hydrovarx ablate: warning:") for line in err)
+    assert "smallest grid value (full run)" in err[0]
+    assert "did not converge within max_iter=1 sweeps (full run)" in err[1]
+    assert "smallest grid value (reduced run)" in err[2]
+    assert "did not converge within max_iter=1 sweeps (reduced run)" in err[3]
+    warned = _snapshot(out)
+    monkeypatch.setattr(hydrovarx.cli, "_warn_outcomes", lambda *a: None)
+    assert main(args) == 0
+    assert _snapshot(out) == warned
+
+
 def test_config_errors_exit_2_before_reading_input(tmp_path, capsys):
     # input path does not exist, but the bad order must be caught first
     rc = main(["fit", "--input", str(tmp_path / "ghost.csv"),

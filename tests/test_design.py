@@ -305,6 +305,30 @@ def test_lookahead_violations_match_reference(setting, p, s, k, m, n_bad,
         == reference_violations(tampered, frame)
 
 
+@pytest.mark.parametrize("rows", [slice(3, 17), "mask", [0, 5, 6, 2, 19]],
+                         ids=["slice", "mask", "index"])
+def test_take_is_read_only_and_equals_a_validated_subset(rows):
+    rng = np.random.default_rng(8)
+    frame = make_frame(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))
+    design = build_design(frame, LagSpec(p=2, s=1))
+    if rows == "mask":
+        rows = rng.random(design.n_eff) < 0.5
+    sub = design.take(rows)
+    old = DesignMatrix(
+        Y=design.Y[rows], Z=design.Z[rows], row_dates=design.row_dates[rows],
+        col_labels=design.col_labels, target_names=design.target_names,
+        exog_names=design.exog_names, p=design.p, s=design.s, mode=design.mode)
+    for name in ("Y", "Z", "row_dates"):
+        got, want = getattr(sub, name), getattr(old, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = got[0]
+    for name in ("col_labels", "target_names", "exog_names", "p", "s", "mode"):
+        assert getattr(sub, name) == getattr(old, name)
+
+
 def test_write_design_csv(tmp_path):
     frame = make_frame([1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0], [4.0]])
     design = build_design(frame, LagSpec(p=1, s=1))

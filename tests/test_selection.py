@@ -8,6 +8,7 @@ import pytest
 from conftest import make_frame
 from hydrovarx import (
     LagSpec,
+    LambdaPath,
     Penalty,
     SplitPlan,
     bic,
@@ -241,3 +242,12 @@ def test_select_order_validates_ranges():
         select_order(frame, [], [0])
     with pytest.raises(ContractError):
         select_order(frame, [0], [0])   # p must stay >= 1
+
+
+def test_lambda_path_at_edge():
+    grid = np.array([1.0, 2.0, 4.0])
+    msfe = np.array([3.0, 2.0, 1.0])
+    assert [LambdaPath(grid, msfe, i).at_edge for i in range(3)] \
+        == [True, False, True]
+    # a one-value grid fixes lambda: there is no edge to report
+    assert not LambdaPath(grid[:1], msfe[:1], 0).at_edge

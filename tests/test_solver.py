@@ -1,7 +1,10 @@
 """Coordinate-descent solver tests: OLS oracle, brute-force oracle, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_frame
 from hydrovarx import (
@@ -15,8 +18,10 @@ from hydrovarx import (
     objective,
     predict_one_step,
     predict_rows,
+    standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
+from hydrovarx.solver import _cd_solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -84,23 +89,142 @@ def test_single_coefficient_matches_brute_force():
                     (trial, lam, alpha)
 
 
+def _scaled_objective(design, model, penalty):
+    """Penalized RSS on the standardized scale the solver minimizes."""
+    scaled = standardize(design)[0]
+    resid = scaled.Y - model.scaled_intercept - scaled.Z @ model.scaled_coeffs.T
+    return float(np.sum(resid * resid)) + penalty.value(model.scaled_coeffs)
+
+
 def test_objective_history_monotone():
     design = _random_design(7, n=120, m=4, p=3, s=2)
-    model = fit(design, Penalty(25.0, 0.5))
-    assert len(model.objective_history) == design.k
-    for hist in model.objective_history:
-        arr = np.asarray(hist)
-        assert arr.size >= 1
-        assert np.all(np.diff(arr) <= 1e-10)
+    penalty = Penalty(25.0, 0.5)
+    model = fit(design, penalty)
+    (sweeps,) = model.n_iter
+    assert sweeps >= 2
+    # a fit cut off after t sweeps holds the iterate of sweep t
+    values = []
+    for t in range(1, sweeps + 1):
+        cut = fit(design, penalty, max_iter=t)
+        assert cut.n_iter == (t,)
+        values.append(_scaled_objective(design, cut, penalty))
+    np.testing.assert_array_equal(cut.scaled_coeffs, model.scaled_coeffs)
+    steps = np.diff(values)
+    assert np.all(steps <= 1e-12 * np.abs(values[1:])), steps
 
 
-def test_objective_function_matches_history_tail():
+def test_objective_is_minimal_at_solution():
     design = _random_design(8, n=80)
     penalty = Penalty(12.0, 0.5)
     model = fit(design, penalty, standardize_design=False)
-    val = objective(design, model, penalty)
-    np.testing.assert_allclose(val, model.objective_history[0][-1],
-                               rtol=1e-10)
+    best = objective(design, model, penalty)
+    eps = 1e-3
+    for j in range(design.q):
+        for sign in (1.0, -1.0):
+            coeffs = model.coeffs.copy()
+            coeffs[0, j] += sign * eps
+            moved = replace(model, coeffs=coeffs)
+            assert best <= objective(design, moved, penalty), (j, sign)
+    for sign in (1.0, -1.0):
+        moved = replace(model, nu=model.nu + sign * eps)
+        assert best <= objective(design, moved, penalty), sign
+
+
+def reference_cd_solve(G, c, diag, penalty, b, tol, max_iter):
+    """Numpy-scalar coordinate descent: the loop the list-based kernel replaced.
+
+    Returns (b, sweeps, converged) with b a numpy array.
+    """
+    q = len(c)
+    thr = penalty.lam * penalty.alpha / 2.0
+    den = diag + penalty.lam * (1.0 - penalty.alpha)
+    rho = c - G @ b
+    sweeps = 0
+    converged = False
+
+    def soft(u, t):
+        if u > t:
+            return u - t
+        if u < -t:
+            return u + t
+        return 0.0
+
+    def sweep(idx) -> float:
+        nonlocal rho
+        delta = 0.0
+        for j in idx:
+            old = b[j]
+            u = rho[j] + diag[j] * old
+            new = soft(u, thr) / den[j] if den[j] > 0 else 0.0
+            if new != old:
+                rho -= G[:, j] * (new - old)
+                b[j] = new
+                step = abs(new - old)
+                if step > delta:
+                    delta = step
+        return delta
+
+    all_idx = range(q)
+    while sweeps < max_iter:
+        delta = sweep(all_idx)
+        sweeps += 1
+        if delta < tol:
+            converged = True
+            break
+        active = np.flatnonzero(b)
+        while sweeps < max_iter and len(active) < q:
+            delta = sweep(active)
+            sweeps += 1
+            if delta < tol:
+                break
+    return b, sweeps, converged
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(1, 30), n_extra=st.integers(2, 40),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]),
+       lam_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+       warm=st.sampled_from(["cold", "warm", "sparse"]),
+       zero_col=st.booleans(), asym=st.booleans(),
+       max_iter=st.sampled_from([1, 2, 3, 4, 5, 10000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cd_kernel_matches_reference(q, n_extra, alpha, lam_frac, warm, zero_col,
+                                     asym, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    n = q + n_extra
+    Z = rng.normal(size=(n, q)) @ rng.normal(size=(q, q)) * 0.5 \
+        + rng.normal(size=(n, q))
+    if zero_col:
+        # a zero-variance column: with alpha = 1 its denominator is 0
+        Z[:, rng.integers(q)] = 3.0
+        alpha = 1.0
+    y = Z @ (rng.normal(size=q) * (rng.random(q) < 0.5)) + rng.normal(size=n)
+    Zc = Z - Z.mean(axis=0)
+    yc = y - y.mean()
+    G = Zc.T @ Zc
+    if asym:
+        # the kernel must read G's columns, which need not equal its rows
+        upper = np.triu_indices(q, 1)
+        G[upper] = np.nextafter(G[upper], np.inf)
+    c = Zc.T @ yc
+    diag = np.diag(G)
+    # lambda from 0 to past lambda_max = 2 max|c| / alpha
+    lam = lam_frac * 2.0 * float(np.abs(c).max()) / max(alpha, 0.5)
+    penalty = Penalty(lam, alpha)
+    if warm == "cold":
+        b0 = np.zeros(q)
+    else:
+        b0 = rng.normal(size=q)
+        if warm == "sparse":
+            b0[rng.random(q) < 0.5] = 0.0
+
+    want_b, want_sweeps, want_ok = reference_cd_solve(
+        G, c, diag.copy(), penalty, b0.copy(), 1e-7, max_iter)
+    got_b, got_sweeps, got_ok = _cd_solve(G, c, diag, penalty, b0.copy(),
+                                          1e-7, max_iter)
+    assert np.asarray(got_b, dtype=float).tobytes() == want_b.tobytes()
+    assert got_sweeps == want_sweeps
+    assert got_ok == want_ok
 
 
 def test_duplicated_column_coefficients_split_equally():
@@ -245,8 +369,23 @@ def test_model_round_trips_through_dict():
     np.testing.assert_array_equal(back.nu, model.nu)
     assert back.support == model.support
     assert back.col_labels == model.col_labels
+    assert back.n_iter == model.n_iter
+    assert back.converged == model.converged
     np.testing.assert_allclose(predict_rows(back, design),
                                predict_rows(model, design), atol=0)
+
+
+def test_model_round_trips_n_iter_of_every_equation():
+    design = _random_design(24, k=2, m=2)
+    model = fit(design, Penalty(4.0, 0.5), max_iter=3)
+    assert len(model.n_iter) == 2 and not model.converged
+    back = FittedModel.from_dict(model.to_dict())
+    assert back.n_iter == model.n_iter
+    assert back.converged is False
+    # documents written before n_iter was stored still load
+    doc = model.to_dict()
+    del doc["n_iter"]
+    assert FittedModel.from_dict(doc).n_iter == ()
 
 
 def test_model_version_gate():
