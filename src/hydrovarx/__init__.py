@@ -89,6 +89,7 @@ from .solver import (
     FittedModel,
     Penalty,
     fit,
+    kkt_violation,
     lambda_max,
     objective,
     predict_one_step,
@@ -112,8 +113,8 @@ __all__ = [
     "coefficient_report", "companion_spectral_radius", "correlation_metrics",
     "default_grid", "destandardize_coeffs", "drop_columns",
     "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
-    "fit", "full_report", "kge_metrics", "lambda_max", "leakage_audit",
-    "load_csv", "lookahead_violations", "objective", "predict_one_step",
+    "fit", "full_report", "kge_metrics", "kkt_violation", "lambda_max",
+    "leakage_audit", "load_csv", "lookahead_violations", "objective", "predict_one_step",
     "predict_rows", "preprocess", "regression_line", "regressor_labels",
     "rolling_forecast", "run_pipeline", "select_lambda", "select_order",
     "simulate", "standardize", "write_csv", "write_design_csv",

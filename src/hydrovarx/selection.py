@@ -22,7 +22,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .frame import TimeSeriesFrame
-from .solver import FittedModel, Penalty, fit, predict_rows
+from .solver import FittedModel, Penalty, fit, predict_rows, prepare
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
 
@@ -152,34 +152,34 @@ def select_lambda(design: DesignMatrix, split: SplitPlan, alpha: float = 0.5,
         raise InsufficientDataError(
             f"validation segment has {n_val} rows; need >= 2")
 
-    val = design.take(split.validate)
-    train = design.take(split.train)
-    msfe = np.empty(grid.size)
-    warm = None
-    for gi in range(grid.size - 1, -1, -1):  # descending: warm starts shrink work
-        penalty = Penalty(float(grid[gi]), alpha)
-        if refit == "fixed":
-            model = fit(train, penalty, standardize_design=standardize_design,
-                        tol=tol, max_iter=max_iter, warm_start=warm)
-            warm = model.scaled_coeffs
-            err = predict_rows(model, val) - val.Y
-            sse = float(np.sum(err * err))
-        else:
-            sse = 0.0
-            model = None
-            for v in range(n_val):
-                if v % refit_every == 0:
-                    window = design.take(slice(0, split.T1 + v))
-                    model = fit(window, penalty,
-                                standardize_design=standardize_design,
-                                tol=tol, max_iter=max_iter,
-                                warm_start=warm if v == 0 else model.scaled_coeffs)
-                    if v == 0:
-                        warm = model.scaled_coeffs
-                row = design.take(slice(split.T1 + v, split.T1 + v + 1))
-                err = predict_rows(model, row)[0] - row.Y[0]
-                sse += float(err @ err)
-        msfe[gi] = sse / (n_val - 1)
+    # fixed refit is one window that predicts the whole validation segment;
+    # expanding refit re-fits on [0, t) every refit_every rows t
+    fixed = refit == "fixed"
+    if fixed:
+        windows = [(split.T1, [design.take(split.validate)])]
+    else:
+        rows = [design.take(slice(t, t + 1)) for t in range(split.T1, split.T2)]
+        windows = [(split.T1 + v, rows[v:v + refit_every])
+                   for v in range(0, n_val, refit_every)]
+    sse = [0.0] * grid.size
+    last = [None] * grid.size  # each lambda's coefficients on its last window
+    for stop, blocks in windows:
+        problem = prepare(design.take(slice(0, stop)),
+                          standardize_design=standardize_design)
+        warm = None
+        for gi in range(grid.size - 1, -1, -1):
+            # the first window chains warm starts down the grid; later ones
+            # start each lambda from its own previous window
+            model = fit(problem, Penalty(float(grid[gi]), alpha),
+                        standardize_design=standardize_design, tol=tol,
+                        max_iter=max_iter,
+                        warm_start=warm if last[gi] is None else last[gi])
+            last[gi] = warm = model.scaled_coeffs
+            for block in blocks:
+                err = predict_rows(model, block) - block.Y
+                sse[gi] += float(np.sum(err * err)) if fixed \
+                    else float(err[0] @ err[0])
+    msfe = np.array(sse) / (n_val - 1)
 
     chosen = int(grid.size - 1 - np.argmin(msfe[::-1]))
     return LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen)

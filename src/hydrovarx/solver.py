@@ -21,16 +21,40 @@ coordinate-wise minimizer is the soft-threshold rule
 with S(u, t) = sign(u) * max(|u| - t, 0). Sweeps visit coordinates in fixed
 order, so fitting is deterministic bit-for-bit.
 
+``prepare`` standardizes and centers a design and forms G, c and their
+list forms once; ``fit`` accepts that ``Problem`` in place of the design,
+so a lambda grid over one training window builds its Gram problem once.
+
 The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
 coefficients, the partial residuals rho = c - G b and the columns of G are
 lists, and an update subtracts G[:, j] * (new - old) from rho element by
-element. These are the same IEEE-double operations, in the same order, as
-the numpy form of the updates (no fused multiply-add), so every iterate,
-sweep count and stopping decision is bit-identical to it; the numpy form is
-kept in the test suite as the oracle. A sweep over all coordinates is
-followed by sweeps over the nonzero (active) set until it is stable, then
-all coordinates are checked again. Each fit reports its sweep count per
-equation (``n_iter``) and whether every equation converged.
+element. A sweep over all coordinates is followed by sweeps over the
+nonzero (active) set until it is stable, then all coordinates are checked
+again. Coordinate descent converges only linearly on strongly correlated
+lag columns, so the kernel also takes an exact step on the active set:
+with active set A and signs s_A, it solves
+
+    (G_AA + lambda (1 - alpha) I) x = c_A - (lambda alpha / 2) s_A
+
+and moves to b_A = x (zero elsewhere, rho recomputed) only if x is finite
+and sign(x) = s_A; a singular block or a sign change rejects the step and
+plain sweeps go on. An accepted x minimizes the objective on the orthant
+face holding the iterate, so the objective never increases. With
+lambda * alpha = 0 there is no L1 term and any finite x is accepted: it
+minimizes the objective on the subspace of A's coordinates. The step is
+tried after each full sweep and after an active-set sweep that leaves the
+face unchanged, once per face (x depends only on the face); after an
+accepted step the next sweep is a full one. A fit still
+converges only after a full sweep whose largest step is below ``tol``; each
+fit reports its sweep count per equation (``n_iter``, steps not counted)
+and whether every equation converged.
+
+Equivalence contract: the kernel reaches the same minimizer as plain
+coordinate descent, not the same bits. The test suite keeps the plain
+numpy-scalar kernel as an oracle: converged fits match it, run to
+tol = 1e-13 (where it converges within 10000 sweeps), in zero pattern and
+within 1e-9 * max(1, |b|) per coefficient.
+``kkt_violation`` certifies a fit against its optimality conditions.
 """
 
 from __future__ import annotations
@@ -209,12 +233,79 @@ class FittedModel:
         )
 
 
-def _cd_solve(G, c, diag, penalty, b, tol, max_iter):
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """The centered Gram problem of one design, shared by fits over a lambda grid.
+
+    ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
+    when enabled) regressors centered over the design's rows; ``cols`` and
+    ``diag`` are G's columns and diagonal as Python floats, the form the
+    coordinate-descent kernel reads. Built by ``prepare``.
+    """
+
+    design: DesignMatrix
+    info: ScalingInfo
+    z_bar: np.ndarray
+    y_bar: np.ndarray
+    G: np.ndarray
+    c: np.ndarray
+    cols: list
+    diag: list
+
+
+def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
+    """Standardize, center and form the Gram problem of ``design`` once."""
+    n = design.n_eff
+    if n < 2:
+        raise DegenerateFitError(f"cannot fit on {n} rows")
+    if standardize_design:
+        Z, Y, info = _standardize_arrays(design, 0, n)
+    else:
+        Z, Y = design.Z, design.Y
+        info = ScalingInfo.identity(design.q, design.k)
+    # center over the fitted rows; makes the unpenalized intercept exact
+    z_bar = Z.sum(axis=0) / n
+    y_bar = Y.sum(axis=0) / n
+    Zc = Z - z_bar
+    G = Zc.T @ Zc
+    c = (Y - y_bar).T @ Zc
+    return Problem(design=design, info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c,
+                   cols=G.T.tolist(), diag=G.diagonal().tolist())
+
+
+def _face_solve(G, c, face, signs, thr, ridge):
+    """Minimizer of the objective on an orthant face, or None if it is off it.
+
+    On the face {b_j = 0 off ``face``, sign(b_face) = ``signs``} the
+    objective is a quadratic, stationary where
+    (G_AA + ridge I) x = c_A - thr * signs. The solution is returned only if
+    it is finite and keeps every sign; a singular block returns None. With
+    thr = 0 there is no L1 term, the quadratic is the objective on the whole
+    subspace of the face's coordinates, and any finite x is returned.
+    """
+    idx = np.array(face)
+    M = G[idx[:, None], idx]
+    M.flat[::len(face) + 1] += ridge
+    try:
+        x = np.linalg.solve(M, c[idx] - thr * np.array(signs))
+    except np.linalg.LinAlgError:
+        return None
+    x = x.tolist()
+    # each comparison fails on NaN, and the bounds exclude the infinities
+    if thr == 0.0:
+        ok = all(-math.inf < v < math.inf for v in x)
+    else:
+        ok = all(0.0 < v < math.inf if t > 0.0 else -math.inf < v < 0.0
+                 for v, t in zip(x, signs))
+    return x if ok else None
+
+
+def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
     """Coordinate descent for one equation on centered data.
 
-    Returns (b, sweeps, converged), b as a list of floats. The updates read
-    the columns of ``G``, which need not be bit-symmetric. See the module
-    docstring for why the list form is bit-identical to the numpy form.
+    ``cols`` and ``diag`` are G's columns and diagonal as lists of floats
+    (G need not be bit-symmetric). Returns (b, sweeps, converged), b as a
+    list of floats. See the module docstring for the exact active-set step.
     """
     q = len(c)
     lam, alpha = penalty.lam, penalty.alpha
@@ -222,8 +313,6 @@ def _cd_solve(G, c, diag, penalty, b, tol, max_iter):
     neg_thr = -thr
     ridge = lam * (1.0 - alpha)
     rho = (c - G @ b).tolist()
-    cols = G.T.tolist()
-    diag = diag.tolist()
     den = [d + ridge for d in diag]
     b = b.tolist()
     sweeps = 0
@@ -254,24 +343,53 @@ def _cd_solve(G, c, diag, penalty, b, tol, max_iter):
                     delta = step
         return delta
 
+    def pattern(idx):
+        """The orthant face of the iterate: nonzero coordinates and their signs."""
+        face = [j for j in idx if b[j] != 0.0]
+        return face, [1.0 if b[j] > 0.0 else -1.0 for j in face]
+
+    def step_to_face(face, signs) -> bool:
+        """Move to the face's exact minimizer when it lies on the face."""
+        nonlocal rho, b
+        x = _face_solve(G, c, face, signs, thr, ridge) if face else None
+        if x is None:
+            return False
+        b = [0.0] * q
+        for j, v in zip(face, x):
+            b[j] = v
+        rho = (c - G @ np.array(b)).tolist()
+        return True
+
     all_idx = range(q)
+    tried = None  # the face solution depends only on the face: try each once
     while sweeps < max_iter:
         delta = sweep(all_idx)
         sweeps += 1
         if delta < tol:
             converged = True
             break
-        # iterate the active set until stable, then re-check all coordinates
         active = [j for j in all_idx if b[j] != 0.0]
+        face = pattern(active)
+        if face != tried:
+            tried = face
+            if step_to_face(*face):
+                continue  # the active set is exactly optimal: re-check all
+        # iterate the active set until stable, then re-check all coordinates;
+        # a sweep that leaves the face unchanged earns another exact step
         while sweeps < max_iter and len(active) < q:
             delta = sweep(active)
             sweeps += 1
             if delta < tol:
                 break
+            prev, face = face, pattern(active)
+            if face == prev and face != tried:
+                tried = face
+                if step_to_face(*face):
+                    break
     return b, sweeps, converged
 
 
-def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
+def fit(design, penalty: Penalty, *, standardize_design: bool = True,
         tol: float = 1e-7, max_iter: int = 10000, warm_start=None) -> FittedModel:
     """Fit the penalized VARX system on the rows of ``design``.
 
@@ -279,39 +397,34 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     regressors are centered/scaled by their sample statistics over these rows
     before solving, and the solution is mapped back, so reported coefficients
     are always in original units. The intercept is solved exactly (never
-    penalized). ``warm_start`` accepts the ``scaled_coeffs`` of a previous fit
-    on the same design to speed up paths over a lambda grid.
+    penalized). ``design`` may also be a ``Problem`` from ``prepare``, so a
+    lambda grid prepares its rows once; its standardization must match
+    ``standardize_design``. ``warm_start`` accepts the ``scaled_coeffs`` of a
+    previous fit on the same design to speed up paths over a lambda grid.
 
     Convergence: a sweep whose largest coefficient change is below ``tol``.
     """
-    n = design.n_eff
-    if n < 2:
-        raise DegenerateFitError(f"cannot fit on {n} rows")
-    if standardize_design:
-        Z, Y, info = _standardize_arrays(design, 0, n)
+    if isinstance(design, Problem):
+        problem = design
+        if problem.info.enabled != standardize_design:
+            raise ContractError(
+                f"problem was prepared with standardize_design="
+                f"{problem.info.enabled}, fit asked for {standardize_design}")
     else:
-        Z, Y = design.Z, design.Y
-        info = ScalingInfo.identity(design.q, design.k)
-
-    # center over the fitted rows; makes the unpenalized intercept exact
-    z_bar = Z.sum(axis=0) / n
-    y_bar = Y.sum(axis=0) / n
-    Zc = Z - z_bar
-    G = Zc.T @ Zc
-    diag = G.diagonal()
-
-    k, q = design.k, design.q
+        problem = prepare(design, standardize_design=standardize_design)
+    design, info = problem.design, problem.info
+    n, k, q = design.n_eff, design.k, design.q
     scaled_b = np.zeros((k, q))
     scaled_a = np.zeros(k)
     n_iter = []
     converged_all = True
     for i in range(k):
-        yc = Y[:, i] - y_bar[i]
         b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
             else np.zeros(q)
-        b, sweeps, ok = _cd_solve(G, Zc.T @ yc, diag, penalty, b0, tol, max_iter)
+        b, sweeps, ok = _cd_solve(problem.G, problem.cols, problem.diag,
+                                  problem.c[i], penalty, b0, tol, max_iter)
         scaled_b[i] = b
-        scaled_a[i] = y_bar[i] - z_bar @ scaled_b[i]
+        scaled_a[i] = problem.y_bar[i] - problem.z_bar @ scaled_b[i]
         n_iter.append(sweeps)
         converged_all &= ok
 
@@ -333,6 +446,23 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
         lag_mode=design.mode, scaling=info, n_rows=n,
         converged=converged_all, n_iter=tuple(n_iter),
     )
+
+
+def kkt_violation(model: FittedModel, design: DesignMatrix) -> float:
+    """Largest optimality breach of ``model`` on the rows it was fit on.
+
+    Computed on the standardized problem the solver minimized: with
+    g_j = c_j - (G b)_j - lambda (1 - alpha) b_j, a nonzero b_j needs
+    g_j = (lambda alpha / 2) sign(b_j) and a zero one |g_j| <= lambda alpha / 2.
+    A converged fit leaves at most q (n - 1) tol on standardized columns.
+    """
+    problem = prepare(design, standardize_design=model.scaling.enabled)
+    b = model.scaled_coeffs
+    thr = model.lam * model.alpha / 2.0
+    grad = problem.c - b @ problem.G.T - model.lam * (1.0 - model.alpha) * b
+    viol = np.where(b != 0.0, np.abs(grad - thr * np.sign(b)),
+                    np.maximum(np.abs(grad) - thr, 0.0))
+    return float(viol.max()) if viol.size else 0.0
 
 
 def objective(design: DesignMatrix, model: FittedModel, penalty: Penalty) -> float:

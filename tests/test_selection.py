@@ -139,6 +139,62 @@ def test_expanding_refit_every_one_uses_all_history():
     np.testing.assert_allclose(path.msfe[0], sse / (n_val - 1), atol=1e-10)
 
 
+def reference_select_lambda(design, split, alpha, grid, refit, refit_every,
+                            standardize_design):
+    """MSFE per lambda from one fit per (lambda, window): the loop that
+    select_lambda's one-pass-per-window form replaced."""
+    n_val = split.T2 - split.T1
+    val = design.take(split.validate)
+    train = design.take(split.train)
+    msfe = np.empty(grid.size)
+    warm = None
+    for gi in range(grid.size - 1, -1, -1):
+        penalty = Penalty(float(grid[gi]), alpha)
+        if refit == "fixed":
+            model = fit(train, penalty, standardize_design=standardize_design,
+                        warm_start=warm)
+            warm = model.scaled_coeffs
+            err = predict_rows(model, val) - val.Y
+            sse = float(np.sum(err * err))
+        else:
+            sse = 0.0
+            model = None
+            for v in range(n_val):
+                if v % refit_every == 0:
+                    window = design.take(slice(0, split.T1 + v))
+                    model = fit(window, penalty,
+                                standardize_design=standardize_design,
+                                warm_start=warm if v == 0 else model.scaled_coeffs)
+                    if v == 0:
+                        warm = model.scaled_coeffs
+                row = design.take(slice(split.T1 + v, split.T1 + v + 1))
+                err = predict_rows(model, row)[0] - row.Y[0]
+                sse += float(err @ err)
+        msfe[gi] = sse / (n_val - 1)
+    return msfe, int(grid.size - 1 - np.argmin(msfe[::-1]))
+
+
+@pytest.mark.parametrize("refit,refit_every",
+                         [("fixed", 1), ("expanding", 1), ("expanding", 3)])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("standardize_design", [True, False])
+def test_select_lambda_matches_per_window_reference(refit, refit_every, k,
+                                                    standardize_design):
+    rng = np.random.default_rng(30 + k)
+    n = 75
+    y = rng.normal(size=(n, k)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, k))
+    design = build_design(make_frame(y, rng.normal(size=(n, 2))),
+                          LagSpec(p=2, s=1))
+    split = SplitPlan(design.n_eff)
+    grid = np.geomspace(0.5, 80.0, 5)
+    path = select_lambda(design, split, 0.5, grid, refit, refit_every,
+                         standardize_design=standardize_design)
+    msfe, chosen = reference_select_lambda(design, split, 0.5, grid, refit,
+                                           refit_every, standardize_design)
+    assert path.msfe.tobytes() == msfe.tobytes()
+    assert path.chosen_index == chosen
+
+
 def test_grid_must_increase():
     design = _design(7)
     with pytest.raises(ContractError):

@@ -14,6 +14,7 @@ from hydrovarx import (
     Penalty,
     build_design,
     fit,
+    kkt_violation,
     lambda_max,
     objective,
     predict_one_step,
@@ -21,7 +22,7 @@ from hydrovarx import (
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve
+from hydrovarx.solver import _cd_solve, _face_solve, prepare
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -131,7 +132,7 @@ def test_objective_is_minimal_at_solution():
 
 
 def reference_cd_solve(G, c, diag, penalty, b, tol, max_iter):
-    """Numpy-scalar coordinate descent: the loop the list-based kernel replaced.
+    """Plain numpy-scalar coordinate descent, without the exact active-set step.
 
     Returns (b, sweeps, converged) with b a numpy array.
     """
@@ -180,16 +181,18 @@ def reference_cd_solve(G, c, diag, penalty, b, tol, max_iter):
     return b, sweeps, converged
 
 
-@settings(max_examples=300, deadline=None)
-@given(q=st.integers(1, 30), n_extra=st.integers(2, 40),
-       alpha=st.sampled_from([0.0, 0.5, 1.0]),
-       lam_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
-       warm=st.sampled_from(["cold", "warm", "sparse"]),
-       zero_col=st.booleans(), asym=st.booleans(),
-       max_iter=st.sampled_from([1, 2, 3, 4, 5, 10000]),
-       seed=st.integers(0, 2**32 - 1))
-def test_cd_kernel_matches_reference(q, n_extra, alpha, lam_frac, warm, zero_col,
-                                     asym, max_iter, seed):
+def _kernel_objective(G, c, penalty, b):
+    """Half the penalized RSS the kernel minimizes, up to a constant, and a
+    scale for rounding slack."""
+    b = np.asarray(b, dtype=float)
+    thr = penalty.lam * penalty.alpha / 2.0
+    ridge = penalty.lam * (1.0 - penalty.alpha)
+    terms = (0.5 * b @ G @ b, -(c @ b), thr * np.abs(b).sum(), 0.5 * ridge * (b @ b))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed):
+    """A random centered problem (G, c, diag), a penalty and a start point."""
     rng = np.random.default_rng(seed)
     n = q + n_extra
     Z = rng.normal(size=(n, q)) @ rng.normal(size=(q, q)) * 0.5 \
@@ -207,24 +210,132 @@ def test_cd_kernel_matches_reference(q, n_extra, alpha, lam_frac, warm, zero_col
         upper = np.triu_indices(q, 1)
         G[upper] = np.nextafter(G[upper], np.inf)
     c = Zc.T @ yc
-    diag = np.diag(G)
+    diag = np.diag(G).copy()
     # lambda from 0 to past lambda_max = 2 max|c| / alpha
     lam = lam_frac * 2.0 * float(np.abs(c).max()) / max(alpha, 0.5)
-    penalty = Penalty(lam, alpha)
     if warm == "cold":
         b0 = np.zeros(q)
     else:
         b0 = rng.normal(size=q)
         if warm == "sparse":
             b0[rng.random(q) < 0.5] = 0.0
+    return G, c, diag, Penalty(lam, alpha), b0
 
-    want_b, want_sweeps, want_ok = reference_cd_solve(
-        G, c, diag.copy(), penalty, b0.copy(), 1e-7, max_iter)
-    got_b, got_sweeps, got_ok = _cd_solve(G, c, diag, penalty, b0.copy(),
-                                          1e-7, max_iter)
-    assert np.asarray(got_b, dtype=float).tobytes() == want_b.tobytes()
-    assert got_sweeps == want_sweeps
-    assert got_ok == want_ok
+
+def _solve(G, c, diag, penalty, b0, max_iter, tol=1e-7):
+    return _cd_solve(G, G.T.tolist(), diag.tolist(), c, penalty, b0.copy(),
+                     tol, max_iter)
+
+
+KERNEL_DOMAIN = dict(
+    q=st.integers(1, 30), n_extra=st.integers(2, 40),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    lam_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    warm=st.sampled_from(["cold", "warm", "sparse"]),
+    zero_col=st.booleans(), asym=st.booleans(),
+    seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_DOMAIN)
+def test_cd_kernel_converges_to_reference(**case):
+    G, c, diag, penalty, b0 = _kernel_case(**case)
+    got, _, ok = _solve(G, c, diag, penalty, b0, 10000)
+    got = np.asarray(got)
+    assert ok
+    # optimality of the kernel's own problem, to the stopping rule's bound
+    thr = penalty.lam * penalty.alpha / 2.0
+    grad = c - G @ got - penalty.lam * (1.0 - penalty.alpha) * got
+    viol = np.where(got != 0.0, np.abs(grad - thr * np.sign(got)),
+                    np.maximum(np.abs(grad) - thr, 0.0))
+    assert viol.max() <= len(c) * max(1.0, np.abs(G).max()) * 1e-7
+    want, _, want_ok = reference_cd_solve(G, c, diag.copy(), penalty, b0.copy(),
+                                          1e-13, 10000)
+    # plain descent can stall on near-singular lambda = 0 problems; it is an
+    # oracle only where it converged
+    if want_ok:
+        np.testing.assert_array_equal(got != 0.0, want != 0.0)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_iter=st.integers(1, 5), **KERNEL_DOMAIN)
+def test_cd_kernel_never_raises_objective(max_iter, **case):
+    G, c, diag, penalty, b0 = _kernel_case(**case)
+    start, scale = _kernel_objective(G, c, penalty, b0)
+    got, sweeps, _ = _solve(G, c, diag, penalty, b0, max_iter)
+    end, _ = _kernel_objective(G, c, penalty, got)
+    assert sweeps <= max_iter
+    assert end <= start + 1e-12 * scale
+
+
+def test_face_step_rejects_singular_block():
+    # two identical columns with alpha = 1: both stay active from this warm
+    # start, so the active block is singular and plain sweeps must go on
+    z = np.random.default_rng(25).normal(size=40)
+    zc = z - z.mean()
+    G = np.outer([1.0, 1.0], [1.0, 1.0]) * (zc @ zc)
+    c = np.array([1.0, 1.0]) * (zc @ (2.0 * zc))
+    penalty = Penalty(4.0, 1.0)
+    assert _face_solve(G, c, [0, 1], [1.0, 1.0], 2.0, 0.0) is None
+    b, _, ok = _solve(G, c, np.diag(G).copy(), penalty, np.array([0.5, 0.7]),
+                      10000)
+    assert ok
+    # the second copy keeps its start (up to rounding), the first takes the rest
+    np.testing.assert_allclose(b, [2.0 - 2.0 / (zc @ zc) - 0.7, 0.7], rtol=1e-12)
+    want = reference_cd_solve(G, c, np.diag(G).copy(), penalty,
+                              np.array([0.5, 0.7]), 1e-13, 10000)[0]
+    np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+
+
+def test_face_step_rejects_sign_change():
+    # from b = (0, 5) one sweep lands on signs (-, +), but the face's
+    # stationary point (1.2, -0.2) has the opposite signs: reject it
+    G = np.array([[1.0, 0.5], [0.5, 1.0]])
+    c = np.array([1.0, 0.5])
+    penalty = Penalty(0.2, 1.0)
+    b0 = np.array([0.0, 5.0])
+    assert _face_solve(G, c, [0, 1], [-1.0, 1.0], 0.1, 0.0) is None
+    np.testing.assert_allclose(_face_solve(G, c, [0], [1.0], 0.1, 0.0), [0.9])
+    one, sweeps, _ = _solve(G, c, np.diag(G).copy(), penalty, b0, 1)
+    plain = reference_cd_solve(G, c, np.diag(G).copy(), penalty, b0.copy(),
+                               1e-7, 1)[0]
+    assert sweeps == 1 and np.asarray(one).tobytes() == plain.tobytes()
+    full, _, ok = _solve(G, c, np.diag(G).copy(), penalty, b0, 10000)
+    assert ok
+    np.testing.assert_allclose(full, [0.9, 0.0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), p=st.integers(1, 3),
+       s=st.integers(0, 2), m=st.integers(1, 3),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]), log_lam=st.floats(-2.0, 3.0),
+       max_iter=st.sampled_from([3, 10000]))
+def test_kkt_certificate_holds_for_converged_fits(seed, k, p, s, m, alpha,
+                                                  log_lam, max_iter):
+    design = _random_design(seed, n=80, m=m, p=p, s=s, k=k)
+    model = fit(design, Penalty(10.0 ** log_lam, alpha), max_iter=max_iter)
+    bound = design.q * (design.n_eff - 1) * 1e-7
+    if model.converged:
+        assert kkt_violation(model, design) <= bound
+    # the certificate sees a coefficient pushed off its optimum
+    b = model.scaled_coeffs.copy()
+    b[0, 0] += 1e-3
+    assert kkt_violation(replace(model, scaled_coeffs=b), design) > bound
+
+
+def test_fit_on_prepared_problem_equals_fit_on_design():
+    design = _random_design(26, k=2, m=2)
+    for standardize_design in (True, False):
+        problem = prepare(design, standardize_design=standardize_design)
+        a = fit(problem, Penalty(3.0, 0.5), standardize_design=standardize_design)
+        b = fit(design, Penalty(3.0, 0.5), standardize_design=standardize_design)
+        assert a.scaled_coeffs.tobytes() == b.scaled_coeffs.tobytes()
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert (a.n_rows, a.n_iter, a.support) == (b.n_rows, b.n_iter, b.support)
+        with pytest.raises(ContractError):
+            fit(problem, Penalty(3.0, 0.5),
+                standardize_design=not standardize_design)
 
 
 def test_duplicated_column_coefficients_split_equally():
