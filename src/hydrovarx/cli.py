@@ -72,7 +72,6 @@ class RunConfig:
     ci_multiplier: float = 3.0
     tol: float = 1e-7
     max_iter: int = 10000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.target:
@@ -83,15 +82,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            p=self.p, s=self.s, alpha=self.alpha,
-            grid=tuple(parse_grid(self.grid)), season=self.season,
-            aggregate=self.aggregate, sum_columns=self.sum_columns,
-            lag_mode=self.lag_mode, refit=self.refit,
-            refit_every=self.refit_every, standardize=self.standardize,
-            ci_multiplier=self.ci_multiplier, tol=self.tol,
-            max_iter=self.max_iter,
-        )
+        spec = {f.name: getattr(self, f.name) for f in fields(ModelSpec)}
+        spec["grid"] = tuple(parse_grid(self.grid))
+        return ModelSpec(**spec)
 
     def to_dict(self) -> dict:
         d = {}
@@ -412,7 +405,6 @@ def _add_run_flags(ap: argparse.ArgumentParser) -> None:
                     default=None)
     ap.add_argument("--tol", type=float)
     ap.add_argument("--max-iter", dest="max_iter", type=int)
-    ap.add_argument("--seed", type=int)
 
 
 _TUPLE_KEYS = ("target", "exog", "sum_columns", "drop")

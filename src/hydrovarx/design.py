@@ -178,8 +178,8 @@ class ScalingInfo:
 
     Z columns are centered and scaled by the sample standard deviation
     (ddof=1) of the statistic rows; constant columns are flagged and left at
-    scale 1. Y is centered only. ``stat_rows`` records the contiguous row
-    range the statistics came from, so leakage audits can recompute them.
+    scale 1. Y is centered only. ``stat_rows`` is (0, n) for the n rows the
+    statistics came from, so leakage audits can recompute them.
     """
 
     z_mean: np.ndarray
@@ -202,39 +202,32 @@ class ScalingInfo:
                    constant=np.zeros(q, dtype=bool), enabled=False)
 
 
-def _standardize_arrays(design: DesignMatrix, start: int, stop: int):
-    """Scaled Z, centered Y and their ScalingInfo, statistics on [start, stop)."""
+def _standardize_arrays(design: DesignMatrix):
+    """Scaled Z, centered Y and their ScalingInfo, statistics over every row."""
     # mean and ddof=1 standard deviation, spelled out as the operations
     # numpy's mean and std run (same bits), without their per-call overhead
-    n = stop - start
-    Zs = design.Z[start:stop]
-    mu = Zs.sum(axis=0) / n
-    dev = Zs - mu
+    n = design.n_eff
+    mu = design.Z.sum(axis=0) / n
+    dev = design.Z - mu
     sd = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
     constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
     sd_used = np.where(constant, 1.0, sd)
-    y_mean = design.Y[start:stop].sum(axis=0) / n
+    y_mean = design.Y.sum(axis=0) / n
     info = ScalingInfo(z_mean=mu, z_sd=sd_used, y_mean=y_mean,
-                       constant=constant, enabled=True, stat_rows=(start, stop))
-    return (design.Z - mu) / sd_used, design.Y - y_mean, info
+                       constant=constant, enabled=True, stat_rows=(0, n))
+    return dev / sd_used, design.Y - y_mean, info
 
 
-def standardize(design: DesignMatrix, stat_rows: slice | None = None):
+def standardize(design: DesignMatrix):
     """Standardize a design; returns (scaled design, ScalingInfo).
 
-    ``stat_rows`` restricts the rows the statistics are computed on (pass the
-    training slice to keep validation/test rows out of the scaling). The
-    transform itself is applied to every row.
+    The statistics come from every row of ``design``; standardize
+    ``design.take(rows)`` to keep other rows out of the scaling.
     """
-    rows = stat_rows if stat_rows is not None else slice(0, design.n_eff)
-    start, stop, step = rows.indices(design.n_eff)
-    if step != 1:
-        raise ContractError("stat_rows must be a contiguous slice")
-    n_stat = stop - start
-    if n_stat < 2:
+    if design.n_eff < 2:
         raise InsufficientDataError(
-            f"need >= 2 statistic rows to standardize; have {n_stat}")
-    Z, Y, info = _standardize_arrays(design, start, stop)
+            f"need >= 2 statistic rows to standardize; have {design.n_eff}")
+    Z, Y, info = _standardize_arrays(design)
     scaled = DesignMatrix(
         Y=Y, Z=Z, row_dates=design.row_dates, col_labels=design.col_labels,
         target_names=design.target_names, exog_names=design.exog_names,

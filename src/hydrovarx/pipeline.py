@@ -24,7 +24,7 @@ from .forecast import (
 )
 from .frame import TimeSeriesFrame, aggregate_monthly, drop_columns, filter_season
 from .metrics import METRIC_ORDER, MetricsReport, full_report
-from .selection import LambdaPath, SplitPlan, select_lambda
+from .selection import LambdaPath, SplitPlan, check_grid, select_lambda
 from .solver import FittedModel, Penalty, fit
 
 
@@ -76,10 +76,8 @@ class ModelSpec:
         if self.ci_multiplier <= 0:
             raise ContractError("ci_multiplier must be positive")
         if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) <= 0):
-                raise ContractError("grid must be strictly increasing and non-empty")
-            object.__setattr__(self, "grid", tuple(float(v) for v in g))
+            grid = tuple(float(v) for v in check_grid(self.grid))
+            object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)

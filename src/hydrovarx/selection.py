@@ -33,6 +33,22 @@ def default_grid() -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def check_grid(grid) -> np.ndarray:
+    """A copy of a lambda grid, checked: 1-D, non-empty, finite, >= 0, increasing.
+
+    A copy, so a ``LambdaPath`` can freeze its grid without freezing the
+    caller's array.
+    """
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ContractError("lambda grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ContractError(f"lambda grid values must be finite and >= 0: {grid}")
+    if np.any(np.diff(grid) <= 0):
+        raise ContractError("lambda grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Chronological train / validation / test split over T usable rows.
@@ -81,12 +97,10 @@ class LambdaPath:
     chosen_index: int
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
+        grid = check_grid(self.grid)
         msfe = np.asarray(self.msfe, dtype=float)
-        if grid.ndim != 1 or grid.shape != msfe.shape or grid.size == 0:
+        if grid.shape != msfe.shape:
             raise ContractError("grid and msfe must be equal-length 1-D arrays")
-        if np.any(np.diff(grid) <= 0):
-            raise ContractError("lambda grid must be strictly increasing")
         if not (0 <= self.chosen_index < grid.size):
             raise ContractError("chosen index out of range")
         for name, arr in (("grid", grid), ("msfe", msfe)):
@@ -138,11 +152,7 @@ def select_lambda(design: DesignMatrix, split: SplitPlan, alpha: float = 0.5,
     validation steps. Ties prefer the larger (sparser) lambda.
     """
     _check_split(design, split)
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ContractError("lambda grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0):
-        raise ContractError("lambda grid must be strictly increasing")
+    grid = default_grid() if grid is None else check_grid(grid)
     if refit not in ("fixed", "expanding"):
         raise ContractError(f"unknown refit policy {refit!r}")
     if refit_every < 1:

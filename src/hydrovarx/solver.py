@@ -28,11 +28,10 @@ so a lambda grid over one training window builds its Gram problem once.
 The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
 coefficients, the partial residuals rho = c - G b and the columns of G are
 lists, and an update subtracts G[:, j] * (new - old) from rho element by
-element. A sweep over all coordinates is followed by sweeps over the
-nonzero (active) set until it is stable, then all coordinates are checked
-again. Coordinate descent converges only linearly on strongly correlated
-lag columns, so the kernel also takes an exact step on the active set:
-with active set A and signs s_A, it solves
+element. Every sweep visits all coordinates; one that stays at zero costs a
+single threshold test. Coordinate descent converges only linearly on
+strongly correlated lag columns, so the kernel also takes an exact step on
+the face of the iterate: with nonzero set A and signs s_A, it solves
 
     (G_AA + lambda (1 - alpha) I) x = c_A - (lambda alpha / 2) s_A
 
@@ -42,12 +41,11 @@ plain sweeps go on. An accepted x minimizes the objective on the orthant
 face holding the iterate, so the objective never increases. With
 lambda * alpha = 0 there is no L1 term and any finite x is accepted: it
 minimizes the objective on the subspace of A's coordinates. The step is
-tried after each full sweep and after an active-set sweep that leaves the
-face unchanged, once per face (x depends only on the face); after an
-accepted step the next sweep is a full one. A fit still
-converges only after a full sweep whose largest step is below ``tol``; each
-fit reports its sweep count per equation (``n_iter``, steps not counted)
-and whether every equation converged.
+tried after each full sweep, once per face (x depends only on the face),
+and the next sweep re-checks every coordinate. A fit converges after a
+sweep whose largest step is below ``tol``; each fit reports its sweep count
+per equation (``n_iter``, steps not counted) and whether every equation
+converged.
 
 Equivalence contract: the kernel reaches the same minimizer as plain
 coordinate descent, not the same bits. The test suite keeps the plain
@@ -64,13 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    DesignMatrix,
-    ScalingInfo,
-    _standardize_arrays,
-    destandardize_coeffs,
-    standardize,
-)
+from .design import DesignMatrix, ScalingInfo, _standardize_arrays, destandardize_coeffs
 from .errors import (
     CompatibilityError,
     ContractError,
@@ -259,7 +251,7 @@ def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem
     if n < 2:
         raise DegenerateFitError(f"cannot fit on {n} rows")
     if standardize_design:
-        Z, Y, info = _standardize_arrays(design, 0, n)
+        Z, Y, info = _standardize_arrays(design)
     else:
         Z, Y = design.Z, design.Y
         info = ScalingInfo.identity(design.q, design.k)
@@ -305,7 +297,7 @@ def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
 
     ``cols`` and ``diag`` are G's columns and diagonal as lists of floats
     (G need not be bit-symmetric). Returns (b, sweeps, converged), b as a
-    list of floats. See the module docstring for the exact active-set step.
+    list of floats. See the module docstring for the exact face step.
     """
     q = len(c)
     lam, alpha = penalty.lam, penalty.alpha
@@ -317,11 +309,10 @@ def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
     b = b.tolist()
     sweeps = 0
     converged = False
-
-    def sweep(idx) -> float:
-        nonlocal rho
+    tried = None  # x depends only on the face: never retry the face just tried
+    while sweeps < max_iter:
         delta = 0.0
-        for j in idx:
+        for j in range(q):
             dj = den[j]
             old = b[j]
             if dj > 0:
@@ -341,51 +332,20 @@ def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
                 step = abs(diff)
                 if step > delta:
                     delta = step
-        return delta
-
-    def pattern(idx):
-        """The orthant face of the iterate: nonzero coordinates and their signs."""
-        face = [j for j in idx if b[j] != 0.0]
-        return face, [1.0 if b[j] > 0.0 else -1.0 for j in face]
-
-    def step_to_face(face, signs) -> bool:
-        """Move to the face's exact minimizer when it lies on the face."""
-        nonlocal rho, b
-        x = _face_solve(G, c, face, signs, thr, ridge) if face else None
-        if x is None:
-            return False
-        b = [0.0] * q
-        for j, v in zip(face, x):
-            b[j] = v
-        rho = (c - G @ np.array(b)).tolist()
-        return True
-
-    all_idx = range(q)
-    tried = None  # the face solution depends only on the face: try each once
-    while sweeps < max_iter:
-        delta = sweep(all_idx)
         sweeps += 1
         if delta < tol:
             converged = True
             break
-        active = [j for j in all_idx if b[j] != 0.0]
-        face = pattern(active)
-        if face != tried:
-            tried = face
-            if step_to_face(*face):
-                continue  # the active set is exactly optimal: re-check all
-        # iterate the active set until stable, then re-check all coordinates;
-        # a sweep that leaves the face unchanged earns another exact step
-        while sweeps < max_iter and len(active) < q:
-            delta = sweep(active)
-            sweeps += 1
-            if delta < tol:
-                break
-            prev, face = face, pattern(active)
-            if face == prev and face != tried:
-                tried = face
-                if step_to_face(*face):
-                    break
+        face = [j for j in range(q) if b[j] != 0.0]
+        signs = [1.0 if b[j] > 0.0 else -1.0 for j in face]
+        if face and (face, signs) != tried:
+            tried = face, signs
+            x = _face_solve(G, c, face, signs, thr, ridge)
+            if x is not None:
+                b = [0.0] * q
+                for j, v in zip(face, x):
+                    b[j] = v
+                rho = (c - G @ np.array(b)).tolist()
     return b, sweeps, converged
 
 
@@ -505,11 +465,10 @@ def lambda_max(design: DesignMatrix, alpha: float, *,
 
     From the coordinate-wise stationarity condition at b = 0: coordinate j
     stays at zero iff |z_j'(y - ybar)| <= lambda * alpha / 2, hence
-    lambda_max = 2 * max_ij |z_j'(y_i - ybar_i)| / alpha.
+    lambda_max = 2 * max_ij |z_j'(y_i - ybar_i)| / alpha, read off the same
+    ``c`` the kernel thresholds against.
     """
     if alpha <= 0:
         raise ContractError("lambda_max is defined for alpha > 0")
-    solved = standardize(design)[0] if standardize_design else design
-    Zc = solved.Z - solved.Z.mean(axis=0)
-    Yc = solved.Y - solved.Y.mean(axis=0)
-    return float(2.0 * np.abs(Zc.T @ Yc).max() / alpha)
+    c = prepare(design, standardize_design=standardize_design).c
+    return float(2.0 * np.abs(c).max() / alpha)

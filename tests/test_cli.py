@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 import hydrovarx.cli
-from hydrovarx.cli import _parse_range, main, parse_artifact_header, parse_grid
+from hydrovarx.cli import (
+    RunConfig,
+    _parse_range,
+    main,
+    parse_artifact_header,
+    parse_grid,
+)
 from hydrovarx.design import standardize
 from hydrovarx.errors import ConfigError
 from hydrovarx.metrics import METRIC_ORDER
+from hydrovarx.pipeline import ModelSpec
 
 GRID = "0.5:50:6"
 
@@ -212,6 +219,18 @@ def test_config_errors_exit_2_before_reading_input(tmp_path, capsys):
                "--out", str(tmp_path / "o"), "--target", "Y",
                "--grid", "50:5:3"])
     assert rc == 2
+    # a negative grid used to pass setup and fail only after loading data
+    rc = main(["fit", "--input", str(tmp_path / "ghost.csv"),
+               "--out", str(tmp_path / "o"), "--target", "Y",
+               "--grid=-5:5:3:linear"])
+    assert rc == 2
+    assert "hydrovarx fit: setup:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["-5:5:3:linear", "1:inf:3", "nan:1:1"])
+def test_negative_or_non_finite_grid_is_a_config_error(grid):
+    with pytest.raises(ConfigError):
+        RunConfig(input="in.csv", out="o", target=("Y",), grid=grid)
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -267,6 +286,31 @@ def test_unknown_config_key_exits_2(synth_csv, tmp_path, capsys):
         "target": ["Y1"], "lambda_grid": GRID}))
     assert main(["fit", "--config", str(cfg_path)]) == 2
     assert "lambda_grid" in capsys.readouterr().err
+
+
+def test_seed_is_not_a_run_option(synth_csv, tmp_path, capsys):
+    # fitting is deterministic: only simulate takes a seed
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "input": str(synth_csv), "out": str(tmp_path / "o"),
+        "target": ["Y1"], "grid": GRID, "seed": 0}))
+    assert main(["fit", "--config", str(cfg_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["fit", "--config", str(cfg_path), "--seed", "1"])
+    assert exc_info.value.code == 2
+
+
+def test_run_config_declares_every_model_setting():
+    run = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for f in dataclasses.fields(ModelSpec):
+        if f.name != "grid":
+            assert f.name in run, f.name
+            assert run[f.name].default == f.default, f.name
+    config = RunConfig(input="in.csv", out="o", target=("Y",), p=3,
+                       grid="1:8:4", refit="expanding", tol=1e-6)
+    assert config.model_spec() == ModelSpec(
+        p=3, grid=(1.0, 2.0, 4.0, 8.0), refit="expanding", tol=1e-6)
 
 
 def test_missing_required_options_exit_2(capsys):

@@ -212,3 +212,6 @@ def test_spec_rejects_bad_fields():
         ModelSpec(grid=(5.0, 1.0))
     with pytest.raises(ContractError):
         ModelSpec(alpha=1.5)
+    for grid in ((-1.0, 1.0), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(ContractError):
+            ModelSpec(grid=grid)

@@ -20,6 +20,7 @@ from hydrovarx import (
     select_order,
 )
 from hydrovarx.errors import ContractError, InsufficientDataError
+from hydrovarx.selection import check_grid
 from hydrovarx.simulate import SynthSpec, simulate
 
 
@@ -202,6 +203,18 @@ def test_grid_must_increase():
                       grid=np.array([10.0, 5.0]))
 
 
+@pytest.mark.parametrize("grid", [[], [[1.0, 2.0]], [-1.0, 1.0],
+                                  [1.0, math.nan], [1.0, math.inf], [2.0, 2.0]])
+def test_one_grid_check_for_selection_and_path(grid):
+    design = _design(7)
+    with pytest.raises(ContractError):
+        check_grid(grid)
+    with pytest.raises(ContractError):
+        select_lambda(design, SplitPlan(design.n_eff), grid=grid)
+    with pytest.raises(ContractError):
+        LambdaPath(grid, np.ones(np.shape(grid)), 0)
+
+
 def test_bad_refit_policy():
     design = _design(8)
     with pytest.raises(ContractError):
@@ -305,5 +318,6 @@ def test_lambda_path_at_edge():
     msfe = np.array([3.0, 2.0, 1.0])
     assert [LambdaPath(grid, msfe, i).at_edge for i in range(3)] \
         == [True, False, True]
+    assert grid.flags.writeable  # the path froze its own copy, not ours
     # a one-value grid fixes lambda: there is no edge to report
     assert not LambdaPath(grid[:1], msfe[:1], 0).at_edge
