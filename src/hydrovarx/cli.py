@@ -105,6 +105,8 @@ def parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}: non-numeric field") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"bad grid spec {text!r}: min and max must be finite")
     if count < 1 or hi < lo or (count > 1 and hi == lo):
         raise ConfigError(f"bad grid spec {text!r}: empty or decreasing range")
     if parts[3] == "log":

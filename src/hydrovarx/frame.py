@@ -1,15 +1,24 @@
 """Daily/monthly multivariate time-series container and CSV ingestion.
 
 The on-disk convention is a plain CSV with one date column (ISO ``YYYY-MM-DD``)
-and one numeric column per variable. Cells that are empty or read ``NA`` /
-``NaN`` (case-insensitive) mark missing values; any row with a missing value in
-a used column is dropped at load time, so every retained row is complete.
+and one numeric column per variable. A date must name a calendar day: ``NaT``,
+``today`` and ``now``, which numpy's date parser also reads, are rejected.
+Cells that are empty or read ``NA`` / ``NaN`` (case-insensitive) mark missing
+values; any row with a missing value in a used column is dropped at load time,
+so every retained row is complete.
+
+``load_csv`` parses a plain file in one bulk pass (``_parse_plain`` says which
+files are plain) and any other file in a per-line loop, which is also the only
+source of line/column diagnostics. The two paths give byte-equal frames and
+identical errors.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -24,6 +33,10 @@ from .errors import (
 )
 
 MISSING_TOKENS = frozenset({"", "na", "nan"})
+#: date tokens numpy parses that name no calendar day (compared lowercased)
+NOT_A_DAY = frozenset({"nat", "today", "now"})
+#: line breaks ``str.splitlines`` splits on and ``csv`` does not
+_NON_CSV_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 #: inclusive (month, day) windows; together they partition the calendar year
 GROWING_WINDOW = ((4, 1), (10, 31))
@@ -32,6 +45,47 @@ DORMANT_WINDOW = ((11, 1), (3, 31))
 
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in MISSING_TOKENS
+
+
+def _parse_plain(body: str, width: int, date_idx: int, used_idx: list[int]):
+    """Parse a CSV body (the text after the header) in one bulk pass.
+
+    Returns ``(dates, values)``: the dates in file order and the used cells as
+    a float matrix, one row per line. Values go through ``float`` and dates
+    through numpy's date parser, as in ``load_csv``'s per-line loop, so both
+    are bit-identical to the loop's.
+
+    Returns None, leaving the file to the loop, when the body has a quote, a
+    line break ``csv`` does not split on, an ``a`` or ``w`` in any case, a
+    line longer than ``csv``'s field limit, rows of unequal length or shorter
+    than ``width``, or an empty cell. No number or ISO date has an ``a`` or
+    ``w``, while every ``NA``/``NaN`` spelling and every date in
+    ``NOT_A_DAY`` has one, so a file with gaps is declined by a few scans
+    before any date or number is converted. Past those, it also returns None
+    when a token does not convert or a date cell is whitespace-only (numpy
+    reads it as NaT).
+    """
+    if any(ch in body for ch in '"aAwW' + _NON_CSV_BREAKS):
+        return None
+    lines = body.splitlines()
+    commas = set(map(str.count, lines, repeat(",")))
+    if len(commas) != 1 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    stride = commas.pop() + 1
+    cells = ",".join(lines).split(",")  # row r's field i is cells[r * stride + i]
+    if stride < width or "" in cells:
+        return None
+    # float(cell) equals the loop's float(cell.strip()) wherever it converts
+    values = chain.from_iterable(map(float, cells[i::stride]) for i in used_idx)
+    try:
+        dates = np.array([t.strip() for t in cells[date_idx::stride]],
+                         dtype="datetime64[D]")
+        values = np.fromiter(values, dtype=float, count=len(lines) * len(used_idx))
+    except ValueError:
+        return None
+    if np.isnat(dates).any():
+        return None
+    return dates, values.reshape(len(used_idx), len(lines)).T
 
 
 @dataclass(frozen=True)
@@ -164,7 +218,7 @@ class TimeSeriesFrame:
         return self.targets[:, i] if i < self.k else self.exog[:, i - self.k]
 
 
-def load_csv(path, target_columns, date_column: str = "Date",
+def load_csv(path, targets, date_column: str = "Date",
              exog_columns=None, units=None) -> TimeSeriesFrame:
     """Load a daily CSV into a complete-case TimeSeriesFrame.
 
@@ -172,7 +226,7 @@ def load_csv(path, target_columns, date_column: str = "Date",
     ----------
     path : str or Path
         CSV file with a header row.
-    target_columns : sequence of str
+    targets : sequence of str
         Names of the modeled variables, in the order they should appear.
     date_column : str
         Name of the ISO-date column.
@@ -183,10 +237,16 @@ def load_csv(path, target_columns, date_column: str = "Date",
 
     Rows with a missing value (empty, ``NA`` or ``NaN``, case-insensitive) in
     any used column are dropped; the count is kept in ``dropped_rows``.
-    Malformed numbers or dates raise :class:`InputError` naming the line and
-    column. Duplicate dates are rejected; rows are sorted by date.
+    Malformed numbers or dates, and dates that name no calendar day (``NaT``,
+    ``today``, ``now``), raise :class:`InputError` naming the line and column.
+    Duplicate dates are rejected; rows are sorted by date.
+
+    A plain file is parsed in one bulk pass, any other in a per-line loop,
+    which alone reports the line and column of a bad cell. The frame is
+    byte-equal, and an error identical in type and message, whichever path
+    reads the file.
     """
-    target_columns = list(target_columns)
+    targets = list(targets)
     units = dict(units or {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -197,71 +257,90 @@ def load_csv(path, target_columns, date_column: str = "Date",
         header = [h.strip() for h in header]
         if date_column not in header:
             raise ColumnNotFoundError(f"{path}: no date column {date_column!r}")
-        for name in target_columns:
+        for name in targets:
             if name not in header:
                 raise ColumnNotFoundError(f"{path}: no target column {name!r}")
         if exog_columns is None:
             exog_columns = [h for h in header
-                            if h != date_column and h not in target_columns]
+                            if h != date_column and h not in targets]
         else:
             exog_columns = list(exog_columns)
             for name in exog_columns:
                 if name not in header:
                     raise ColumnNotFoundError(f"{path}: no column {name!r}")
-        overlap = set(target_columns) & set(exog_columns)
+        overlap = set(targets) & set(exog_columns)
         if overlap:
             raise ContractError(f"columns {sorted(overlap)} listed as both "
                                 "target and exogenous")
 
         date_idx = header.index(date_column)
-        used = target_columns + exog_columns
+        used = targets + exog_columns
         used_idx = [header.index(name) for name in used]
 
-        dates: list[np.datetime64] = []
-        rows: list[list[float]] = []
-        dropped = 0
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) < len(header):
-                raise InputError(f"{path}: line {lineno}: expected "
-                                 f"{len(header)} fields, got {len(raw)}")
-            token = raw[date_idx].strip()
-            if _is_missing(token):
-                dropped += 1
-                continue
-            try:
-                date = np.datetime64(token, "D")
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: column "
-                                 f"{date_column!r}: bad date {token!r}") from None
-            cells = [raw[i].strip() for i in used_idx]
-            if any(_is_missing(c) for c in cells):
-                dropped += 1
-                continue
-            values = []
-            for name, cell in zip(used, cells):
+        try:
+            body = fh.read()
+        except UnicodeDecodeError:
+            # left to the loop, which meets the bad bytes where it always has
+            body = None
+            fh.seek(0)
+            next(reader)  # the header, again
+        plain = None if body is None else _parse_plain(
+            body, len(header), date_idx, used_idx)
+        if plain is not None:
+            date_arr, data = plain
+            dropped = 0
+        else:
+            if body is not None:
+                reader = csv.reader(io.StringIO(body, newline=""))
+            dates: list[np.datetime64] = []
+            rows: list[list[float]] = []
+            dropped = 0
+            for lineno, raw in enumerate(reader, start=2):
+                if not raw or all(not cell.strip() for cell in raw):
+                    continue
+                if len(raw) < len(header):
+                    raise InputError(f"{path}: line {lineno}: expected "
+                                     f"{len(header)} fields, got {len(raw)}")
+                token = raw[date_idx].strip()
+                if _is_missing(token):
+                    dropped += 1
+                    continue
+                if token.lower() in NOT_A_DAY:
+                    raise InputError(f"{path}: line {lineno}: column "
+                                     f"{date_column!r}: date {token!r} names "
+                                     "no calendar day")
                 try:
-                    values.append(float(cell))
+                    date = np.datetime64(token, "D")
                 except ValueError:
-                    raise InputError(f"{path}: line {lineno}: column {name!r}: "
-                                     f"bad number {cell!r}") from None
-            dates.append(date)
-            rows.append(values)
+                    raise InputError(f"{path}: line {lineno}: column "
+                                     f"{date_column!r}: bad date {token!r}") from None
+                cells = [raw[i].strip() for i in used_idx]
+                if any(_is_missing(c) for c in cells):
+                    dropped += 1
+                    continue
+                values = []
+                for name, cell in zip(used, cells):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise InputError(f"{path}: line {lineno}: column {name!r}: "
+                                         f"bad number {cell!r}") from None
+                dates.append(date)
+                rows.append(values)
+            if not rows:
+                raise EmptyDataError(f"{path}: no complete rows after dropping missing")
+            date_arr = np.array(dates, dtype="datetime64[D]")
+            data = np.asarray(rows, dtype=float)
 
-    if not rows:
-        raise EmptyDataError(f"{path}: no complete rows after dropping missing")
-
-    date_arr = np.array(dates, dtype="datetime64[D]")
     order = np.argsort(date_arr, kind="stable")
     date_arr = date_arr[order]
     dup = np.flatnonzero(date_arr[1:] == date_arr[:-1])
     if dup.size:
         raise InputError(f"{path}: duplicate date {date_arr[dup[0]]}")
-    data = np.asarray(rows, dtype=float)[order]
+    data = data[order]
 
-    k = len(target_columns)
-    cols = tuple(Column(name, units.get(name, ""), "target") for name in target_columns) \
+    k = len(targets)
+    cols = tuple(Column(name, units.get(name, ""), "target") for name in targets) \
         + tuple(Column(name, units.get(name, ""), "exog") for name in exog_columns)
     return TimeSeriesFrame(
         dates=date_arr, targets=data[:, :k], exog=data[:, k:],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,17 @@ def test_non_finite_cell_exits_4(tmp_path):
     assert rc == 4
 
 
+def test_date_naming_no_day_exits_3(tmp_path, capsys):
+    # a NaT date used to load and fail later as a contract error, exit 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Date,Y\n2001-01-01,1\nNaT,2\n2001-01-03,3\n")
+    rc = main(["fit", "--input", str(bad), "--out", str(tmp_path / "o"),
+               "--target", "Y", "--grid", GRID])
+    assert rc == 3
+    assert "line 3: column 'Date': date 'NaT' names no calendar day" \
+        in capsys.readouterr().err
+
+
 def test_evaluate_rejects_mismatched_columns(synth_csv, tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     _fit(synth_csv, fit_dir)
@@ -367,9 +379,12 @@ def test_parse_grid_forms():
     np.testing.assert_allclose(parse_grid("1:100:5:linear"),
                                np.linspace(1, 100, 5))
     np.testing.assert_allclose(parse_grid("7:7:1"), [7.0])
-    for bad in ("5:1:3", "1:10:0", "a:b:c", "1:10:5:cubic", "0:10:3:log", "1:2"):
-        with pytest.raises(ConfigError):
-            parse_grid(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a non-finite bound used to warn first
+        for bad in ("5:1:3", "1:10:0", "a:b:c", "1:10:5:cubic", "0:10:3:log", "1:2",
+                    "1:inf:3", "nan:1:1", "-inf:5:3:linear"):
+            with pytest.raises(ConfigError):
+                parse_grid(bad)
 
 
 def test_parse_order_ranges():

@@ -1,7 +1,10 @@
 """Data ingestion, seasonal filtering, monthly aggregation, column dropping."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import daily_dates, make_frame
 from hydrovarx import (
@@ -23,6 +26,7 @@ from hydrovarx.errors import (
     NonFiniteError,
     UnsupportedResolutionError,
 )
+from hydrovarx.frame import _parse_plain
 
 
 def _write(path, text):
@@ -102,6 +106,26 @@ def test_load_csv_explicit_exog_subset(tmp_path):
     np.testing.assert_array_equal(frame.exog, [[4.0, 2.0], [8.0, 6.0]])
 
 
+def test_load_csv_targets_keyword(tmp_path):
+    csv_path = _write(tmp_path / "d.csv",
+                      "Date,WTD,Rainfall\n2016-01-01,-50,0\n2016-01-02,-51,2\n")
+    frame = load_csv(csv_path, targets=("WTD",))
+    assert frame.target_names == ("WTD",)
+    assert frame.exog_names == ("Rainfall",)
+
+
+@pytest.mark.parametrize("token", ["NaT", "nat", "NAT", "today", "Today", "now", "NOW"])
+@pytest.mark.parametrize("other_row", ["2016-01-02,2", "2016-01-02,NA"],
+                         ids=["plain", "with-missing-cell"])
+def test_load_csv_rejects_dates_naming_no_day(tmp_path, token, other_row):
+    # the plain file is read in one bulk pass, the other by the per-line loop
+    csv_path = _write(tmp_path / "d.csv",
+                      f"Date,Y\n2016-01-01,1\n {token} ,3\n{other_row}\n")
+    message = f"line 3: column 'Date': date '{token}' names no calendar day"
+    with pytest.raises(InputError, match=message):
+        load_csv(csv_path, ["Y"])
+
+
 def test_write_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     frame = make_frame(rng.normal(size=20) * 1e3, rng.normal(size=(20, 2)))
@@ -136,6 +160,210 @@ def test_column_values_lookup():
     np.testing.assert_array_equal(frame.column_values("x1"), [5.0, 6.0])
     with pytest.raises(ColumnNotFoundError):
         frame.column_values("zzz")
+
+
+# -- bulk parse against the per-line loop ------------------------------------
+
+def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
+                       units=None):
+    """The per-line loop ``load_csv`` falls back to, kept as the oracle of
+    its bulk path: every row read by ``csv``, every cell stripped, checked
+    and converted on its own."""
+    def is_missing(token):
+        return token.strip().lower() in {"", "na", "nan"}
+
+    targets = list(targets)
+    units = dict(units or {})
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if date_column not in header:
+            raise ColumnNotFoundError(f"{path}: no date column {date_column!r}")
+        for name in targets:
+            if name not in header:
+                raise ColumnNotFoundError(f"{path}: no target column {name!r}")
+        if exog_columns is None:
+            exog_columns = [h for h in header
+                            if h != date_column and h not in targets]
+        else:
+            exog_columns = list(exog_columns)
+            for name in exog_columns:
+                if name not in header:
+                    raise ColumnNotFoundError(f"{path}: no column {name!r}")
+        overlap = set(targets) & set(exog_columns)
+        if overlap:
+            raise ContractError(f"columns {sorted(overlap)} listed as both "
+                                "target and exogenous")
+
+        date_idx = header.index(date_column)
+        used = targets + exog_columns
+        used_idx = [header.index(name) for name in used]
+
+        dates, rows, dropped = [], [], 0
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            if len(raw) < len(header):
+                raise InputError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(raw)}")
+            token = raw[date_idx].strip()
+            if is_missing(token):
+                dropped += 1
+                continue
+            if token.lower() in {"nat", "today", "now"}:
+                raise InputError(f"{path}: line {lineno}: column "
+                                 f"{date_column!r}: date {token!r} names "
+                                 "no calendar day")
+            try:
+                date = np.datetime64(token, "D")
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: column "
+                                 f"{date_column!r}: bad date {token!r}") from None
+            cells = [raw[i].strip() for i in used_idx]
+            if any(is_missing(c) for c in cells):
+                dropped += 1
+                continue
+            values = []
+            for name, cell in zip(used, cells):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: column {name!r}: "
+                                     f"bad number {cell!r}") from None
+            dates.append(date)
+            rows.append(values)
+
+    if not rows:
+        raise EmptyDataError(f"{path}: no complete rows after dropping missing")
+    date_arr = np.array(dates, dtype="datetime64[D]")
+    order = np.argsort(date_arr, kind="stable")
+    date_arr = date_arr[order]
+    dup = np.flatnonzero(date_arr[1:] == date_arr[:-1])
+    if dup.size:
+        raise InputError(f"{path}: duplicate date {date_arr[dup[0]]}")
+    data = np.asarray(rows, dtype=float)[order]
+    k = len(targets)
+    cols = tuple(Column(name, units.get(name, ""), "target") for name in targets) \
+        + tuple(Column(name, units.get(name, ""), "exog") for name in exog_columns)
+    return TimeSeriesFrame(
+        dates=date_arr, targets=data[:, :k], exog=data[:, k:],
+        columns=cols, resolution="daily", dropped_rows=dropped,
+    )
+
+
+_DAY0 = np.datetime64("2016-01-01", "D")
+_PLAIN_VALUES = ["1e3", "-2.5E-3", "1_000", "+7", " 3.25 ", "\t-0.0",
+                 "\xa04\u3000", "\uff11\uff12"]
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", " NaN ", "", "NA", "na"]),  # missing
+    st.sampled_from(["-nan", "inf", "-Infinity", '"1.5"', '"1,5"', '""', "oops",
+                     "1__0", "0x10"]))
+_ODD_DATES = st.one_of(
+    st.sampled_from(["NaT", "nat", " today ", "Now"]),  # no calendar day
+    st.sampled_from(["", " ", "NA", "nan", "2016-02-30", "2016-01", "2016-01-03T12",
+                     "+2016-01-04", "2016-1-5", "x"]))
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV with target ``Y``: a plain file, its rows one field longer
+    than the header or not, with no, one or three defects. A defect is an
+    odd value (a missing spelling, NaN, inf, a quote, a bad token), an odd
+    date (one that names no day, a missing or bad token), a short or
+    over-long row, or a blank row. A plain file is read by the bulk pass."""
+    names = ["Y", "a", "b"][:draw(st.integers(1, 3))]
+    date_pos = draw(st.integers(0, len(names)))
+    header = names[:date_pos] + ["Date"] + names[date_pos:]
+    width = len(header) + draw(st.sampled_from([0, 0, 1]))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.integers(-10**6, 10**6).map(str),
+                      st.sampled_from(_PLAIN_VALUES))
+    span = draw(st.sampled_from([10**5, 8]))  # a short span repeats dates
+    date = st.builds(lambda pad, d: pad + str(_DAY0 + d) + pad,
+                     st.sampled_from(["", " ", "\t"]), st.integers(0, span))
+    rows = [[draw(value) for _ in range(width)] for _ in range(draw(st.integers(1, 12)))]
+    for row in rows:
+        row[date_pos] = draw(date)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 3]))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["value"] * 3 + ["date"] * 2 + ["length", "blank"]))
+        cols = [i for i in range(len(row)) if i != date_pos]  # after earlier defects
+        if kind == "value" and cols:
+            row[draw(st.sampled_from(cols))] = draw(_ODD_VALUES)
+        elif kind == "date" and date_pos < len(row):
+            row[date_pos] = draw(_ODD_DATES)
+        elif kind == "length":
+            row.append("1") if draw(st.booleans()) else row.pop()
+        else:
+            row[:] = draw(st.sampled_from([[""], ["   "], [" ", " "], ["\t", ""]]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(load, path):
+    """A loaded frame's bytes and metadata, or the error's type and message."""
+    try:
+        f = load(path, ["Y"])
+    except Exception as exc:  # the error is the outcome under comparison
+        return type(exc), str(exc)
+    return (f.dates.tobytes(), f.targets.tobytes(), f.exog.tobytes(),
+            f.targets.shape, f.exog.shape, f.columns, f.dropped_rows)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+@example(text="Date,Y,a\r\n2016-01-02,1.5,2\r\n2016-01-01,3,4\r\n")  # plain, unsorted
+@example(text="Date,Y,a\n2016-01-02,1,2\n2016-01-01, nan ,3\n")  # NaN in a plain file
+@example(text="a,Date,Y\n1,Today,2\n3,2016-01-01,4")  # no day in a plain file
+@example(text="Date,Y\n2016-01-01,1\n \t,2\n")  # blank date in a plain file
+def test_load_csv_matches_per_line_loop(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+
+
+def test_load_csv_reports_undecodable_bytes_where_the_loop_meets_them(tmp_path):
+    # a bad cell on line 3 is reported before bytes that do not decode some
+    # 28 kB further on; bytes on the first data line fail to decode at once
+    path = tmp_path / "d.csv"
+    rows = "".join(f"{_DAY0 + d},{d}\n" for d in range(1, 2000))
+    path.write_bytes(b"Date,Y\n2016-01-01,1\n2015-12-31,oops\n" + rows.encode()
+                     + b"2030-01-01,\xff\n")
+    assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+    with pytest.raises(InputError, match="line 3: column 'Y': bad number 'oops'"):
+        load_csv(path, ["Y"])
+    path.write_bytes(b"Date,Y\n2016-01-01,\xff\n")
+    assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+    with pytest.raises(UnicodeDecodeError):
+        load_csv(path, ["Y"])
+
+
+def test_bulk_parse_reads_plain_bodies_and_declines_the_rest():
+    # header Date,Y,a: the dates are column 0, the values columns 1 and 2
+    parsed = _parse_plain("2016-01-02, 1.5 ,3,y\r\n2016-01-01,1e3,-0,x\r\n", 3, 0, [1, 2])
+    assert parsed is not None
+    dates, values = parsed
+    assert dates.tolist() == [np.datetime64("2016-01-02"), np.datetime64("2016-01-01")]
+    assert values.tolist() == [[1.5, 3.0], [1000.0, -0.0]]
+    for body in ['2016-01-01,"1",2\n',              # quote
+                 "2016-01-01,1,2\x852016-01-02,1,2",  # a break csv does not split on
+                 "2016-01-01,1,2\n\n",              # blank row
+                 "2016-01-01,1,2\n  ,  ,  \n",      # whitespace-only row
+                 "2016-01-01,1\n",                   # short row
+                 "2016-01-01,1,2\n2016-01-02,1,2,3\n",  # rows of unequal length
+                 "2016-01-01,1,NA\n",               # missing cell
+                 "2016-01-01,1, nan \n",            # NaN value
+                 "NaT,1,2\n", "today,1,2\n",        # no calendar day
+                 "2016-13-01,1,2\n", "2016-01-01,x,2\n",  # bad tokens
+                 "2016-01-01,1," + "9" * (csv.field_size_limit() + 1) + "\n",
+                 ""]:
+        assert _parse_plain(body, 3, 0, [1, 2]) is None, body
 
 
 # -- seasonal filtering -------------------------------------------------------
