@@ -13,6 +13,7 @@ import numpy as np
 
 from hydrovarx import (
     LagSpec,
+    ModelSpec,
     Penalty,
     SplitPlan,
     SynthSpec,
@@ -35,7 +36,7 @@ print(f"{design.n_eff} usable rows -> train {split.T1}, "
 
 # --- score a log-spaced grid on the validation third ---------------------------
 grid = np.geomspace(1.0, 400.0, 12)
-path = select_lambda(design, split, alpha=0.5, grid=grid)
+path = select_lambda(design, split, ModelSpec(alpha=0.5, grid=grid))
 
 print("\n  lambda      MSFE   support")
 for lam, msfe in zip(path.grid, path.msfe):

@@ -11,7 +11,7 @@ cleanly.
 
 import numpy as np
 
-from hydrovarx import SynthSpec, select_order, simulate
+from hydrovarx import ModelSpec, SynthSpec, select_order, simulate
 
 # truth: two autoregressive lags, drivers act with a one-day delay only
 spec = SynthSpec(n=900, phi=np.array([0.5, 0.3]),
@@ -20,7 +20,9 @@ spec = SynthSpec(n=900, phi=np.array([0.5, 0.3]),
 frame, _ = simulate(spec)
 print("generating orders: p=2 (0.5, 0.3), s=1 (0.9)")
 
-scan = select_order(frame, p_range=range(1, 5), s_range=range(0, 3))
+# every candidate uses the same model settings: here the defaults (alpha
+# 0.5, the 24-point lambda grid, fixed refit, calendar lags)
+scan = select_order(frame, range(1, 5), range(0, 3), ModelSpec())
 
 print("\n   p  s        BIC     lambda")
 for (p, s), b, lam in zip(scan.candidates, scan.bic, scan.lambdas):

@@ -69,7 +69,6 @@ from .metrics import (
 from .pipeline import (
     AblationResult,
     EvaluationReport,
-    ModelSpec,
     ablation_run,
     leakage_audit,
     preprocess,
@@ -77,6 +76,7 @@ from .pipeline import (
 )
 from .selection import (
     LambdaPath,
+    ModelSpec,
     OrderScan,
     SplitPlan,
     bic,

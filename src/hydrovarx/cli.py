@@ -34,14 +34,8 @@ from .errors import (
 from .forecast import regression_line, rolling_forecast
 from .frame import load_csv, write_csv
 from .metrics import METRIC_ORDER, full_report
-from .pipeline import (
-    ModelSpec,
-    ablation_run,
-    leakage_audit,
-    preprocess,
-    run_pipeline,
-)
-from .selection import SplitPlan, select_order
+from .pipeline import ablation_run, leakage_audit, preprocess, run_pipeline
+from .selection import ModelSpec, SplitPlan, select_order
 from .simulate import SynthSpec, simulate
 from .solver import FittedModel
 
@@ -194,14 +188,10 @@ def _audit_or_die(report, frame) -> None:
 
 
 def _check_stored_rows(model: FittedModel, split: SplitPlan) -> None:
-    """Reject a stored model whose fit or scaling rows reach past T2."""
-    ends = {"n_rows": model.n_rows}
-    if model.scaling.stat_rows is not None:
-        ends["scaling.stat_rows"] = model.scaling.stat_rows[1]
-    late = {name: end for name, end in ends.items() if end > split.T2}
-    if late:
+    """Reject a stored model whose fit rows reach past T2."""
+    if model.n_rows > split.T2:
         exc = ContractError(f"stored model uses rows past the validation "
-                            f"segment (T2={split.T2}): {late}")
+                            f"segment (T2={split.T2}): n_rows={model.n_rows}")
         exc.stage = "evaluate"
         raise exc
 
@@ -321,13 +311,10 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     """BIC scan over candidate lag orders; writes order_scan.csv."""
+    spec = config.model_spec()
     frame = _load_frame(config)
-    pre = preprocess(frame, config.model_spec(), config.drop)
-    scan = select_order(pre, p_range, s_range, config.alpha,
-                        parse_grid(config.grid), mode=config.lag_mode,
-                        refit=config.refit, refit_every=config.refit_every,
-                        standardize_design=config.standardize,
-                        tol=config.tol, max_iter=config.max_iter)
+    pre = preprocess(frame, spec, config.drop)
+    scan = select_order(pre, p_range, s_range, spec)
     out = _outdir(config)
     scan.write_csv(out / "order_scan.csv", _header_lines(config, "select-order"))
     _write_json(out / "config.json", _json_doc(config, "select-order", {}))

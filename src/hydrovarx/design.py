@@ -138,32 +138,23 @@ def build_design(frame: TimeSeriesFrame, spec: LagSpec) -> DesignMatrix:
 
     if spec.mode == "positional":
         r0 = max(p, s)
-        n_eff = frame.n - r0
         y_blocks = [frame.targets[r0 - lag: frame.n - lag] for lag in range(1, p + 1)]
         x_blocks = [frame.exog[r0 - lag: frame.n - lag] for lag in range(1, s + 1)]
         usable = slice(r0, frame.n)
     else:
-        y_idx, y_ok, x_idx, x_ok = [], [], [], []
-        for lag in range(1, p + 1):
-            idx, ok = _lag_indices(frame.dates, lag, frame.resolution)
-            y_idx.append(idx)
-            y_ok.append(ok)
-        for lag in range(1, s + 1):
-            idx, ok = _lag_indices(frame.dates, lag, frame.resolution)
-            x_idx.append(idx)
-            x_ok.append(ok)
-        usable = np.logical_and.reduce(y_ok + x_ok) if (y_ok or x_ok) \
-            else np.ones(frame.n, dtype=bool)
-        n_eff = int(usable.sum())
-        if n_eff == 0:
+        # one lookup per lag serves the target blocks (lags 1..p) and the
+        # exogenous blocks (lags 1..s)
+        lags = [_lag_indices(frame.dates, lag, frame.resolution)
+                for lag in range(1, max(p, s) + 1)]
+        usable = np.logical_and.reduce([ok for _, ok in lags])
+        if not usable.any():
             raise InsufficientDataError(
                 f"no row has a complete {spec.mode} lag history for "
                 f"p={p}, s={s} (gaps too frequent)")
-        y_blocks = [frame.targets[idx[usable]] for idx in y_idx]
-        x_blocks = [frame.exog[idx[usable]] for idx in x_idx]
+        y_blocks = [frame.targets[idx[usable]] for idx, _ in lags[:p]]
+        x_blocks = [frame.exog[idx[usable]] for idx, _ in lags[:s]]
 
-    Z = np.hstack(y_blocks + x_blocks) if (y_blocks or x_blocks) \
-        else np.empty((n_eff, 0))
+    Z = np.hstack(y_blocks + x_blocks)  # LagSpec keeps p >= 1
     return DesignMatrix(
         Y=frame.targets[usable], Z=Z, row_dates=frame.dates[usable],
         col_labels=regressor_labels(frame.target_names, frame.exog_names, p, s),
@@ -178,8 +169,7 @@ class ScalingInfo:
 
     Z columns are centered and scaled by the sample standard deviation
     (ddof=1) of the statistic rows; constant columns are flagged and left at
-    scale 1. Y is centered only. ``stat_rows`` is (0, n) for the n rows the
-    statistics came from, so leakage audits can recompute them.
+    scale 1. Y is centered only.
     """
 
     z_mean: np.ndarray
@@ -187,7 +177,6 @@ class ScalingInfo:
     y_mean: np.ndarray
     constant: np.ndarray
     enabled: bool = True
-    stat_rows: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         for name in ("z_mean", "z_sd", "y_mean", "constant"):
@@ -214,7 +203,7 @@ def _standardize_arrays(design: DesignMatrix):
     sd_used = np.where(constant, 1.0, sd)
     y_mean = design.Y.sum(axis=0) / n
     info = ScalingInfo(z_mean=mu, z_sd=sd_used, y_mean=y_mean,
-                       constant=constant, enabled=True, stat_rows=(0, n))
+                       constant=constant, enabled=True)
     return dev / sd_used, design.Y - y_mean, info
 
 

@@ -1,8 +1,9 @@
 """Daily/monthly multivariate time-series container and CSV ingestion.
 
 The on-disk convention is a plain CSV with one date column (ISO ``YYYY-MM-DD``)
-and one numeric column per variable. A date must name a calendar day: ``NaT``,
-``today`` and ``now``, which numpy's date parser also reads, are rejected.
+and one numeric column per variable. A date must be written ``YYYY-MM-DD`` and
+name a calendar day: other forms numpy's date parser reads (``2016``,
+``20160101``, ``2016-01-01T12:30``, ``NaT``, ``today``, ``now``) are rejected.
 Cells that are empty or read ``NA`` / ``NaN`` (case-insensitive) mark missing
 values; any row with a missing value in a used column is dropped at load time,
 so every retained row is complete.
@@ -35,6 +36,8 @@ from .errors import (
 MISSING_TOKENS = frozenset({"", "na", "nan"})
 #: date tokens numpy parses that name no calendar day (compared lowercased)
 NOT_A_DAY = frozenset({"nat", "today", "now"})
+#: 1000-01-01 and 9999-12-31 in days from 1970-01-01: the years 1000-9999
+_FIRST_DAY, _LAST_DAY = -354285, 2932896
 #: line breaks ``str.splitlines`` splits on and ``csv`` does not
 _NON_CSV_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -62,8 +65,11 @@ def _parse_plain(body: str, width: int, date_idx: int, used_idx: list[int]):
     ``w``, while every ``NA``/``NaN`` spelling and every date in
     ``NOT_A_DAY`` has one, so a file with gaps is declined by a few scans
     before any date or number is converted. Past those, it also returns None
-    when a token does not convert or a date cell is whitespace-only (numpy
-    reads it as NaT).
+    when a token does not convert, or when a stripped date token is not 10
+    characters long with a ``-`` 5th and 8th, or names a day outside the
+    years 1000-9999. Those bounds leave only dates written ``YYYY-MM-DD``, the
+    one form the loop accepts (``0001001-01``, the year 1001, is why the
+    dashes are checked); a whitespace-only date cell fails them too.
     """
     if any(ch in body for ch in '"aAwW' + _NON_CSV_BREAKS):
         return None
@@ -77,13 +83,22 @@ def _parse_plain(body: str, width: int, date_idx: int, used_idx: list[int]):
         return None
     # float(cell) equals the loop's float(cell.strip()) wherever it converts
     values = chain.from_iterable(map(float, cells[i::stride]) for i in used_idx)
+    tokens = [t.strip() for t in cells[date_idx::stride]]
+    # no token holds a line break, so this length and n - 1 breaks 11 apart
+    # make every token 10 characters long, token r at joined[11 * r:]
+    n, joined = len(tokens), "\n".join(tokens)
+    if len(joined) != 11 * n - 1 or joined[10::11].count("\n") != n - 1 \
+            or (joined[4::11] + joined[7::11]).count("-") != 2 * n:
+        return None
     try:
-        dates = np.array([t.strip() for t in cells[date_idx::stride]],
-                         dtype="datetime64[D]")
+        dates = np.array(tokens, dtype="datetime64[D]")
         values = np.fromiter(values, dtype=float, count=len(lines) * len(used_idx))
     except ValueError:
         return None
-    if np.isnat(dates).any():
+    # a token shaped ????-??-?? that numpy reads as a day in the years
+    # 1000-9999 is written YYYY-MM-DD; NaT, the smallest int64, fails too
+    days = dates.view(np.int64)
+    if not (_FIRST_DAY <= days.min() and days.max() <= _LAST_DAY):
         return None
     return dates, values.reshape(len(used_idx), len(lines)).T
 
@@ -237,8 +252,9 @@ def load_csv(path, targets, date_column: str = "Date",
 
     Rows with a missing value (empty, ``NA`` or ``NaN``, case-insensitive) in
     any used column are dropped; the count is kept in ``dropped_rows``.
-    Malformed numbers or dates, and dates that name no calendar day (``NaT``,
-    ``today``, ``now``), raise :class:`InputError` naming the line and column.
+    Malformed numbers, dates not written ``YYYY-MM-DD``, and dates that name
+    no calendar day (``NaT``, ``today``, ``now``), raise :class:`InputError`
+    naming the line and column.
     Duplicate dates are rejected; rows are sorted by date.
 
     A plain file is parsed in one bulk pass, any other in a per-line loop,
@@ -312,8 +328,12 @@ def load_csv(path, targets, date_column: str = "Date",
                 try:
                     date = np.datetime64(token, "D")
                 except ValueError:
+                    date = None
+                # numpy also reads 2016, 2016-01, 20160101 (a year) and
+                # +2016-01-01T12:30; only YYYY-MM-DD prints back as itself
+                if date is None or str(date) != token:
                     raise InputError(f"{path}: line {lineno}: column "
-                                     f"{date_column!r}: bad date {token!r}") from None
+                                     f"{date_column!r}: bad date {token!r}")
                 cells = [raw[i].strip() for i in used_idx]
                 if any(_is_missing(c) for c in cells):
                     dropped += 1

@@ -24,7 +24,7 @@ from .forecast import (
 )
 from .frame import TimeSeriesFrame, aggregate_monthly, drop_columns, filter_season
 from .metrics import METRIC_ORDER, MetricsReport, full_report
-from .selection import LambdaPath, SplitPlan, check_grid, select_lambda
+from .selection import LambdaPath, ModelSpec, SplitPlan, select_lambda
 from .solver import FittedModel, Penalty, fit
 
 
@@ -36,48 +36,6 @@ def _stage(name: str):
         if exc.stage is None:
             exc.stage = name
         raise
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Everything that defines one modeling run on a frame.
-
-    ``grid`` of None means the default 24-point log grid on [10, 500];
-    ``sum_columns`` of None sums a ``Rainfall`` column during monthly
-    aggregation when one exists (pass an explicit tuple to control it).
-    """
-
-    p: int = 4
-    s: int = 2
-    alpha: float = 0.5
-    grid: tuple | None = None
-    season: str = "all"
-    aggregate: str = "none"          # "none" | "monthly"
-    sum_columns: tuple | None = None
-    lag_mode: str = "calendar"
-    refit: str = "fixed"
-    refit_every: int = 1
-    standardize: bool = True
-    ci_multiplier: float = 3.0
-    tol: float = 1e-7
-    max_iter: int = 10000
-
-    def __post_init__(self) -> None:
-        LagSpec(self.p, self.s, self.lag_mode)  # validates p, s, mode
-        Penalty(0.0, self.alpha)                # validates alpha
-        if self.season not in ("all", "growing", "dormant"):
-            raise ContractError(f"unknown season {self.season!r}")
-        if self.aggregate not in ("none", "monthly"):
-            raise ContractError(f"unknown aggregation {self.aggregate!r}")
-        if self.refit not in ("fixed", "expanding"):
-            raise ContractError(f"unknown refit policy {self.refit!r}")
-        if self.refit_every < 1:
-            raise ContractError("refit_every must be >= 1")
-        if self.ci_multiplier <= 0:
-            raise ContractError("ci_multiplier must be positive")
-        if self.grid is not None:
-            grid = tuple(float(v) for v in check_grid(self.grid))
-            object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -128,11 +86,8 @@ def run_pipeline(frame: TimeSeriesFrame, spec: ModelSpec = ModelSpec(),
         design = build_design(frame, LagSpec(spec.p, spec.s, spec.lag_mode))
     with _stage("split"):
         split = SplitPlan(design.n_eff)
-    grid = None if spec.grid is None else np.asarray(spec.grid, dtype=float)
     with _stage("select-lambda"):
-        path = select_lambda(design, split, spec.alpha, grid, spec.refit,
-                             spec.refit_every, standardize_design=spec.standardize,
-                             tol=spec.tol, max_iter=spec.max_iter)
+        path = select_lambda(design, split, spec)
     with _stage("fit"):
         model = fit(design.take(slice(0, split.T2)),
                     Penalty(path.chosen_lambda, spec.alpha),

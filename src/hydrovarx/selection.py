@@ -89,6 +89,49 @@ class SplitPlan:
 
 
 @dataclass(frozen=True)
+class ModelSpec:
+    """Everything that defines one modeling run on a frame: ``run_pipeline``,
+    ``select_lambda`` and ``select_order`` read their settings from it.
+
+    ``grid`` of None means the default 24-point log grid on [10, 500];
+    ``sum_columns`` of None sums a ``Rainfall`` column during monthly
+    aggregation when one exists (pass an explicit tuple to control it).
+    """
+
+    p: int = 4
+    s: int = 2
+    alpha: float = 0.5
+    grid: tuple | None = None
+    season: str = "all"
+    aggregate: str = "none"          # "none" | "monthly"
+    sum_columns: tuple | None = None
+    lag_mode: str = "calendar"
+    refit: str = "fixed"
+    refit_every: int = 1
+    standardize: bool = True
+    ci_multiplier: float = 3.0
+    tol: float = 1e-7
+    max_iter: int = 10000
+
+    def __post_init__(self) -> None:
+        LagSpec(self.p, self.s, self.lag_mode)  # validates p, s, mode
+        Penalty(0.0, self.alpha)                # validates alpha
+        if self.season not in ("all", "growing", "dormant"):
+            raise ContractError(f"unknown season {self.season!r}")
+        if self.aggregate not in ("none", "monthly"):
+            raise ContractError(f"unknown aggregation {self.aggregate!r}")
+        if self.refit not in ("fixed", "expanding"):
+            raise ContractError(f"unknown refit policy {self.refit!r}")
+        if self.refit_every < 1:
+            raise ContractError("refit_every must be >= 1")
+        if self.ci_multiplier <= 0:
+            raise ContractError("ci_multiplier must be positive")
+        if self.grid is not None:
+            grid = tuple(float(v) for v in check_grid(self.grid))
+            object.__setattr__(self, "grid", grid)
+
+
+@dataclass(frozen=True)
 class LambdaPath:
     """MSFE per grid value and the chosen index (ties go to the larger lambda)."""
 
@@ -139,10 +182,8 @@ def _check_split(design: DesignMatrix, split: SplitPlan) -> None:
             f"split was planned for {split.T} rows, design has {design.n_eff}")
 
 
-def select_lambda(design: DesignMatrix, split: SplitPlan, alpha: float = 0.5,
-                  grid=None, refit: str = "fixed", refit_every: int = 1, *,
-                  standardize_design: bool = True, tol: float = 1e-7,
-                  max_iter: int = 10000) -> LambdaPath:
+def select_lambda(design: DesignMatrix, split: SplitPlan,
+                  spec: ModelSpec = ModelSpec()) -> LambdaPath:
     """Score every lambda on the validation segment; pick the MSFE minimizer.
 
     MSFE(lambda) = (1 / (T2 - T1 - 1)) * sum over t in [T1, T2) of
@@ -150,13 +191,14 @@ def select_lambda(design: DesignMatrix, split: SplitPlan, alpha: float = 0.5,
     With ``refit="fixed"`` coefficients are estimated once on the training
     rows; ``refit="expanding"`` re-estimates on [0, t) every ``refit_every``
     validation steps. Ties prefer the larger (sparser) lambda.
+
+    Reads ``spec``'s ``alpha``, ``grid`` (None: ``default_grid()``),
+    ``refit``, ``refit_every``, ``standardize``, ``tol`` and ``max_iter``,
+    which ``ModelSpec`` has validated. The lag orders are the design's own;
+    ``spec.p``, ``spec.s`` and ``spec.lag_mode`` are not read.
     """
     _check_split(design, split)
-    grid = default_grid() if grid is None else check_grid(grid)
-    if refit not in ("fixed", "expanding"):
-        raise ContractError(f"unknown refit policy {refit!r}")
-    if refit_every < 1:
-        raise ContractError("refit_every must be >= 1")
+    grid = default_grid() if spec.grid is None else np.array(spec.grid)
     n_val = split.T2 - split.T1
     if n_val < 2:
         raise InsufficientDataError(
@@ -164,25 +206,25 @@ def select_lambda(design: DesignMatrix, split: SplitPlan, alpha: float = 0.5,
 
     # fixed refit is one window that predicts the whole validation segment;
     # expanding refit re-fits on [0, t) every refit_every rows t
-    fixed = refit == "fixed"
+    fixed = spec.refit == "fixed"
     if fixed:
         windows = [(split.T1, [design.take(split.validate)])]
     else:
         rows = [design.take(slice(t, t + 1)) for t in range(split.T1, split.T2)]
-        windows = [(split.T1 + v, rows[v:v + refit_every])
-                   for v in range(0, n_val, refit_every)]
+        windows = [(split.T1 + v, rows[v:v + spec.refit_every])
+                   for v in range(0, n_val, spec.refit_every)]
     sse = [0.0] * grid.size
     last = [None] * grid.size  # each lambda's coefficients on its last window
     for stop, blocks in windows:
         problem = prepare(design.take(slice(0, stop)),
-                          standardize_design=standardize_design)
+                          standardize_design=spec.standardize)
         warm = None
         for gi in range(grid.size - 1, -1, -1):
             # the first window chains warm starts down the grid; later ones
             # start each lambda from its own previous window
-            model = fit(problem, Penalty(float(grid[gi]), alpha),
-                        standardize_design=standardize_design, tol=tol,
-                        max_iter=max_iter,
+            model = fit(problem, Penalty(float(grid[gi]), spec.alpha),
+                        standardize_design=spec.standardize, tol=spec.tol,
+                        max_iter=spec.max_iter,
                         warm_start=warm if last[gi] is None else last[gi])
             last[gi] = warm = model.scaled_coeffs
             for block in blocks:
@@ -253,39 +295,40 @@ class OrderScan:
                 writer.writerow([p, s, f"{b:.10g}", f"{lam:.10g}"])
 
 
-def select_order(frame: TimeSeriesFrame, p_range, s_range, alpha: float = 0.5,
-                 grid=None, *, mode: str = "calendar", refit: str = "fixed",
-                 refit_every: int = 1, standardize_design: bool = True,
-                 tol: float = 1e-7, max_iter: int = 10000) -> OrderScan:
+def select_order(frame: TimeSeriesFrame, p_range, s_range,
+                 spec: ModelSpec = ModelSpec()) -> OrderScan:
     """Scan lag orders; per candidate, re-select lambda and score BIC on train.
 
     All candidates are trimmed to the response rows usable under the largest
     orders in the scan, so their likelihoods are computed on identical rows
     and the BIC values compare cleanly.
+
+    Every candidate design uses ``spec.lag_mode``; ``select_lambda`` reads
+    its settings from ``spec``, and the train model is fit with ``spec``'s
+    ``alpha``, ``standardize``, ``tol`` and ``max_iter``. The ranges, not
+    ``spec.p`` and ``spec.s``, give the lag orders.
     """
     p_range = sorted(set(int(p) for p in p_range))
     s_range = sorted(set(int(s) for s in s_range))
     if not p_range or not s_range:
         raise ContractError("p_range and s_range must be non-empty")
     p_max, s_max = p_range[-1], s_range[-1]
-    common = build_design(frame, LagSpec(p_max, s_max, mode)).row_dates
+    common = build_design(frame, LagSpec(p_max, s_max, spec.lag_mode)).row_dates
     split = SplitPlan(len(common))
 
     candidates = [(p, s) for p in p_range for s in s_range]
     bics = np.empty(len(candidates))
     lams = np.empty(len(candidates))
     for ci, (p, s) in enumerate(candidates):
-        d = build_design(frame, LagSpec(p, s, mode))
+        d = build_design(frame, LagSpec(p, s, spec.lag_mode))
         d = d.take(np.isin(d.row_dates, common))
         if not np.array_equal(d.row_dates, common):
             raise ContractError("candidate rows do not cover the common row set")
-        path = select_lambda(d, split, alpha, grid, refit, refit_every,
-                             standardize_design=standardize_design,
-                             tol=tol, max_iter=max_iter)
+        path = select_lambda(d, split, spec)
         train = d.take(split.train)
-        model = fit(train, Penalty(path.chosen_lambda, alpha),
-                    standardize_design=standardize_design,
-                    tol=tol, max_iter=max_iter)
+        model = fit(train, Penalty(path.chosen_lambda, spec.alpha),
+                    standardize_design=spec.standardize,
+                    tol=spec.tol, max_iter=spec.max_iter)
         bics[ci] = bic(train, model)
         lams[ci] = path.chosen_lambda
 

@@ -176,7 +176,6 @@ class FittedModel:
                 "z_sd": sc.z_sd.tolist(),
                 "y_mean": sc.y_mean.tolist(),
                 "constant": sc.constant.astype(int).tolist(),
-                "stat_rows": list(sc.stat_rows) if sc.stat_rows else None,
             },
             "scaled_intercept": self.scaled_intercept.tolist(),
             "scaled_coeffs": self.scaled_coeffs.tolist(),
@@ -200,13 +199,16 @@ class FittedModel:
         blocks = [phi[i] for i in range(p)] + [beta[j] for j in range(s)]
         coeffs = np.hstack(blocks) if blocks else np.empty((k, 0))
         sc = d["scaling"]
+        # documents written before stat_rows was dropped carry [0, n_rows]
+        if sc.get("stat_rows") not in (None, [0, d["n_rows"]]):
+            raise ValueError(f"scaling.stat_rows {sc['stat_rows']!r} is not "
+                             f"[0, n_rows] = [0, {d['n_rows']!r}]")
         scaling = ScalingInfo(
             z_mean=np.asarray(sc["z_mean"], dtype=float),
             z_sd=np.asarray(sc["z_sd"], dtype=float),
             y_mean=np.asarray(sc["y_mean"], dtype=float),
             constant=np.asarray(sc["constant"], dtype=bool),
             enabled=bool(sc["enabled"]),
-            stat_rows=tuple(sc["stat_rows"]) if sc.get("stat_rows") else None,
         )
         return cls(
             nu=np.asarray(d["nu"], dtype=float),

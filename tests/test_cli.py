@@ -17,20 +17,31 @@ from hydrovarx.cli import (
 )
 from hydrovarx.design import standardize
 from hydrovarx.errors import ConfigError
+from hydrovarx.frame import load_csv
 from hydrovarx.metrics import METRIC_ORDER
-from hydrovarx.pipeline import ModelSpec
+from hydrovarx.pipeline import ModelSpec, preprocess
+from hydrovarx.selection import select_order
 
 GRID = "0.5:50:6"
 
 
-@pytest.fixture()
-def synth_csv(tmp_path):
-    out = tmp_path / "sim"
-    rc = main(["simulate", "--out", str(out), "--n", "300", "--k", "1",
+def _simulate(out, n):
+    rc = main(["simulate", "--out", str(out), "--n", str(n), "--k", "1",
                "--m", "1", "--p", "1", "--s", "1", "--phi", "0.5",
                "--beta", "0.8", "--noise-sd", "0.3", "--seed", "7"])
     assert rc == 0
     return out / "synth.csv"
+
+
+@pytest.fixture()
+def synth_csv(tmp_path):
+    return _simulate(tmp_path / "sim", 300)
+
+
+@pytest.fixture()
+def two_year_csv(tmp_path):
+    # two growing seasons, so --season growing leaves a gap between them
+    return _simulate(tmp_path / "sim2", 700)
 
 
 def _fit(synth_csv, out, extra=()):
@@ -110,18 +121,22 @@ def test_reruns_are_byte_identical(synth_csv, tmp_path):
 
 
 def _stretch_stat_rows(model):
-    start, stop = model["scaling"]["stat_rows"]
-    model["scaling"]["stat_rows"] = [start, stop + 1]
+    # model.json no longer writes stat_rows; older files carry [0, n_rows]
+    model["scaling"]["stat_rows"] = [0, model["n_rows"] + 1]
 
 
 def _stretch_n_rows(model):
     model["n_rows"] += 1
 
 
-@pytest.mark.parametrize("edit, field", [(_stretch_stat_rows, "stat_rows"),
-                                         (_stretch_n_rows, "n_rows")])
+@pytest.mark.parametrize("edit, field, code, where", [
+    pytest.param(_stretch_stat_rows, "stat_rows", 3,
+                 "setup: {path}: malformed model document",
+                 id="_stretch_stat_rows-stat_rows"),
+    pytest.param(_stretch_n_rows, "n_rows", 2, "evaluate: ",
+                 id="_stretch_n_rows-n_rows")])
 def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
-                                                 edit, field):
+                                                 edit, field, code, where):
     fit_dir = tmp_path / "fit"
     assert _fit(synth_csv, fit_dir) == 0
     path = fit_dir / "model.json"
@@ -131,9 +146,9 @@ def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
     eval_dir = tmp_path / "eval"
     rc = main(["evaluate", "--model", str(path), "--input", str(synth_csv),
                "--out", str(eval_dir), "--target", "Y1", "--grid", GRID])
-    assert rc == 2
+    assert rc == code
     err = capsys.readouterr().err
-    assert "hydrovarx evaluate: evaluate:" in err and field in err
+    assert f"hydrovarx evaluate: {where.format(path=path)}" in err and field in err
     assert not eval_dir.exists()
 
 
@@ -352,11 +367,34 @@ def test_ablate_writes_paired_artifacts(synth_csv, tmp_path):
     assert delta == pytest.approx(red_v - full_v, abs=1e-9)
 
 
-def test_select_order_scan(synth_csv, tmp_path):
+# every model setting select-order reads, each away from its default
+_ORDER_SETTINGS = {"alpha": 0.8, "grid": "1:50:5", "refit": "expanding",
+                   "refit_every": 7, "standardize": False, "tol": 1e-6,
+                   "max_iter": 50, "lag_mode": "positional", "season": "growing"}
+_ORDER_FLAGS = ["--alpha", "0.8", "--grid", "1:50:5", "--refit", "expanding",
+                "--refit-every", "7", "--no-standardize", "--tol", "1e-6",
+                "--max-iter", "50", "--lag-mode", "positional",
+                "--season", "growing"]
+
+
+def _scan_rows(synth_csv, **settings):
+    """order_scan.csv's data rows, computed by the library for these settings."""
+    spec = RunConfig(input=str(synth_csv), out="unused", target=("Y1",),
+                     **{"grid": GRID, **settings}).model_spec()
+    frame = preprocess(load_csv(synth_csv, ["Y1"]), spec)
+    scan = select_order(frame, [1, 2], [0, 1], spec)
+    return [f"{p},{s},{b:.10g},{lam:.10g}"
+            for (p, s), b, lam in zip(scan.candidates, scan.bic, scan.lambdas)]
+
+
+@pytest.mark.parametrize("flags, settings", [([], {}),
+                                             (_ORDER_FLAGS, _ORDER_SETTINGS)],
+                         ids=["defaults", "settings"])
+def test_select_order_scan(two_year_csv, tmp_path, flags, settings):
     out = tmp_path / "ord"
-    rc = main(["select-order", "--input", str(synth_csv), "--out", str(out),
+    rc = main(["select-order", "--input", str(two_year_csv), "--out", str(out),
                "--target", "Y1", "--grid", GRID,
-               "--p-range", "1:2", "--s-range", "0:1"])
+               "--p-range", "1:2", "--s-range", "0:1", *flags])
     assert rc == 0
     text = (out / "order_scan.csv").read_text().splitlines()
     chosen = [l for l in text if l.startswith("# chosen_")]
@@ -364,6 +402,10 @@ def test_select_order_scan(synth_csv, tmp_path):
     rows = [l for l in text if l and not l.startswith("#")]
     assert rows[0] == "p,s,bic,lambda"
     assert len(rows) == 1 + 4  # header + 2x2 candidates
+    # the scan honours every setting: a dropped one would match the defaults
+    assert rows[1:] == _scan_rows(two_year_csv, **settings)
+    if settings:
+        assert rows[1:] != _scan_rows(two_year_csv)
 
 
 def test_simulate_rejects_wrong_phi_count(tmp_path, capsys):

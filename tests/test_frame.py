@@ -1,6 +1,7 @@
 """Data ingestion, seasonal filtering, monthly aggregation, column dropping."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,22 @@ def test_load_csv_rejects_dates_naming_no_day(tmp_path, token, other_row):
         load_csv(csv_path, ["Y"])
 
 
+# numpy reads each of these as a day; none is written YYYY-MM-DD
+NOT_ISO_DATES = ["20160101", "2016", "2016-01", "2016-01-01T12:30", "+2016-01-01",
+                 "2016-01-01 00"]
+
+
+@pytest.mark.parametrize("token", NOT_ISO_DATES)
+@pytest.mark.parametrize("other_row", ["2016-01-02,2", "2016-01-02,NA"],
+                         ids=["plain", "with-missing-cell"])
+def test_load_csv_rejects_dates_not_written_yyyy_mm_dd(tmp_path, token, other_row):
+    csv_path = _write(tmp_path / "d.csv",
+                      f"Date,Y\n2016-01-01,1\n {token} ,3\n{other_row}\n")
+    message = re.escape(f"line 3: column 'Date': bad date {token!r}")
+    with pytest.raises(InputError, match=message):
+        load_csv(csv_path, ["Y"])
+
+
 def test_write_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     frame = make_frame(rng.normal(size=20) * 1e3, rng.normal(size=(20, 2)))
@@ -221,8 +238,10 @@ def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
             try:
                 date = np.datetime64(token, "D")
             except ValueError:
+                date = None
+            if date is None or str(date) != token:
                 raise InputError(f"{path}: line {lineno}: column "
-                                 f"{date_column!r}: bad date {token!r}") from None
+                                 f"{date_column!r}: bad date {token!r}")
             cells = [raw[i].strip() for i in used_idx]
             if any(is_missing(c) for c in cells):
                 dropped += 1
@@ -262,10 +281,32 @@ _ODD_VALUES = st.one_of(
     st.sampled_from(["nan", " NaN ", "", "NA", "na"]),  # missing
     st.sampled_from(["-nan", "inf", "-Infinity", '"1.5"', '"1,5"', '""', "oops",
                      "1__0", "0x10"]))
+_DATE_CHARS = "0123456789-+T:.Z "
+
+
+@st.composite
+def date_tokens(draw):
+    """A YYYY-MM-DD date from years 1 to 10952, with up to three characters
+    inserted, replaced or deleted."""
+    chars = list(str(np.datetime64("0001-01-01") + draw(st.integers(0, 4 * 10**6))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(chars) - 1))
+        op, char = draw(st.sampled_from("ird")), draw(st.sampled_from(_DATE_CHARS))
+        if op == "i":
+            chars.insert(at, char)
+        elif op == "r":
+            chars[at] = char
+        elif len(chars) > 1:
+            del chars[at]
+    return "".join(chars)
+
+
 _ODD_DATES = st.one_of(
     st.sampled_from(["NaT", "nat", " today ", "Now"]),  # no calendar day
-    st.sampled_from(["", " ", "NA", "nan", "2016-02-30", "2016-01", "2016-01-03T12",
-                     "+2016-01-04", "2016-1-5", "x"]))
+    st.sampled_from(["", " ", "NA", "nan", "2016-02-30", "2016-01-03T12",
+                     "+2016-01-04", "2016-1-5", "x", "0999-12-31", "10000-01-01",
+                     *NOT_ISO_DATES]),
+    date_tokens())
 
 
 @st.composite
@@ -322,10 +363,24 @@ def _outcome(load, path):
 @example(text="Date,Y,a\n2016-01-02,1,2\n2016-01-01, nan ,3\n")  # NaN in a plain file
 @example(text="a,Date,Y\n1,Today,2\n3,2016-01-01,4")  # no day in a plain file
 @example(text="Date,Y\n2016-01-01,1\n \t,2\n")  # blank date in a plain file
+@example(text="Date,Y\n2016-01-01,1\n20160101,2\n")  # the year 20160101
+@example(text="Date,Y\n2016,1\n2016-02,2\n")  # a year, a month
+@example(text="Date,Y\n+2016-01-01,1\n2016-01-02T12:30,2\n")  # sign, time
+@example(text="Date,Y\n0999-12-31,1\n1000-01-01,2\n")  # loop-only year
 def test_load_csv_matches_per_line_loop(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
     assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(token=st.one_of(date_tokens(), st.text(_DATE_CHARS, min_size=8, max_size=12)))
+def test_bulk_parse_accepts_only_dates_written_yyyy_mm_dd(token):
+    # the bulk pass's cheap test (10 characters, "-" 5th and 8th, years
+    # 1000-9999) must pass only dates the loop's str(date) == token accepts
+    parsed = _parse_plain(f"{token},1\n", 2, 0, [1])
+    if parsed is not None:
+        assert str(parsed[0][0]) == token.strip()
 
 
 def test_load_csv_reports_undecodable_bytes_where_the_loop_meets_them(tmp_path):

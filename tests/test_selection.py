@@ -1,6 +1,7 @@
 """Lambda selection by rolling validation MSFE and order selection by BIC."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import make_frame
 from hydrovarx import (
     LagSpec,
     LambdaPath,
+    ModelSpec,
     Penalty,
     SplitPlan,
     bic,
@@ -65,7 +67,7 @@ def test_msfe_matches_independent_recomputation():
     design = _design(1)
     split = SplitPlan(design.n_eff)
     grid = np.geomspace(0.5, 80.0, 6)
-    path = select_lambda(design, split, alpha=0.5, grid=grid)
+    path = select_lambda(design, split, ModelSpec(alpha=0.5, grid=grid))
     n_val = split.T2 - split.T1
     train = design.take(split.train)
     val = design.take(split.validate)
@@ -85,7 +87,7 @@ def test_msfe_matches_independent_recomputation():
 def test_chosen_lambda_is_msfe_minimizer():
     design = _design(2)
     path = select_lambda(design, SplitPlan(design.n_eff),
-                         grid=np.geomspace(0.1, 100, 10))
+                         ModelSpec(grid=np.geomspace(0.1, 100, 10)))
     assert path.msfe[path.chosen_index] == path.msfe.min()
     np.testing.assert_allclose(path.chosen_lambda, path.grid[path.chosen_index])
 
@@ -95,7 +97,7 @@ def test_tie_prefers_larger_lambda():
     # points predict the train mean and the MSFE ties exactly
     design = _design(3)
     path = select_lambda(design, SplitPlan(design.n_eff),
-                         grid=np.array([1e8, 1e9]))
+                         ModelSpec(grid=np.array([1e8, 1e9])))
     np.testing.assert_allclose(path.msfe[0], path.msfe[1], rtol=1e-12)
     assert path.chosen_index == 1
     assert path.chosen_lambda == 1e9
@@ -104,7 +106,7 @@ def test_tie_prefers_larger_lambda():
 def test_singleton_grid():
     design = _design(4)
     path = select_lambda(design, SplitPlan(design.n_eff),
-                         grid=np.array([5.0]))
+                         ModelSpec(grid=np.array([5.0])))
     assert path.chosen_lambda == 5.0
     assert path.msfe.shape == (1,)
 
@@ -113,9 +115,9 @@ def test_expanding_refit_runs_and_scores_every_lambda():
     design = _design(5, n=60)
     split = SplitPlan(design.n_eff)
     grid = np.geomspace(1.0, 50.0, 4)
-    fixed = select_lambda(design, split, grid=grid, refit="fixed")
-    expanding = select_lambda(design, split, grid=grid, refit="expanding",
-                              refit_every=5)
+    fixed = select_lambda(design, split, ModelSpec(grid=grid, refit="fixed"))
+    expanding = select_lambda(design, split, ModelSpec(
+        grid=grid, refit="expanding", refit_every=5))
     assert np.all(np.isfinite(expanding.msfe))
     # expanding windows see more data, so the curves genuinely differ
     assert not np.allclose(fixed.msfe, expanding.msfe)
@@ -127,8 +129,8 @@ def test_expanding_refit_every_one_uses_all_history():
     design = _design(6, n=45)
     split = SplitPlan(design.n_eff)
     grid = np.array([2.0])
-    path = select_lambda(design, split, grid=grid, refit="expanding",
-                         refit_every=1)
+    path = select_lambda(design, split, ModelSpec(grid=grid, refit="expanding",
+                                                  refit_every=1))
     n_val = split.T2 - split.T1
     sse = 0.0
     for v in range(n_val):
@@ -188,8 +190,9 @@ def test_select_lambda_matches_per_window_reference(refit, refit_every, k,
                           LagSpec(p=2, s=1))
     split = SplitPlan(design.n_eff)
     grid = np.geomspace(0.5, 80.0, 5)
-    path = select_lambda(design, split, 0.5, grid, refit, refit_every,
-                         standardize_design=standardize_design)
+    path = select_lambda(design, split, ModelSpec(
+        alpha=0.5, grid=grid, refit=refit, refit_every=refit_every,
+        standardize=standardize_design))
     msfe, chosen = reference_select_lambda(design, split, 0.5, grid, refit,
                                            refit_every, standardize_design)
     assert path.msfe.tobytes() == msfe.tobytes()
@@ -197,28 +200,24 @@ def test_select_lambda_matches_per_window_reference(refit, refit_every, k,
 
 
 def test_grid_must_increase():
-    design = _design(7)
     with pytest.raises(ContractError):
-        select_lambda(design, SplitPlan(design.n_eff),
-                      grid=np.array([10.0, 5.0]))
+        ModelSpec(grid=np.array([10.0, 5.0]))
 
 
 @pytest.mark.parametrize("grid", [[], [[1.0, 2.0]], [-1.0, 1.0],
                                   [1.0, math.nan], [1.0, math.inf], [2.0, 2.0]])
 def test_one_grid_check_for_selection_and_path(grid):
-    design = _design(7)
     with pytest.raises(ContractError):
         check_grid(grid)
     with pytest.raises(ContractError):
-        select_lambda(design, SplitPlan(design.n_eff), grid=grid)
+        ModelSpec(grid=grid)
     with pytest.raises(ContractError):
         LambdaPath(grid, np.ones(np.shape(grid)), 0)
 
 
 def test_bad_refit_policy():
-    design = _design(8)
     with pytest.raises(ContractError):
-        select_lambda(design, SplitPlan(design.n_eff), refit="shrinking")
+        ModelSpec(refit="shrinking")
 
 
 def test_split_design_mismatch():
@@ -284,13 +283,14 @@ def test_select_order_recovers_ar2_with_exog():
                      noise_sd=0.15, seed=42)
     frame, _ = simulate(spec)
     scan = select_order(frame, [1, 2, 3], [0, 1, 2],
-                        grid=np.geomspace(0.01, 5.0, 8))
+                        ModelSpec(grid=np.geomspace(0.01, 5.0, 8)))
     assert scan.chosen == (2, 1)
 
 
 def test_select_order_candidates_and_rows():
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]), seed=3))
-    scan = select_order(frame, [1, 2], [0], grid=np.geomspace(0.1, 10, 5))
+    scan = select_order(frame, [1, 2], [0],
+                        ModelSpec(grid=np.geomspace(0.1, 10, 5)))
     assert scan.candidates == ((1, 0), (2, 0))
     assert np.all(np.isfinite(scan.bic))
     assert len(scan.lambdas) == 2
@@ -301,8 +301,28 @@ def test_select_order_prefers_small_on_white_noise():
     frame, _ = simulate(SynthSpec(n=400, phi=np.array([0.0]),
                                   noise_sd=1.0, seed=9))
     scan = select_order(frame, [1, 2, 3, 4], [0],
-                        grid=np.geomspace(0.5, 50, 6))
+                        ModelSpec(grid=np.geomspace(0.5, 50, 6)))
     assert scan.chosen_p <= 2
+
+
+def test_select_order_scores_a_candidate_under_its_spec():
+    # one candidate, scored by hand with every setting taken from the spec;
+    # the dates skip a day every 10 rows, so the lag mode matters
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.5]),
+                                  beta=np.array([[[0.8]]]), noise_sd=0.3, seed=5))
+    frame = replace(frame, dates=frame.dates + np.arange(frame.n) // 10)
+    spec = ModelSpec(alpha=0.8, grid=np.geomspace(0.5, 50.0, 5),
+                     lag_mode="positional", refit="expanding", refit_every=4,
+                     standardize=False, tol=1e-6, max_iter=50)
+    scan = select_order(frame, [2], [1], spec)
+    design = build_design(frame, LagSpec(2, 1, "positional"))
+    split = SplitPlan(design.n_eff)
+    path = select_lambda(design, split, spec)
+    train = design.take(split.train)
+    model = fit(train, Penalty(path.chosen_lambda, 0.8), standardize_design=False,
+                tol=1e-6, max_iter=50)
+    assert scan.lambdas.tolist() == [path.chosen_lambda]
+    assert scan.bic.tolist() == [bic(train, model)]
 
 
 def test_select_order_validates_ranges():

@@ -484,6 +484,11 @@ def test_model_round_trips_through_dict():
     assert back.converged == model.converged
     np.testing.assert_allclose(predict_rows(back, design),
                                predict_rows(model, design), atol=0)
+    # documents written before stat_rows was dropped still load
+    doc = model.to_dict()
+    assert "stat_rows" not in doc["scaling"]
+    doc["scaling"]["stat_rows"] = [0, model.n_rows]
+    assert FittedModel.from_dict(doc).n_rows == model.n_rows
 
 
 def test_model_round_trips_n_iter_of_every_equation():
