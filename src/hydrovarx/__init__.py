@@ -17,7 +17,6 @@ from .design import (
     lookahead_violations,
     regressor_labels,
     standardize,
-    write_design_csv,
 )
 from .errors import (
     ColumnNotFoundError,
@@ -117,5 +116,5 @@ __all__ = [
     "leakage_audit", "load_csv", "lookahead_violations", "objective", "predict_one_step",
     "predict_rows", "preprocess", "regression_line", "regressor_labels",
     "rolling_forecast", "run_pipeline", "select_lambda", "select_order",
-    "simulate", "standardize", "write_csv", "write_design_csv",
+    "simulate", "standardize", "write_csv",
 ]

@@ -15,6 +15,7 @@ checks; 3 data errors; 4 numerical failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .forecast import regression_line, rolling_forecast
 from .frame import load_csv, write_csv
-from .metrics import METRIC_ORDER, full_report
+from .metrics import full_report
 from .pipeline import ablation_run, leakage_audit, preprocess, run_pipeline
 from .selection import ModelSpec, SplitPlan, select_order
 from .simulate import SynthSpec, simulate
@@ -152,31 +153,56 @@ def _json_doc(config: RunConfig, command: str, body: dict) -> dict:
             "config": config.to_dict(), **body}
 
 
-def _write_metrics_csv(path, reports, target_names, header_lines) -> None:
+def _write_table(path, lines, columns, rows) -> None:
+    """The one CSV artifact format: the config header and ``# key=value``
+    lines, then the column row and the data rows; every line ends in "\\n"."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _g(value) -> str:
+    """A float as artifacts print it: 10 significant digits."""
+    return f"{value:.10g}"
+
+
+def _per_target(fields, target_names) -> list[str]:
+    """Column names for per-target fields: bare for one target, otherwise
+    ``field_target``, field-major."""
+    if len(target_names) == 1:
+        return list(fields)
+    return [f"{f}_{t}" for f in fields for t in target_names]
+
+
+def _write_metrics_csv(path, reports, target_names, heads) -> None:
     """metric,value,flag rows in canonical order; one block per target."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        multi = len(target_names) > 1
-        fh.write(("target,metric,value,flag" if multi else "metric,value,flag") + "\n")
-        for name, report in zip(target_names, reports):
-            for key in METRIC_ORDER:
-                value = report.values[key]
-                text = f"{value:.10g}" if value == value else "nan"
-                flag = report.flags.get(key, "")
-                prefix = f"{name}," if multi else ""
-                fh.write(f'{prefix}{key},{text},"{flag}"\n' if "," in flag
-                         else f"{prefix}{key},{text},{flag}\n")
+    prefix = ["target"] if len(target_names) > 1 else []
+    rows = ([name] * len(prefix) + [key, _g(value), flag]
+            for name, report in zip(target_names, reports)
+            for key, value, flag in report.to_rows())
+    _write_table(path, heads, [*prefix, "metric", "value", "flag"], rows)
 
 
-def _write_delta_csv(path, result, header_lines) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write("metric,full,reduced,delta\n")
-        for key, fv, rv, dv in result.delta_rows():
-            cells = ",".join(f"{v:.10g}" if v == v else "nan" for v in (fv, rv, dv))
-            fh.write(f"{key},{cells}\n")
+def _write_coefficients_csv(path, table, heads) -> None:
+    """One row per label, zeros too, each value printed exactly."""
+    cells = np.hstack([table.raw, table.scaled]).tolist()
+    _write_table(path, heads,
+                 ["label", *_per_target(("coefficient", "standardized"),
+                                        table.target_names)],
+                 ([label, *map(repr, row)] for label, row in zip(table.labels, cells)))
+
+
+def _write_forecast_csv(path, series, heads) -> None:
+    """Plot-ready rows: date, observed, predicted, lower, upper."""
+    bands = ("observed", "predicted", "lower", "upper")
+    cells = np.hstack([getattr(series, b) for b in bands])
+    _write_table(path,
+                 [*heads, f"# multiplier={_g(series.multiplier)}",
+                  "# se=" + ",".join(map(_g, series.se))],
+                 ["date", *_per_target(bands, series.target_names)],
+                 ([str(date), *map(_g, row)] for date, row in zip(series.dates, cells)))
 
 
 def _audit_or_die(report, frame) -> None:
@@ -241,8 +267,11 @@ def cmd_fit(config: RunConfig) -> int:
     heads = _header_lines(config, "fit")
     _write_json(out / "model.json",
                 _json_doc(config, "fit", {"model": report.model.to_dict()}))
-    report.lambda_path.write_csv(out / "lambda_path.csv", heads)
-    report.coefficients.write_csv(out / "coefficients.csv", heads)
+    lams, table = report.lambda_path, report.coefficients
+    _write_table(out / "lambda_path.csv",
+                 [*heads, f"# chosen_lambda={_g(lams.chosen_lambda)}"],
+                 ["lambda", "msfe"], zip(map(_g, lams.grid), map(_g, lams.msfe)))
+    _write_coefficients_csv(out / "coefficients.csv", table, heads)
     _write_json(out / "config.json", _json_doc(config, "fit", {}))
     return 0
 
@@ -283,7 +312,7 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
     out = _outdir(config)
     heads = _header_lines(config, "evaluate")
     _write_metrics_csv(out / "metrics.csv", reports, design.target_names, heads)
-    series.write_csv(out / "forecast.csv", heads)
+    _write_forecast_csv(out / "forecast.csv", series, heads)
     _write_json(out / "regression_line.json",
                 _json_doc(config, "evaluate", {"regression_line": line.to_dict()}))
     _write_json(out / "config.json", _json_doc(config, "evaluate", {}))
@@ -304,7 +333,9 @@ def cmd_ablate(config: RunConfig) -> int:
                        result.full.design.target_names, heads)
     _write_metrics_csv(out / "metrics_reduced.csv", result.reduced.metrics,
                        result.reduced.design.target_names, heads)
-    _write_delta_csv(out / "metrics_delta.csv", result, heads)
+    _write_table(out / "metrics_delta.csv", heads,
+                 ["metric", "full", "reduced", "delta"],
+                 ([key, *map(_g, values)] for key, *values in result.delta_rows()))
     _write_json(out / "config.json", _json_doc(config, "ablate", {}))
     return 0
 
@@ -316,7 +347,12 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     pre = preprocess(frame, spec, config.drop)
     scan = select_order(pre, p_range, s_range, spec)
     out = _outdir(config)
-    scan.write_csv(out / "order_scan.csv", _header_lines(config, "select-order"))
+    _write_table(out / "order_scan.csv",
+                 [*_header_lines(config, "select-order"),
+                  f"# chosen_p={scan.chosen_p}", f"# chosen_s={scan.chosen_s}"],
+                 ["p", "s", "bic", "lambda"],
+                 ([p, s, _g(bic), _g(lam)] for (p, s), bic, lam
+                  in zip(scan.candidates, scan.bic, scan.lambdas)))
     _write_json(out / "config.json", _json_doc(config, "select-order", {}))
     return 0
 

@@ -8,7 +8,6 @@ Labels follow the same convention used in reported coefficient tables:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,18 +242,6 @@ def destandardize_coeffs(coeffs: np.ndarray, info: ScalingInfo,
     raw = coeffs / info.z_sd
     raw_int = info.y_mean + np.asarray(intercept, dtype=float) - raw @ info.z_mean
     return raw, raw_int
-
-
-def write_design_csv(design: DesignMatrix, path) -> None:
-    """Dump the design (dates, responses, labeled regressors) for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *design.target_names, *design.col_labels])
-        for i in range(design.n_eff):
-            row = [str(design.row_dates[i])]
-            row += [repr(float(v)) for v in design.Y[i]]
-            row += [repr(float(v)) for v in design.Z[i]]
-            writer.writerow(row)
 
 
 def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:

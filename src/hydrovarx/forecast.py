@@ -8,7 +8,6 @@ squared one-step error over the validation segment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,26 +67,6 @@ class ForecastSeries:
         inside = (self.observed[:, target] >= self.lower[:, target]) \
             & (self.observed[:, target] <= self.upper[:, target])
         return float(inside.mean())
-
-    def write_csv(self, path, header_lines=()) -> None:
-        """Plot-ready CSV: date, observed, predicted, lower, upper."""
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            fh.write("# multiplier=" + f"{self.multiplier:.10g}" + "\n")
-            fh.write("# se=" + ",".join(f"{v:.10g}" for v in self.se) + "\n")
-            writer = csv.writer(fh)
-            fields = ["observed", "predicted", "lower", "upper"]
-            if self.k == 1:
-                writer.writerow(["date", *fields])
-            else:
-                writer.writerow(["date"] + [f"{f}_{name}" for f in fields
-                                            for name in self.target_names])
-            for i in range(self.n):
-                row = [str(self.dates[i])]
-                for f in fields:
-                    row += [f"{v:.10g}" for v in getattr(self, f)[i]]
-                writer.writerow(row)
 
 
 def rolling_forecast(model: FittedModel, design: DesignMatrix, split: SplitPlan,
@@ -186,23 +165,6 @@ class CoefficientTable:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def write_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            writer = csv.writer(fh)
-            if len(self.target_names) == 1:
-                writer.writerow(["label", "coefficient", "standardized"])
-            else:
-                writer.writerow(["label"]
-                                + [f"coefficient_{t}" for t in self.target_names]
-                                + [f"standardized_{t}" for t in self.target_names])
-            for i, label in enumerate(self.labels):
-                row = [label]
-                row += [repr(float(v)) for v in self.raw[i]]
-                row += [repr(float(v)) for v in self.scaled[i]]
-                writer.writerow(row)
 
 
 def coefficient_report(model: FittedModel) -> CoefficientTable:

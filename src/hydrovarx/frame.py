@@ -325,12 +325,16 @@ def load_csv(path, targets, date_column: str = "Date",
                     raise InputError(f"{path}: line {lineno}: column "
                                      f"{date_column!r}: date {token!r} names "
                                      "no calendar day")
-                try:
-                    date = np.datetime64(token, "D")
-                except ValueError:
-                    date = None
                 # numpy also reads 2016, 2016-01, 20160101 (a year) and
-                # +2016-01-01T12:30; only YYYY-MM-DD prints back as itself
+                # +2016-01-01T12:30, and warns on a zone such as ...T00:00Z;
+                # only YYYY-MM-DD is 10 characters with a - 5th and 8th and
+                # prints back as itself
+                date = None
+                if len(token) == 10 and token[4] == token[7] == "-":
+                    try:
+                        date = np.datetime64(token, "D")
+                    except ValueError:
+                        pass
                 if date is None or str(date) != token:
                     raise InputError(f"{path}: line {lineno}: column "
                                      f"{date_column!r}: bad date {token!r}")

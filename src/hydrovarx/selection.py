@@ -9,7 +9,6 @@ recursion). Lag orders are compared by BIC on a common set of response rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -164,17 +163,6 @@ class LambdaPath:
         """
         return self.grid.size > 1 and self.chosen_index in (0, self.grid.size - 1)
 
-    def write_csv(self, path, header_lines=()) -> None:
-        """Audit table: one (lambda, msfe) row per grid point."""
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            fh.write(f"# chosen_lambda={self.chosen_lambda:.10g}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "msfe"])
-            for lam, msfe in zip(self.grid, self.msfe):
-                writer.writerow([f"{lam:.10g}", f"{msfe:.10g}"])
-
 
 def _check_split(design: DesignMatrix, split: SplitPlan) -> None:
     if split.T != design.n_eff:
@@ -283,16 +271,6 @@ class OrderScan:
     @property
     def chosen_s(self) -> int:
         return self.chosen[1]
-
-    def write_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            fh.write(f"# chosen_p={self.chosen_p}\n# chosen_s={self.chosen_s}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["p", "s", "bic", "lambda"])
-            for (p, s), b, lam in zip(self.candidates, self.bic, self.lambdas):
-                writer.writerow([p, s, f"{b:.10g}", f"{lam:.10g}"])
 
 
 def select_order(frame: TimeSeriesFrame, p_range, s_range,

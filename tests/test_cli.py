@@ -15,12 +15,14 @@ from hydrovarx.cli import (
     parse_artifact_header,
     parse_grid,
 )
-from hydrovarx.design import standardize
+from hydrovarx.design import LagSpec, build_design, standardize
 from hydrovarx.errors import ConfigError
+from hydrovarx.forecast import coefficient_report, rolling_forecast
 from hydrovarx.frame import load_csv
 from hydrovarx.metrics import METRIC_ORDER
 from hydrovarx.pipeline import ModelSpec, preprocess
-from hydrovarx.selection import select_order
+from hydrovarx.selection import SplitPlan, select_order
+from hydrovarx.solver import FittedModel
 
 GRID = "0.5:50:6"
 
@@ -60,12 +62,27 @@ def test_simulate_writes_data_and_truth(synth_csv):
     assert header == "Date,Y1,x1"
 
 
+def _table(path):
+    """An artifact's column row and data rows, split on commas."""
+    return [line.split(",") for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
 def test_fit_then_evaluate_roundtrip(synth_csv, tmp_path):
     fit_dir = tmp_path / "fit"
     assert _fit(synth_csv, fit_dir) == 0
     for name in ("model.json", "lambda_path.csv", "coefficients.csv",
                  "config.json"):
         assert (fit_dir / name).exists()
+    model = FittedModel.from_dict(
+        json.loads((fit_dir / "model.json").read_text())["model"])
+    # one row per label, zero or not, each value printed exactly
+    coefs = coefficient_report(model)
+    rows = _table(fit_dir / "coefficients.csv")
+    assert rows[0] == ["label", "coefficient", "standardized"]
+    assert [r[0] for r in rows[1:]] == list(coefs.labels)
+    assert [[float(v) for v in r[1:]] for r in rows[1:]] \
+        == np.hstack([coefs.raw, coefs.scaled]).tolist()
 
     eval_dir = tmp_path / "eval"
     rc = main(["evaluate", "--model", str(fit_dir / "model.json"),
@@ -76,13 +93,26 @@ def test_fit_then_evaluate_roundtrip(synth_csv, tmp_path):
                  "config.json"):
         assert (eval_dir / name).exists()
 
-    rows = [line.split(",") for line in
-            (eval_dir / "metrics.csv").read_text().splitlines()
-            if line and not line.startswith("#")]
+    rows = _table(eval_dir / "metrics.csv")
     assert rows[0] == ["metric", "value", "flag"]
     table = {r[0]: r[1] for r in rows[1:]}
     assert set(table) == set(METRIC_ORDER)
     assert float(table["NSE"]) > 0.5  # strong AR+exog signal must be learnable
+
+    design = build_design(preprocess(load_csv(synth_csv, ["Y1"]), ModelSpec()),
+                          LagSpec(model.p, model.s, model.lag_mode))
+    series = rolling_forecast(model, design, SplitPlan(design.n_eff))
+    lines = (eval_dir / "forecast.csv").read_text().splitlines()
+    assert lines[0].startswith("# hydrovarx-artifact-version: ")
+    assert lines[1] == "# command: evaluate"
+    assert lines[2].startswith("# config: ")
+    assert lines[3] == "# multiplier=3"
+    assert lines[4] == f"# se={series.se[0]:.10g}"
+    assert lines[5] == "date,observed,predicted,lower,upper"
+    assert len(lines) == 6 + series.n
+    first = lines[6].split(",")
+    assert first[0] == str(series.dates[0])
+    np.testing.assert_allclose(float(first[2]), series.predicted[0, 0], rtol=1e-9)
 
     reg = json.loads((eval_dir / "regression_line.json").read_text())
     assert np.isfinite(reg["regression_line"]["slope"])
@@ -355,9 +385,7 @@ def test_ablate_writes_paired_artifacts(synth_csv, tmp_path):
     for name in ("metrics_full.csv", "metrics_reduced.csv",
                  "metrics_delta.csv", "config.json"):
         assert (out / name).exists()
-    rows = [line.split(",") for line in
-            (out / "metrics_delta.csv").read_text().splitlines()
-            if line and not line.startswith("#")]
+    rows = _table(out / "metrics_delta.csv")
     assert rows[0] == ["metric", "full", "reduced", "delta"]
     assert [r[0] for r in rows[1:]] == list(METRIC_ORDER)
     table = {r[0]: r for r in rows[1:]}
@@ -406,6 +434,30 @@ def test_select_order_scan(two_year_csv, tmp_path, flags, settings):
     assert rows[1:] == _scan_rows(two_year_csv, **settings)
     if settings:
         assert rows[1:] != _scan_rows(two_year_csv)
+
+
+def test_artifacts_end_every_line_in_lf(tmp_path):
+    for k, targets in ((1, "Y1"), (2, "Y1,Y2")):
+        src = tmp_path / f"sim{k}"
+        assert main(["simulate", "--out", str(src), "--n", "300", "--k", str(k),
+                     "--m", "2", "--p", "1", "--s", "1",
+                     "--phi", "0.5" if k == 1 else "0.5,0.1,0.0,0.4",
+                     "--beta", "0.8,-0.3" if k == 1 else "0.8,0,0,0.5",
+                     "--noise-sd", "0.3", "--seed", "7"]) == 0
+        run = ["--input", str(src / "synth.csv"), "--target", targets,
+               "--grid", GRID]
+        out = tmp_path / f"k{k}"
+        assert main(["fit", *run, "--out", str(out / "fit"), "--p", "2"]) == 0
+        assert main(["evaluate", *run, "--out", str(out / "eval"), "--p", "2",
+                     "--model", str(out / "fit" / "model.json")]) == 0
+        assert main(["ablate", *run, "--out", str(out / "abl"), "--p", "2",
+                     "--drop", "x1"]) == 0
+        assert main(["select-order", *run, "--out", str(out / "ord"),
+                     "--p-range", "1:2", "--s-range", "0:1"]) == 0
+        artifacts = sorted(out.rglob("*.*"))
+        assert len(artifacts) == 14  # 4 fit, 4 evaluate, 4 ablate, 2 select-order
+        assert [str(p.relative_to(out)) for p in artifacts
+                if b"\r" in p.read_bytes()] == []
 
 
 def test_simulate_rejects_wrong_phi_count(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hydrovarx import (
     lookahead_violations,
     regressor_labels,
     standardize,
-    write_design_csv,
 )
 from hydrovarx.errors import ContractError, InsufficientDataError
 
@@ -332,13 +331,3 @@ def test_take_is_read_only_and_equals_a_validated_subset(rows):
             got[0] = got[0]
     for name in ("col_labels", "target_names", "exog_names", "p", "s", "mode"):
         assert getattr(sub, name) == getattr(old, name)
-
-
-def test_write_design_csv(tmp_path):
-    frame = make_frame([1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0], [4.0]])
-    design = build_design(frame, LagSpec(p=1, s=1))
-    path = tmp_path / "design.csv"
-    write_design_csv(design, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "date,Y1,Y1L1,x11"
-    assert len(lines) == 1 + design.n_eff

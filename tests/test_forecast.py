@@ -17,6 +17,7 @@ from hydrovarx import (
     regression_line,
     rolling_forecast,
 )
+from hydrovarx.cli import _write_coefficients_csv, _write_forecast_csv
 from hydrovarx.errors import (
     ContractError,
     DegenerateRegressionError,
@@ -120,7 +121,7 @@ def test_forecast_csv_round_trip(tmp_path):
     model, design, split = _fitted(6)
     series = rolling_forecast(model, design, split)
     path = tmp_path / "forecast.csv"
-    series.write_csv(path, ["# context line"])
+    _write_forecast_csv(path, series, ["# context line"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# context line"
     assert lines[1].startswith("# multiplier=")
@@ -182,7 +183,7 @@ def test_coefficient_csv_lists_zeros_too(tmp_path):
     model, design, split = _fitted(8)
     table = coefficient_report(model)
     path = tmp_path / "coefficients.csv"
-    table.write_csv(path)
+    _write_coefficients_csv(path, table, [])
     lines = path.read_text().strip().splitlines()
     # header + one row per label, zero or not
     assert len(lines) == 1 + len(table.labels)

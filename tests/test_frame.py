@@ -127,9 +127,10 @@ def test_load_csv_rejects_dates_naming_no_day(tmp_path, token, other_row):
         load_csv(csv_path, ["Y"])
 
 
-# numpy reads each of these as a day; none is written YYYY-MM-DD
+# numpy reads each of these as a day (the last with a timezone warning);
+# none is written YYYY-MM-DD
 NOT_ISO_DATES = ["20160101", "2016", "2016-01", "2016-01-01T12:30", "+2016-01-01",
-                 "2016-01-01 00"]
+                 "2016-01-01 00", "2016-01-02T00:00Z"]
 
 
 @pytest.mark.parametrize("token", NOT_ISO_DATES)
@@ -235,10 +236,12 @@ def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
                 raise InputError(f"{path}: line {lineno}: column "
                                  f"{date_column!r}: date {token!r} names "
                                  "no calendar day")
-            try:
-                date = np.datetime64(token, "D")
-            except ValueError:
-                date = None
+            date = None
+            if len(token) == 10 and token[4] == token[7] == "-":
+                try:
+                    date = np.datetime64(token, "D")
+                except ValueError:
+                    pass
             if date is None or str(date) != token:
                 raise InputError(f"{path}: line {lineno}: column "
                                  f"{date_column!r}: bad date {token!r}")
@@ -367,6 +370,7 @@ def _outcome(load, path):
 @example(text="Date,Y\n2016,1\n2016-02,2\n")  # a year, a month
 @example(text="Date,Y\n+2016-01-01,1\n2016-01-02T12:30,2\n")  # sign, time
 @example(text="Date,Y\n0999-12-31,1\n1000-01-01,2\n")  # loop-only year
+@example(text="Date,Y\n2016-01-01,1\n2016-01-02T00:00Z,2\n")  # a timezone
 def test_load_csv_matches_per_line_loop(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())

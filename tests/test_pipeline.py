@@ -208,8 +208,9 @@ def test_spec_rejects_bad_fields():
         ModelSpec(refit_every=0)
     with pytest.raises(ContractError):
         ModelSpec(ci_multiplier=0.0)
-    with pytest.raises(ContractError):
-        ModelSpec(grid=(5.0, 1.0))
+    for grid in ((5.0, 1.0), np.array([10.0, 5.0])):  # tuple or ndarray
+        with pytest.raises(ContractError):
+            ModelSpec(grid=grid)
     with pytest.raises(ContractError):
         ModelSpec(alpha=1.5)
     for grid in ((-1.0, 1.0), (1.0, float("nan")), (1.0, float("inf"))):

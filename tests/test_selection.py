@@ -215,11 +215,6 @@ def test_one_grid_check_for_selection_and_path(grid):
         LambdaPath(grid, np.ones(np.shape(grid)), 0)
 
 
-def test_bad_refit_policy():
-    with pytest.raises(ContractError):
-        ModelSpec(refit="shrinking")
-
-
 def test_split_design_mismatch():
     design = _design(9)
     with pytest.raises(ContractError):
