@@ -47,8 +47,8 @@ from .forecast import (
 from .frame import (
     DORMANT_WINDOW,
     GROWING_WINDOW,
+    SEASONS,
     Column,
-    SeasonFilter,
     TimeSeriesFrame,
     aggregate_monthly,
     drop_columns,
@@ -106,7 +106,7 @@ __all__ = [
     "InputError", "InsufficientDataError", "InvalidOperationError",
     "LagSpec", "LambdaPath", "METRIC_ORDER", "MetricsReport", "ModelSpec",
     "NonFiniteError", "NumericalError", "OrderScan", "Penalty",
-    "RegressionLine", "ScalingInfo", "SeasonFilter", "SplitPlan",
+    "RegressionLine", "SEASONS", "ScalingInfo", "SplitPlan",
     "SynthSpec", "TimeSeriesFrame", "UnsupportedResolutionError",
     "ablation_run", "aggregate_monthly", "bic", "build_design",
     "coefficient_report", "companion_spectral_radius", "correlation_metrics",

@@ -33,9 +33,9 @@ from .errors import (
     exit_code_for,
 )
 from .forecast import regression_line, rolling_forecast
-from .frame import load_csv, write_csv
+from .frame import SEASONS, load_csv, write_csv
 from .metrics import full_report
-from .pipeline import ablation_run, leakage_audit, preprocess, run_pipeline
+from .pipeline import _stage, ablation_run, leakage_audit, preprocess, run_pipeline
 from .selection import ModelSpec, SplitPlan, select_order
 from .simulate import SynthSpec, simulate
 from .solver import FittedModel
@@ -176,13 +176,19 @@ def _per_target(fields, target_names) -> list[str]:
     return [f"{f}_{t}" for f in fields for t in target_names]
 
 
+def _write_target_blocks(path, heads, columns, target_names, blocks) -> None:
+    """One block of rows per target, led by a ``target`` column when k > 1."""
+    prefix = ["target"] if len(target_names) > 1 else []
+    rows = ([name] * len(prefix) + row
+            for name, block in zip(target_names, blocks) for row in block)
+    _write_table(path, heads, [*prefix, *columns], rows)
+
+
 def _write_metrics_csv(path, reports, target_names, heads) -> None:
     """metric,value,flag rows in canonical order; one block per target."""
-    prefix = ["target"] if len(target_names) > 1 else []
-    rows = ([name] * len(prefix) + [key, _g(value), flag]
-            for name, report in zip(target_names, reports)
-            for key, value, flag in report.to_rows())
-    _write_table(path, heads, [*prefix, "metric", "value", "flag"], rows)
+    _write_target_blocks(path, heads, ["metric", "value", "flag"], target_names,
+                         ([[key, _g(value), flag] for key, value, flag in r.to_rows()]
+                          for r in reports))
 
 
 def _write_coefficients_csv(path, table, heads) -> None:
@@ -206,20 +212,10 @@ def _write_forecast_csv(path, series, heads) -> None:
 
 
 def _audit_or_die(report, frame) -> None:
-    counts = leakage_audit(report, frame)
-    if any(counts.values()):
-        exc = ContractError(f"internal leakage audit failed: {counts}")
-        exc.stage = "audit"
-        raise exc
-
-
-def _check_stored_rows(model: FittedModel, split: SplitPlan) -> None:
-    """Reject a stored model whose fit rows reach past T2."""
-    if model.n_rows > split.T2:
-        exc = ContractError(f"stored model uses rows past the validation "
-                            f"segment (T2={split.T2}): n_rows={model.n_rows}")
-        exc.stage = "evaluate"
-        raise exc
+    with _stage("audit"):
+        counts = leakage_audit(report, frame)
+        if any(counts.values()):
+            raise ContractError(f"internal leakage audit failed: {counts}")
 
 
 def _warn_outcomes(command: str, report, run: str = "") -> None:
@@ -242,13 +238,9 @@ def _warn_outcomes(command: str, report, run: str = "") -> None:
 # --- commands ----------------------------------------------------------------
 
 def _load_frame(config: RunConfig):
-    try:
+    with _stage("load"):
         return load_csv(config.input, config.target, config.date_column,
                         config.exog)
-    except HydroVarxError as exc:
-        if exc.stage is None:
-            exc.stage = "load"
-        raise
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -295,19 +287,27 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
     model = _load_model(model_path)
     frame = _load_frame(config)
     pre = preprocess(frame, config.model_spec(), config.drop)
-    design = build_design(pre, LagSpec(model.p, model.s, model.lag_mode))
+    with _stage("design"):
+        design = build_design(pre, LagSpec(model.p, model.s, model.lag_mode))
     if design.col_labels != model.col_labels:
         extra = sorted(set(design.col_labels) - set(model.col_labels))
         missing = sorted(set(model.col_labels) - set(design.col_labels))
         raise CompatibilityError(
             f"data and model disagree on regressors; data-only={extra}, "
             f"model-only={missing}")
-    split = SplitPlan(design.n_eff)
-    _check_stored_rows(model, split)
-    series = rolling_forecast(model, design, split, config.ci_multiplier)
-    reports = tuple(full_report(series, n_predictors=len(model.support), target=t)
-                    for t in range(design.k))
-    line = regression_line(series)
+    with _stage("split"):
+        split = SplitPlan(design.n_eff)
+    with _stage("evaluate"):  # a stored model's fit rows must end by T2
+        if model.n_rows > split.T2:
+            raise ContractError(f"stored model uses rows past the validation "
+                                f"segment (T2={split.T2}): n_rows={model.n_rows}")
+    with _stage("forecast"):
+        series = rolling_forecast(model, design, split, config.ci_multiplier)
+    with _stage("metrics"):
+        reports = tuple(full_report(series, n_predictors=len(model.support),
+                                    target=t) for t in range(design.k))
+    with _stage("regression"):
+        line = regression_line(series)
 
     out = _outdir(config)
     heads = _header_lines(config, "evaluate")
@@ -333,9 +333,11 @@ def cmd_ablate(config: RunConfig) -> int:
                        result.full.design.target_names, heads)
     _write_metrics_csv(out / "metrics_reduced.csv", result.reduced.metrics,
                        result.reduced.design.target_names, heads)
-    _write_table(out / "metrics_delta.csv", heads,
-                 ["metric", "full", "reduced", "delta"],
-                 ([key, *map(_g, values)] for key, *values in result.delta_rows()))
+    names = result.full.design.target_names
+    _write_target_blocks(out / "metrics_delta.csv", heads,
+                         ["metric", "full", "reduced", "delta"], names,
+                         ([[key, *map(_g, values)] for key, *values
+                           in result.delta_rows(t)] for t in range(len(names))))
     _write_json(out / "config.json", _json_doc(config, "ablate", {}))
     return 0
 
@@ -345,7 +347,8 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     spec = config.model_spec()
     frame = _load_frame(config)
     pre = preprocess(frame, spec, config.drop)
-    scan = select_order(pre, p_range, s_range, spec)
+    with _stage("select-order"):
+        scan = select_order(pre, p_range, s_range, spec)
     out = _outdir(config)
     _write_table(out / "order_scan.csv",
                  [*_header_lines(config, "select-order"),
@@ -416,7 +419,7 @@ def _add_run_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--s", type=int, help="exogenous lag order (default 2)")
     ap.add_argument("--alpha", type=float, help="L1/L2 mix in [0,1] (default 0.5)")
     ap.add_argument("--grid", help="lambda grid min:max:count[:log|linear]")
-    ap.add_argument("--season", choices=["all", "growing", "dormant"])
+    ap.add_argument("--season", choices=SEASONS)
     ap.add_argument("--aggregate", choices=["none", "monthly"])
     ap.add_argument("--sum-columns", dest="sum_columns",
                     help="columns summed (not averaged) by monthly aggregation")

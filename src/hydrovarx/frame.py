@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -44,6 +44,8 @@ _NON_CSV_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 #: inclusive (month, day) windows; together they partition the calendar year
 GROWING_WINDOW = ((4, 1), (10, 31))
 DORMANT_WINDOW = ((11, 1), (3, 31))
+#: the season names ``filter_season`` and ``ModelSpec`` accept
+SEASONS = ("all", "growing", "dormant")
 
 
 def _is_missing(token: str) -> bool:
@@ -105,10 +107,9 @@ def _parse_plain(body: str, width: int, date_idx: int, used_idx: list[int]):
 
 @dataclass(frozen=True)
 class Column:
-    """Metadata for one variable: name, physical unit, and role."""
+    """Metadata for one variable: name and role."""
 
     name: str
-    unit: str = ""
     role: str = "exog"  # "target" | "exog"
 
     def __post_init__(self) -> None:
@@ -117,39 +118,13 @@ class Column:
 
 
 @dataclass(frozen=True)
-class SeasonFilter:
-    """Seasonal row filter. Windows are day-resolved and partition the year."""
-
-    mode: str = "all"  # "all" | "growing" | "dormant"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("all", "growing", "dormant"):
-            raise ContractError(f"unknown season mode {self.mode!r}")
-
-    def contains(self, dates: np.ndarray) -> np.ndarray:
-        """Boolean mask of dates inside the window.
-
-        Growing season runs Apr 1 - Oct 31; dormant runs Nov 1 - Mar 31,
-        wrapping the year boundary (Feb 29 is dormant). Both windows align
-        with month boundaries, so membership reduces to the month number.
-        """
-        if self.mode == "all":
-            return np.ones(dates.shape, dtype=bool)
-        months = dates.astype("datetime64[M]")
-        month_no = (months - months.astype("datetime64[Y]")).astype(int) + 1
-        growing = (month_no >= GROWING_WINDOW[0][0]) & (month_no <= GROWING_WINDOW[1][0])
-        return growing if self.mode == "growing" else ~growing
-
-
-@dataclass(frozen=True)
 class TimeSeriesFrame:
     """Immutable complete-case time series at daily or monthly resolution.
 
     ``targets`` holds the modeled variables (n x k), ``exog`` the candidate
     drivers (n x m). ``columns`` lists target metadata first, then exogenous,
-    matching the matrix layout. ``complete`` is the per-row completeness mask;
-    after loading it is all True by construction. ``coverage`` (monthly frames
-    only) gives the fraction of calendar days each month had data for.
+    matching the matrix layout. ``coverage`` (monthly frames only) gives the
+    fraction of calendar days each month had data for.
     """
 
     dates: np.ndarray
@@ -157,7 +132,6 @@ class TimeSeriesFrame:
     exog: np.ndarray
     columns: tuple[Column, ...]
     resolution: str = "daily"
-    complete: np.ndarray = field(default=None)  # type: ignore[assignment]
     dropped_rows: int = 0
     coverage: np.ndarray | None = None
 
@@ -171,16 +145,12 @@ class TimeSeriesFrame:
             exog = exog.reshape(len(dates), 0)
         elif exog.ndim == 1:
             exog = exog.reshape(-1, 1)
-        complete = self.complete
-        if complete is None:
-            complete = np.ones(len(dates), dtype=bool)
-        complete = np.asarray(complete, dtype=bool)
 
         if self.resolution not in ("daily", "monthly"):
             raise ContractError(f"unknown resolution {self.resolution!r}")
         n = len(dates)
-        if targets.shape[0] != n or exog.shape[0] != n or complete.shape[0] != n:
-            raise ContractError("dates, targets, exog and mask row counts differ")
+        if targets.shape[0] != n or exog.shape[0] != n:
+            raise ContractError("dates, targets and exog row counts differ")
         if n > 1 and not np.all(dates[1:] > dates[:-1]):
             raise ContractError("dates must be strictly increasing and unique")
         if len(self.columns) != targets.shape[1] + exog.shape[1]:
@@ -192,8 +162,7 @@ class TimeSeriesFrame:
         if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(exog))):
             raise NonFiniteError("frame contains non-finite values")
 
-        for name, arr in (("dates", dates), ("targets", targets),
-                          ("exog", exog), ("complete", complete)):
+        for name, arr in (("dates", dates), ("targets", targets), ("exog", exog)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -224,17 +193,9 @@ class TimeSeriesFrame:
     def exog_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns[self.k:])
 
-    def column_values(self, name: str) -> np.ndarray:
-        """Values of one named column (target or exogenous)."""
-        names = self.target_names + self.exog_names
-        if name not in names:
-            raise ColumnNotFoundError(f"no column named {name!r}")
-        i = names.index(name)
-        return self.targets[:, i] if i < self.k else self.exog[:, i - self.k]
-
 
 def load_csv(path, targets, date_column: str = "Date",
-             exog_columns=None, units=None) -> TimeSeriesFrame:
+             exog_columns=None) -> TimeSeriesFrame:
     """Load a daily CSV into a complete-case TimeSeriesFrame.
 
     Parameters
@@ -247,8 +208,6 @@ def load_csv(path, targets, date_column: str = "Date",
         Name of the ISO-date column.
     exog_columns : sequence of str, optional
         Exogenous columns to keep. Default: every other column in file order.
-    units : mapping, optional
-        Column name -> unit string, recorded as metadata only.
 
     Rows with a missing value (empty, ``NA`` or ``NaN``, case-insensitive) in
     any used column are dropped; the count is kept in ``dropped_rows``.
@@ -263,7 +222,6 @@ def load_csv(path, targets, date_column: str = "Date",
     reads the file.
     """
     targets = list(targets)
-    units = dict(units or {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -364,8 +322,8 @@ def load_csv(path, targets, date_column: str = "Date",
     data = data[order]
 
     k = len(targets)
-    cols = tuple(Column(name, units.get(name, ""), "target") for name in targets) \
-        + tuple(Column(name, units.get(name, ""), "exog") for name in exog_columns)
+    cols = tuple(Column(name, "target") for name in targets) \
+        + tuple(Column(name, "exog") for name in exog_columns)
     return TimeSeriesFrame(
         dates=date_arr, targets=data[:, :k], exog=data[:, k:],
         columns=cols, resolution="daily", dropped_rows=dropped,
@@ -387,26 +345,28 @@ def write_csv(frame: TimeSeriesFrame, path) -> None:
             writer.writerow([str(frame.dates[i])] + [repr(float(v)) for v in both[i]])
 
 
-def filter_season(frame: TimeSeriesFrame, season) -> TimeSeriesFrame:
-    """Restrict a daily frame to one seasonal window.
+def filter_season(frame: TimeSeriesFrame, season: str) -> TimeSeriesFrame:
+    """Restrict a daily frame to one seasonal window named in ``SEASONS``.
 
-    ``season`` is a :class:`SeasonFilter` or one of ``"all"``, ``"growing"``,
-    ``"dormant"``. Monthly frames are rejected: the windows are day-resolved.
+    Growing season runs Apr 1 - Oct 31; dormant runs Nov 1 - Mar 31, wrapping
+    the year boundary (Feb 29 is dormant). Both windows align with month
+    boundaries, so membership reduces to the month number. Monthly frames are
+    rejected: the windows are day-resolved.
     """
-    if isinstance(season, str):
-        season = SeasonFilter(season)
-    if season.mode == "all":
+    if season not in SEASONS:
+        raise ContractError(f"unknown season mode {season!r}")
+    if season == "all":
         return frame
     if frame.resolution != "daily":
         raise UnsupportedResolutionError(
             "seasonal filtering is defined for daily frames only")
-    mask = season.contains(frame.dates)
+    month_no = frame.dates.astype("datetime64[M]").astype(int) % 12 + 1
+    growing = (month_no >= GROWING_WINDOW[0][0]) & (month_no <= GROWING_WINDOW[1][0])
+    mask = growing if season == "growing" else ~growing
     if not mask.any():
-        raise EmptyDataError(f"no rows fall in the {season.mode} season")
-    return replace(
-        frame, dates=frame.dates[mask], targets=frame.targets[mask],
-        exog=frame.exog[mask], complete=frame.complete[mask],
-    )
+        raise EmptyDataError(f"no rows fall in the {season} season")
+    return replace(frame, dates=frame.dates[mask], targets=frame.targets[mask],
+                   exog=frame.exog[mask])
 
 
 def aggregate_monthly(frame: TimeSeriesFrame, sum_columns=()) -> TimeSeriesFrame:

@@ -142,8 +142,8 @@ def ablation_run(frame: TimeSeriesFrame, spec: ModelSpec = ModelSpec(),
     return AblationResult(full=full, reduced=reduced, dropped=tuple(dropped))
 
 
-def leakage_audit(report: EvaluationReport, frame: TimeSeriesFrame,
-                  dropped=None) -> dict[str, int]:
+def leakage_audit(report: EvaluationReport,
+                  frame: TimeSeriesFrame) -> dict[str, int]:
     """Count protocol violations in a finished run (all-zero dict = clean).
 
     Checks: no regressor cell draws on data dated at or after its row
@@ -152,7 +152,7 @@ def leakage_audit(report: EvaluationReport, frame: TimeSeriesFrame,
     scaling statistics reproduce bit-for-bit from the pre-test rows alone.
     """
     spec = report.spec
-    pre = preprocess(frame, spec, report.dropped if dropped is None else dropped)
+    pre = preprocess(frame, spec, report.dropped)
     design, split = report.design, report.split
 
     counts = {}

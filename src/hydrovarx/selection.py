@@ -20,7 +20,7 @@ from .errors import (
     DegenerateFitError,
     InsufficientDataError,
 )
-from .frame import TimeSeriesFrame
+from .frame import SEASONS, TimeSeriesFrame
 from .solver import FittedModel, Penalty, fit, predict_rows, prepare
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
@@ -115,7 +115,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         LagSpec(self.p, self.s, self.lag_mode)  # validates p, s, mode
         Penalty(0.0, self.alpha)                # validates alpha
-        if self.season not in ("all", "growing", "dormant"):
+        if self.season not in SEASONS:
             raise ContractError(f"unknown season {self.season!r}")
         if self.aggregate not in ("none", "monthly"):
             raise ContractError(f"unknown aggregation {self.aggregate!r}")

@@ -189,8 +189,8 @@ def simulate(spec: SynthSpec) -> tuple[TimeSeriesFrame, GroundTruth]:
     dates = start + np.arange(spec.n)
 
     target_names, exog_names = spec.names()
-    columns = tuple(Column(nm, "", "target") for nm in target_names) \
-        + tuple(Column(nm, "", "exog") for nm in exog_names)
+    columns = tuple(Column(nm, "target") for nm in target_names) \
+        + tuple(Column(nm, "exog") for nm in exog_names)
     frame = TimeSeriesFrame(dates=dates, targets=y, exog=x, columns=columns)
 
     blocks = [spec.phi[lag] for lag in range(p)] + [beta[lag] for lag in range(s)]

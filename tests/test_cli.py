@@ -21,7 +21,7 @@ from hydrovarx.forecast import coefficient_report, rolling_forecast
 from hydrovarx.frame import load_csv
 from hydrovarx.metrics import METRIC_ORDER
 from hydrovarx.pipeline import ModelSpec, preprocess
-from hydrovarx.selection import SplitPlan, select_order
+from hydrovarx.selection import SplitPlan, default_grid, select_order
 from hydrovarx.solver import FittedModel
 
 GRID = "0.5:50:6"
@@ -324,6 +324,32 @@ def test_evaluate_rejects_mismatched_columns(synth_csv, tmp_path, capsys):
     assert "model-only" in capsys.readouterr().err
 
 
+def test_evaluate_names_the_design_stage(synth_csv, tmp_path, capsys):
+    # every other day leaves no row with a complete calendar lag history
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    lines = synth_csv.read_text().splitlines()
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+    run = ["--input", str(sparse), "--out", str(tmp_path / "o"), "--target", "Y1",
+           "--p", "2", "--s", "1", "--grid", GRID]
+    for args in (["fit", *run],
+                 ["evaluate", *run, "--model", str(fit_dir / "model.json")]):
+        assert main(args) == 3
+        assert f"hydrovarx {args[0]}: design: no row has a complete calendar " \
+            "lag history" in capsys.readouterr().err
+
+
+def test_select_order_names_its_stage(synth_csv, tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(synth_csv.read_text().splitlines()[:6]) + "\n")
+    rc = main(["select-order", "--input", str(short), "--out", str(tmp_path / "o"),
+               "--target", "Y1", "--grid", GRID, "--p-range", "1", "--s-range", "0"])
+    assert rc == 3
+    assert "hydrovarx select-order: select-order: validation segment has 1 rows" \
+        in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(synth_csv, tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
@@ -364,6 +390,8 @@ def test_run_config_declares_every_model_setting():
         if f.name != "grid":
             assert f.name in run, f.name
             assert run[f.name].default == f.default, f.name
+    # the CLI writes the default grid as text; it must be the library's grid
+    assert parse_grid(run["grid"].default).tobytes() == default_grid().tobytes()
     config = RunConfig(input="in.csv", out="o", target=("Y",), p=3,
                        grid="1:8:4", refit="expanding", tol=1e-6)
     assert config.model_spec() == ModelSpec(
@@ -393,6 +421,32 @@ def test_ablate_writes_paired_artifacts(synth_csv, tmp_path):
     assert float(table["NSE"][2]) < float(table["NSE"][1])
     full_v, red_v, delta = (float(x) for x in table["MSE"][1:])
     assert delta == pytest.approx(red_v - full_v, abs=1e-9)
+
+
+def test_ablate_writes_a_delta_block_per_target(tmp_path):
+    src = tmp_path / "sim"
+    assert main(["simulate", "--out", str(src), "--n", "300", "--k", "2",
+                 "--m", "2", "--p", "1", "--s", "1", "--phi", "0.5,0.1,0.0,0.4",
+                 "--beta", "0.8,0,0,0.5", "--noise-sd", "0.3", "--seed", "7"]) == 0
+    out = tmp_path / "abl"
+    assert main(["ablate", "--input", str(src / "synth.csv"), "--out", str(out),
+                 "--target", "Y1,Y2", "--p", "1", "--s", "1", "--grid", GRID,
+                 "--drop", "x1"]) == 0
+    rows = _table(out / "metrics_delta.csv")
+    assert rows[0] == ["target", "metric", "full", "reduced", "delta"]
+    assert len(rows[1:]) == 2 * len(METRIC_ORDER)
+    assert [r[:2] for r in rows[1:]] == [[t, key] for t in ("Y1", "Y2")
+                                         for key in METRIC_ORDER]
+    full = {tuple(r[:2]): r[2] for r in _table(out / "metrics_full.csv")[1:]}
+    reduced = {tuple(r[:2]): r[2] for r in _table(out / "metrics_reduced.csv")[1:]}
+    for target, key, *cells in rows[1:]:
+        assert cells[:2] == [full[target, key], reduced[target, key]]
+        full_v, red_v, delta = map(float, cells)
+        if np.isnan(red_v - full_v):
+            assert np.isnan(delta)
+        else:  # each cell is printed to 10 significant digits
+            assert delta == pytest.approx(red_v - full_v,
+                                          abs=1e-9 * (abs(full_v) + abs(red_v)))
 
 
 # every model setting select-order reads, each away from its default

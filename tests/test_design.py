@@ -67,7 +67,7 @@ def test_calendar_mode_respects_date_gaps():
     values = np.delete(np.arange(10, dtype=float), 5)
     frame = make_frame(values[:, None].copy(), start="2001-01-01")
     frame = replace(frame, dates=dates, targets=values[:, None],
-                    exog=np.zeros((9, 0)), complete=np.ones(9, dtype=bool))
+                    exog=np.zeros((9, 0)))
     cal = build_design(frame, LagSpec(p=1, s=0, mode="calendar"))
     pos = build_design(frame, LagSpec(p=1, s=0, mode="positional"))
     assert pos.n_eff == 8                      # adjacency ignores the gap
@@ -208,7 +208,7 @@ def test_lookahead_violations_counts_row_missing_from_frame(mode):
     design = build_design(frame, LagSpec(p=2, s=1, mode=mode))
     # the last design row's date is gone, but every source of its cells is not
     short = replace(frame, dates=frame.dates[:-1], targets=frame.targets[:-1],
-                    exog=frame.exog[:-1], complete=frame.complete[:-1])
+                    exog=frame.exog[:-1])
     assert lookahead_violations(design, short) == design.q
 
 
@@ -281,8 +281,7 @@ def test_lookahead_violations_match_reference(setting, p, s, k, m, n_bad,
         gone = rng.choice(np.unique(months), size=3, replace=False)
         keep = ~np.isin(months, gone)
         daily = replace(daily, dates=daily.dates[keep],
-                        targets=daily.targets[keep], exog=daily.exog[keep],
-                        complete=daily.complete[keep])
+                        targets=daily.targets[keep], exog=daily.exog[keep])
         frame = aggregate_monthly(daily)
     else:
         frame = _gappy_frame(rng, 60, k, m, gap_rate=rng.uniform(0.0, 0.3))

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import daily_dates, make_frame
 from hydrovarx import (
     Column,
-    SeasonFilter,
     TimeSeriesFrame,
     aggregate_monthly,
     drop_columns,
@@ -48,7 +47,6 @@ def test_load_csv_basic(tmp_path):
     np.testing.assert_array_equal(frame.targets[:, 0], [-50.5, -51.0, -52.25])
     np.testing.assert_array_equal(frame.exog[:, 0], [0.0, 12.5, 0.1])
     assert frame.dropped_rows == 0
-    assert frame.complete.all()
 
 
 def test_load_csv_drops_incomplete_rows(tmp_path):
@@ -173,17 +171,9 @@ def test_frame_arrays_read_only():
         frame.targets[0, 0] = 9.0
 
 
-def test_column_values_lookup():
-    frame = make_frame([1.0, 2.0], [[5.0], [6.0]])
-    np.testing.assert_array_equal(frame.column_values("x1"), [5.0, 6.0])
-    with pytest.raises(ColumnNotFoundError):
-        frame.column_values("zzz")
-
-
 # -- bulk parse against the per-line loop ------------------------------------
 
-def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
-                       units=None):
+def reference_load_csv(path, targets, date_column="Date", exog_columns=None):
     """The per-line loop ``load_csv`` falls back to, kept as the oracle of
     its bulk path: every row read by ``csv``, every cell stripped, checked
     and converted on its own."""
@@ -191,7 +181,6 @@ def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
         return token.strip().lower() in {"", "na", "nan"}
 
     targets = list(targets)
-    units = dict(units or {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -269,8 +258,8 @@ def reference_load_csv(path, targets, date_column="Date", exog_columns=None,
         raise InputError(f"{path}: duplicate date {date_arr[dup[0]]}")
     data = np.asarray(rows, dtype=float)[order]
     k = len(targets)
-    cols = tuple(Column(name, units.get(name, ""), "target") for name in targets) \
-        + tuple(Column(name, units.get(name, ""), "exog") for name in exog_columns)
+    cols = tuple(Column(name, "target") for name in targets) \
+        + tuple(Column(name, "exog") for name in exog_columns)
     return TimeSeriesFrame(
         dates=date_arr, targets=data[:, :k], exog=data[:, k:],
         columns=cols, resolution="daily", dropped_rows=dropped,
@@ -448,10 +437,16 @@ def test_season_boundary_autumn():
 
 
 def test_seasons_partition_every_date():
+    # 2016 (a leap year) and 2017: every date lands in exactly one season
     frame = make_frame(np.arange(366 * 2, dtype=float), start="2016-01-01")
-    grow = SeasonFilter("growing").contains(frame.dates)
-    dorm = SeasonFilter("dormant").contains(frame.dates)
-    assert np.all(grow ^ dorm)
+    grow = filter_season(frame, "growing").dates
+    dorm = filter_season(frame, "dormant").dates
+    np.testing.assert_array_equal(np.sort(np.concatenate([grow, dorm])),
+                                  frame.dates)
+    edges = np.array(["2016-03-31", "2016-04-01", "2016-10-31", "2016-11-01",
+                      "2016-02-29"], dtype="datetime64[D]")
+    assert np.isin(edges, grow).tolist() == [False, True, True, False, False]
+    assert np.isin(edges, dorm).tolist() == [True, False, False, True, True]
 
 
 def test_feb_29_is_dormant():
@@ -479,8 +474,9 @@ def test_filter_monthly_resolution_rejected():
 
 
 def test_bad_season_mode_rejected():
+    frame = make_frame([1.0, 2.0])
     with pytest.raises(ContractError):
-        SeasonFilter("summer")
+        filter_season(frame, "summer")
 
 
 # -- monthly aggregation ------------------------------------------------------
