@@ -36,14 +36,7 @@ from .errors import (
     UnsupportedResolutionError,
     exit_code_for,
 )
-from .forecast import (
-    CoefficientTable,
-    ForecastSeries,
-    RegressionLine,
-    coefficient_report,
-    regression_line,
-    rolling_forecast,
-)
+from .forecast import ForecastSeries, RegressionLine, regression_line, rolling_forecast
 from .frame import (
     DORMANT_WINDOW,
     GROWING_WINDOW,
@@ -98,8 +91,8 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationResult", "CoefficientTable", "Column", "ColumnNotFoundError",
-    "CompatibilityError", "ConfigError", "ContractError", "DORMANT_WINDOW",
+    "AblationResult", "Column", "ColumnNotFoundError", "CompatibilityError",
+    "ConfigError", "ContractError", "DORMANT_WINDOW",
     "DataError", "DegenerateFitError", "DegenerateRegressionError",
     "DesignMatrix", "EmptyDataError", "EvaluationReport", "FittedModel",
     "ForecastSeries", "GROWING_WINDOW", "GroundTruth", "HydroVarxError",
@@ -109,8 +102,8 @@ __all__ = [
     "RegressionLine", "SEASONS", "ScalingInfo", "SplitPlan",
     "SynthSpec", "TimeSeriesFrame", "UnsupportedResolutionError",
     "ablation_run", "aggregate_monthly", "bic", "build_design",
-    "coefficient_report", "companion_spectral_radius", "correlation_metrics",
-    "default_grid", "destandardize_coeffs", "drop_columns",
+    "companion_spectral_radius", "correlation_metrics", "default_grid",
+    "destandardize_coeffs", "drop_columns",
     "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
     "fit", "full_report", "kge_metrics", "kkt_violation", "lambda_max",
     "leakage_audit", "load_csv", "lookahead_violations", "objective", "predict_one_step",

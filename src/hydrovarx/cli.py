@@ -32,10 +32,8 @@ from .errors import (
     InputError,
     exit_code_for,
 )
-from .forecast import regression_line, rolling_forecast
 from .frame import SEASONS, load_csv, write_csv
-from .metrics import full_report
-from .pipeline import _stage, ablation_run, leakage_audit, preprocess, run_pipeline
+from .pipeline import _stage, ablation_run, leakage_audit, preprocess, run_pipeline, score
 from .selection import ModelSpec, SplitPlan, select_order
 from .simulate import SynthSpec, simulate
 from .solver import FittedModel
@@ -191,13 +189,16 @@ def _write_metrics_csv(path, reports, target_names, heads) -> None:
                           for r in reports))
 
 
-def _write_coefficients_csv(path, table, heads) -> None:
-    """One row per label, zeros too, each value printed exactly."""
-    cells = np.hstack([table.raw, table.scaled]).tolist()
+def _write_coefficients_csv(path, model, heads) -> None:
+    """The intercept row, then one row per regressor label, zeros too; raw
+    then standardized values per target, each printed exactly."""
+    cells = np.vstack([np.hstack([model.nu, model.scaled_intercept]),
+                       np.hstack([model.coeffs.T, model.scaled_coeffs.T])]).tolist()
     _write_table(path, heads,
                  ["label", *_per_target(("coefficient", "standardized"),
-                                        table.target_names)],
-                 ([label, *map(repr, row)] for label, row in zip(table.labels, cells)))
+                                        model.target_names)],
+                 ([label, *map(repr, row)]
+                  for label, row in zip(("intercept", *model.col_labels), cells)))
 
 
 def _write_forecast_csv(path, series, heads) -> None:
@@ -259,11 +260,11 @@ def cmd_fit(config: RunConfig) -> int:
     heads = _header_lines(config, "fit")
     _write_json(out / "model.json",
                 _json_doc(config, "fit", {"model": report.model.to_dict()}))
-    lams, table = report.lambda_path, report.coefficients
+    lams = report.lambda_path
     _write_table(out / "lambda_path.csv",
                  [*heads, f"# chosen_lambda={_g(lams.chosen_lambda)}"],
                  ["lambda", "msfe"], zip(map(_g, lams.grid), map(_g, lams.msfe)))
-    _write_coefficients_csv(out / "coefficients.csv", table, heads)
+    _write_coefficients_csv(out / "coefficients.csv", report.model, heads)
     _write_json(out / "config.json", _json_doc(config, "fit", {}))
     return 0
 
@@ -289,26 +290,19 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
     pre = preprocess(frame, config.model_spec(), config.drop)
     with _stage("design"):
         design = build_design(pre, LagSpec(model.p, model.s, model.lag_mode))
-    if design.col_labels != model.col_labels:
-        extra = sorted(set(design.col_labels) - set(model.col_labels))
-        missing = sorted(set(model.col_labels) - set(design.col_labels))
-        raise CompatibilityError(
-            f"data and model disagree on regressors; data-only={extra}, "
-            f"model-only={missing}")
+        if design.col_labels != model.col_labels:
+            extra = sorted(set(design.col_labels) - set(model.col_labels))
+            missing = sorted(set(model.col_labels) - set(design.col_labels))
+            raise CompatibilityError(
+                f"data and model disagree on regressors; data-only={extra}, "
+                f"model-only={missing}")
     with _stage("split"):
         split = SplitPlan(design.n_eff)
     with _stage("evaluate"):  # a stored model's fit rows must end by T2
         if model.n_rows > split.T2:
             raise ContractError(f"stored model uses rows past the validation "
                                 f"segment (T2={split.T2}): n_rows={model.n_rows}")
-    with _stage("forecast"):
-        series = rolling_forecast(model, design, split, config.ci_multiplier)
-    with _stage("metrics"):
-        reports = tuple(full_report(series, n_predictors=len(model.support),
-                                    target=t) for t in range(design.k))
-    with _stage("regression"):
-        line = regression_line(series)
-
+    series, reports, line = score(model, design, split, config.ci_multiplier)
     out = _outdir(config)
     heads = _header_lines(config, "evaluate")
     _write_metrics_csv(out / "metrics.csv", reports, design.target_names, heads)
@@ -363,19 +357,18 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
 def cmd_simulate(args) -> int:
     """Write a seeded synthetic dataset plus its ground truth."""
     k = args.k
+    if k < 1 or min(args.p, args.s, args.m) < 0:
+        raise ConfigError("--k must be >= 1 and --p, --s, --m >= 0")
     phi = np.asarray(_parse_floats(args.phi), dtype=float)
     try:
         phi = phi.reshape(args.p, k, k)
     except ValueError:
         raise ConfigError(f"--phi needs p*k*k = {args.p * k * k} values") from None
-    beta = None
-    if args.m and args.s:
-        beta = np.asarray(_parse_floats(args.beta or ""), dtype=float)
-        try:
-            beta = beta.reshape(args.s, k, args.m)
-        except ValueError:
-            raise ConfigError(
-                f"--beta needs s*k*m = {args.s * k * args.m} values") from None
+    beta = np.asarray(_parse_floats(args.beta or ""), dtype=float)
+    try:  # with s*m = 0 only an absent or empty --beta fits
+        beta = beta.reshape(args.s, k, args.m)
+    except ValueError:
+        raise ConfigError(f"--beta needs s*k*m = {args.s * k * args.m} values") from None
     nu = None
     if args.nu:
         nu = np.asarray(_parse_floats(args.nu), dtype=float)
@@ -437,6 +430,30 @@ def _add_run_flags(ap: argparse.ArgumentParser) -> None:
 
 _TUPLE_KEYS = ("target", "exog", "sum_columns", "drop")
 _REQUIRED_KEYS = ("input", "out", "target")
+# RunConfig annotation -> (JSON types a config file may give, description);
+# a list must hold strings only, and a boolean is never an int or a float
+_FILE_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "tuple[str, ...]": ((str, list), "a string or a list of strings"),
+    "tuple[str, ...] | None": ((str, list, type(None)),
+                               "a string, a list of strings or null"),
+}
+
+
+def _check_file_types(path, file_cfg: dict) -> None:
+    """Reject a config-file value whose JSON type does not fit its key."""
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    for key, value in file_cfg.items():
+        types, want = _FILE_TYPES[annotations[key]]
+        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+        if ok and isinstance(value, list):
+            ok = all(isinstance(v, str) for v in value)
+        if not ok:
+            raise ConfigError(f"{path}: config key {key!r} must be {want}, "
+                              f"not {json.dumps(value)}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -456,6 +473,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(file_cfg) - known)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {unknown}")
+        _check_file_types(args.config, file_cfg)
         data.update(file_cfg)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)

@@ -224,22 +224,14 @@ def standardize(design: DesignMatrix):
     return scaled, info
 
 
-def destandardize_coeffs(coeffs: np.ndarray, info: ScalingInfo,
-                         intercept=0.0, equation: int = 0):
+def destandardize_coeffs(coeffs: np.ndarray, info: ScalingInfo, intercept=0.0):
     """Map coefficients fit on the scaled system back to original units.
 
-    For one equation with scaled coefficients b and scaled intercept a:
-    raw_b = b / sd_z and raw_intercept = mean_y + a - sum_j raw_b_j * mean_z_j.
-    Accepts a (q,) vector (``equation`` picks the target whose mean applies)
-    or a (k, q) matrix with a (k,) intercept vector. The fitted residuals are
-    identical under both parameterizations.
+    For a (k, q) matrix b of scaled coefficients and a (k,) scaled intercept a:
+    raw_b = b / sd_z and raw_intercept = mean_y + a - raw_b @ mean_z. The
+    fitted residuals are identical under both parameterizations.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        raw = coeffs / info.z_sd
-        raw_int = float(info.y_mean[equation] + intercept - raw @ info.z_mean)
-        return raw, raw_int
-    raw = coeffs / info.z_sd
+    raw = np.asarray(coeffs, dtype=float) / info.z_sd
     raw_int = info.y_mean + np.asarray(intercept, dtype=float) - raw @ info.z_mean
     return raw, raw_int
 

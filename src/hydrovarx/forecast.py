@@ -1,4 +1,4 @@
-"""Test-segment forecasting and fit reporting.
+"""Test-segment forecasting and the observed-on-predicted regression line.
 
 Forecasts are strictly one step ahead: every prediction conditions on
 observed lag values, never on earlier predictions. Uncertainty bands use a
@@ -111,14 +111,6 @@ class RegressionLine:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def a(self) -> float:
-        return float(self.intercept[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.slope[0])
-
     def to_dict(self) -> dict:
         return {"intercept": self.intercept.tolist(), "slope": self.slope.tolist()}
 
@@ -141,36 +133,3 @@ def regression_line(series: ForecastSeries) -> RegressionLine:
         slopes[t] = float(dev @ (y - y.mean())) / sxx
         intercepts[t] = y.mean() - slopes[t] * x.mean()
     return RegressionLine(intercept=intercepts, slope=slopes)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Every coefficient (zeros included) with raw and standardized values.
-
-    Rows are ordered intercept first, then the lag-major regressor labels —
-    the same order the design matrix uses.
-    """
-
-    labels: tuple[str, ...]
-    raw: np.ndarray
-    scaled: np.ndarray
-    target_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.raw, dtype=float)
-        scaled = np.asarray(self.scaled, dtype=float)
-        if raw.shape != scaled.shape or raw.shape[0] != len(self.labels):
-            raise ContractError("coefficient table shapes disagree")
-        for name, arr in (("raw", raw), ("scaled", scaled)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def coefficient_report(model: FittedModel) -> CoefficientTable:
-    """Labeled coefficient table in reporting order, zeros printed exactly."""
-    labels = ("intercept",) + model.col_labels
-    raw = np.vstack([model.nu.reshape(1, -1), model.coeffs.T])
-    scaled = np.vstack([model.scaled_intercept.reshape(1, -1), model.scaled_coeffs.T])
-    return CoefficientTable(labels=labels, raw=raw, scaled=scaled,
-                            target_names=model.target_names)

@@ -46,20 +46,10 @@ class MetricsReport:
         return MetricsReport(values={**self.values, **other.values},
                              flags={**self.flags, **other.flags})
 
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-    def defined(self, key: str) -> bool:
-        return key in self.values and key not in self.flags
-
     def to_rows(self) -> list[tuple[str, float, str]]:
         """(metric, value, flag) rows in canonical table order."""
         return [(k, self.values[k], self.flags.get(k, ""))
                 for k in METRIC_ORDER if k in self.values]
-
-    def to_dict(self) -> dict:
-        return {"values": {k: self.values[k] for k in METRIC_ORDER if k in self.values},
-                "flags": dict(sorted(self.flags.items()))}
 
 
 def _pair(obs, sim, min_n: int = 2):
@@ -328,21 +318,12 @@ def kge_metrics(obs, sim) -> MetricsReport:
     return r.done()
 
 
-def full_report(series, n_predictors: int = 1, target: int = 0) -> MetricsReport:
-    """All 27 metrics for a forecast series or an (obs, sim) pair.
+def full_report(pair, n_predictors: int = 1) -> MetricsReport:
+    """All 27 metrics for an (obs, sim) pair of arrays.
 
-    ``series`` is either an object with ``observed``/``predicted`` arrays
-    (a ForecastSeries; ``target`` picks the column when multivariate) or a
-    2-tuple of arrays. Every key is present; undefined ones carry flags.
+    Every key is present; undefined ones carry flags.
     """
-    observed = getattr(series, "observed", None)
-    if observed is not None:
-        obs = np.asarray(observed, dtype=float)
-        sim = np.asarray(series.predicted, dtype=float)
-        if obs.ndim == 2:
-            obs, sim = obs[:, target], sim[:, target]
-    else:
-        obs, sim = series
+    obs, sim = pair
     report = (error_metrics(obs, sim)
               | efficiency_metrics(obs, sim)
               | correlation_metrics(obs, sim, n_predictors)

@@ -1,6 +1,7 @@
 """End-to-end modeling pipeline: preprocess, split, select, fit, forecast, score.
 
-``run_pipeline`` wires the full protocol for one frame. Errors raised inside
+``run_pipeline`` wires the full protocol for one frame; ``score`` is its
+test-third tail, shared with a stored model's evaluation. Errors raised inside
 are tagged with the pipeline stage name (``exc.stage``) so callers can report
 where a run failed.
 """
@@ -14,14 +15,7 @@ import numpy as np
 
 from .design import DesignMatrix, LagSpec, build_design, lookahead_violations, standardize
 from .errors import ContractError, HydroVarxError
-from .forecast import (
-    CoefficientTable,
-    ForecastSeries,
-    RegressionLine,
-    coefficient_report,
-    regression_line,
-    rolling_forecast,
-)
+from .forecast import ForecastSeries, RegressionLine, regression_line, rolling_forecast
 from .frame import TimeSeriesFrame, aggregate_monthly, drop_columns, filter_season
 from .metrics import METRIC_ORDER, MetricsReport, full_report
 from .selection import LambdaPath, ModelSpec, SplitPlan, select_lambda
@@ -51,7 +45,6 @@ class EvaluationReport:
     forecast: ForecastSeries
     metrics: tuple[MetricsReport, ...]
     regression: RegressionLine
-    coefficients: CoefficientTable
 
 
 def preprocess(frame: TimeSeriesFrame, spec: ModelSpec,
@@ -77,8 +70,7 @@ def run_pipeline(frame: TimeSeriesFrame, spec: ModelSpec = ModelSpec(),
     """Run the full protocol and return the complete evaluation report.
 
     Steps: preprocess -> lag design -> T/3 split -> lambda by validation MSFE
-    -> refit on the first two thirds -> one-step test forecasts with bands ->
-    metric suite, regression line, and coefficient table.
+    -> refit on the first two thirds -> ``score`` on the test third.
     """
     dropped = tuple(dropped)
     frame = preprocess(frame, spec, dropped)
@@ -93,18 +85,28 @@ def run_pipeline(frame: TimeSeriesFrame, spec: ModelSpec = ModelSpec(),
                     Penalty(path.chosen_lambda, spec.alpha),
                     standardize_design=spec.standardize,
                     tol=spec.tol, max_iter=spec.max_iter)
-    with _stage("forecast"):
-        series = rolling_forecast(model, design, split, spec.ci_multiplier)
-    with _stage("metrics"):
-        reports = tuple(full_report(series, n_predictors=len(model.support),
-                                    target=t) for t in range(design.k))
-    with _stage("regression"):
-        line = regression_line(series)
+    series, reports, line = score(model, design, split, spec.ci_multiplier)
     return EvaluationReport(
         spec=spec, dropped=dropped, design=design, split=split,
         lambda_path=path, model=model, forecast=series, metrics=reports,
-        regression=line, coefficients=coefficient_report(model),
+        regression=line,
     )
+
+
+def score(model: FittedModel, design: DesignMatrix, split: SplitPlan,
+          multiplier: float) -> tuple[ForecastSeries, tuple[MetricsReport, ...],
+                                      RegressionLine]:
+    """Score a model on the test third: one-step forecasts with bands, the
+    metric suite per target, and the observed-on-predicted line."""
+    with _stage("forecast"):
+        series = rolling_forecast(model, design, split, multiplier)
+    with _stage("metrics"):
+        reports = tuple(full_report((series.observed[:, t], series.predicted[:, t]),
+                                    n_predictors=len(model.support))
+                        for t in range(design.k))
+    with _stage("regression"):
+        line = regression_line(series)
+    return series, reports, line
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from hydrovarx.cli import (
 )
 from hydrovarx.design import LagSpec, build_design, standardize
 from hydrovarx.errors import ConfigError
-from hydrovarx.forecast import coefficient_report, rolling_forecast
+from hydrovarx.forecast import rolling_forecast
 from hydrovarx.frame import load_csv
 from hydrovarx.metrics import METRIC_ORDER
 from hydrovarx.pipeline import ModelSpec, preprocess
@@ -76,13 +76,14 @@ def test_fit_then_evaluate_roundtrip(synth_csv, tmp_path):
         assert (fit_dir / name).exists()
     model = FittedModel.from_dict(
         json.loads((fit_dir / "model.json").read_text())["model"])
-    # one row per label, zero or not, each value printed exactly
-    coefs = coefficient_report(model)
+    # intercept first, then one row per label, zero or not, each value exact
     rows = _table(fit_dir / "coefficients.csv")
     assert rows[0] == ["label", "coefficient", "standardized"]
-    assert [r[0] for r in rows[1:]] == list(coefs.labels)
-    assert [[float(v) for v in r[1:]] for r in rows[1:]] \
-        == np.hstack([coefs.raw, coefs.scaled]).tolist()
+    assert [r[0] for r in rows[1:]] == ["intercept", *model.col_labels]
+    raw, scaled = np.array([[float(v) for v in r[1:]] for r in rows[1:]]).T
+    np.testing.assert_array_equal(raw, np.hstack([model.nu, model.coeffs[0]]))
+    np.testing.assert_array_equal(
+        scaled, np.hstack([model.scaled_intercept, model.scaled_coeffs[0]]))
 
     eval_dir = tmp_path / "eval"
     rc = main(["evaluate", "--model", str(fit_dir / "model.json"),
@@ -273,6 +274,30 @@ def test_config_errors_exit_2_before_reading_input(tmp_path, capsys):
     assert "hydrovarx fit: setup:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"target": 5}, {"p": 2.5}, {"p": True},
+                                   {"tol": "x"}, {"standardize": "no"}],
+                         ids=["target-5", "p-2.5", "p-true", "tol-x", "standardize-no"])
+def test_config_file_value_of_wrong_type_exits_2(entry, tmp_path, capsys):
+    # caught at setup, before the (missing) input is read
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "input": str(tmp_path / "ghost.csv"), "out": str(tmp_path / "o"),
+        "target": ["Y"], "grid": GRID, **entry}))
+    assert main(["fit", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "hydrovarx fit: setup:" in err
+    assert f"config key {next(iter(entry))!r} must be" in err
+
+
+def test_config_file_accepts_each_json_form(synth_csv, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "input": str(synth_csv), "out": str(tmp_path / "fit"), "target": "Y1",
+        "exog": ["x1"], "sum_columns": None, "drop": [], "p": 2, "s": 1,
+        "alpha": 1, "tol": 1e-7, "standardize": True, "grid": GRID}))
+    assert main(["fit", "--config", str(cfg_path)]) == 0
+
+
 @pytest.mark.parametrize("grid", ["-5:5:3:linear", "1:inf:3", "nan:1:1"])
 def test_negative_or_non_finite_grid_is_a_config_error(grid):
     with pytest.raises(ConfigError):
@@ -321,7 +346,8 @@ def test_evaluate_rejects_mismatched_columns(synth_csv, tmp_path, capsys):
                "--input", str(synth_csv), "--out", str(tmp_path / "e"),
                "--target", "Y1", "--grid", GRID, "--drop", "x1"])
     assert rc == 3
-    assert "model-only" in capsys.readouterr().err
+    assert "hydrovarx evaluate: design: data and model disagree on regressors; " \
+        "data-only=[], model-only=['x11']" in capsys.readouterr().err
 
 
 def test_evaluate_names_the_design_stage(synth_csv, tmp_path, capsys):
@@ -512,6 +538,32 @@ def test_artifacts_end_every_line_in_lf(tmp_path):
         assert len(artifacts) == 14  # 4 fit, 4 evaluate, 4 ablate, 2 select-order
         assert [str(p.relative_to(out)) for p in artifacts
                 if b"\r" in p.read_bytes()] == []
+
+
+def test_simulate_writes_exogenous_columns_without_lags(tmp_path):
+    out = tmp_path / "s"
+    assert main(["simulate", "--out", str(out), "--n", "20", "--m", "2",
+                 "--s", "0", "--phi", "0.5"]) == 0
+    assert (out / "synth.csv").read_text().splitlines()[0] == "Date,Y1,x1,x2"
+
+
+def test_simulate_rejects_beta_without_exogenous_lags(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--n", "20", "--m", "2",
+               "--s", "0", "--phi", "0.5", "--beta", "0.8"])
+    assert rc == 2
+    assert "hydrovarx simulate: setup: --beta needs s*k*m = 0 values" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("counts", [["--s", "-1", "--m", "2"], ["--m", "-1"],
+                                    ["--k", "0"]])
+def test_simulate_rejects_negative_counts(counts, tmp_path, capsys):
+    # a negative --s used to reshape as -1 and quietly become a lag order
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--n", "20",
+               "--phi", "0.5", "--beta", "0.8,0.3", *counts])
+    assert rc == 2
+    assert "hydrovarx simulate: setup: --k must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_wrong_phi_count(tmp_path, capsys):

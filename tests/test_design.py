@@ -164,11 +164,12 @@ def test_destandardize_round_trip():
     frame = make_frame(rng.normal(size=30) * 4 - 50, rng.normal(size=(30, 2)))
     design = build_design(frame, LagSpec(p=2, s=1))
     scaled, info = standardize(design)
-    b_scaled = rng.normal(size=design.q)
-    raw, raw_int = destandardize_coeffs(b_scaled, info, intercept=0.0)
+    b_scaled = rng.normal(size=(1, design.q))
+    raw, raw_int = destandardize_coeffs(b_scaled, info, intercept=np.zeros(1))
+    assert raw.shape == (1, design.q) and raw_int.shape == (1,)
     # identical fitted values through either parameterization
-    fit_scaled = scaled.Z @ b_scaled + info.y_mean[0]
-    fit_raw = design.Z @ raw + raw_int
+    fit_scaled = scaled.Z @ b_scaled.T + info.y_mean
+    fit_raw = design.Z @ raw.T + raw_int
     np.testing.assert_allclose(fit_raw, fit_scaled, atol=1e-10)
 
 

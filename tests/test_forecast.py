@@ -10,7 +10,6 @@ from hydrovarx import (
     Penalty,
     SplitPlan,
     build_design,
-    coefficient_report,
     fit,
     full_report,
     predict_rows,
@@ -100,7 +99,7 @@ def test_persistence_model_scores_cp_zero():
     persist = replace(base, nu=np.zeros(1), coeffs=np.ones((1, 1)),
                       support=("Y1L1",))
     series = rolling_forecast(persist, design, split)
-    rep = full_report(series)
+    rep = full_report((series.observed, series.predicted))
     np.testing.assert_allclose(rep.values["cp"], 0.0, atol=1e-12)
 
 
@@ -143,8 +142,8 @@ def test_regression_line_exact_on_affine_data():
                             se=np.array([1.0]), multiplier=1.0,
                             target_names=("Y1",))
     line = regression_line(series)
-    np.testing.assert_allclose(line.a, 2.0, atol=1e-12)
-    np.testing.assert_allclose(line.b, 0.5, atol=1e-12)
+    np.testing.assert_allclose(line.intercept[0], 2.0, atol=1e-12)
+    np.testing.assert_allclose(line.slope[0], 0.5, atol=1e-12)
 
 
 def test_regression_line_constant_predictions_rejected():
@@ -168,23 +167,34 @@ def test_regression_line_needs_three_rows():
         regression_line(series)
 
 
-def test_coefficient_report_layout():
+def _coefficient_rows(model, tmp_path):
+    path = tmp_path / "coefficients.csv"
+    _write_coefficients_csv(path, model, [])
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_coefficient_report_layout(tmp_path):
     model, design, split = _fitted(7)
-    table = coefficient_report(model)
-    assert table.labels == ("intercept",) + model.col_labels
-    np.testing.assert_array_equal(table.raw[0], model.nu)
-    np.testing.assert_array_equal(table.raw[1:], model.coeffs.T)
-    np.testing.assert_array_equal(table.scaled[0],
-                                  np.atleast_1d(model.scaled_intercept))
-    np.testing.assert_array_equal(table.scaled[1:], model.scaled_coeffs.T)
+    rows = _coefficient_rows(model, tmp_path)
+    assert rows[0] == ["label", "coefficient", "standardized"]
+    assert [r[0] for r in rows[1:]] == ["intercept", *model.col_labels]
+    raw, scaled = np.array([[float(v) for v in r[1:]] for r in rows[1:]]).T
+    np.testing.assert_array_equal(raw[0], model.nu[0])
+    np.testing.assert_array_equal(raw[1:], model.coeffs[0])
+    np.testing.assert_array_equal(scaled[0],
+                                  np.atleast_1d(model.scaled_intercept)[0])
+    np.testing.assert_array_equal(scaled[1:], model.scaled_coeffs[0])
 
 
 def test_coefficient_csv_lists_zeros_too(tmp_path):
-    model, design, split = _fitted(8)
-    table = coefficient_report(model)
-    path = tmp_path / "coefficients.csv"
-    _write_coefficients_csv(path, table, [])
-    lines = path.read_text().strip().splitlines()
-    # header + one row per label, zero or not
-    assert len(lines) == 1 + len(table.labels)
-    assert lines[0] == "label,coefficient,standardized"
+    _, design, split = _fitted(8)
+    model = fit(design.take(slice(0, split.T2)), Penalty(100.0, 1.0))
+    assert 0.0 in model.coeffs and model.coeffs.any()
+    rows = _coefficient_rows(model, tmp_path)
+    # header, then the intercept and one row per label, zero or not
+    assert rows[0] == ["label", "coefficient", "standardized"]
+    assert [r[0] for r in rows[1:]] == ["intercept", *model.col_labels]
+    raw, scaled = np.array([[float(v) for v in r[1:]] for r in rows[1:]]).T
+    np.testing.assert_array_equal(raw, np.hstack([model.nu, model.coeffs[0]]))
+    np.testing.assert_array_equal(
+        scaled, np.hstack([model.scaled_intercept, model.scaled_coeffs[0]]))

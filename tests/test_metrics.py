@@ -233,4 +233,4 @@ def test_report_merge_keeps_flags():
     merged = a | b
     assert merged.values["MAE"] == pytest.approx(2.0 / 3.0)
     assert merged.flags["r"]
-    assert merged.defined("MAE") and not merged.defined("r")
+    assert "MAE" not in merged.flags and "r" in merged.flags
