@@ -84,7 +84,6 @@ from .solver import (
     kkt_violation,
     lambda_max,
     objective,
-    predict_one_step,
     predict_rows,
 )
 
@@ -106,7 +105,7 @@ __all__ = [
     "destandardize_coeffs", "drop_columns",
     "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
     "fit", "full_report", "kge_metrics", "kkt_violation", "lambda_max",
-    "leakage_audit", "load_csv", "lookahead_violations", "objective", "predict_one_step",
+    "leakage_audit", "load_csv", "lookahead_violations", "objective",
     "predict_rows", "preprocess", "regression_line", "regressor_labels",
     "rolling_forecast", "run_pipeline", "select_lambda", "select_order",
     "simulate", "standardize", "write_csv",

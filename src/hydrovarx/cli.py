@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -110,14 +111,14 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Order range: ``1:4`` (inclusive) or ``1,2,4``."""
+    """Order range: ``1:4`` (inclusive) or ``1,2,4``; sorted, without repeats."""
     try:
         if ":" in text:
             lo, hi = (int(v) for v in text.split(":"))
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(v) for v in text.split(",")]
+        return sorted({int(v) for v in text.split(",")})
     except ValueError:
         raise ConfigError(f"bad order range {text!r}; want lo:hi or a,b,c") from None
 
@@ -346,6 +347,8 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     out = _outdir(config)
     _write_table(out / "order_scan.csv",
                  [*_header_lines(config, "select-order"),
+                  f"# p_range={','.join(map(str, p_range))}",
+                  f"# s_range={','.join(map(str, s_range))}",
                   f"# chosen_p={scan.chosen_p}", f"# chosen_s={scan.chosen_s}"],
                  ["p", "s", "bic", "lambda"],
                  ([p, s, _g(bic), _g(lam)] for (p, s), bic, lam
@@ -493,7 +496,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="hydrovarx",
         description="Sparse elastic-net VARX modeling of daily environmental "

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .frame import SEASONS, TimeSeriesFrame
-from .solver import FittedModel, Penalty, fit, predict_rows, prepare
+from .solver import FittedModel, Penalty, fit, predict_rows, prepare, solve
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
 
@@ -132,11 +132,16 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class LambdaPath:
-    """MSFE per grid value and the chosen index (ties go to the larger lambda)."""
+    """MSFE per grid value and the chosen index (ties go to the larger lambda),
+    with the solver's work: one solve per (lambda, refit window), their
+    sweeps, and the solves that stopped at ``max_iter`` unconverged."""
 
     grid: np.ndarray
     msfe: np.ndarray
     chosen_index: int
+    solves: int = 0
+    sweeps: int = 0
+    nonconverged: int = 0
 
     def __post_init__(self) -> None:
         grid = check_grid(self.grid)
@@ -194,35 +199,38 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
 
     # fixed refit is one window that predicts the whole validation segment;
     # expanding refit re-fits on [0, t) every refit_every rows t
-    fixed = spec.refit == "fixed"
-    if fixed:
-        windows = [(split.T1, [design.take(split.validate)])]
-    else:
-        rows = [design.take(slice(t, t + 1)) for t in range(split.T1, split.T2)]
-        windows = [(split.T1 + v, rows[v:v + spec.refit_every])
-                   for v in range(0, n_val, spec.refit_every)]
+    step = n_val if spec.refit == "fixed" else spec.refit_every
     sse = [0.0] * grid.size
     last = [None] * grid.size  # each lambda's coefficients on its last window
-    for stop, blocks in windows:
-        problem = prepare(design.take(slice(0, stop)),
+    solves = sweeps = nonconverged = 0
+    for start in range(split.T1, split.T2, step):
+        stop = min(start + step, split.T2)
+        problem = prepare(design.take(slice(0, start)),
                           standardize_design=spec.standardize)
+        # the rows this window predicts, on the window's standardized and
+        # centered scale: there the prediction error is zs @ b.T - ys
+        info = problem.info
+        zs = (design.Z[start:stop] - info.z_mean) / info.z_sd - problem.z_bar
+        ys = design.Y[start:stop] - info.y_mean - problem.y_bar
         warm = None
         for gi in range(grid.size - 1, -1, -1):
             # the first window chains warm starts down the grid; later ones
             # start each lambda from its own previous window
-            model = fit(problem, Penalty(float(grid[gi]), spec.alpha),
-                        standardize_design=spec.standardize, tol=spec.tol,
-                        max_iter=spec.max_iter,
-                        warm_start=warm if last[gi] is None else last[gi])
-            last[gi] = warm = model.scaled_coeffs
-            for block in blocks:
-                err = predict_rows(model, block) - block.Y
-                sse[gi] += float(np.sum(err * err)) if fixed \
-                    else float(err[0] @ err[0])
+            b, n_iter, converged = solve(
+                problem, Penalty(float(grid[gi]), spec.alpha), tol=spec.tol,
+                max_iter=spec.max_iter,
+                warm_start=warm if last[gi] is None else last[gi])
+            last[gi] = warm = b
+            err = zs @ b.T - ys
+            sse[gi] += float(np.sum(err * err))
+            solves += 1
+            sweeps += sum(n_iter)
+            nonconverged += not converged
     msfe = np.array(sse) / (n_val - 1)
 
     chosen = int(grid.size - 1 - np.argmin(msfe[::-1]))
-    return LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen)
+    return LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen, solves=solves,
+                      sweeps=sweeps, nonconverged=nonconverged)
 
 
 def bic(design: DesignMatrix, model: FittedModel) -> float:

@@ -22,8 +22,9 @@ with S(u, t) = sign(u) * max(|u| - t, 0). Sweeps visit coordinates in fixed
 order, so fitting is deterministic bit-for-bit.
 
 ``prepare`` standardizes and centers a design and forms G, c and their
-list forms once; ``fit`` accepts that ``Problem`` in place of the design,
-so a lambda grid over one training window builds its Gram problem once.
+list forms once; ``solve`` returns the standardized coefficients of that
+``Problem`` at one penalty, so a lambda grid prepares each window once and
+builds no model. ``fit`` is ``prepare``, ``solve``, then the mapping back.
 
 The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
 coefficients, the partial residuals rho = c - G b and the columns of G are
@@ -67,7 +68,6 @@ from .errors import (
     CompatibilityError,
     ContractError,
     DegenerateFitError,
-    NumericalError,
 )
 
 #: back-transformed coefficients below this magnitude are reported as zero
@@ -229,7 +229,7 @@ class FittedModel:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """The centered Gram problem of one design, shared by fits over a lambda grid.
+    """The centered Gram problem of one design, shared by solves over a lambda grid.
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
     when enabled) regressors centered over the design's rows; ``cols`` and
@@ -237,7 +237,6 @@ class Problem:
     coordinate-descent kernel reads. Built by ``prepare``.
     """
 
-    design: DesignMatrix
     info: ScalingInfo
     z_bar: np.ndarray
     y_bar: np.ndarray
@@ -263,7 +262,7 @@ def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem
     Zc = Z - z_bar
     G = Zc.T @ Zc
     c = (Y - y_bar).T @ Zc
-    return Problem(design=design, info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c,
+    return Problem(info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c,
                    cols=G.T.tolist(), diag=G.diagonal().tolist())
 
 
@@ -351,7 +350,28 @@ def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
     return b, sweeps, converged
 
 
-def fit(design, penalty: Penalty, *, standardize_design: bool = True,
+def solve(problem: Problem, penalty: Penalty, *, tol: float = 1e-7,
+          max_iter: int = 10000, warm_start=None):
+    """Solve ``problem`` at one penalty; returns ``(scaled_b, n_iter, converged)``:
+    the (k x q) coefficients on the problem's scale, the sweeps per equation,
+    and whether every equation converged. ``warm_start`` takes a ``scaled_b``.
+    """
+    k, q = problem.c.shape
+    scaled_b = np.zeros((k, q))
+    n_iter = []
+    converged = True
+    for i in range(k):
+        b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
+            else np.zeros(q)
+        b, sweeps, ok = _cd_solve(problem.G, problem.cols, problem.diag,
+                                  problem.c[i], penalty, b0, tol, max_iter)
+        scaled_b[i] = b
+        n_iter.append(sweeps)
+        converged &= ok
+    return scaled_b, tuple(n_iter), converged
+
+
+def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
         tol: float = 1e-7, max_iter: int = 10000, warm_start=None) -> FittedModel:
     """Fit the penalized VARX system on the rows of ``design``.
 
@@ -359,36 +379,18 @@ def fit(design, penalty: Penalty, *, standardize_design: bool = True,
     regressors are centered/scaled by their sample statistics over these rows
     before solving, and the solution is mapped back, so reported coefficients
     are always in original units. The intercept is solved exactly (never
-    penalized). ``design`` may also be a ``Problem`` from ``prepare``, so a
-    lambda grid prepares its rows once; its standardization must match
-    ``standardize_design``. ``warm_start`` accepts the ``scaled_coeffs`` of a
-    previous fit on the same design to speed up paths over a lambda grid.
+    penalized). ``warm_start`` accepts the ``scaled_coeffs`` of a previous
+    fit on the same design to speed up paths over a lambda grid.
 
     Convergence: a sweep whose largest coefficient change is below ``tol``.
     """
-    if isinstance(design, Problem):
-        problem = design
-        if problem.info.enabled != standardize_design:
-            raise ContractError(
-                f"problem was prepared with standardize_design="
-                f"{problem.info.enabled}, fit asked for {standardize_design}")
-    else:
-        problem = prepare(design, standardize_design=standardize_design)
-    design, info = problem.design, problem.info
-    n, k, q = design.n_eff, design.k, design.q
-    scaled_b = np.zeros((k, q))
-    scaled_a = np.zeros(k)
-    n_iter = []
-    converged_all = True
-    for i in range(k):
-        b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
-            else np.zeros(q)
-        b, sweeps, ok = _cd_solve(problem.G, problem.cols, problem.diag,
-                                  problem.c[i], penalty, b0, tol, max_iter)
-        scaled_b[i] = b
-        scaled_a[i] = problem.y_bar[i] - problem.z_bar @ scaled_b[i]
-        n_iter.append(sweeps)
-        converged_all &= ok
+    problem = prepare(design, standardize_design=standardize_design)
+    scaled_b, n_iter, converged = solve(problem, penalty, tol=tol,
+                                        max_iter=max_iter, warm_start=warm_start)
+    info = problem.info
+    n, k = design.n_eff, design.k
+    scaled_a = np.array([problem.y_bar[i] - problem.z_bar @ scaled_b[i]
+                         for i in range(k)])
 
     raw_b, raw_nu = destandardize_coeffs(scaled_b, info, intercept=scaled_a)
     raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
@@ -406,7 +408,7 @@ def fit(design, penalty: Penalty, *, standardize_design: bool = True,
         col_labels=design.col_labels, target_names=design.target_names,
         exog_names=design.exog_names, p=design.p, s=design.s,
         lag_mode=design.mode, scaling=info, n_rows=n,
-        converged=converged_all, n_iter=tuple(n_iter),
+        converged=converged, n_iter=n_iter,
     )
 
 
@@ -441,24 +443,6 @@ def predict_rows(model: FittedModel, design: DesignMatrix) -> np.ndarray:
             "design regressors do not match the model: "
             f"{design.col_labels[:3]}... vs {model.col_labels[:3]}...")
     return model.nu + design.Z @ model.coeffs.T
-
-
-def predict_one_step(model: FittedModel, lags_y, lags_x=None) -> np.ndarray:
-    """One-step-ahead forecast from explicit lag values.
-
-    ``lags_y`` has shape (p, k) with lag 1 first; ``lags_x`` has shape (s, m).
-    Returns the (k,) prediction. No recursion: every lag must be observed.
-    """
-    lags_y = np.asarray(lags_y, dtype=float).reshape(model.p, model.k)
-    if model.s and model.m:
-        if lags_x is None:
-            raise ContractError(f"model needs {model.s} exogenous lag rows")
-        lags_x = np.asarray(lags_x, dtype=float).reshape(model.s, model.m)
-    z = np.concatenate([lags_y.ravel()] +
-                       ([lags_x.ravel()] if model.s and model.m else []))
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("lag values must be finite")
-    return model.nu + model.coeffs @ z
 
 
 def lambda_max(design: DesignMatrix, alpha: float, *,

@@ -516,6 +516,19 @@ def test_select_order_scan(two_year_csv, tmp_path, flags, settings):
         assert rows[1:] != _scan_rows(two_year_csv)
 
 
+def test_order_scan_records_the_scanned_ranges(two_year_csv, tmp_path):
+    out = tmp_path / "ord"
+    assert main(["select-order", "--input", str(two_year_csv), "--out", str(out),
+                 "--target", "Y1", "--grid", GRID,
+                 "--p-range", "3,1,2,1", "--s-range", "0:2"]) == 0
+    text = (out / "order_scan.csv").read_text().splitlines()
+    assert "# p_range=1,2,3" in text and "# s_range=0,1,2" in text
+
+
+def test_parser_is_built_once():
+    assert hydrovarx.cli.build_parser() is hydrovarx.cli.build_parser()
+
+
 def test_artifacts_end_every_line_in_lf(tmp_path):
     for k, targets in ((1, "Y1"), (2, "Y1,Y2")):
         src = tmp_path / f"sim{k}"

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_frame
 from hydrovarx import (
@@ -195,8 +196,54 @@ def test_select_lambda_matches_per_window_reference(refit, refit_every, k,
         standardize=standardize_design))
     msfe, chosen = reference_select_lambda(design, split, 0.5, grid, refit,
                                            refit_every, standardize_design)
-    assert path.msfe.tobytes() == msfe.tobytes()
+    np.testing.assert_allclose(path.msfe, msfe, rtol=1e-12, atol=0)
     assert path.chosen_index == chosen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2),
+       n=st.integers(40, 90),
+       exponents=st.sets(st.integers(-20, 60), min_size=1, max_size=4),
+       refit=st.sampled_from([("fixed", 1), ("expanding", 1),
+                              ("expanding", 2), ("expanding", 3)]),
+       standardize_design=st.booleans())
+def test_select_lambda_matches_reference_on_random_problems(
+        seed, k, n, exponents, refit, standardize_design):
+    grid = 10.0 ** (np.array(sorted(exponents)) / 20.0)  # 0.1 to 1000
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, k)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, k))
+    design = build_design(make_frame(y, rng.normal(size=(n, 2))),
+                          LagSpec(p=2, s=1))
+    split = SplitPlan(design.n_eff)
+    path = select_lambda(design, split, ModelSpec(
+        grid=grid, refit=refit[0], refit_every=refit[1],
+        standardize=standardize_design))
+    msfe, chosen = reference_select_lambda(design, split, 0.5, grid, *refit,
+                                           standardize_design)
+    np.testing.assert_allclose(path.msfe, msfe, rtol=1e-12, atol=0)
+    assert path.chosen_index == chosen
+
+
+@pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
+                                               ("expanding", 4)])
+def test_lambda_path_counts_its_solves(refit, refit_every):
+    design = _design(7, n=60)
+    split = SplitPlan(design.n_eff)
+    # light penalties: no solve is at its optimum after a single sweep
+    grid = np.geomspace(0.1, 2.0, 3)
+    spec = ModelSpec(grid=grid, refit=refit, refit_every=refit_every)
+    path = select_lambda(design, split, spec)
+    n_val = split.T2 - split.T1
+    windows = 1 if refit == "fixed" else -(-n_val // refit_every)
+    assert path.solves == grid.size * windows
+    assert path.sweeps >= path.solves  # one equation, at least one sweep each
+    assert path.nonconverged == 0
+    assert select_lambda(design, split, ModelSpec(
+        refit=refit, refit_every=refit_every)).nonconverged == 0
+    capped = select_lambda(design, split, replace(spec, max_iter=1))
+    assert capped.solves == path.solves
+    assert capped.sweeps == capped.solves
+    assert capped.nonconverged == capped.solves
 
 
 def test_grid_must_increase():

@@ -17,12 +17,11 @@ from hydrovarx import (
     kkt_violation,
     lambda_max,
     objective,
-    predict_one_step,
     predict_rows,
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve, _face_solve, prepare
+from hydrovarx.solver import _cd_solve, _face_solve, prepare, solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -324,18 +323,15 @@ def test_kkt_certificate_holds_for_converged_fits(seed, k, p, s, m, alpha,
     assert kkt_violation(replace(model, scaled_coeffs=b), design) > bound
 
 
-def test_fit_on_prepared_problem_equals_fit_on_design():
+def test_solve_on_prepared_problem_equals_fit_on_design():
     design = _random_design(26, k=2, m=2)
     for standardize_design in (True, False):
         problem = prepare(design, standardize_design=standardize_design)
-        a = fit(problem, Penalty(3.0, 0.5), standardize_design=standardize_design)
-        b = fit(design, Penalty(3.0, 0.5), standardize_design=standardize_design)
-        assert a.scaled_coeffs.tobytes() == b.scaled_coeffs.tobytes()
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
-        assert (a.n_rows, a.n_iter, a.support) == (b.n_rows, b.n_iter, b.support)
-        with pytest.raises(ContractError):
-            fit(problem, Penalty(3.0, 0.5),
-                standardize_design=not standardize_design)
+        b, n_iter, converged = solve(problem, Penalty(3.0, 0.5))
+        model = fit(design, Penalty(3.0, 0.5),
+                    standardize_design=standardize_design)
+        assert b.tobytes() == model.scaled_coeffs.tobytes()
+        assert (n_iter, converged) == (model.n_iter, model.converged)
 
 
 def test_duplicated_column_coefficients_split_equally():
@@ -423,21 +419,6 @@ def test_sigma2_definition():
     rss = float((resid ** 2).sum())
     dof = max(1, design.n_eff - len(model.support) - design.k)
     np.testing.assert_allclose(model.sigma2, rss / dof, rtol=1e-10)
-
-
-def test_predict_one_step_matches_predict_rows():
-    frame_vals = np.random.default_rng(15).normal(size=(30, 1))
-    exog_vals = np.random.default_rng(16).normal(size=(30, 2))
-    frame = make_frame(frame_vals, exog_vals)
-    design = build_design(frame, LagSpec(p=2, s=1))
-    model = fit(design, Penalty(2.0, 0.5))
-    preds = predict_rows(model, design)
-    # rebuild the row-4 prediction from raw lag values
-    t = 4 + 2   # design row 4 is frame row 6
-    lags_y = frame.targets[[t - 1, t - 2]]
-    lags_x = exog_vals[[t - 1]]
-    one = predict_one_step(model, lags_y, lags_x)
-    np.testing.assert_allclose(one, preds[4], atol=1e-12)
 
 
 def test_predict_rows_rejects_mismatched_design():
