@@ -4,9 +4,9 @@ Choosing lag orders with BIC
 
 How many of its own lags does the target need, and how many driver lags?
 Scan a grid of candidate orders; each candidate re-selects its penalty on
-the validation third, refits on the training third, and is scored by BIC
-there. All candidates see identical response rows, so the scores compare
-cleanly.
+the validation third and is scored by BIC on the training third, with the
+training fit its penalty path already made. All candidates see identical
+response rows, so the scores compare cleanly.
 """
 
 import numpy as np

@@ -125,8 +125,10 @@ def _parse_range(text: str) -> list[int]:
 
 # --- artifact writers --------------------------------------------------------
 
-def _header_lines(config: RunConfig, command: str) -> list[str]:
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+def _header_lines(settings: dict, command: str) -> list[str]:
+    """The lines that open every CSV artifact; ``settings`` is the run's
+    resolved configuration as written (``RunConfig.to_dict``)."""
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return [f"# hydrovarx-artifact-version: {ARTIFACT_VERSION}",
             f"# command: {command}",
             f"# config: {blob}"]
@@ -147,9 +149,9 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _json_doc(config: RunConfig, command: str, body: dict) -> dict:
+def _json_doc(settings: dict, command: str, body: dict) -> dict:
     return {"artifact_version": ARTIFACT_VERSION, "command": command,
-            "config": config.to_dict(), **body}
+            "config": settings, **body}
 
 
 def _write_table(path, lines, columns, rows) -> None:
@@ -220,9 +222,20 @@ def _audit_or_die(report, frame) -> None:
             raise ContractError(f"internal leakage audit failed: {counts}")
 
 
+def _warn_unconverged_solves(command: str, work, max_iter: int,
+                             where: str = "") -> None:
+    """Warn when lambda-path solves (``work``: a ``LambdaPath`` or an
+    ``OrderScan``) stopped at max_iter before converging."""
+    if work.nonconverged:
+        print(f"hydrovarx {command}: warning: {work.nonconverged} of "
+              f"{work.solves} lambda-path solves did not converge within "
+              f"max_iter={max_iter} sweeps{where}", file=sys.stderr)
+
+
 def _warn_outcomes(command: str, report, run: str = "") -> None:
     """Say on stderr what the artifacts leave unsaid: a lambda at the grid's
-    edge, or a final fit that stopped at max_iter before converging."""
+    edge, or lambda-path solves or a final fit that stopped at max_iter
+    before converging."""
     where = f" ({run} run)" if run else ""
     path, model = report.lambda_path, report.model
     if path.at_edge:
@@ -231,6 +244,7 @@ def _warn_outcomes(command: str, report, run: str = "") -> None:
               f"{path.chosen_lambda:.10g} is the {side} grid value{where}; "
               "the validation MSFE minimum may lie outside the grid",
               file=sys.stderr)
+    _warn_unconverged_solves(command, path, report.spec.max_iter, where)
     if not model.converged:
         print(f"hydrovarx {command}: warning: final fit did not converge "
               f"within max_iter={report.spec.max_iter} sweeps{where} "
@@ -258,15 +272,16 @@ def cmd_fit(config: RunConfig) -> int:
     _audit_or_die(report, frame)
     _warn_outcomes("fit", report)
     out = _outdir(config)
-    heads = _header_lines(config, "fit")
+    settings = config.to_dict()
+    heads = _header_lines(settings, "fit")
     _write_json(out / "model.json",
-                _json_doc(config, "fit", {"model": report.model.to_dict()}))
+                _json_doc(settings, "fit", {"model": report.model.to_dict()}))
     lams = report.lambda_path
     _write_table(out / "lambda_path.csv",
                  [*heads, f"# chosen_lambda={_g(lams.chosen_lambda)}"],
                  ["lambda", "msfe"], zip(map(_g, lams.grid), map(_g, lams.msfe)))
     _write_coefficients_csv(out / "coefficients.csv", report.model, heads)
-    _write_json(out / "config.json", _json_doc(config, "fit", {}))
+    _write_json(out / "config.json", _json_doc(settings, "fit", {}))
     return 0
 
 
@@ -305,12 +320,13 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
                                 f"segment (T2={split.T2}): n_rows={model.n_rows}")
     series, reports, line = score(model, design, split, config.ci_multiplier)
     out = _outdir(config)
-    heads = _header_lines(config, "evaluate")
+    settings = config.to_dict()
+    heads = _header_lines(settings, "evaluate")
     _write_metrics_csv(out / "metrics.csv", reports, design.target_names, heads)
     _write_forecast_csv(out / "forecast.csv", series, heads)
     _write_json(out / "regression_line.json",
-                _json_doc(config, "evaluate", {"regression_line": line.to_dict()}))
-    _write_json(out / "config.json", _json_doc(config, "evaluate", {}))
+                _json_doc(settings, "evaluate", {"regression_line": line.to_dict()}))
+    _write_json(out / "config.json", _json_doc(settings, "evaluate", {}))
     return 0
 
 
@@ -323,7 +339,8 @@ def cmd_ablate(config: RunConfig) -> int:
     _warn_outcomes("ablate", result.full, "full")
     _warn_outcomes("ablate", result.reduced, "reduced")
     out = _outdir(config)
-    heads = _header_lines(config, "ablate")
+    settings = config.to_dict()
+    heads = _header_lines(settings, "ablate")
     _write_metrics_csv(out / "metrics_full.csv", result.full.metrics,
                        result.full.design.target_names, heads)
     _write_metrics_csv(out / "metrics_reduced.csv", result.reduced.metrics,
@@ -333,7 +350,7 @@ def cmd_ablate(config: RunConfig) -> int:
                          ["metric", "full", "reduced", "delta"], names,
                          ([[key, *map(_g, values)] for key, *values
                            in result.delta_rows(t)] for t in range(len(names))))
-    _write_json(out / "config.json", _json_doc(config, "ablate", {}))
+    _write_json(out / "config.json", _json_doc(settings, "ablate", {}))
     return 0
 
 
@@ -344,16 +361,21 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     pre = preprocess(frame, spec, config.drop)
     with _stage("select-order"):
         scan = select_order(pre, p_range, s_range, spec)
+    _warn_unconverged_solves("select-order", scan, spec.max_iter)
     out = _outdir(config)
+    # the scan reads the ranges, never the config's single p and s
+    settings = {**config.to_dict(), "p_range": list(p_range),
+                "s_range": list(s_range)}
+    del settings["p"], settings["s"]
     _write_table(out / "order_scan.csv",
-                 [*_header_lines(config, "select-order"),
+                 [*_header_lines(settings, "select-order"),
                   f"# p_range={','.join(map(str, p_range))}",
                   f"# s_range={','.join(map(str, s_range))}",
                   f"# chosen_p={scan.chosen_p}", f"# chosen_s={scan.chosen_s}"],
                  ["p", "s", "bic", "lambda"],
                  ([p, s, _g(bic), _g(lam)] for (p, s), bic, lam
                   in zip(scan.candidates, scan.bic, scan.lambdas)))
-    _write_json(out / "config.json", _json_doc(config, "select-order", {}))
+    _write_json(out / "config.json", _json_doc(settings, "select-order", {}))
     return 0
 
 

@@ -21,7 +21,8 @@ from .errors import (
     InsufficientDataError,
 )
 from .frame import SEASONS, TimeSeriesFrame
-from .solver import FittedModel, Penalty, fit, predict_rows, prepare, solve
+from .solver import FittedModel, Penalty, _finish, predict_rows, prepare, solve
+from .solver import fit  # noqa: F401  perfbench traces hydrovarx.selection.fit
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
 
@@ -190,6 +191,16 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     which ``ModelSpec`` has validated. The lag orders are the design's own;
     ``spec.p``, ``spec.s`` and ``spec.lag_mode`` are not read.
     """
+    return _lambda_path(design, split, spec)[0]
+
+
+def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
+    """``select_lambda``'s path, the first window's ``Problem``, and that
+    window's ``(scaled_b, n_iter, converged)`` per grid value.
+
+    Under either refit policy the first window is [0, T1), the training
+    segment ``split.train``, so these are the train fits at every lambda.
+    """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
     n_val = split.T2 - split.T1
@@ -200,8 +211,10 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     # fixed refit is one window that predicts the whole validation segment;
     # expanding refit re-fits on [0, t) every refit_every rows t
     step = n_val if spec.refit == "fixed" else spec.refit_every
+    penalties = [Penalty(float(lam), spec.alpha) for lam in grid]
     sse = [0.0] * grid.size
-    last = [None] * grid.size  # each lambda's coefficients on its last window
+    last = [None] * grid.size  # each lambda's solve on its last window
+    first = None
     solves = sweeps = nonconverged = 0
     for start in range(split.T1, split.T2, step):
         stop = min(start + step, split.T2)
@@ -212,25 +225,27 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
         info = problem.info
         zs = (design.Z[start:stop] - info.z_mean) / info.z_sd - problem.z_bar
         ys = design.Y[start:stop] - info.y_mean - problem.y_bar
-        warm = None
+        b = None
         for gi in range(grid.size - 1, -1, -1):
             # the first window chains warm starts down the grid; later ones
             # start each lambda from its own previous window
-            b, n_iter, converged = solve(
-                problem, Penalty(float(grid[gi]), spec.alpha), tol=spec.tol,
-                max_iter=spec.max_iter,
-                warm_start=warm if last[gi] is None else last[gi])
-            last[gi] = warm = b
+            last[gi] = solve(problem, penalties[gi], tol=spec.tol,
+                             max_iter=spec.max_iter,
+                             warm_start=b if last[gi] is None else last[gi][0])
+            b, n_iter, converged = last[gi]
             err = zs @ b.T - ys
             sse[gi] += float(np.sum(err * err))
             solves += 1
             sweeps += sum(n_iter)
             nonconverged += not converged
+        if first is None:
+            first = problem, last.copy()
     msfe = np.array(sse) / (n_val - 1)
 
     chosen = int(grid.size - 1 - np.argmin(msfe[::-1]))
-    return LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen, solves=solves,
+    path = LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen, solves=solves,
                       sweeps=sweeps, nonconverged=nonconverged)
+    return path, *first
 
 
 def bic(design: DesignMatrix, model: FittedModel) -> float:
@@ -259,12 +274,19 @@ def bic(design: DesignMatrix, model: FittedModel) -> float:
 
 @dataclass(frozen=True)
 class OrderScan:
-    """BIC for each candidate (p, s); ties prefer smaller p, then smaller s."""
+    """BIC for each candidate (p, s); ties prefer smaller p, then smaller s.
+
+    ``solves``, ``sweeps`` and ``nonconverged`` sum the candidates' lambda
+    paths (see ``LambdaPath``); the train models are among those solves.
+    """
 
     candidates: tuple[tuple[int, int], ...]
     bic: np.ndarray
     lambdas: np.ndarray
     chosen: tuple[int, int]
+    solves: int = 0
+    sweeps: int = 0
+    nonconverged: int = 0
 
     def __post_init__(self) -> None:
         for name in ("bic", "lambdas"):
@@ -287,40 +309,54 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
 
     All candidates are trimmed to the response rows usable under the largest
     orders in the scan, so their likelihoods are computed on identical rows
-    and the BIC values compare cleanly.
+    and the BIC values compare cleanly. On those rows each candidate's
+    design is a column cut of the widest design, (p_max, s_max): its target
+    lags 1..p, then its exogenous lags 1..s. A lag's columns do not depend on
+    the other lags, so the cut equals the candidate's own design on the same
+    rows, in either lag mode.
 
-    Every candidate design uses ``spec.lag_mode``; ``select_lambda`` reads
-    its settings from ``spec``, and the train model is fit with ``spec``'s
-    ``alpha``, ``standardize``, ``tol`` and ``max_iter``. The ranges, not
-    ``spec.p`` and ``spec.s``, give the lag orders.
+    Every candidate design uses ``spec.lag_mode``; its lambda path reads its
+    settings from ``spec`` as ``select_lambda`` does. The train model is the
+    path's train fit at the chosen lambda, not a refit: the first window of
+    either refit policy is the training segment, solved warm from the next
+    larger lambda (cold at the largest). The ranges, not ``spec.p`` and
+    ``spec.s``, give the lag orders.
     """
     p_range = sorted(set(int(p) for p in p_range))
     s_range = sorted(set(int(s) for s in s_range))
     if not p_range or not s_range:
         raise ContractError("p_range and s_range must be non-empty")
     p_max, s_max = p_range[-1], s_range[-1]
-    common = build_design(frame, LagSpec(p_max, s_max, spec.lag_mode)).row_dates
-    split = SplitPlan(len(common))
+    wide = build_design(frame, LagSpec(p_max, s_max, spec.lag_mode))
+    split = SplitPlan(wide.n_eff)
+    k, m = wide.k, len(wide.exog_names)
 
     candidates = [(p, s) for p in p_range for s in s_range]
     bics = np.empty(len(candidates))
     lams = np.empty(len(candidates))
+    solves = sweeps = nonconverged = 0
     for ci, (p, s) in enumerate(candidates):
-        d = build_design(frame, LagSpec(p, s, spec.lag_mode))
-        d = d.take(np.isin(d.row_dates, common))
-        if not np.array_equal(d.row_dates, common):
-            raise ContractError("candidate rows do not cover the common row set")
-        path = select_lambda(d, split, spec)
+        y_cols, x_cols = slice(0, p * k), slice(p_max * k, p_max * k + s * m)
+        d = DesignMatrix(
+            Y=wide.Y, Z=np.hstack([wide.Z[:, y_cols], wide.Z[:, x_cols]]),
+            row_dates=wide.row_dates,
+            col_labels=wide.col_labels[y_cols] + wide.col_labels[x_cols],
+            target_names=wide.target_names, exog_names=wide.exog_names,
+            p=p, s=s, mode=wide.mode)
+        path, problem, fits = _lambda_path(d, split, spec)
         train = d.take(split.train)
-        model = fit(train, Penalty(path.chosen_lambda, spec.alpha),
-                    standardize_design=spec.standardize,
-                    tol=spec.tol, max_iter=spec.max_iter)
+        model = _finish(train, problem, Penalty(path.chosen_lambda, spec.alpha),
+                        *fits[path.chosen_index])
         bics[ci] = bic(train, model)
         lams[ci] = path.chosen_lambda
+        solves += path.solves
+        sweeps += path.sweeps
+        nonconverged += path.nonconverged
 
     best = 0
     for ci in range(1, len(candidates)):  # lexicographic order: first strict min wins
         if bics[ci] < bics[best]:
             best = ci
     return OrderScan(candidates=tuple(candidates), bic=bics, lambdas=lams,
-                     chosen=candidates[best])
+                     chosen=candidates[best], solves=solves, sweeps=sweeps,
+                     nonconverged=nonconverged)

@@ -24,7 +24,8 @@ order, so fitting is deterministic bit-for-bit.
 ``prepare`` standardizes and centers a design and forms G, c and their
 list forms once; ``solve`` returns the standardized coefficients of that
 ``Problem`` at one penalty, so a lambda grid prepares each window once and
-builds no model. ``fit`` is ``prepare``, ``solve``, then the mapping back.
+builds no model. ``fit`` is ``prepare``, ``solve``, then ``_finish``, the
+mapping back, which also turns a grid's solve into a model without a refit.
 
 The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
 coefficients, the partial residuals rho = c - G b and the columns of G are
@@ -86,12 +87,6 @@ class Penalty:
             raise ContractError(f"lambda must be finite and >= 0, got {self.lam}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ContractError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-    def value(self, coeffs: np.ndarray) -> float:
-        """Penalty term for a coefficient array (any shape)."""
-        b = np.asarray(coeffs, dtype=float).ravel()
-        return float(self.lam * (self.alpha * np.abs(b).sum()
-                                 + (1.0 - self.alpha) * (b @ b)))
 
 
 @dataclass(frozen=True)
@@ -387,6 +382,13 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     problem = prepare(design, standardize_design=standardize_design)
     scaled_b, n_iter, converged = solve(problem, penalty, tol=tol,
                                         max_iter=max_iter, warm_start=warm_start)
+    return _finish(design, problem, penalty, scaled_b, n_iter, converged)
+
+
+def _finish(design: DesignMatrix, problem: Problem, penalty: Penalty,
+            scaled_b, n_iter, converged) -> FittedModel:
+    """The model of a ``solve`` result on ``problem``, which ``prepare`` made
+    from ``design``: the intercept, original units, support and sigma2."""
     info = problem.info
     n, k = design.n_eff, design.k
     scaled_a = np.array([problem.y_bar[i] - problem.z_bar @ scaled_b[i]
@@ -433,7 +435,10 @@ def objective(design: DesignMatrix, model: FittedModel, penalty: Penalty) -> flo
     """Penalized RSS of ``model``'s original-unit coefficients on ``design``."""
     pred = predict_rows(model, design)
     resid = design.Y - pred
-    return float(np.sum(resid * resid)) + penalty.value(model.coeffs)
+    b = model.coeffs.ravel()
+    lam, alpha = penalty.lam, penalty.alpha
+    return float(np.sum(resid * resid)) \
+        + float(lam * (alpha * np.abs(b).sum() + (1.0 - alpha) * (b @ b)))
 
 
 def predict_rows(model: FittedModel, design: DesignMatrix) -> np.ndarray:

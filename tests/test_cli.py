@@ -226,7 +226,10 @@ def test_fit_warns_on_edge_lambda_or_unconverged_fit(synth_csv, tmp_path, capsys
     out = tmp_path / "fit"
     assert main([*args, *extra, "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert err.count("hydrovarx fit: warning:") == 1 and needle in err
+    unconverged = "--max-iter" in extra  # which stops lambda-path solves too
+    assert err.count("hydrovarx fit: warning:") == 1 + unconverged and needle in err
+    assert ("lambda-path solves did not converge within max_iter=3 sweeps"
+            in err) == unconverged
     warned = _snapshot(out)
     assert all(b"warning" not in blob for blob in warned.values())
     # the warning goes to stderr only: the artifacts are those of a silent run
@@ -243,12 +246,14 @@ def test_ablate_warns_for_each_run(synth_csv, tmp_path, capsys, monkeypatch):
             "--max-iter", "1", "--drop", "x1"]
     assert main(args) == 0, capsys.readouterr().err
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4
+    assert len(err) == 6
     assert all(line.startswith("hydrovarx ablate: warning:") for line in err)
-    assert "smallest grid value (full run)" in err[0]
-    assert "did not converge within max_iter=1 sweeps (full run)" in err[1]
-    assert "smallest grid value (reduced run)" in err[2]
-    assert "did not converge within max_iter=1 sweeps (reduced run)" in err[3]
+    for i, run in ((0, "full"), (3, "reduced")):
+        assert f"smallest grid value ({run} run)" in err[i]
+        assert f"of 4 lambda-path solves did not converge within max_iter=1 " \
+            f"sweeps ({run} run)" in err[i + 1]
+        assert f"final fit did not converge within max_iter=1 sweeps ({run} run)" \
+            in err[i + 2]
     warned = _snapshot(out)
     monkeypatch.setattr(hydrovarx.cli, "_warn_outcomes", lambda *a: None)
     assert main(args) == 0
@@ -523,6 +528,31 @@ def test_order_scan_records_the_scanned_ranges(two_year_csv, tmp_path):
                  "--p-range", "3,1,2,1", "--s-range", "0:2"]) == 0
     text = (out / "order_scan.csv").read_text().splitlines()
     assert "# p_range=1,2,3" in text and "# s_range=0,1,2" in text
+    # the recorded config holds the ranges the scan read, not the unread p, s
+    cfg = parse_artifact_header(out / "order_scan.csv")
+    assert (cfg["p_range"], cfg["s_range"]) == ([1, 2, 3], [0, 1, 2])
+    assert "p" not in cfg and "s" not in cfg
+    assert json.loads((out / "config.json").read_text())["config"] == cfg
+
+
+def test_select_order_warns_on_unconverged_solves(two_year_csv, tmp_path, capsys,
+                                                   monkeypatch):
+    args = ["select-order", "--input", str(two_year_csv), "--target", "Y1",
+            "--grid", GRID, "--p-range", "1:2", "--s-range", "0:1"]
+    assert main([*args, "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().err == ""
+
+    out = tmp_path / "capped"
+    assert main([*args, "--max-iter", "1", "--out", str(out)]) == 0
+    # 4 candidates x 6 lambdas, one fixed-refit window each
+    assert capsys.readouterr().err == (
+        "hydrovarx select-order: warning: 24 of 24 lambda-path solves did not "
+        "converge within max_iter=1 sweeps\n")
+    warned = _snapshot(out)
+    monkeypatch.setattr(hydrovarx.cli, "_warn_unconverged_solves", lambda *a: None)
+    assert main([*args, "--max-iter", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _snapshot(out) == warned
 
 
 def test_parser_is_built_once():

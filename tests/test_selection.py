@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_frame
+import hydrovarx.selection
 from hydrovarx import (
     LagSpec,
     LambdaPath,
@@ -22,9 +23,10 @@ from hydrovarx import (
     select_lambda,
     select_order,
 )
-from hydrovarx.errors import ContractError, InsufficientDataError
-from hydrovarx.selection import check_grid
+from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
+from hydrovarx.selection import _lambda_path, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
+from hydrovarx.solver import _finish, kkt_violation
 
 
 def _design(seed=0, n=90, m=2, p=2, s=1):
@@ -364,7 +366,107 @@ def test_select_order_scores_a_candidate_under_its_spec():
     model = fit(train, Penalty(path.chosen_lambda, 0.8), standardize_design=False,
                 tol=1e-6, max_iter=50)
     assert scan.lambdas.tolist() == [path.chosen_lambda]
-    assert scan.bic.tolist() == [bic(train, model)]
+    # the scan's train model is the path's warm solve, not this cold refit
+    want = bic(train, model)
+    assert abs(scan.bic[0] - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def reference_select_order(frame, p_range, s_range, spec):
+    """The scan one candidate at a time, as select_order ran before it cut
+    every candidate from the widest design: the candidate's own
+    build_design, its rows aligned to the widest one's with isin, and a
+    cold train fit at the chosen lambda. Per candidate: (design, lambda,
+    BIC, train model, train design)."""
+    p_range, s_range = sorted(set(p_range)), sorted(set(s_range))
+    common = build_design(frame, LagSpec(p_range[-1], s_range[-1],
+                                         spec.lag_mode)).row_dates
+    split = SplitPlan(len(common))
+    out = []
+    for p in p_range:
+        for s in s_range:
+            d = build_design(frame, LagSpec(p, s, spec.lag_mode))
+            d = d.take(np.isin(d.row_dates, common))
+            assert np.array_equal(d.row_dates, common)
+            lam = select_lambda(d, split, spec).chosen_lambda
+            train = d.take(split.train)
+            model = fit(train, Penalty(lam, spec.alpha),
+                        standardize_design=spec.standardize, tol=spec.tol,
+                        max_iter=spec.max_iter)
+            out.append((d, lam, bic(train, model), model, train))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), m=st.integers(0, 2),
+       n=st.integers(60, 120), gap_rate=st.sampled_from([0.0, 0.05, 0.15]),
+       p_range=st.sets(st.integers(1, 3), min_size=1, max_size=3),
+       s_range=st.sets(st.integers(0, 2), min_size=1, max_size=3),
+       lag_mode=st.sampled_from(["calendar", "positional"]),
+       refit=st.sampled_from([("fixed", 1), ("expanding", 1), ("expanding", 4)]),
+       standardize_design=st.booleans())
+def test_select_order_matches_per_candidate_reference(
+        seed, k, m, n, gap_rate, p_range, s_range, lag_mode, refit,
+        standardize_design):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, k)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, k))
+    frame = make_frame(y, rng.normal(size=(n, m)))
+    # skip a day after some rows, so calendar and positional lags differ
+    gaps = np.concatenate([[0], np.cumsum(rng.random(n - 1) < gap_rate)])
+    frame = replace(frame, dates=frame.dates + gaps)
+    spec = ModelSpec(grid=np.geomspace(0.5, 80.0, 5), lag_mode=lag_mode,
+                     refit=refit[0], refit_every=refit[1],
+                     standardize=standardize_design)
+    try:
+        want = reference_select_order(frame, p_range, s_range, spec)
+    except HydroVarxError as exc:  # too few rows: both scans refuse alike
+        with pytest.raises(type(exc)):
+            select_order(frame, p_range, s_range, spec)
+        return
+
+    seen = []  # every candidate design and lambda path the scan makes
+
+    def spy(design, split, spec):
+        result = _lambda_path(design, split, spec)
+        seen.append((design, split, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hydrovarx.selection, "_lambda_path", spy)
+        scan = select_order(frame, p_range, s_range, spec)
+    assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
+    for (d, _, ref_bic, ref_model, ref_train), got_bic, (cut, split, result) \
+            in zip(want, scan.bic, seen, strict=True):
+        for name in ("Y", "Z", "row_dates"):
+            assert getattr(cut, name).tobytes() == getattr(d, name).tobytes()
+        assert (cut.col_labels, cut.p, cut.s, cut.mode) \
+            == (d.col_labels, d.p, d.s, d.mode)
+        if abs(got_bic - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic)):
+            continue
+        # a BIC outside the bound is a different support, and each train
+        # model must then be optimal on its own
+        path, problem, fits = result
+        train = cut.take(split.train)
+        model = _finish(train, problem, Penalty(path.chosen_lambda, spec.alpha),
+                        *fits[path.chosen_index])
+        assert model.support != ref_model.support
+        bound = train.q * (train.n_eff - 1) * spec.tol
+        assert kkt_violation(model, train) <= bound
+        assert kkt_violation(ref_model, ref_train) <= bound
+
+
+def test_order_scan_counts_its_solves():
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
+                                  beta=np.array([[[0.8]]]), seed=3))
+    # light penalties: no solve is at its optimum after a single sweep
+    spec = ModelSpec(grid=np.geomspace(0.1, 2.0, 3))
+    scan = select_order(frame, [1, 2], [0, 1], spec)
+    paths = [select_lambda(d, SplitPlan(d.n_eff), spec)
+             for d, *_ in reference_select_order(frame, [1, 2], [0, 1], spec)]
+    assert scan.solves == sum(path.solves for path in paths) == 4 * 3
+    assert scan.sweeps == sum(path.sweeps for path in paths)
+    assert scan.nonconverged == 0
+    capped = select_order(frame, [1, 2], [0, 1], replace(spec, max_iter=1))
+    assert capped.solves == capped.sweeps == capped.nonconverged == scan.solves
 
 
 def test_select_order_validates_ranges():

@@ -93,7 +93,10 @@ def _scaled_objective(design, model, penalty):
     """Penalized RSS on the standardized scale the solver minimizes."""
     scaled = standardize(design)[0]
     resid = scaled.Y - model.scaled_intercept - scaled.Z @ model.scaled_coeffs.T
-    return float(np.sum(resid * resid)) + penalty.value(model.scaled_coeffs)
+    b = model.scaled_coeffs.ravel()
+    lam, alpha = penalty.lam, penalty.alpha
+    return float(np.sum(resid * resid)) \
+        + lam * (alpha * np.abs(b).sum() + (1.0 - alpha) * (b @ b))
 
 
 def test_objective_history_monotone():
