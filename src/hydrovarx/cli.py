@@ -369,8 +369,6 @@ def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     del settings["p"], settings["s"]
     _write_table(out / "order_scan.csv",
                  [*_header_lines(settings, "select-order"),
-                  f"# p_range={','.join(map(str, p_range))}",
-                  f"# s_range={','.join(map(str, s_range))}",
                   f"# chosen_p={scan.chosen_p}", f"# chosen_s={scan.chosen_s}"],
                  ["p", "s", "bic", "lambda"],
                  ([p, s, _g(bic), _g(lam)] for (p, s), bic, lam

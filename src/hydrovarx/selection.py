@@ -284,9 +284,9 @@ class OrderScan:
     bic: np.ndarray
     lambdas: np.ndarray
     chosen: tuple[int, int]
-    solves: int = 0
-    sweeps: int = 0
-    nonconverged: int = 0
+    solves: int
+    sweeps: int
+    nonconverged: int
 
     def __post_init__(self) -> None:
         for name in ("bic", "lambdas"):
@@ -326,6 +326,7 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     s_range = sorted(set(int(s) for s in s_range))
     if not p_range or not s_range:
         raise ContractError("p_range and s_range must be non-empty")
+    LagSpec(p_range[0], s_range[0], spec.lag_mode)  # the smallest orders, too
     p_max, s_max = p_range[-1], s_range[-1]
     wide = build_design(frame, LagSpec(p_max, s_max, spec.lag_mode))
     split = SplitPlan(wide.n_eff)

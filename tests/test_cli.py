@@ -526,13 +526,25 @@ def test_order_scan_records_the_scanned_ranges(two_year_csv, tmp_path):
     assert main(["select-order", "--input", str(two_year_csv), "--out", str(out),
                  "--target", "Y1", "--grid", GRID,
                  "--p-range", "3,1,2,1", "--s-range", "0:2"]) == 0
-    text = (out / "order_scan.csv").read_text().splitlines()
-    assert "# p_range=1,2,3" in text and "# s_range=0,1,2" in text
     # the recorded config holds the ranges the scan read, not the unread p, s
     cfg = parse_artifact_header(out / "order_scan.csv")
     assert (cfg["p_range"], cfg["s_range"]) == ([1, 2, 3], [0, 1, 2])
     assert "p" not in cfg and "s" not in cfg
     assert json.loads((out / "config.json").read_text())["config"] == cfg
+
+
+@pytest.mark.parametrize("flag, value, msg", [("--p-range", "0:2", "p must be >= 1"),
+                                              ("--s-range", "-1,0,1", "s must be >= 0")])
+def test_select_order_rejects_out_of_range_orders(two_year_csv, tmp_path, capsys,
+                                                  flag, value, msg):
+    out = tmp_path / "ord"
+    ranges = {"--p-range": "1:2", "--s-range": "0:1", flag: value}
+    rc = main(["select-order", "--input", str(two_year_csv), "--out", str(out),
+               "--target", "Y1", "--grid", GRID,
+               *(f"{k}={v}" for k, v in ranges.items())])
+    assert rc == 2
+    assert f"hydrovarx select-order: select-order: {msg}" in capsys.readouterr().err
+    assert not (out / "order_scan.csv").exists()
 
 
 def test_select_order_warns_on_unconverged_solves(two_year_csv, tmp_path, capsys,

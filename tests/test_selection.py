@@ -475,6 +475,11 @@ def test_select_order_validates_ranges():
         select_order(frame, [], [0])
     with pytest.raises(ContractError):
         select_order(frame, [0], [0])   # p must stay >= 1
+    # every order is checked, not only the widest that the design is built from
+    with pytest.raises(ContractError, match="p must be >= 1"):
+        select_order(frame, [0, 1], [0])
+    with pytest.raises(ContractError, match="s must be >= 0"):
+        select_order(frame, [1], [-1, 0])
 
 
 def test_lambda_path_at_edge():
