@@ -21,7 +21,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .frame import SEASONS, TimeSeriesFrame
-from .solver import FittedModel, Penalty, _finish, predict_rows, prepare, solve
+from .solver import FittedModel, Penalty, _finish, _solve, predict_rows, prepare
 from .solver import fit  # noqa: F401  perfbench traces hydrovarx.selection.fit
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
@@ -135,7 +135,8 @@ class ModelSpec:
 class LambdaPath:
     """MSFE per grid value and the chosen index (ties go to the larger lambda),
     with the solver's work: one solve per (lambda, refit window), their
-    sweeps, and the solves that stopped at ``max_iter`` unconverged."""
+    iterations (``sweeps``), the solves that stopped at ``max_iter``
+    uncertified, and the largest KKT residual any solve returned."""
 
     grid: np.ndarray
     msfe: np.ndarray
@@ -143,6 +144,7 @@ class LambdaPath:
     solves: int = 0
     sweeps: int = 0
     nonconverged: int = 0
+    kkt_max: float = 0.0
 
     def __post_init__(self) -> None:
         grid = check_grid(self.grid)
@@ -216,6 +218,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     last = [None] * grid.size  # each lambda's solve on its last window
     first = None
     solves = sweeps = nonconverged = 0
+    kkt_max = 0.0
     for start in range(split.T1, split.T2, step):
         stop = min(start + step, split.T2)
         problem = prepare(design.take(slice(0, start)),
@@ -229,22 +232,23 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
         for gi in range(grid.size - 1, -1, -1):
             # the first window chains warm starts down the grid; later ones
             # start each lambda from its own previous window
-            last[gi] = solve(problem, penalties[gi], tol=spec.tol,
-                             max_iter=spec.max_iter,
-                             warm_start=b if last[gi] is None else last[gi][0])
-            b, n_iter, converged = last[gi]
+            b, n_iter, converged, kkt = _solve(
+                problem, penalties[gi], spec.tol, spec.max_iter,
+                b if last[gi] is None else last[gi][0])
+            last[gi] = b, n_iter, converged
             err = zs @ b.T - ys
             sse[gi] += float(np.sum(err * err))
             solves += 1
             sweeps += sum(n_iter)
             nonconverged += not converged
+            kkt_max = max(kkt_max, kkt)
         if first is None:
             first = problem, last.copy()
     msfe = np.array(sse) / (n_val - 1)
 
     chosen = int(grid.size - 1 - np.argmin(msfe[::-1]))
     path = LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen, solves=solves,
-                      sweeps=sweeps, nonconverged=nonconverged)
+                      sweeps=sweeps, nonconverged=nonconverged, kkt_max=kkt_max)
     return path, *first
 
 
@@ -277,7 +281,8 @@ class OrderScan:
     """BIC for each candidate (p, s); ties prefer smaller p, then smaller s.
 
     ``solves``, ``sweeps`` and ``nonconverged`` sum the candidates' lambda
-    paths (see ``LambdaPath``); the train models are among those solves.
+    paths (see ``LambdaPath``), and ``kkt_max`` is the largest of theirs;
+    the train models are among those solves.
     """
 
     candidates: tuple[tuple[int, int], ...]
@@ -287,6 +292,7 @@ class OrderScan:
     solves: int
     sweeps: int
     nonconverged: int
+    kkt_max: float
 
     def __post_init__(self) -> None:
         for name in ("bic", "lambdas"):
@@ -336,6 +342,7 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     bics = np.empty(len(candidates))
     lams = np.empty(len(candidates))
     solves = sweeps = nonconverged = 0
+    kkt_max = 0.0
     for ci, (p, s) in enumerate(candidates):
         y_cols, x_cols = slice(0, p * k), slice(p_max * k, p_max * k + s * m)
         d = DesignMatrix(
@@ -353,6 +360,7 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
         solves += path.solves
         sweeps += path.sweeps
         nonconverged += path.nonconverged
+        kkt_max = max(kkt_max, path.kkt_max)
 
     best = 0
     for ci in range(1, len(candidates)):  # lexicographic order: first strict min wins
@@ -360,4 +368,4 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
             best = ci
     return OrderScan(candidates=tuple(candidates), bic=bics, lambdas=lams,
                      chosen=candidates[best], solves=solves, sweeps=sweeps,
-                     nonconverged=nonconverged)
+                     nonconverged=nonconverged, kkt_max=kkt_max)

@@ -1,4 +1,4 @@
-"""Elastic-net VARX estimation by cyclic coordinate descent.
+"""Elastic-net VARX estimation by a certified active-set method.
 
 The objective is the penalized residual sum of squares, exactly as stated
 (RSS is not divided by the number of rows):
@@ -12,42 +12,38 @@ the penalty acts on the standardized coefficients, which keeps lambda
 comparable across columns with different physical units.
 
 The problem separates by target equation, so each row of B is solved
-independently. Coordinate updates use the covariance form: with G = Zc'Zc and
-c = Zc'y precomputed, each update costs O(q) and a full sweep O(q^2). The
-coordinate-wise minimizer is the soft-threshold rule
+independently, in the covariance form of Friedman, Hastie & Tibshirani
+(2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
+alpha) I, the gradient of one equation is g = c - H b. ``prepare``
+standardizes and centers a design and forms G and c once; ``solve`` returns
+the standardized coefficients of that ``Problem`` at one penalty, so a lambda
+grid prepares each window once and builds no model. ``fit`` is ``prepare``,
+``solve``, then ``_finish``, the mapping back, which also turns a grid's
+solve into a model without a refit.
 
-    b_j <- S(z_j' r_(-j), lambda * alpha / 2) / (||z_j||^2 + lambda * (1 - alpha))
+The kernel (``_cd_solve``) is the active-set method of Osborne, Presnell &
+Turlach (2000). With t = lambda alpha / 2, b is optimal when every nonzero
+b_j has g_j = t sign(b_j) and every zero one |g_j| <= t. Each iteration
+computes g with one matrix-vector product and checks these conditions in a
+Python loop over the q coordinates, to the bound tol * max(1, max_j G_jj).
+If every coordinate passes, b is certified optimal and the fit has
+converged. Otherwise it takes one face step. The face is the nonzero set A
+with its signs s; on it the objective is a quadratic, minimized where
 
-with S(u, t) = sign(u) * max(|u| - t, 0). Sweeps visit coordinates in fixed
-order, so fitting is deterministic bit-for-bit.
+    H_AA x = c_A - t s_A
 
-``prepare`` standardizes and centers a design and forms G, c and their
-list forms once; ``solve`` returns the standardized coefficients of that
-``Problem`` at one penalty, so a lambda grid prepares each window once and
-builds no model. ``fit`` is ``prepare``, ``solve``, then ``_finish``, the
-mapping back, which also turns a grid's solve into a model without a refit.
-
-The kernel (``_cd_solve``) runs each sweep on Python floats and lists: the
-coefficients, the partial residuals rho = c - G b and the columns of G are
-lists, and an update subtracts G[:, j] * (new - old) from rho element by
-element. Every sweep visits all coordinates; one that stays at zero costs a
-single threshold test. Coordinate descent converges only linearly on
-strongly correlated lag columns, so the kernel also takes an exact step on
-the face of the iterate: with nonzero set A and signs s_A, it solves
-
-    (G_AA + lambda (1 - alpha) I) x = c_A - (lambda alpha / 2) s_A
-
-and moves to b_A = x (zero elsewhere, rho recomputed) only if x is finite
-and sign(x) = s_A; a singular block or a sign change rejects the step and
-plain sweeps go on. An accepted x minimizes the objective on the orthant
-face holding the iterate, so the objective never increases. With
-lambda * alpha = 0 there is no L1 term and any finite x is accepted: it
-minimizes the objective on the subspace of A's coordinates. The step is
-tried after each full sweep, once per face (x depends only on the face),
-and the next sweep re-checks every coordinate. A fit converges after a
-sweep whose largest step is below ``tol``; each fit reports its sweep count
-per equation (``n_iter``, steps not counted) and whether every equation
-converged.
+(solved by Cholesky, LAPACK ``dposv``). If b is off its own face's optimum,
+the step re-solves that face; otherwise it adds every zero coordinate that
+breaks its condition, each signed as its g_j, or only the worst one if any
+would start the wrong way. b then moves toward x as far as the signs allow
+(the ratio test): an old coordinate that would cross zero stops the step
+there and leaves the face. With t = 0 there are no signs to keep and b
+moves to x. A block that is not positive definite takes one plain
+coordinate-descent sweep instead. A coordinate with H_jj = 0 (a zero column
+without ridge) is pinned at zero. Every step keeps b on the closed orthant
+of its face, so the objective never increases. ``n_iter`` counts
+iterations per equation: one gradient pass, then at most one face step.
+The arithmetic is deterministic, so fitting is reproducible bit for bit.
 
 Equivalence contract: the kernel reaches the same minimizer as plain
 coordinate descent, not the same bits. The test suite keeps the plain
@@ -63,6 +59,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .design import DesignMatrix, ScalingInfo, _standardize_arrays, destandardize_coeffs
 from .errors import (
@@ -97,7 +94,10 @@ class FittedModel:
     regressor columns; ``phi`` and ``beta`` expose it as per-lag matrices.
     ``scaled_coeffs``/``scaled_intercept`` are the same solution on the
     standardized scale the solver actually minimized on (identical to the raw
-    values when standardization was disabled).
+    values when standardization was disabled). ``n_iter`` counts the solver's
+    iterations per target equation, each one gradient pass plus at most one
+    face step (stored in ``model.json``); ``converged`` says whether every
+    equation was certified optimal within ``max_iter`` iterations.
     """
 
     nu: np.ndarray
@@ -227,9 +227,8 @@ class Problem:
     """The centered Gram problem of one design, shared by solves over a lambda grid.
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
-    when enabled) regressors centered over the design's rows; ``cols`` and
-    ``diag`` are G's columns and diagonal as Python floats, the form the
-    coordinate-descent kernel reads. Built by ``prepare``.
+    when enabled) regressors centered over the design's rows. Built by
+    ``prepare``.
     """
 
     info: ScalingInfo
@@ -237,8 +236,6 @@ class Problem:
     y_bar: np.ndarray
     G: np.ndarray
     c: np.ndarray
-    cols: list
-    diag: list
 
 
 def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
@@ -257,113 +254,161 @@ def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem
     Zc = Z - z_bar
     G = Zc.T @ Zc
     c = (Y - y_bar).T @ Zc
-    return Problem(info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c,
-                   cols=G.T.tolist(), diag=G.diagonal().tolist())
+    return Problem(info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c)
 
 
-def _face_solve(G, c, face, signs, thr, ridge):
-    """Minimizer of the objective on an orthant face, or None if it is off it.
+def _sweep(H, thr, b, g):
+    """One cyclic coordinate-descent pass over ``b`` (a list, updated in
+    place) from its gradient ``g = c - H b``; a coordinate with H_jj <= 0
+    is set to zero."""
+    g = np.array(g)
+    for j, d in enumerate(H.diagonal().tolist()):
+        old = b[j]
+        u = float(g[j]) + d * old
+        if d <= 0.0:
+            new = 0.0
+        elif u > thr:
+            new = (u - thr) / d
+        elif u < -thr:
+            new = (u + thr) / d
+        else:
+            new = 0.0
+        if new != old:
+            g -= H[:, j] * (new - old)
+            b[j] = new
 
-    On the face {b_j = 0 off ``face``, sign(b_face) = ``signs``} the
-    objective is a quadratic, stationary where
-    (G_AA + ridge I) x = c_A - thr * signs. The solution is returned only if
-    it is finite and keeps every sign; a singular block returns None. With
-    thr = 0 there is no L1 term, the quadratic is the objective on the whole
-    subspace of the face's coordinates, and any finite x is returned.
+
+def _face_step(H, c, thr, b, g, face, signs, new):
+    """Move ``b`` (in place) toward the minimizer x of the objective on its
+    face plus the coordinates ``new``, each signed as its gradient ``g``.
+
+    Returns False, leaving b as it was, when the face's block of H is not
+    positive definite, x is not finite, or a new coordinate would start the
+    wrong way. Otherwise b steps as far toward x as the signs allow (the
+    ratio test), and the old coordinate that reaches zero first leaves the
+    face. With thr = 0 there are no signs to keep and b moves to x.
     """
-    idx = np.array(face)
-    M = G[idx[:, None], idx]
-    M.flat[::len(face) + 1] += ridge
-    try:
-        x = np.linalg.solve(M, c[idx] - thr * np.array(signs))
-    except np.linalg.LinAlgError:
-        return None
+    face = face + new
+    signs = signs + [1.0 if g[j] > 0.0 else -1.0 for j in new]
+    _, x, info = dposv(H.take(face, 0).take(face, 1),
+                       [c[j] - thr * s for j, s in zip(face, signs)])
     x = x.tolist()
-    # each comparison fails on NaN, and the bounds exclude the infinities
+    # a sum is finite only if every term is
+    if info or not math.isfinite(sum(x)):
+        return False
     if thr == 0.0:
-        ok = all(-math.inf < v < math.inf for v in x)
-    else:
-        ok = all(0.0 < v < math.inf if t > 0.0 else -math.inf < v < 0.0
-                 for v, t in zip(x, signs))
-    return x if ok else None
+        for j, v in zip(face, x):
+            b[j] = v
+        return True
+    t, drop = 1.0, -1
+    for j, s, v in zip(face, signs, x):
+        if v * s <= 0.0:
+            bj = b[j]
+            if bj == 0.0:
+                return False
+            tj = bj / (bj - v)
+            if tj < t:
+                t, drop = tj, j
+    for j, s, v in zip(face, signs, x):
+        v = b[j] + t * (v - b[j]) if t < 1.0 else v
+        b[j] = v if v * s > 0.0 else 0.0
+    if drop >= 0:
+        b[drop] = 0.0
+    return True
 
 
-def _cd_solve(G, cols, diag, c, penalty, b, tol, max_iter):
-    """Coordinate descent for one equation on centered data.
+def _cd_solve(G, c, penalty, b, tol, max_iter):
+    """Active-set solve of one equation on centered data.
 
-    ``cols`` and ``diag`` are G's columns and diagonal as lists of floats
-    (G need not be bit-symmetric). Returns (b, sweeps, converged), b as a
-    list of floats. See the module docstring for the exact face step.
+    Returns ``(b, iterations, converged, kkt)``: b as a list of floats,
+    ``kkt`` the largest KKT residual of the returned b, and ``converged``
+    whether it is within tol * max(1, max_j G_jj). G need not be
+    bit-symmetric. See the module docstring for the iteration.
     """
     q = len(c)
     lam, alpha = penalty.lam, penalty.alpha
     thr = lam * alpha / 2.0
-    neg_thr = -thr
     ridge = lam * (1.0 - alpha)
-    rho = (c - G @ b).tolist()
-    den = [d + ridge for d in diag]
+    diag = G.diagonal().tolist()
+    bound = tol * max([1.0] + diag)
+    H = G + ridge * np.eye(q) if ridge else G
+    cl = c.tolist()
     b = b.tolist()
-    sweeps = 0
+    if min(diag) + ridge <= 0.0:
+        # H_jj = 0: a zero column, whose coefficient stays pinned at zero
+        b = [v if d + ridge > 0.0 else 0.0 for v, d in zip(b, diag)]
+    iters = 0
     converged = False
-    tried = None  # x depends only on the face: never retry the face just tried
-    while sweeps < max_iter:
-        delta = 0.0
-        for j in range(q):
-            dj = den[j]
-            old = b[j]
-            if dj > 0:
-                u = rho[j] + diag[j] * old
-                if u > thr:
-                    new = (u - thr) / dj
-                elif u < neg_thr:
-                    new = (u + thr) / dj
-                else:
-                    new = 0.0
+    while True:
+        g = (c - H.dot(b)).tolist()
+        # the KKT residual of every coordinate; the face is the nonzero set,
+        # and face_kkt how far b is off that face's optimum
+        kkt = face_kkt = 0.0
+        face, signs, add = [], [], []
+        for j, bj in enumerate(b):
+            if bj > 0.0:
+                r = abs(g[j] - thr)
+                face.append(j)
+                signs.append(1.0)
+            elif bj < 0.0:
+                r = abs(g[j] + thr)
+                face.append(j)
+                signs.append(-1.0)
             else:
-                new = 0.0
-            if new != old:
-                diff = new - old
-                rho = [r - g * diff for r, g in zip(rho, cols[j])]
-                b[j] = new
-                step = abs(diff)
-                if step > delta:
-                    delta = step
-        sweeps += 1
-        if delta < tol:
+                r = abs(g[j]) - thr
+                if r > bound:
+                    add.append(j)
+                if r > kkt:
+                    kkt = r
+                continue
+            if r > face_kkt:
+                face_kkt = r
+        if face_kkt > kkt:
+            kkt = face_kkt
+        if iters == max_iter:
+            break
+        iters += 1
+        if kkt <= bound:
             converged = True
             break
-        face = [j for j in range(q) if b[j] != 0.0]
-        signs = [1.0 if b[j] > 0.0 else -1.0 for j in face]
-        if face and (face, signs) != tried:
-            tried = face, signs
-            x = _face_solve(G, c, face, signs, thr, ridge)
-            if x is not None:
-                b = [0.0] * q
-                for j, v in zip(face, x):
-                    b[j] = v
-                rho = (c - G @ np.array(b)).tolist()
-    return b, sweeps, converged
+        # off the face's optimum, re-solve the face; at it, add violators
+        new = [] if face_kkt > bound else add
+        moved = _face_step(H, cl, thr, b, g, face, signs, new)
+        if not moved and len(new) > 1:
+            worst = max(new, key=lambda j: abs(g[j]))
+            moved = _face_step(H, cl, thr, b, g, face, signs, [worst])
+        if not moved:
+            _sweep(H, thr, b, g)
+    return b, iters, converged, kkt
+
+
+def _solve(problem: Problem, penalty: Penalty, tol, max_iter, warm_start):
+    """``solve``, plus the largest KKT residual over the equations."""
+    k, q = problem.c.shape
+    scaled_b = np.zeros((k, q))
+    n_iter = []
+    converged = True
+    kkt = 0.0
+    for i in range(k):
+        b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
+            else np.zeros(q)
+        b, iters, ok, r = _cd_solve(problem.G, problem.c[i], penalty, b0, tol,
+                                    max_iter)
+        scaled_b[i] = b
+        n_iter.append(iters)
+        converged &= ok
+        kkt = max(kkt, r)
+    return scaled_b, tuple(n_iter), converged, kkt
 
 
 def solve(problem: Problem, penalty: Penalty, *, tol: float = 1e-7,
           max_iter: int = 10000, warm_start=None):
     """Solve ``problem`` at one penalty; returns ``(scaled_b, n_iter, converged)``:
-    the (k x q) coefficients on the problem's scale, the sweeps per equation,
-    and whether every equation converged. ``warm_start`` takes a ``scaled_b``.
+    the (k x q) coefficients on the problem's scale, the iterations per
+    equation, and whether every equation was certified optimal (see
+    ``_cd_solve``). ``warm_start`` takes a ``scaled_b``.
     """
-    k, q = problem.c.shape
-    scaled_b = np.zeros((k, q))
-    n_iter = []
-    converged = True
-    for i in range(k):
-        b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
-            else np.zeros(q)
-        b, sweeps, ok = _cd_solve(problem.G, problem.cols, problem.diag,
-                                  problem.c[i], penalty, b0, tol, max_iter)
-        scaled_b[i] = b
-        n_iter.append(sweeps)
-        converged &= ok
-    return scaled_b, tuple(n_iter), converged
+    return _solve(problem, penalty, tol, max_iter, warm_start)[:3]
 
 
 def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
@@ -377,7 +422,8 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     penalized). ``warm_start`` accepts the ``scaled_coeffs`` of a previous
     fit on the same design to speed up paths over a lambda grid.
 
-    Convergence: a sweep whose largest coefficient change is below ``tol``.
+    Convergence: every equation certified optimal, its KKT residual within
+    ``tol * max(1, max_j G_jj)``, within ``max_iter`` iterations.
     """
     problem = prepare(design, standardize_design=standardize_design)
     scaled_b, n_iter, converged = solve(problem, penalty, tol=tol,
@@ -420,7 +466,9 @@ def kkt_violation(model: FittedModel, design: DesignMatrix) -> float:
     Computed on the standardized problem the solver minimized: with
     g_j = c_j - (G b)_j - lambda (1 - alpha) b_j, a nonzero b_j needs
     g_j = (lambda alpha / 2) sign(b_j) and a zero one |g_j| <= lambda alpha / 2.
-    A converged fit leaves at most q (n - 1) tol on standardized columns.
+    The solver certified a converged fit to tol * max(1, max_j G_jj) on
+    this problem, which is tol (n - 1) on standardized columns; recomputed
+    here, the figure can differ from the solver's by rounding.
     """
     problem = prepare(design, standardize_design=model.scaling.enabled)
     b = model.scaled_coeffs

@@ -26,7 +26,7 @@ from hydrovarx import (
 from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
 from hydrovarx.selection import _lambda_path, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
-from hydrovarx.solver import _finish, kkt_violation
+from hydrovarx.solver import _finish, kkt_violation, prepare
 
 
 def _design(seed=0, n=90, m=2, p=2, s=1):
@@ -467,6 +467,23 @@ def test_order_scan_counts_its_solves():
     assert scan.nonconverged == 0
     capped = select_order(frame, [1, 2], [0, 1], replace(spec, max_iter=1))
     assert capped.solves == capped.sweeps == capped.nonconverged == scan.solves
+
+
+@pytest.mark.parametrize("refit", ["fixed", "expanding"])
+def test_paths_and_scans_report_their_kkt_residual(refit):
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
+                                  beta=np.array([[[0.8]]]), seed=3))
+    spec = ModelSpec(grid=np.geomspace(0.1, 2.0, 3), refit=refit, refit_every=5)
+    scan = select_order(frame, [1, 2], [0, 1], spec)
+    designs = [d for d, *_ in reference_select_order(frame, [1, 2], [0, 1], spec)]
+    paths = [select_lambda(d, SplitPlan(d.n_eff), spec) for d in designs]
+    assert scan.nonconverged == 0
+    assert scan.kkt_max == max(path.kkt_max for path in paths) > 0.0
+    # every window's certificate bound is at most the widest window's
+    split = SplitPlan(designs[-1].n_eff)
+    rows = split.T1 if refit == "fixed" else split.T2
+    G = prepare(designs[-1].take(slice(0, rows))).G
+    assert scan.kkt_max <= spec.tol * max(1.0, G.diagonal().max())
 
 
 def test_select_order_validates_ranges():

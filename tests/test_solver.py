@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dposv
 
 from conftest import make_frame
 from hydrovarx import (
@@ -21,7 +22,7 @@ from hydrovarx import (
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve, _face_solve, prepare, solve
+from hydrovarx.solver import _cd_solve, prepare, solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -224,9 +225,8 @@ def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed):
     return G, c, diag, Penalty(lam, alpha), b0
 
 
-def _solve(G, c, diag, penalty, b0, max_iter, tol=1e-7):
-    return _cd_solve(G, G.T.tolist(), diag.tolist(), c, penalty, b0.copy(),
-                     tol, max_iter)
+def _solve(G, c, penalty, b0, max_iter, tol=1e-7):
+    return _cd_solve(G, c, penalty, b0.copy(), tol, max_iter)[:3]
 
 
 KERNEL_DOMAIN = dict(
@@ -242,7 +242,7 @@ KERNEL_DOMAIN = dict(
 @given(**KERNEL_DOMAIN)
 def test_cd_kernel_converges_to_reference(**case):
     G, c, diag, penalty, b0 = _kernel_case(**case)
-    got, _, ok = _solve(G, c, diag, penalty, b0, 10000)
+    got, _, ok = _solve(G, c, penalty, b0, 10000)
     got = np.asarray(got)
     assert ok
     # optimality of the kernel's own problem, to the stopping rule's bound
@@ -251,8 +251,13 @@ def test_cd_kernel_converges_to_reference(**case):
     viol = np.where(got != 0.0, np.abs(grad - thr * np.sign(got)),
                     np.maximum(np.abs(grad) - thr, 0.0))
     assert viol.max() <= len(c) * max(1.0, np.abs(G).max()) * 1e-7
-    want, _, want_ok = reference_cd_solve(G, c, diag.copy(), penalty, b0.copy(),
-                                          1e-13, 10000)
+    if penalty.alpha > 0.0 and thr >= np.abs(c).max():
+        # lambda >= lambda_max: zero is the exact minimizer, while plain
+        # descent can stop at rounding-level values at lambda = lambda_max
+        want, want_ok = np.zeros_like(got), True
+    else:
+        want, _, want_ok = reference_cd_solve(G, c, diag.copy(), penalty,
+                                              b0.copy(), 1e-13, 10000)
     # plain descent can stall on near-singular lambda = 0 problems; it is an
     # oracle only where it converged
     if want_ok:
@@ -265,23 +270,57 @@ def test_cd_kernel_converges_to_reference(**case):
 def test_cd_kernel_never_raises_objective(max_iter, **case):
     G, c, diag, penalty, b0 = _kernel_case(**case)
     start, scale = _kernel_objective(G, c, penalty, b0)
-    got, sweeps, _ = _solve(G, c, diag, penalty, b0, max_iter)
+    got, sweeps, _ = _solve(G, c, penalty, b0, max_iter)
     end, _ = _kernel_objective(G, c, penalty, got)
     assert sweeps <= max_iter
     assert end <= start + 1e-12 * scale
 
 
+@settings(max_examples=300, deadline=None)
+@given(max_iter=st.sampled_from([1, 2, 3, 5, 10000]), **KERNEL_DOMAIN)
+def test_converged_kernel_solves_are_certified(max_iter, **case):
+    G, c, diag, penalty, b0 = _kernel_case(**case)
+    got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, max_iter)
+    got = np.asarray(got)
+    thr = penalty.lam * penalty.alpha / 2.0
+    grad = c - G @ got - penalty.lam * (1.0 - penalty.alpha) * got
+    viol = np.where(got != 0.0, np.abs(grad - thr * np.sign(got)),
+                    np.maximum(np.abs(grad) - thr, 0.0)).max()
+    # the reported residual is the returned b's, up to rounding
+    scale = np.abs(G).max() * np.abs(got).max() + np.abs(c).max()
+    assert abs(kkt - viol) <= 1e-12 * max(1.0, scale)
+    assert iters <= max_iter
+    if ok:
+        assert viol <= 1e-7 * max(1.0, diag.max())
+
+
+def test_near_singular_problem_converges_in_few_iterations():
+    # a tiny lambda * alpha on a near-singular G: plain descent needs about
+    # 14500 sweeps to reach tol 1e-13 here
+    G, c, diag, penalty, b0 = _kernel_case(
+        q=14, n_extra=2, alpha=1.0, lam_frac=1.4e-45, warm="cold",
+        zero_col=False, asym=False, seed=2)
+    got, iters, ok = _solve(G, c, penalty, b0, 50)
+    assert ok and iters <= 50
+    got = np.asarray(got)
+    want, _, want_ok = reference_cd_solve(G, c, diag.copy(), penalty, b0.copy(),
+                                          1e-13, 20000)
+    assert want_ok
+    np.testing.assert_array_equal(got != 0.0, want != 0.0)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
 def test_face_step_rejects_singular_block():
     # two identical columns with alpha = 1: both stay active from this warm
-    # start, so the active block is singular and plain sweeps must go on
+    # start, so the face's block is singular, Cholesky fails, and a plain
+    # coordinate sweep takes the step
     z = np.random.default_rng(25).normal(size=40)
     zc = z - z.mean()
     G = np.outer([1.0, 1.0], [1.0, 1.0]) * (zc @ zc)
     c = np.array([1.0, 1.0]) * (zc @ (2.0 * zc))
     penalty = Penalty(4.0, 1.0)
-    assert _face_solve(G, c, [0, 1], [1.0, 1.0], 2.0, 0.0) is None
-    b, _, ok = _solve(G, c, np.diag(G).copy(), penalty, np.array([0.5, 0.7]),
-                      10000)
+    assert dposv(G, c - 2.0)[2] > 0
+    b, _, ok = _solve(G, c, penalty, np.array([0.5, 0.7]), 10000)
     assert ok
     # the second copy keeps its start (up to rounding), the first takes the rest
     np.testing.assert_allclose(b, [2.0 - 2.0 / (zc @ zc) - 0.7, 0.7], rtol=1e-12)
@@ -291,19 +330,24 @@ def test_face_step_rejects_singular_block():
 
 
 def test_face_step_rejects_sign_change():
-    # from b = (0, 5) one sweep lands on signs (-, +), but the face's
-    # stationary point (1.2, -0.2) has the opposite signs: reject it
+    # from b = (0, 5) the first iteration re-solves face {1}, to (0, 0.4);
+    # the second adds coordinate 0, but the stationary point of face {0, 1}
+    # has b_1 < 0, so the step stops where b_1 reaches zero, at (0.8, 0),
+    # and drops it; the third solves face {0}
     G = np.array([[1.0, 0.5], [0.5, 1.0]])
     c = np.array([1.0, 0.5])
     penalty = Penalty(0.2, 1.0)
     b0 = np.array([0.0, 5.0])
-    assert _face_solve(G, c, [0, 1], [-1.0, 1.0], 0.1, 0.0) is None
-    np.testing.assert_allclose(_face_solve(G, c, [0], [1.0], 0.1, 0.0), [0.9])
-    one, sweeps, _ = _solve(G, c, np.diag(G).copy(), penalty, b0, 1)
-    plain = reference_cd_solve(G, c, np.diag(G).copy(), penalty, b0.copy(),
-                               1e-7, 1)[0]
-    assert sweeps == 1 and np.asarray(one).tobytes() == plain.tobytes()
-    full, _, ok = _solve(G, c, np.diag(G).copy(), penalty, b0, 10000)
+    values = [_kernel_objective(G, c, penalty, b0)[0]]
+    for max_iter in range(1, 4):
+        cut, iters, _ = _solve(G, c, penalty, b0, max_iter)
+        assert iters == max_iter
+        values.append(_kernel_objective(G, c, penalty, cut)[0])
+        if max_iter == 2:
+            np.testing.assert_allclose(cut, [0.8, 0.0], rtol=0, atol=1e-12)
+            assert cut[1] == 0.0
+    assert np.all(np.diff(values) <= 0.0), values
+    full, _, ok = _solve(G, c, penalty, b0, 10000)
     assert ok
     np.testing.assert_allclose(full, [0.9, 0.0], rtol=0, atol=1e-12)
 
