@@ -15,7 +15,6 @@ from .design import (
     build_design,
     destandardize_coeffs,
     lookahead_violations,
-    regressor_labels,
     standardize,
 )
 from .errors import (
@@ -76,7 +75,7 @@ from .selection import (
     select_lambda,
     select_order,
 )
-from .simulate import GroundTruth, SynthSpec, companion_spectral_radius, simulate
+from .simulate import GroundTruth, SynthSpec, simulate
 from .solver import (
     FittedModel,
     Penalty,
@@ -101,12 +100,11 @@ __all__ = [
     "RegressionLine", "SEASONS", "ScalingInfo", "SplitPlan",
     "SynthSpec", "TimeSeriesFrame", "UnsupportedResolutionError",
     "ablation_run", "aggregate_monthly", "bic", "build_design",
-    "companion_spectral_radius", "correlation_metrics", "default_grid",
-    "destandardize_coeffs", "drop_columns",
+    "correlation_metrics", "default_grid", "destandardize_coeffs", "drop_columns",
     "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
     "fit", "full_report", "kge_metrics", "kkt_violation", "lambda_max",
     "leakage_audit", "load_csv", "lookahead_violations", "objective",
-    "predict_rows", "preprocess", "regression_line", "regressor_labels",
-    "rolling_forecast", "run_pipeline", "select_lambda", "select_order",
+    "predict_rows", "preprocess", "regression_line", "rolling_forecast",
+    "run_pipeline", "select_lambda", "select_order",
     "simulate", "standardize", "write_csv",
 ]

@@ -42,50 +42,44 @@ from .solver import FittedModel
 ARTIFACT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunConfig:
-    """Resolved invocation: data binding plus a full ModelSpec's worth of knobs."""
+    """Resolved invocation: the data binding, the lambda grid as written, and
+    the ModelSpec. The constructor takes ModelSpec's settings as flat keywords."""
 
     input: str
     out: str
     target: tuple[str, ...]
-    exog: tuple[str, ...] | None = None   # None = every other column
-    date_column: str = "Date"
-    p: int = 4
-    s: int = 2
-    alpha: float = 0.5
-    grid: str = "10:500:24:log"
-    season: str = "all"
-    aggregate: str = "none"
-    sum_columns: tuple[str, ...] | None = None
-    drop: tuple[str, ...] = ()
-    lag_mode: str = "calendar"
-    refit: str = "fixed"
-    refit_every: int = 1
-    standardize: bool = True
-    ci_multiplier: float = 3.0
-    tol: float = 1e-7
-    max_iter: int = 10000
+    exog: tuple[str, ...] | None    # None = every other column
+    date_column: str
+    drop: tuple[str, ...]
+    grid: str                       # the text; spec.grid holds its values
+    spec: ModelSpec
 
-    def __post_init__(self) -> None:
-        if not self.target:
+    def __init__(self, input, out, target, exog=None, date_column="Date",
+                 drop=(), grid="10:500:24:log", **settings) -> None:
+        if not target:
             raise ConfigError("at least one target column is required")
         try:
-            self.model_spec()
+            spec = ModelSpec(grid=tuple(parse_grid(grid)), **settings)
         except (ContractError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-
-    def model_spec(self) -> ModelSpec:
-        spec = {f.name: getattr(self, f.name) for f in fields(ModelSpec)}
-        spec["grid"] = tuple(parse_grid(self.grid))
-        return ModelSpec(**spec)
+        # frozen: the fields are set through __dict__
+        self.__dict__.update(input=input, out=out, target=target, exog=exog,
+                             date_column=date_column, drop=drop, grid=grid, spec=spec)
 
     def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
+        """The flat settings the artifact headers write."""
+        d = {f.name: getattr(self.spec, f.name) for f in fields(ModelSpec)}
+        d.update((key, getattr(self, key)) for key in _BINDING)
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in d.items()}
+
+
+# RunConfig's fields besides its spec, and every key a config file or a flag
+# may set; each maps to its annotation, and the grid is text
+_BINDING = {f.name: f.type for f in fields(RunConfig) if f.name != "spec"}
+_SPEC_KEYS = {f.name: f.type for f in fields(ModelSpec)}
+_KEYS = {**_SPEC_KEYS, **_BINDING}
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -268,7 +262,7 @@ def _outdir(config: RunConfig) -> Path:
 def cmd_fit(config: RunConfig) -> int:
     """load -> preprocess -> design -> select lambda -> fit; write artifacts."""
     frame = _load_frame(config)
-    report = run_pipeline(frame, config.model_spec(), dropped=config.drop)
+    report = run_pipeline(frame, config.spec, dropped=config.drop)
     _audit_or_die(report, frame)
     _warn_outcomes("fit", report)
     out = _outdir(config)
@@ -285,25 +279,39 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _load_model(path) -> FittedModel:
+def _load_model(path) -> tuple[FittedModel, dict]:
+    """The stored model and the settings it was made with: its own p, s and lag
+    mode, plus its other ModelSpec settings and ``drop`` from ``config``, if any."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
-    body = doc.get("model", doc)  # accept bare model documents too
     try:
-        return FittedModel.from_dict(body)
-    except (KeyError, TypeError, ValueError) as exc:
+        model = FittedModel.from_dict(doc.get("model", doc))  # bare documents too
+        made = {key: value for key, value in doc.get("config", {}).items()
+                if key == "drop" or key in _SPEC_KEYS}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model document: {exc}") from None
+    _check_file_types(path, made)
+    return model, {**made, "p": model.p, "s": model.s, "lag_mode": model.lag_mode}
 
 
 def cmd_evaluate(config: RunConfig, model_path) -> int:
     """Check the stored model's rows, forecast the test segment with it, and
     write metric artifacts."""
-    model = _load_model(model_path)
+    model, made = _load_model(model_path)
+    stored = RunConfig(config.input, config.out, config.target, **made)
+    settings, want = config.to_dict(), stored.to_dict()
+    # drop is left to the design check; no fit artifact reads ci_multiplier
+    clash = [f"{key}={json.dumps(settings[key])} (model: {json.dumps(want[key])})"
+             for key in made if key not in ("drop", "ci_multiplier")
+             and getattr(config.spec, key) != getattr(stored.spec, key)]
+    if clash:
+        raise ConfigError(f"{model_path} was made with other settings: "
+                          + "; ".join(clash))
     frame = _load_frame(config)
-    pre = preprocess(frame, config.model_spec(), config.drop)
+    pre = preprocess(frame, config.spec, config.drop)
     with _stage("design"):
         design = build_design(pre, LagSpec(model.p, model.s, model.lag_mode))
         if design.col_labels != model.col_labels:
@@ -318,9 +326,8 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
         if model.n_rows > split.T2:
             raise ContractError(f"stored model uses rows past the validation "
                                 f"segment (T2={split.T2}): n_rows={model.n_rows}")
-    series, reports, line = score(model, design, split, config.ci_multiplier)
+    series, reports, line = score(model, design, split, config.spec.ci_multiplier)
     out = _outdir(config)
-    settings = config.to_dict()
     heads = _header_lines(settings, "evaluate")
     _write_metrics_csv(out / "metrics.csv", reports, design.target_names, heads)
     _write_forecast_csv(out / "forecast.csv", series, heads)
@@ -333,7 +340,7 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
 def cmd_ablate(config: RunConfig) -> int:
     """Paired full/reduced pipeline runs; config.drop names the ablated columns."""
     frame = _load_frame(config)
-    result = ablation_run(frame, config.model_spec(), dropped=config.drop)
+    result = ablation_run(frame, config.spec, dropped=config.drop)
     _audit_or_die(result.full, frame)
     _audit_or_die(result.reduced, frame)
     _warn_outcomes("ablate", result.full, "full")
@@ -356,7 +363,7 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_select_order(config: RunConfig, p_range, s_range) -> int:
     """BIC scan over candidate lag orders; writes order_scan.csv."""
-    spec = config.model_spec()
+    spec = config.spec
     frame = _load_frame(config)
     pre = preprocess(frame, spec, config.drop)
     with _stage("select-order"):
@@ -451,9 +458,9 @@ def _add_run_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--max-iter", dest="max_iter", type=int)
 
 
-_TUPLE_KEYS = ("target", "exog", "sum_columns", "drop")
+_TUPLE_KEYS = tuple(key for key, kind in _KEYS.items() if kind.startswith("tuple"))
 _REQUIRED_KEYS = ("input", "out", "target")
-# RunConfig annotation -> (JSON types a config file may give, description);
+# a setting's annotation -> (JSON types a config file may give, description);
 # a list must hold strings only, and a boolean is never an int or a float
 _FILE_TYPES = {
     "str": ((str,), "a string"),
@@ -468,9 +475,8 @@ _FILE_TYPES = {
 
 def _check_file_types(path, file_cfg: dict) -> None:
     """Reject a config-file value whose JSON type does not fit its key."""
-    annotations = {f.name: f.type for f in fields(RunConfig)}
     for key, value in file_cfg.items():
-        types, want = _FILE_TYPES[annotations[key]]
+        types, want = _FILE_TYPES[_KEYS[key]]
         ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
         if ok and isinstance(value, list):
             ok = all(isinstance(v, str) for v in value)
@@ -479,9 +485,10 @@ def _check_file_types(path, file_cfg: dict) -> None:
                               f"not {json.dumps(value)}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults <- config file <- explicit flags, then validate."""
-    data: dict = {}
+def resolve_config(args: argparse.Namespace, stored: dict | None = None) -> RunConfig:
+    """Layer defaults <- ``stored`` (the settings a model was made with) <-
+    config file <- explicit flags, then validate."""
+    data = dict(stored or {})
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -492,21 +499,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = sorted(set(file_cfg) - known)
+        unknown = sorted(set(file_cfg) - set(_KEYS))
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {unknown}")
         _check_file_types(args.config, file_cfg)
         data.update(file_cfg)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for key in _KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            data[f.name] = value
+            data[key] = value
     for key in _TUPLE_KEYS:
-        if key in data and data[key] is not None:
-            value = data[key]
-            data[key] = _csv_tuple(value) if isinstance(value, str) \
-                else tuple(value)
+        value = data.get(key)
+        if value is not None:
+            data[key] = _csv_tuple(value) if isinstance(value, str) else tuple(value)
     missing = [k for k in _REQUIRED_KEYS if not data.get(k)]
     if missing:
         raise ConfigError(f"missing required options: {', '.join('--' + m for m in missing)}")
@@ -569,7 +574,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             return cmd_simulate(args)
-        config = resolve_config(args)
+        stored = _load_model(args.model)[1] if args.command == "evaluate" else None
+        config = resolve_config(args, stored)
         if args.command == "fit":
             return cmd_fit(config)
         if args.command == "evaluate":

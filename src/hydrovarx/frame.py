@@ -123,8 +123,7 @@ class TimeSeriesFrame:
 
     ``targets`` holds the modeled variables (n x k), ``exog`` the candidate
     drivers (n x m). ``columns`` lists target metadata first, then exogenous,
-    matching the matrix layout. ``coverage`` (monthly frames only) gives the
-    fraction of calendar days each month had data for.
+    matching the matrix layout.
     """
 
     dates: np.ndarray
@@ -133,7 +132,6 @@ class TimeSeriesFrame:
     columns: tuple[Column, ...]
     resolution: str = "daily"
     dropped_rows: int = 0
-    coverage: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         dates = np.asarray(self.dates, dtype="datetime64[D]")
@@ -166,10 +164,6 @@ class TimeSeriesFrame:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.coverage is not None:
-            cov = np.ascontiguousarray(np.asarray(self.coverage, dtype=float))
-            cov.setflags(write=False)
-            object.__setattr__(self, "coverage", cov)
 
     # -- views ---------------------------------------------------------------
 
@@ -374,8 +368,8 @@ def aggregate_monthly(frame: TimeSeriesFrame, sum_columns=()) -> TimeSeriesFrame
 
     Columns named in ``sum_columns`` (accumulation variables such as rainfall)
     are summed over the month; every other column is averaged. Output rows are
-    dated the first of the month, and ``coverage`` records the fraction of
-    calendar days with data. Months with no retained days simply do not appear.
+    dated the first of the month. Months with no retained days simply do not
+    appear.
     """
     if frame.resolution != "daily":
         raise UnsupportedResolutionError("frame is already monthly")
@@ -390,18 +384,14 @@ def aggregate_monthly(frame: TimeSeriesFrame, sum_columns=()) -> TimeSeriesFrame
     uniq, inverse = np.unique(months, return_inverse=True)
     both = np.hstack([frame.targets, frame.exog])
     out = np.empty((len(uniq), both.shape[1]))
-    coverage = np.empty(len(uniq))
-    for g, month in enumerate(uniq):
+    for g in range(len(uniq)):
         rows = both[inverse == g]
         sums = rows.sum(axis=0)
         out[g] = np.where(take_sum, sums, sums / len(rows))
-        span = (month + 1).astype("datetime64[D]") - month.astype("datetime64[D]")
-        days = int(span / np.timedelta64(1, "D"))
-        coverage[g] = len(rows) / days
     return TimeSeriesFrame(
         dates=uniq.astype("datetime64[D]"), targets=out[:, : frame.k],
         exog=out[:, frame.k:], columns=frame.columns, resolution="monthly",
-        dropped_rows=frame.dropped_rows, coverage=coverage,
+        dropped_rows=frame.dropped_rows,
     )
 
 

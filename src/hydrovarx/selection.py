@@ -104,7 +104,7 @@ class ModelSpec:
     grid: tuple | None = None
     season: str = "all"
     aggregate: str = "none"          # "none" | "monthly"
-    sum_columns: tuple | None = None
+    sum_columns: tuple[str, ...] | None = None
     lag_mode: str = "calendar"
     refit: str = "fixed"
     refit_every: int = 1
@@ -129,6 +129,8 @@ class ModelSpec:
         if self.grid is not None:
             grid = tuple(float(v) for v in check_grid(self.grid))
             object.__setattr__(self, "grid", grid)
+        if self.sum_columns is not None:
+            object.__setattr__(self, "sum_columns", tuple(self.sum_columns))
 
 
 @dataclass(frozen=True)
@@ -362,10 +364,9 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
         nonconverged += path.nonconverged
         kkt_max = max(kkt_max, path.kkt_max)
 
-    best = 0
-    for ci in range(1, len(candidates)):  # lexicographic order: first strict min wins
-        if bics[ci] < bics[best]:
-            best = ci
+    # BICs within rounding of the minimum tie; the first in (p, s) order wins
+    low = float(np.min(bics))
+    best = int(np.flatnonzero(bics <= low + 1e-9 * max(1.0, abs(low)))[0])
     return OrderScan(candidates=tuple(candidates), bic=bics, lambdas=lams,
                      chosen=candidates[best], solves=solves, sweeps=sweeps,
                      nonconverged=nonconverged, kkt_max=kkt_max)

@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, config layering, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
 import json
 import warnings
@@ -371,6 +372,96 @@ def test_evaluate_names_the_design_stage(synth_csv, tmp_path, capsys):
             "lag history" in capsys.readouterr().err
 
 
+def _fit_growing(csv, fit_dir):
+    assert main(["fit", "--input", str(csv), "--out", str(fit_dir), "--target",
+                 "Y1", "--p", "2", "--s", "1", "--grid", GRID,
+                 "--season", "growing"]) == 0
+    return fit_dir / "model.json"
+
+
+def _evaluate(model, csv, out, *flags):
+    return main(["evaluate", "--model", str(model), "--input", str(csv),
+                 "--out", str(out), "--target", "Y1", *flags])
+
+
+def _unbound(settings):
+    return {key: value for key, value in settings.items() if key != "out"}
+
+
+def test_evaluate_takes_its_settings_from_the_model(two_year_csv, tmp_path):
+    model = _fit_growing(two_year_csv, tmp_path / "fit")
+    out = tmp_path / "eval"
+    assert _evaluate(model, two_year_csv, out) == 0
+    # only growing-season test rows are scored, as many as the fit's design has
+    design = build_design(
+        preprocess(load_csv(two_year_csv, ["Y1"]), ModelSpec(season="growing")),
+        LagSpec(2, 1))
+    split = SplitPlan(design.n_eff)
+    dates = [row[0] for row in _table(out / "forecast.csv")[1:]]
+    assert dates == [str(d) for d in design.row_dates[split.test]]
+    assert all(4 <= int(d[5:7]) <= 10 for d in dates)
+    fitted = parse_artifact_header(tmp_path / "fit" / "lambda_path.csv")
+    for name in ("metrics.csv", "forecast.csv"):
+        assert _unbound(parse_artifact_header(out / name)) == _unbound(fitted)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--alpha", "0.9", "--lag-mode", "positional"],
+     ["alpha=0.9 (model: 0.5)", 'lag_mode="positional" (model: "calendar")']),
+    (["--p", "3"], ["p=3 (model: 2)"]),
+], ids=["alpha-lag-mode", "p"])
+def test_evaluate_rejects_settings_that_contradict_the_model(
+        two_year_csv, tmp_path, capsys, flags, named):
+    model = _fit_growing(two_year_csv, tmp_path / "fit")
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert _evaluate(model, two_year_csv, out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hydrovarx evaluate: setup: ")
+    assert all(name in err for name in named), err
+    assert not out.exists()
+
+
+def test_evaluate_may_change_the_band_multiplier(two_year_csv, tmp_path):
+    model = _fit_growing(two_year_csv, tmp_path / "fit")
+    out = tmp_path / "eval"
+    # the grid is compared by value: "0.5:50:6" and "0.5:50:6:log" agree
+    assert _evaluate(model, two_year_csv, out, "--ci-multiplier", "2",
+                     "--grid", "0.5:50:6:log") == 0
+    assert "# multiplier=2" in (out / "forecast.csv").read_text().splitlines()
+    settings = parse_artifact_header(out / "forecast.csv")
+    assert settings["ci_multiplier"] == 2 and settings["grid"] == "0.5:50:6:log"
+    assert settings["season"] == "growing"
+
+
+def test_evaluate_of_a_bare_model_reads_flags_and_defaults(synth_csv, tmp_path):
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads((fit_dir / "model.json").read_text())["model"]))
+    out = tmp_path / "eval"
+    assert _evaluate(bare, synth_csv, out, "--alpha", "0.9") == 0
+    settings = parse_artifact_header(out / "metrics.csv")
+    # p, s and lag mode still come from the model, the rest from flags or defaults
+    assert (settings["p"], settings["s"], settings["lag_mode"]) == (2, 1, "calendar")
+    assert (settings["alpha"], settings["grid"]) == (0.9, "10:500:24:log")
+
+
+@pytest.mark.parametrize("config, code, needle", [
+    ("x", 3, "malformed model document"),
+    ({"alpha": "high"}, 2, "config key 'alpha' must be a number"),
+], ids=["config-not-an-object", "alpha-not-a-number"])
+def test_evaluate_rejects_a_malformed_stored_config(synth_csv, tmp_path, capsys,
+                                                    config, code, needle):
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    path = fit_dir / "model.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "config": config}))
+    assert _evaluate(path, synth_csv, tmp_path / "eval") == code
+    err = capsys.readouterr().err
+    assert f"hydrovarx evaluate: setup: {path}: " in err and needle in err
+
+
 def test_select_order_names_its_stage(synth_csv, tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("\n".join(synth_csv.read_text().splitlines()[:6]) + "\n")
@@ -415,17 +506,21 @@ def test_seed_is_not_a_run_option(synth_csv, tmp_path, capsys):
     assert exc_info.value.code == 2
 
 
-def test_run_config_declares_every_model_setting():
-    run = {f.name: f for f in dataclasses.fields(RunConfig)}
-    for f in dataclasses.fields(ModelSpec):
-        if f.name != "grid":
-            assert f.name in run, f.name
-            assert run[f.name].default == f.default, f.name
+def test_run_flags_cover_every_setting():
+    # the flags are the one hand-kept list of settings: every binding field and
+    # every ModelSpec field has a flag, and no flag sets anything else
+    ap = argparse.ArgumentParser()
+    hydrovarx.cli._add_run_flags(ap)
+    dests = {action.dest for action in ap._actions} - {"help"}
+    binding = {f.name for f in dataclasses.fields(RunConfig)} - {"spec"}
+    spec = {f.name for f in dataclasses.fields(ModelSpec)}
+    assert dests == binding | spec | {"config"}
     # the CLI writes the default grid as text; it must be the library's grid
-    assert parse_grid(run["grid"].default).tobytes() == default_grid().tobytes()
+    default = RunConfig(input="in.csv", out="o", target=("Y",))
+    assert parse_grid(default.grid).tobytes() == default_grid().tobytes()
     config = RunConfig(input="in.csv", out="o", target=("Y",), p=3,
                        grid="1:8:4", refit="expanding", tol=1e-6)
-    assert config.model_spec() == ModelSpec(
+    assert config.spec == ModelSpec(
         p=3, grid=(1.0, 2.0, 4.0, 8.0), refit="expanding", tol=1e-6)
 
 
@@ -493,7 +588,7 @@ _ORDER_FLAGS = ["--alpha", "0.8", "--grid", "1:50:5", "--refit", "expanding",
 def _scan_rows(synth_csv, **settings):
     """order_scan.csv's data rows, computed by the library for these settings."""
     spec = RunConfig(input=str(synth_csv), out="unused", target=("Y1",),
-                     **{"grid": GRID, **settings}).model_spec()
+                     **{"grid": GRID, **settings}).spec
     frame = preprocess(load_csv(synth_csv, ["Y1"]), spec)
     scan = select_order(frame, [1, 2], [0, 1], spec)
     return [f"{p},{s},{b:.10g},{lam:.10g}"

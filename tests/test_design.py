@@ -13,9 +13,9 @@ from hydrovarx import (
     build_design,
     destandardize_coeffs,
     lookahead_violations,
-    regressor_labels,
     standardize,
 )
+from hydrovarx.design import regressor_labels
 from hydrovarx.errors import ContractError, InsufficientDataError
 
 

@@ -508,7 +508,6 @@ def test_aggregate_monthly_two_months():
     assert monthly.n == 2
     assert monthly.dates.tolist() == [np.datetime64("2016-01-01"),
                                       np.datetime64("2016-02-01")]
-    np.testing.assert_allclose(monthly.coverage, [1.0, 1.0])
 
 
 def test_aggregate_monthly_conservation():
@@ -518,13 +517,6 @@ def test_aggregate_monthly_conservation():
     monthly = aggregate_monthly(frame, sum_columns=("Rainfall",))
     np.testing.assert_allclose(monthly.exog[:, 0].sum(), frame.exog[:, 0].sum(),
                                rtol=1e-12)
-
-
-def test_aggregate_monthly_coverage_fraction():
-    # 15 days of a 30-day month -> coverage 0.5
-    frame = make_frame(np.arange(15, dtype=float), start="2016-06-01")
-    monthly = aggregate_monthly(frame)
-    np.testing.assert_allclose(monthly.coverage, [0.5])
 
 
 # -- column dropping ----------------------------------------------------------

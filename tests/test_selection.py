@@ -349,6 +349,20 @@ def test_select_order_prefers_small_on_white_noise():
     assert scan.chosen_p <= 2
 
 
+def test_select_order_breaks_rounding_ties_by_order(monkeypatch):
+    # (2, 1) undercuts every other candidate by a rounding-sized gap only
+    def fake_bic(design, model):
+        return 100.0 * (1 - 1e-14) if (design.p, design.s) == (2, 1) else 100.0
+
+    monkeypatch.setattr(hydrovarx.selection, "bic", fake_bic)
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
+                                  beta=np.array([[[0.5]]]), seed=3))
+    scan = select_order(frame, [1, 2], [0, 1],
+                        ModelSpec(grid=np.geomspace(0.1, 10, 5)))
+    assert scan.bic[scan.candidates.index((2, 1))] < 100.0
+    assert scan.chosen == (1, 0)
+
+
 def test_select_order_scores_a_candidate_under_its_spec():
     # one candidate, scored by hand with every setting taken from the spec;
     # the dates skip a day every 10 rows, so the lag mode matters

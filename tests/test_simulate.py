@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hydrovarx import SynthSpec, companion_spectral_radius, simulate
+from hydrovarx import SynthSpec, simulate
 from hydrovarx.errors import ContractError
+from hydrovarx.simulate import companion_spectral_radius
 
 
 def test_deterministic_given_seed():
