@@ -281,7 +281,8 @@ def cmd_fit(config: RunConfig) -> int:
 
 def _load_model(path) -> tuple[FittedModel, dict]:
     """The stored model and the settings it was made with: its own p, s and lag
-    mode, plus its other ModelSpec settings and ``drop`` from ``config``, if any."""
+    mode, plus its other ModelSpec settings, ``exog`` and ``drop`` from
+    ``config``, if any."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -290,7 +291,7 @@ def _load_model(path) -> tuple[FittedModel, dict]:
     try:
         model = FittedModel.from_dict(doc.get("model", doc))  # bare documents too
         made = {key: value for key, value in doc.get("config", {}).items()
-                if key == "drop" or key in _SPEC_KEYS}
+                if key in ("exog", "drop") or key in _SPEC_KEYS}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model document: {exc}") from None
     _check_file_types(path, made)
@@ -303,9 +304,10 @@ def cmd_evaluate(config: RunConfig, model_path) -> int:
     model, made = _load_model(model_path)
     stored = RunConfig(config.input, config.out, config.target, **made)
     settings, want = config.to_dict(), stored.to_dict()
-    # drop is left to the design check; no fit artifact reads ci_multiplier
+    # exog and drop are left to the design check; no fit artifact reads
+    # ci_multiplier
     clash = [f"{key}={json.dumps(settings[key])} (model: {json.dumps(want[key])})"
-             for key in made if key not in ("drop", "ci_multiplier")
+             for key in made if key in _SPEC_KEYS and key != "ci_multiplier"
              and getattr(config.spec, key) != getattr(stored.spec, key)]
     if clash:
         raise ConfigError(f"{model_path} was made with other settings: "

@@ -190,6 +190,15 @@ class ScalingInfo:
                    constant=np.zeros(q, dtype=bool), enabled=False)
 
 
+def _scaling(mu, sd, y_mean) -> ScalingInfo:
+    """The ScalingInfo of regressor columns with means ``mu`` and ddof=1
+    standard deviations ``sd``: a column whose sd is zero to rounding,
+    relative to its mean, is constant and keeps scale 1."""
+    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
+    return ScalingInfo(z_mean=mu, z_sd=np.where(constant, 1.0, sd),
+                       y_mean=y_mean, constant=constant, enabled=True)
+
+
 def _standardize_arrays(design: DesignMatrix):
     """Scaled Z, centered Y and their ScalingInfo, statistics over every row."""
     # mean and ddof=1 standard deviation, spelled out as the operations
@@ -197,13 +206,9 @@ def _standardize_arrays(design: DesignMatrix):
     n = design.n_eff
     mu = design.Z.sum(axis=0) / n
     dev = design.Z - mu
-    sd = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
-    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
-    sd_used = np.where(constant, 1.0, sd)
     y_mean = design.Y.sum(axis=0) / n
-    info = ScalingInfo(z_mean=mu, z_sd=sd_used, y_mean=y_mean,
-                       constant=constant, enabled=True)
-    return dev / sd_used, design.Y - y_mean, info
+    info = _scaling(mu, np.sqrt((dev * dev).sum(axis=0) / (n - 1)), y_mean)
+    return dev / info.z_sd, design.Y - y_mean, info
 
 
 def standardize(design: DesignMatrix):

@@ -14,14 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, build_design
+from .design import DesignMatrix, LagSpec, ScalingInfo, _scaling, build_design
 from .errors import (
     ContractError,
     DegenerateFitError,
     InsufficientDataError,
 )
 from .frame import SEASONS, TimeSeriesFrame
-from .solver import FittedModel, Penalty, _finish, _solve, predict_rows, prepare
+from .solver import (
+    FittedModel,
+    Penalty,
+    Problem,
+    _finish,
+    _solve,
+    predict_rows,
+    prepare,
+)
 from .solver import fit  # noqa: F401  perfbench traces hydrovarx.selection.fit
 
 LAMBDA_GRID_DEFAULT = (10.0, 500.0, 24)  # (min, max, count), log-spaced
@@ -198,12 +206,80 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     return _lambda_path(design, split, spec)[0]
 
 
+def _comoments(X):
+    """The column means and centered co-moments (X - mean)'(X - mean) of X's rows."""
+    mean = X.sum(axis=0) / len(X)
+    dev = X - mean
+    return mean, dev.T @ dev
+
+
+def _merge(n, mean, M, X):
+    """``(mean, M)`` of n rows, with the rows of X folded in, by the pairwise
+    update of Chan, Golub & LeVeque (1983): with d the difference of the two
+    parts' means, M = M_a + M_b + d d' n_a n_b / (n_a + n_b). Unlike
+    S - n mean mean', it does not cancel."""
+    n_x = len(X)
+    mean_x, M_x = _comoments(X)
+    d = mean_x - mean
+    w = n_x / (n + n_x)
+    return mean + d * w, M + M_x + np.outer(d, d * (n * w))
+
+
+def _moment_problem(n, mean, M, q, standardize):
+    """The ``Problem`` that ``prepare`` makes from n rows of [Z | Y] with
+    column means ``mean`` and centered co-moments ``M``. Standardized, it is
+    G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D the ddof=1 sds under
+    ``prepare``'s constant rule; the scaled columns then have mean zero."""
+    M_zz, M_yz = M[:q, :q], M[q:, :q]
+    z_mean, y_mean = mean[:q], mean[q:]
+    if not standardize:
+        return Problem(info=ScalingInfo.identity(q, len(y_mean)),
+                       z_bar=z_mean, y_bar=y_mean, G=M_zz, c=M_yz)
+    info = _scaling(z_mean, np.sqrt(M_zz.diagonal() / (n - 1)), y_mean)
+    sd = info.z_sd
+    return Problem(info=info, z_bar=np.zeros(q), y_bar=np.zeros(len(y_mean)),
+                   G=M_zz / sd / sd[:, None], c=M_yz / sd)
+
+
+def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
+    """Each refit window: ``(start, stop, problem)``, the problem fit on rows
+    [0, start) and predicting rows [start, stop).
+
+    Fixed refit is one window, [0, T1), that predicts the whole validation
+    segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
+    The first window's problem is ``prepare``'s. Later windows grow it: the
+    running means and centered co-moments of [Z | Y] take in each window's
+    new rows (``_merge``), and the problem is read off them, equal to
+    ``prepare``'s on the window's rows up to rounding.
+    """
+    step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
+    starts = range(split.T1, split.T2, step)
+    n = split.T1
+    yield n, min(n + step, split.T2), prepare(
+        design.take(slice(0, n)), standardize_design=spec.standardize)
+    if len(starts) == 1:
+        return
+    # shifted by the first row: a column that has been constant so far is
+    # exactly zero, so it adds nothing to the co-moments
+    X = np.hstack([design.Z[:starts[-1]], design.Y[:starts[-1]]])
+    shift = X[0].copy()
+    X -= shift
+    mean, M = _comoments(X[:n])
+    for start in starts[1:]:
+        mean, M = _merge(n, mean, M, X[n:start])
+        n = start
+        yield start, min(start + step, split.T2), _moment_problem(
+            n, shift + mean, M, design.q, spec.standardize)
+
+
 def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     """``select_lambda``'s path, the first window's ``Problem``, and that
     window's ``(scaled_b, n_iter, converged)`` per grid value.
 
     Under either refit policy the first window is [0, T1), the training
-    segment ``split.train``, so these are the train fits at every lambda.
+    segment ``split.train``, so these are the train fits at every lambda;
+    its problem is ``prepare``'s, and later windows' grow from it
+    (``_windows``).
     """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
@@ -212,19 +288,13 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
         raise InsufficientDataError(
             f"validation segment has {n_val} rows; need >= 2")
 
-    # fixed refit is one window that predicts the whole validation segment;
-    # expanding refit re-fits on [0, t) every refit_every rows t
-    step = n_val if spec.refit == "fixed" else spec.refit_every
     penalties = [Penalty(float(lam), spec.alpha) for lam in grid]
     sse = [0.0] * grid.size
     last = [None] * grid.size  # each lambda's solve on its last window
     first = None
     solves = sweeps = nonconverged = 0
     kkt_max = 0.0
-    for start in range(split.T1, split.T2, step):
-        stop = min(start + step, split.T2)
-        problem = prepare(design.take(slice(0, start)),
-                          standardize_design=spec.standardize)
+    for start, stop, problem in _windows(design, split, spec):
         # the rows this window predicts, on the window's standardized and
         # centered scale: there the prediction error is zs @ b.T - ys
         info = problem.info
@@ -239,7 +309,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
                 b if last[gi] is None else last[gi][0])
             last[gi] = b, n_iter, converged
             err = zs @ b.T - ys
-            sse[gi] += float(np.sum(err * err))
+            sse[gi] += float((err * err).sum())
             solves += 1
             sweeps += sum(n_iter)
             nonconverged += not converged

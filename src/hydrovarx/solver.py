@@ -17,9 +17,11 @@ independently, in the covariance form of Friedman, Hastie & Tibshirani
 alpha) I, the gradient of one equation is g = c - H b. ``prepare``
 standardizes and centers a design and forms G and c once; ``solve`` returns
 the standardized coefficients of that ``Problem`` at one penalty, so a lambda
-grid prepares each window once and builds no model. ``fit`` is ``prepare``,
-``solve``, then ``_finish``, the mapping back, which also turns a grid's
-solve into a model without a refit.
+grid forms each window's problem once and builds no model. (Under expanding
+refit, ``selection._windows`` grows each later window's problem from running
+co-moments instead of preparing it again.) ``fit`` is ``prepare``, ``solve``,
+then ``_finish``, the mapping back, which also turns a grid's solve into a
+model without a refit.
 
 The kernel (``_cd_solve``) is the active-set method of Osborne, Presnell &
 Turlach (2000). With t = lambda alpha / 2, b is optimal when every nonzero
@@ -41,9 +43,17 @@ there and leaves the face. With t = 0 there are no signs to keep and b
 moves to x. A block that is not positive definite takes one plain
 coordinate-descent sweep instead. A coordinate with H_jj = 0 (a zero column
 without ridge) is pinned at zero. Every step keeps b on the closed orthant
-of its face, so the objective never increases. ``n_iter`` counts
-iterations per equation: one gradient pass, then at most one face step.
-The arithmetic is deterministic, so fitting is reproducible bit for bit.
+of its face, so the objective never increases.
+
+A warm start is almost never at its own face's optimum (it solved a nearby
+problem), so its first pass would only lead to re-solving that face. A warm
+start with a nonzero face therefore takes that face step first, without the
+pass, and counts it as iteration 1; if the step fails, the usual loop
+starts from b, uncounted. ``n_iter`` counts iterations per equation: that
+opening step, if taken, then each gradient pass with at most one face step
+after it. So ``max_iter=0`` returns the start unchanged, and ``max_iter=1``
+returns a warm start's opening face step. The arithmetic is deterministic,
+so fitting is reproducible bit for bit.
 
 Equivalence contract: the kernel reaches the same minimizer as plain
 coordinate descent, not the same bits. The test suite keeps the plain
@@ -95,9 +105,10 @@ class FittedModel:
     ``scaled_coeffs``/``scaled_intercept`` are the same solution on the
     standardized scale the solver actually minimized on (identical to the raw
     values when standardization was disabled). ``n_iter`` counts the solver's
-    iterations per target equation, each one gradient pass plus at most one
-    face step (stored in ``model.json``); ``converged`` says whether every
-    equation was certified optimal within ``max_iter`` iterations.
+    iterations per target equation, each a gradient pass and at most one face
+    step, or a warm start's opening face step (stored in ``model.json``);
+    ``converged`` says whether every equation was certified optimal within
+    ``max_iter`` iterations.
     """
 
     nu: np.ndarray
@@ -331,7 +342,11 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
     ridge = lam * (1.0 - alpha)
     diag = G.diagonal().tolist()
     bound = tol * max([1.0] + diag)
-    H = G + ridge * np.eye(q) if ridge else G
+    if ridge:
+        H = G.copy()
+        H.flat[::q + 1] += ridge
+    else:
+        H = G
     cl = c.tolist()
     b = b.tolist()
     if min(diag) + ridge <= 0.0:
@@ -339,6 +354,13 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
         b = [v if d + ridge > 0.0 else 0.0 for v, d in zip(b, diag)]
     iters = 0
     converged = False
+    # from a warm start the first pass nearly always finds b off its face's
+    # optimum and re-solves that face: take that step without the pass, as
+    # iteration 1; a step that fails leaves b to the loop, uncounted
+    face = [j for j, bj in enumerate(b) if bj != 0.0]
+    signs = [1.0 if b[j] > 0.0 else -1.0 for j in face]
+    if face and max_iter > 0 and _face_step(H, cl, thr, b, None, face, signs, []):
+        iters = 1
     while True:
         g = (c - H.dot(b)).tolist()
         # the KKT residual of every coordinate; the face is the nonzero set,
@@ -386,14 +408,14 @@ def _solve(problem: Problem, penalty: Penalty, tol, max_iter, warm_start):
     """``solve``, plus the largest KKT residual over the equations."""
     k, q = problem.c.shape
     scaled_b = np.zeros((k, q))
+    start = np.zeros((k, q)) if warm_start is None \
+        else np.asarray(warm_start, dtype=float)
     n_iter = []
     converged = True
     kkt = 0.0
     for i in range(k):
-        b0 = np.array(warm_start[i], dtype=float) if warm_start is not None \
-            else np.zeros(q)
-        b, iters, ok, r = _cd_solve(problem.G, problem.c[i], penalty, b0, tol,
-                                    max_iter)
+        b, iters, ok, r = _cd_solve(problem.G, problem.c[i], penalty, start[i],
+                                    tol, max_iter)
         scaled_b[i] = b
         n_iter.append(iters)
         converged &= ok

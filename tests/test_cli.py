@@ -447,6 +447,31 @@ def test_evaluate_of_a_bare_model_reads_flags_and_defaults(synth_csv, tmp_path):
     assert (settings["alpha"], settings["grid"]) == (0.9, "10:500:24:log")
 
 
+@pytest.mark.parametrize("fit_flags", [
+    ["--exog", "x1"],
+    ["--exog", "x1,x2", "--drop", "x2"],
+], ids=["exog", "exog-and-drop"])
+def test_evaluate_takes_exog_from_the_model(tmp_path, capsys, fit_flags):
+    rc = main(["simulate", "--out", str(tmp_path / "sim"), "--n", "300", "--k", "1",
+               "--m", "2", "--p", "1", "--s", "1", "--phi", "0.5",
+               "--beta", "0.8,0.4", "--noise-sd", "0.3", "--seed", "7"])
+    assert rc == 0
+    csv = tmp_path / "sim" / "synth.csv"
+    fit_dir = tmp_path / "fit"
+    assert _fit(csv, fit_dir, fit_flags) == 0
+    out = tmp_path / "eval"
+    assert _evaluate(fit_dir / "model.json", csv, out) == 0
+    fitted = parse_artifact_header(fit_dir / "lambda_path.csv")
+    assert _unbound(parse_artifact_header(out / "metrics.csv")) == _unbound(fitted)
+    # a restated binding that differs from the model's fails in design, as
+    # a different --drop does
+    capsys.readouterr()
+    assert _evaluate(fit_dir / "model.json", csv, out, "--exog", "x1,x2",
+                     "--drop", "") == 3
+    assert "hydrovarx evaluate: design: data and model disagree on regressors; " \
+        "data-only=['x21'], model-only=[]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config, code, needle", [
     ("x", 3, "malformed model document"),
     ({"alpha": "high"}, 2, "config key 'alpha' must be a number"),

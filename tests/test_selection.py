@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_frame
 import hydrovarx.selection
 from hydrovarx import (
+    DesignMatrix,
     LagSpec,
     LambdaPath,
     ModelSpec,
@@ -24,7 +25,7 @@ from hydrovarx import (
     select_order,
 )
 from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
-from hydrovarx.selection import _lambda_path, check_grid
+from hydrovarx.selection import _lambda_path, _windows, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
 from hydrovarx.solver import _finish, kkt_violation, prepare
 
@@ -224,6 +225,61 @@ def test_select_lambda_matches_reference_on_random_problems(
                                            standardize_design)
     np.testing.assert_allclose(path.msfe, msfe, rtol=1e-12, atol=0)
     assert path.chosen_index == chosen
+
+
+def _close(got, want, scale=0.0):
+    """Equal to 1e-12 * max(1, |want|, scale), entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bound = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), scale)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), n=st.integers(12, 80),
+       refit_every=st.sampled_from([1, 2, 3, 7]), standardize=st.booleans(),
+       level=st.sampled_from([0.0, 0.3, -41.7]))
+def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
+                                         level):
+    rng = np.random.default_rng(seed)
+    split = SplitPlan(n)
+    # columns of several scales and offsets; a mean that dwarfs its sd
+    # costs both computations digits, so |mean| / sd stays below 20
+    Z = rng.normal(size=(n, 4)) * [1.0, 1.0, 0.1, 50.0] + [0.0, 3.0, -2.0, 100.0]
+    # constant over the first window and a few rows beyond, then varying
+    Z[:split.T1 + 2, 0] = level
+    Y = rng.normal(size=(n, k)).cumsum(axis=0) + 5.0
+    design = DesignMatrix(Y=Y, Z=Z, row_dates=np.arange(n).astype("datetime64[D]"),
+                          col_labels=("a", "b", "c", "d"),
+                          target_names=tuple(f"Y{i}" for i in range(k)),
+                          exog_names=(), p=4, s=0, mode="positional")
+    spec = ModelSpec(refit="expanding", refit_every=refit_every,
+                     standardize=standardize)
+    windows = list(_windows(design, split, spec))
+    starts = list(range(split.T1, split.T2, refit_every))
+    assert [(start, stop) for start, stop, _ in windows] \
+        == [(t, min(t + refit_every, split.T2)) for t in starts]
+    for start, _, got in windows:
+        want = prepare(design.take(slice(0, start)), standardize_design=standardize)
+        # an entry of G or c that is small by cancellation is held to its
+        # Cauchy-Schwarz bound, sqrt(G_ii G_jj) or sqrt(S_yy G_jj), instead
+        ydev = Y[:start] - Y[:start].mean(axis=0)
+        zz = np.sqrt(want.G.diagonal())
+        _close(got.G, want.G, np.outer(zz, zz))
+        _close(got.c, want.c, np.outer(np.sqrt((ydev * ydev).sum(axis=0)), zz))
+        for name in ("z_bar", "y_bar"):
+            _close(getattr(got, name), getattr(want, name))
+        for name in ("z_mean", "z_sd", "y_mean"):
+            _close(getattr(got.info, name), getattr(want.info, name))
+        np.testing.assert_array_equal(got.info.constant, want.info.constant)
+        assert got.info.enabled == want.info.enabled == standardize
+    assert windows[0][2].info.constant[0] == standardize
+    # fixed refit is the one training window, exactly prepare's
+    (start, stop, got), = _windows(design, split, replace(spec, refit="fixed"))
+    want = prepare(design.take(split.train), standardize_design=standardize)
+    assert (start, stop) == (split.T1, split.T2)
+    for name in ("G", "c", "z_bar", "y_bar"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),

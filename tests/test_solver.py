@@ -22,7 +22,7 @@ from hydrovarx import (
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve, prepare, solve
+from hydrovarx.solver import _cd_solve, _face_step, prepare, solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -350,6 +350,62 @@ def test_face_step_rejects_sign_change():
     full, _, ok = _solve(G, c, penalty, b0, 10000)
     assert ok
     np.testing.assert_allclose(full, [0.9, 0.0], rtol=0, atol=1e-12)
+
+
+def _kkt(G, c, penalty, b):
+    """The largest KKT residual of b, recomputed."""
+    b = np.asarray(b, dtype=float)
+    thr = penalty.lam * penalty.alpha / 2.0
+    grad = c - G @ b - penalty.lam * (1.0 - penalty.alpha) * b
+    return np.where(b != 0.0, np.abs(grad - thr * np.sign(b)),
+                    np.maximum(np.abs(grad) - thr, 0.0)).max()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_zero_iterations_return_the_warm_start(alpha):
+    G, c, _, penalty, b0 = _kernel_case(
+        q=8, n_extra=20, alpha=alpha, lam_frac=0.3, warm="sparse",
+        zero_col=False, asym=False, seed=11)
+    got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
+    assert got == b0.tolist() and iters == 0 and not ok
+    assert abs(kkt - _kkt(G, c, penalty, b0)) <= 1e-12 * max(1.0, kkt)
+
+
+def test_first_warm_iteration_is_the_face_step():
+    # from b = (0, 5) the face is {1}: (G_11) x = c_1 - 0.1, so x = 0.4
+    G = np.array([[1.0, 0.5], [0.5, 1.0]])
+    c = np.array([1.0, 0.5])
+    got, iters, ok, _ = _cd_solve(G, c, Penalty(0.2, 1.0), np.array([0.0, 5.0]),
+                                  1e-7, 1)
+    assert got == [0.0, 0.4] and iters == 1 and not ok
+    # on a random face, the one iteration is that face's step, bit for bit
+    G, c, _, penalty, b0 = _kernel_case(
+        q=10, n_extra=30, alpha=0.5, lam_frac=0.2, warm="sparse",
+        zero_col=False, asym=False, seed=12)
+    thr = penalty.lam * penalty.alpha / 2.0
+    H = G + penalty.lam * (1.0 - penalty.alpha) * np.eye(len(c))
+    face = [j for j in range(len(c)) if b0[j] != 0.0]
+    want = b0.tolist()
+    assert _face_step(H, c.tolist(), thr, want, None, face,
+                      [float(np.sign(b0[j])) for j in face], [])
+    got, iters, ok, _ = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 1)
+    assert got == want and iters == 1 and not ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 12), n_extra=st.integers(20, 40),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]), lam_frac=st.floats(0.01, 1.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_resolving_from_a_solution_stays_there(q, n_extra, alpha, lam_frac, seed):
+    G, c, _, penalty, b0 = _kernel_case(q, n_extra, alpha, lam_frac, "cold",
+                                        False, False, seed)
+    first, _, ok, _ = _cd_solve(G, c, penalty, b0, 1e-7, 10000)
+    assert ok
+    again, iters, ok, kkt = _cd_solve(G, c, penalty, np.array(first), 1e-7, 10000)
+    assert ok and iters <= 2
+    assert kkt <= 1e-7 * max(1.0, G.diagonal().max())
+    first, again = np.array(first), np.array(again)
+    assert np.all(np.abs(again - first) <= 1e-12 * np.maximum(1.0, np.abs(first)))
 
 
 @settings(max_examples=100, deadline=None)
