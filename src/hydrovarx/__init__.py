@@ -1,10 +1,10 @@
 """Sparse elastic-net VARX modeling for daily environmental time series.
 
-The package fits vector autoregressive models with exogenous inputs by
-coordinate descent under an elastic-net penalty, selects the penalty weight
-by rolling one-step forecast error on a chronological train/validate/test
-split, selects lag orders by BIC, and scores held-out forecasts with a broad
-suite of hydrological goodness-of-fit measures. A seeded synthetic generator
+The package fits vector autoregressive models with exogenous inputs by a
+certified active-set method under an elastic-net penalty, selects the
+penalty weight by rolling one-step forecast error on a chronological
+train/validate/test split, selects lag orders by BIC, and scores held-out
+forecasts with a broad suite of hydrological goodness-of-fit measures. A seeded synthetic generator
 supports end-to-end validation against known ground truth.
 """
 

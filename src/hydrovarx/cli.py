@@ -298,10 +298,11 @@ def _load_model(path) -> tuple[FittedModel, dict]:
     return model, {**made, "p": model.p, "s": model.s, "lag_mode": model.lag_mode}
 
 
-def cmd_evaluate(config: RunConfig, model_path) -> int:
+def cmd_evaluate(config: RunConfig, model_path, loaded=None) -> int:
     """Check the stored model's rows, forecast the test segment with it, and
-    write metric artifacts."""
-    model, made = _load_model(model_path)
+    write metric artifacts. ``loaded`` is ``_load_model(model_path)``, when
+    the caller has read it already."""
+    model, made = loaded or _load_model(model_path)
     stored = RunConfig(config.input, config.out, config.target, **made)
     settings, want = config.to_dict(), stored.to_dict()
     # exog and drop are left to the design check; no fit artifact reads
@@ -576,12 +577,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             return cmd_simulate(args)
-        stored = _load_model(args.model)[1] if args.command == "evaluate" else None
-        config = resolve_config(args, stored)
+        loaded = _load_model(args.model) if args.command == "evaluate" else None
+        config = resolve_config(args, loaded and loaded[1])
         if args.command == "fit":
             return cmd_fit(config)
         if args.command == "evaluate":
-            return cmd_evaluate(config, args.model)
+            return cmd_evaluate(config, args.model, loaded)
         if args.command == "ablate":
             return cmd_ablate(config)
         if args.command == "select-order":

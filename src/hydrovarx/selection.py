@@ -22,10 +22,10 @@ from .errors import (
 )
 from .frame import SEASONS, TimeSeriesFrame
 from .solver import (
+    SNAP_TOL,
     FittedModel,
     Penalty,
     Problem,
-    _finish,
     _solve,
     predict_rows,
     prepare,
@@ -203,7 +203,7 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     which ``ModelSpec`` has validated. The lag orders are the design's own;
     ``spec.p``, ``spec.s`` and ``spec.lag_mode`` are not read.
     """
-    return _lambda_path(design, split, spec)[0]
+    return _lambda_path(design, split, spec)[0][0]
 
 
 def _comoments(X):
@@ -219,6 +219,11 @@ def _merge(n, mean, M, X):
     parts' means, M = M_a + M_b + d d' n_a n_b / (n_a + n_b). Unlike
     S - n mean mean', it does not cancel."""
     n_x = len(X)
+    if n_x == 1:
+        # one row is its own mean, with zero co-moment
+        d = X[0] - mean
+        w = 1 / (n + 1)
+        return mean + d * w, M + np.outer(d, d * (n * w))
     mean_x, M_x = _comoments(X)
     d = mean_x - mean
     w = n_x / (n + n_x)
@@ -272,14 +277,58 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
             n, shift + mean, M, design.q, spec.standardize)
 
 
-def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
-    """``select_lambda``'s path, the first window's ``Problem``, and that
-    window's ``(scaled_b, n_iter, converged)`` per grid value.
+def _cut(problem: Problem, idx) -> Problem:
+    """The problem of the columns ``idx`` of ``problem``'s design (None: all
+    of them). Scaling and centering are per column, so this is ``prepare``'s
+    problem of those columns alone, up to the rounding of its Gram product."""
+    if idx is None:
+        return problem
+    info = problem.info
+    return Problem(
+        info=ScalingInfo(z_mean=info.z_mean[idx], z_sd=info.z_sd[idx],
+                         y_mean=info.y_mean, constant=info.constant[idx],
+                         enabled=info.enabled),
+        z_bar=problem.z_bar[idx], y_bar=problem.y_bar,
+        G=problem.G[np.ix_(idx, idx)], c=problem.c[:, idx])
 
-    Under either refit policy the first window is [0, T1), the training
-    segment ``split.train``, so these are the train fits at every lambda;
-    its problem is ``prepare``'s, and later windows' grow from it
-    (``_windows``).
+
+def _scaled_rows(Z, Y, problem: Problem):
+    """Rows of Z and Y on ``problem``'s standardized and centered scale,
+    where a solution b predicts them with the error zs @ b.T - ys."""
+    info = problem.info
+    return ((Z - info.z_mean) / info.z_sd - problem.z_bar,
+            Y - info.y_mean - problem.y_bar)
+
+
+def _sq_errors(zs, ys, X):
+    """The column sums of ([zs ys] @ X)^2, taken through a factor F with
+    F'F = [zs ys]'[zs ys]: the rows themselves when there are at most as
+    many as columns, else the R of their QR factorization. (A Gram form of
+    the same sums would square the rows' conditioning.)"""
+    F = np.hstack([zs, ys])
+    if len(F) > F.shape[1]:
+        F = np.linalg.qr(F, mode="r")
+    E = F @ X
+    return (E * E).sum(axis=0)
+
+
+def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
+                 cuts=(None,)):
+    """One ``select_lambda`` path per column cut of ``design``, all from one
+    pass over its windows (``_windows``); a cut is an index array of the
+    design's columns, and None is the whole design.
+
+    In each window a cut's problem is cut from the window's (``_cut``), and
+    its grid is solved as ``select_lambda``'s: chained down the grid in the
+    first window, then each lambda from its own previous window. The
+    window's solutions, every cut's at every lambda, are then scored in one
+    product (``_sq_errors``).
+
+    Returns the paths, the first window's ``Problem`` (the whole design's)
+    and, per cut, that window's ``(scaled_b, n_iter, converged)`` per grid
+    value. Under either refit policy the first window is [0, T1), the
+    training segment ``split.train``, so these are the train fits at every
+    lambda.
     """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
@@ -289,39 +338,59 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
             f"validation segment has {n_val} rows; need >= 2")
 
     penalties = [Penalty(float(lam), spec.alpha) for lam in grid]
-    sse = [0.0] * grid.size
-    last = [None] * grid.size  # each lambda's solve on its last window
+    q, k, n_cut, n_grid = design.q, design.k, len(cuts), grid.size
+    # every solution of a window in the design's columns, over -I: a block
+    # of k columns per (cut, lambda), so [zs ys] @ X holds their errors
+    X = np.zeros((q + k, n_cut, n_grid, k))
+    X[q:] = -np.eye(k)[:, None, None, :]
+    sse = np.zeros((n_cut, n_grid))
+    last = [[None] * n_grid for _ in cuts]  # each solve on its last window
+    counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, sweeps, nonconverged, kkt
     first = None
-    solves = sweeps = nonconverged = 0
-    kkt_max = 0.0
     for start, stop, problem in _windows(design, split, spec):
-        # the rows this window predicts, on the window's standardized and
-        # centered scale: there the prediction error is zs @ b.T - ys
-        info = problem.info
-        zs = (design.Z[start:stop] - info.z_mean) / info.z_sd - problem.z_bar
-        ys = design.Y[start:stop] - info.y_mean - problem.y_bar
-        b = None
-        for gi in range(grid.size - 1, -1, -1):
-            # the first window chains warm starts down the grid; later ones
-            # start each lambda from its own previous window
-            b, n_iter, converged, kkt = _solve(
-                problem, penalties[gi], spec.tol, spec.max_iter,
-                b if last[gi] is None else last[gi][0])
-            last[gi] = b, n_iter, converged
-            err = zs @ b.T - ys
-            sse[gi] += float((err * err).sum())
-            solves += 1
-            sweeps += sum(n_iter)
-            nonconverged += not converged
-            kkt_max = max(kkt_max, kkt)
+        for idx, fits, count, Xc in zip(cuts, last, counts, X.swapaxes(0, 1)):
+            sub = _cut(problem, idx)
+            b = None
+            for gi in range(n_grid - 1, -1, -1):
+                # the first window chains warm starts down the grid; later
+                # ones start each lambda from its own previous window
+                b, n_iter, converged, kkt = _solve(
+                    sub, penalties[gi], spec.tol, spec.max_iter,
+                    b if fits[gi] is None else fits[gi][0])
+                fits[gi] = b, n_iter, converged
+                Xc[slice(0, q) if idx is None else idx, gi] = b.T
+                count[0] += 1
+                count[1] += sum(n_iter)
+                count[2] += not converged
+                count[3] = max(count[3], kkt)
         if first is None:
-            first = problem, last.copy()
-    msfe = np.array(sse) / (n_val - 1)
+            first = problem, [list(fits) for fits in last]
+        zs, ys = _scaled_rows(design.Z[start:stop], design.Y[start:stop], problem)
+        sse += _sq_errors(zs, ys, X.reshape(q + k, -1)).reshape(
+            n_cut, n_grid, k).sum(axis=2)
 
-    chosen = int(grid.size - 1 - np.argmin(msfe[::-1]))
-    path = LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen, solves=solves,
-                      sweeps=sweeps, nonconverged=nonconverged, kkt_max=kkt_max)
-    return path, *first
+    paths = []
+    for msfe, (solves, sweeps, nonconverged, kkt_max) in zip(sse / (n_val - 1),
+                                                             counts):
+        chosen = int(n_grid - 1 - np.argmin(msfe[::-1]))
+        paths.append(LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen,
+                                solves=solves, sweeps=sweeps,
+                                nonconverged=nonconverged, kkt_max=kkt_max))
+    return paths, *first
+
+
+def _bic(n: int, rss: float, support: int, k: int, yy: float) -> float:
+    """``bic`` from its parts: n rows, their RSS, the support size, k
+    target equations, and yy, the sum of the squared responses."""
+    if n < support + 2:
+        raise InsufficientDataError(
+            f"BIC needs n >= |support| + 2; have n={n}, support={support}")
+    # an RSS at rounding-noise scale means an exact fit: the concentrated
+    # likelihood diverges and BIC comparisons become meaningless
+    if rss <= 1e-12 * max(yy, 1.0):
+        raise DegenerateFitError(
+            "residual sum of squares is numerically zero (infinite likelihood)")
+    return n * math.log(rss / n) + (support + k) * math.log(n)
 
 
 def bic(design: DesignMatrix, model: FittedModel) -> float:
@@ -332,20 +401,28 @@ def bic(design: DesignMatrix, model: FittedModel) -> float:
     Additive constants are dropped; only differences across candidates that
     were fit on identical rows are meaningful.
     """
-    n = design.n_eff
-    k_params = len(model.support) + model.k
-    if n < len(model.support) + 2:
-        raise InsufficientDataError(
-            f"BIC needs n >= |support| + 2; have n={n}, support={len(model.support)}")
     resid = design.Y - predict_rows(model, design)
-    rss = float(np.sum(resid * resid))
-    # an RSS at rounding-noise scale means an exact fit: the concentrated
-    # likelihood diverges and BIC comparisons become meaningless
-    scale = max(float(np.sum(design.Y * design.Y)), 1.0)
-    if rss <= 1e-12 * scale:
-        raise DegenerateFitError(
-            "residual sum of squares is numerically zero (infinite likelihood)")
-    return n * math.log(rss / n) + k_params * math.log(n)
+    return _bic(design.n_eff, float(np.sum(resid * resid)), len(model.support),
+                model.k, float(np.sum(design.Y * design.Y)))
+
+
+def _order_bics(Z, Y, problem: Problem, B) -> np.ndarray:
+    """The ``bic`` of each train model of an order scan, fit on the rows Z
+    and Y. B holds their (k x q) scaled coefficients on ``problem``, the
+    rows' own, each in the widest design's columns (zero outside its own).
+
+    The RSS come from one residual factor of the rows (``_sq_errors``) and
+    the support from the snapped raw coefficients, as ``_finish`` makes them.
+    """
+    n, k = Y.shape
+    X = np.vstack([B.transpose(2, 0, 1).reshape(B.shape[2], -1),
+                   np.tile(-np.eye(k), len(B))])
+    rss = _sq_errors(*_scaled_rows(Z, Y, problem), X).reshape(-1, k).sum(axis=1)
+    raw = B / problem.info.z_sd
+    support = (np.abs(raw) >= SNAP_TOL).any(axis=1).sum(axis=1)
+    yy = float(np.sum(Y * Y))
+    return np.array([_bic(n, float(r), int(sz), k, yy)
+                     for r, sz in zip(rss, support)])
 
 
 @dataclass(frozen=True)
@@ -393,11 +470,14 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     the other lags, so the cut equals the candidate's own design on the same
     rows, in either lag mode.
 
-    Every candidate design uses ``spec.lag_mode``; its lambda path reads its
-    settings from ``spec`` as ``select_lambda`` does. The train model is the
-    path's train fit at the chosen lambda, not a refit: the first window of
-    either refit policy is the training segment, solved warm from the next
-    larger lambda (cold at the largest). The ranges, not ``spec.p`` and
+    Every candidate's lambda path comes from one pass over the widest
+    design's windows (``_lambda_path`` with one cut per candidate), with the
+    settings ``select_lambda`` reads from ``spec``; the design uses
+    ``spec.lag_mode``. The train model is the path's train fit at the chosen
+    lambda, not a refit: the first window of either refit policy is the
+    training segment, solved warm from the next larger lambda (cold at the
+    largest). Its BIC is ``bic``'s, taken from one residual factor of the
+    training rows (``_order_bics``). The ranges, not ``spec.p`` and
     ``spec.s``, give the lag orders.
     """
     p_range = sorted(set(int(p) for p in p_range))
@@ -411,32 +491,21 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     k, m = wide.k, len(wide.exog_names)
 
     candidates = [(p, s) for p in p_range for s in s_range]
-    bics = np.empty(len(candidates))
-    lams = np.empty(len(candidates))
-    solves = sweeps = nonconverged = 0
-    kkt_max = 0.0
-    for ci, (p, s) in enumerate(candidates):
-        y_cols, x_cols = slice(0, p * k), slice(p_max * k, p_max * k + s * m)
-        d = DesignMatrix(
-            Y=wide.Y, Z=np.hstack([wide.Z[:, y_cols], wide.Z[:, x_cols]]),
-            row_dates=wide.row_dates,
-            col_labels=wide.col_labels[y_cols] + wide.col_labels[x_cols],
-            target_names=wide.target_names, exog_names=wide.exog_names,
-            p=p, s=s, mode=wide.mode)
-        path, problem, fits = _lambda_path(d, split, spec)
-        train = d.take(split.train)
-        model = _finish(train, problem, Penalty(path.chosen_lambda, spec.alpha),
-                        *fits[path.chosen_index])
-        bics[ci] = bic(train, model)
-        lams[ci] = path.chosen_lambda
-        solves += path.solves
-        sweeps += path.sweeps
-        nonconverged += path.nonconverged
-        kkt_max = max(kkt_max, path.kkt_max)
+    cuts = [np.r_[0:p * k, p_max * k:p_max * k + s * m] for p, s in candidates]
+    paths, problem, fits = _lambda_path(wide, split, spec, cuts)
+    # each train model is its path's train solve at its lambda
+    B = np.zeros((len(cuts), k, wide.q))
+    for b, idx, path, path_fits in zip(B, cuts, paths, fits):
+        b[:, idx] = path_fits[path.chosen_index][0]
+    bics = _order_bics(wide.Z[split.train], wide.Y[split.train], problem, B)
 
     # BICs within rounding of the minimum tie; the first in (p, s) order wins
     low = float(np.min(bics))
     best = int(np.flatnonzero(bics <= low + 1e-9 * max(1.0, abs(low)))[0])
-    return OrderScan(candidates=tuple(candidates), bic=bics, lambdas=lams,
-                     chosen=candidates[best], solves=solves, sweeps=sweeps,
-                     nonconverged=nonconverged, kkt_max=kkt_max)
+    return OrderScan(candidates=tuple(candidates), bic=bics,
+                     lambdas=[path.chosen_lambda for path in paths],
+                     chosen=candidates[best],
+                     solves=sum(path.solves for path in paths),
+                     sweeps=sum(path.sweeps for path in paths),
+                     nonconverged=sum(path.nonconverged for path in paths),
+                     kkt_max=max(path.kkt_max for path in paths))

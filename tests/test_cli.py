@@ -447,6 +447,17 @@ def test_evaluate_of_a_bare_model_reads_flags_and_defaults(synth_csv, tmp_path):
     assert (settings["alpha"], settings["grid"]) == (0.9, "10:500:24:log")
 
 
+def test_evaluate_reads_the_model_once(synth_csv, tmp_path, monkeypatch):
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    loads = []
+    load = hydrovarx.cli._load_model
+    monkeypatch.setattr(hydrovarx.cli, "_load_model",
+                        lambda path: loads.append(path) or load(path))
+    assert _evaluate(fit_dir / "model.json", synth_csv, tmp_path / "eval") == 0
+    assert loads == [str(fit_dir / "model.json")]
+
+
 @pytest.mark.parametrize("fit_flags", [
     ["--exog", "x1"],
     ["--exog", "x1,x2", "--drop", "x2"],

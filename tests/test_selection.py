@@ -25,7 +25,7 @@ from hydrovarx import (
     select_order,
 )
 from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
-from hydrovarx.selection import _lambda_path, _windows, check_grid
+from hydrovarx.selection import _cut, _lambda_path, _windows, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
 from hydrovarx.solver import _finish, kkt_violation, prepare
 
@@ -406,11 +406,13 @@ def test_select_order_prefers_small_on_white_noise():
 
 
 def test_select_order_breaks_rounding_ties_by_order(monkeypatch):
-    # (2, 1) undercuts every other candidate by a rounding-sized gap only
-    def fake_bic(design, model):
-        return 100.0 * (1 - 1e-14) if (design.p, design.s) == (2, 1) else 100.0
+    # (2, 1), the last candidate, undercuts every other one by a
+    # rounding-sized gap only
+    def fake_bics(Z, Y, problem, B):
+        assert len(B) == 4
+        return np.array([100.0, 100.0, 100.0, 100.0 * (1 - 1e-14)])
 
-    monkeypatch.setattr(hydrovarx.selection, "bic", fake_bic)
+    monkeypatch.setattr(hydrovarx.selection, "_order_bics", fake_bics)
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
                                   beta=np.array([[[0.5]]]), seed=3))
     scan = select_order(frame, [1, 2], [0, 1],
@@ -493,35 +495,93 @@ def test_select_order_matches_per_candidate_reference(
             select_order(frame, p_range, s_range, spec)
         return
 
-    seen = []  # every candidate design and lambda path the scan makes
+    seen = []  # the scan's one lambda-path pass: its arguments and result
 
-    def spy(design, split, spec):
-        result = _lambda_path(design, split, spec)
-        seen.append((design, split, result))
+    def spy(design, split, spec, cuts):
+        result = _lambda_path(design, split, spec, cuts)
+        seen.append((design, split, cuts, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hydrovarx.selection, "_lambda_path", spy)
         scan = select_order(frame, p_range, s_range, spec)
+    (wide, split, cuts, (paths, problem, fits)), = seen
     assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
-    for (d, _, ref_bic, ref_model, ref_train), got_bic, (cut, split, result) \
-            in zip(want, scan.bic, seen, strict=True):
-        for name in ("Y", "Z", "row_dates"):
-            assert getattr(cut, name).tobytes() == getattr(d, name).tobytes()
-        assert (cut.col_labels, cut.p, cut.s, cut.mode) \
-            == (d.col_labels, d.p, d.s, d.mode)
+    for (d, _, ref_bic, ref_model, ref_train), got_bic, idx, path, path_fits \
+            in zip(want, scan.bic, cuts, paths, fits, strict=True):
+        # the cut is the candidate's own design, and its problem is prepare's
+        # on the candidate's training rows
+        assert wide.Z[:, idx].tobytes() == d.Z.tobytes()
+        for name in ("Y", "row_dates"):
+            assert getattr(wide, name).tobytes() == getattr(d, name).tobytes()
+        cut = _cut(problem, idx)
+        own = prepare(d.take(split.train), standardize_design=standardize_design)
+        for name in ("G", "c"):
+            _close(getattr(cut, name), getattr(own, name))
         if abs(got_bic - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic)):
             continue
         # a BIC outside the bound is a different support, and each train
         # model must then be optimal on its own
-        path, problem, fits = result
-        train = cut.take(split.train)
-        model = _finish(train, problem, Penalty(path.chosen_lambda, spec.alpha),
-                        *fits[path.chosen_index])
+        train = d.take(split.train)
+        model = _finish(train, cut, Penalty(path.chosen_lambda, spec.alpha),
+                        *path_fits[path.chosen_index])
         assert model.support != ref_model.support
         bound = train.q * (train.n_eff - 1) * spec.tol
         assert kkt_violation(model, train) <= bound
         assert kkt_violation(ref_model, ref_train) <= bound
+
+
+@pytest.mark.parametrize("refit", ["fixed", "expanding"])
+def test_order_scan_prepares_once_and_cuts_no_designs(monkeypatch, refit):
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
+                                  beta=np.array([[[0.8]]]), seed=3))
+    calls = {"prepare": 0, "design": 0, "take": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hydrovarx.selection, "prepare",
+                        counted("prepare", hydrovarx.selection.prepare))
+    monkeypatch.setattr(DesignMatrix, "__post_init__",
+                        counted("design", DesignMatrix.__post_init__))
+    monkeypatch.setattr(DesignMatrix, "take", counted("take", DesignMatrix.take))
+    scan = select_order(frame, [1, 2, 3], [0, 1, 2], ModelSpec(
+        grid=np.geomspace(0.1, 10.0, 3), refit=refit, refit_every=5))
+    assert len(scan.candidates) == 9
+    # the widest design, and its training rows for the one prepare
+    assert calls == {"prepare": 1, "design": 1, "take": 1}
+
+
+@pytest.mark.parametrize("refit", ["fixed", "expanding"])
+def test_near_exact_fits_score_like_the_reference(refit):
+    # errors this small sit far below the data's scale; a Gram form of the
+    # squared errors (yy - 2 b'v + b'Vb) would lose them to cancellation
+    truth = SynthSpec(n=150, phi=np.array([0.6]), beta=np.array([[[0.8]]]),
+                      noise_sd=1e-6, seed=3)
+    design = build_design(simulate(truth)[0], LagSpec(2, 1))
+    split = SplitPlan(design.n_eff)
+    grid = np.geomspace(1e-6, 1e-2, 5)
+    path = select_lambda(design, split, ModelSpec(grid=grid, refit=refit,
+                                                  refit_every=4))
+    msfe, chosen = reference_select_lambda(design, split, 0.5, grid, refit, 4,
+                                           True)
+    np.testing.assert_allclose(path.msfe, msfe, rtol=1e-8, atol=0)
+    assert path.chosen_index == chosen
+    # at noise_sd 1e-6 the train RSS is at rounding scale and bic refuses
+    # it; at 1e-4, with a stronger and more persistent signal, the scan's
+    # BICs must still match the reference's
+    frame = simulate(replace(truth, phi=np.array([0.9]), beta=np.array([[[4.0]]]),
+                             noise_sd=1e-4))[0]
+    spec = ModelSpec(grid=np.geomspace(1e-4, 1.0, 5), refit=refit,
+                     refit_every=4)
+    scan = select_order(frame, [1, 2], [0, 1], spec)
+    want = reference_select_order(frame, [1, 2], [0, 1], spec)
+    assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
+    for got, (_, _, ref_bic, *_) in zip(scan.bic, want, strict=True):
+        assert abs(got - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic))
 
 
 def test_order_scan_counts_its_solves():
