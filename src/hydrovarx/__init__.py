@@ -81,7 +81,6 @@ from .solver import (
     Penalty,
     fit,
     kkt_violation,
-    lambda_max,
     objective,
     predict_rows,
 )
@@ -102,7 +101,7 @@ __all__ = [
     "ablation_run", "aggregate_monthly", "bic", "build_design",
     "correlation_metrics", "default_grid", "destandardize_coeffs", "drop_columns",
     "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
-    "fit", "full_report", "kge_metrics", "kkt_violation", "lambda_max",
+    "fit", "full_report", "kge_metrics", "kkt_violation",
     "leakage_audit", "load_csv", "lookahead_violations", "objective",
     "predict_rows", "preprocess", "regression_line", "rolling_forecast",
     "run_pipeline", "select_lambda", "select_order",

@@ -35,11 +35,12 @@ from .errors import (
 )
 from .frame import SEASONS, load_csv, write_csv
 from .pipeline import _stage, ablation_run, leakage_audit, preprocess, run_pipeline, score
-from .selection import ModelSpec, SplitPlan, select_order
+from .selection import LAMBDA_GRID_DEFAULT, ModelSpec, SplitPlan, select_order
 from .simulate import SynthSpec, simulate
 from .solver import FittedModel
 
 ARTIFACT_VERSION = 1
+_GRID_DEFAULT = "{:g}:{:g}:{}:log".format(*LAMBDA_GRID_DEFAULT)  # as grid text
 
 
 @dataclass(frozen=True, init=False)
@@ -57,7 +58,7 @@ class RunConfig:
     spec: ModelSpec
 
     def __init__(self, input, out, target, exog=None, date_column="Date",
-                 drop=(), grid="10:500:24:log", **settings) -> None:
+                 drop=(), grid=_GRID_DEFAULT, **settings) -> None:
         if not target:
             raise ConfigError("at least one target column is required")
         try:
@@ -223,7 +224,7 @@ def _warn_unconverged_solves(command: str, work, max_iter: int,
     if work.nonconverged:
         print(f"hydrovarx {command}: warning: {work.nonconverged} of "
               f"{work.solves} lambda-path solves did not converge within "
-              f"max_iter={max_iter} sweeps{where}", file=sys.stderr)
+              f"max_iter={max_iter} iterations{where}", file=sys.stderr)
 
 
 def _warn_outcomes(command: str, report, run: str = "") -> None:
@@ -241,8 +242,8 @@ def _warn_outcomes(command: str, report, run: str = "") -> None:
     _warn_unconverged_solves(command, path, report.spec.max_iter, where)
     if not model.converged:
         print(f"hydrovarx {command}: warning: final fit did not converge "
-              f"within max_iter={report.spec.max_iter} sweeps{where} "
-              f"(sweeps per equation: {list(model.n_iter)})", file=sys.stderr)
+              f"within max_iter={report.spec.max_iter} iterations{where} "
+              f"(iterations per equation: {list(model.n_iter)})", file=sys.stderr)
 
 
 # --- commands ----------------------------------------------------------------

@@ -64,8 +64,19 @@ def _pair(obs, sim, min_n: int = 2):
     return obs, sim
 
 
+def _constant(x: np.ndarray) -> bool:
+    # all values equal: deviations from a rounded mean need not be zero
+    return bool(x.min() == x.max())
+
+
+def _centered(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean of x and x's deviations from it, exactly zero if x is constant."""
+    mean = float(x[0] if _constant(x) else x.mean())
+    return mean, x - mean
+
+
 def _sd(x: np.ndarray) -> float:
-    return float(np.std(x, ddof=1))
+    return 0.0 if _constant(x) else float(np.std(x, ddof=1))
 
 
 class _Report:
@@ -130,8 +141,7 @@ def efficiency_metrics(obs, sim) -> MetricsReport:
     """
     obs, sim = _pair(obs, sim)
     e = sim - obs
-    obar = float(obs.mean())
-    dev = obs - obar
+    obar, dev = _centered(obs)
     sse = float(e @ e)
     sst = float(dev @ dev)
     r = _Report()
@@ -221,8 +231,8 @@ def correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
     if n_predictors < 0:
         raise ContractError("n_predictors must be >= 0")
     n = len(obs)
-    dev_o = obs - obs.mean()
-    dev_s = sim - sim.mean()
+    _, dev_o = _centered(obs)
+    _, dev_s = _centered(sim)
     sso = float(dev_o @ dev_o)
     sss = float(dev_s @ dev_s)
     r = _Report()
@@ -298,23 +308,22 @@ def kge_metrics(obs, sim) -> MetricsReport:
 
     if obs.mean() == 0.0 or sim.mean() == 0.0:
         r.flag("KGEnp", "zero mean")
+    elif _constant(obs) or _constant(sim):
+        r.flag("KGEnp", "constant series")
     else:
         rank_o = rankdata(obs)
         rank_s = rankdata(sim)
         dev_o = rank_o - rank_o.mean()
         dev_s = rank_s - rank_s.mean()
-        den = float(dev_o @ dev_o) * float(dev_s @ dev_s)
-        if den == 0.0:
-            r.flag("KGEnp", "constant series")
-        else:
-            rho = float((dev_o @ dev_s) / math.sqrt(den))
-            n = len(obs)
-            fdc_o = np.sort(obs) / (n * obs.mean())
-            fdc_s = np.sort(sim) / (n * sim.mean())
-            alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
-            beta = float(sim.mean() / obs.mean())
-            r.put("KGEnp", 1.0 - math.sqrt((rho - 1) ** 2 + (alpha_np - 1) ** 2
-                                           + (beta - 1) ** 2))
+        rho = float((dev_o @ dev_s)
+                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
+        n = len(obs)
+        fdc_o = np.sort(obs) / (n * obs.mean())
+        fdc_s = np.sort(sim) / (n * sim.mean())
+        alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
+        beta = float(sim.mean() / obs.mean())
+        r.put("KGEnp", 1.0 - math.sqrt((rho - 1) ** 2 + (alpha_np - 1) ** 2
+                                       + (beta - 1) ** 2))
     return r.done()
 
 

@@ -26,9 +26,9 @@ from .solver import (
     FittedModel,
     Penalty,
     Problem,
-    _solve,
     predict_rows,
     prepare,
+    solve,
 )
 from .solver import fit  # noqa: F401  perfbench traces hydrovarx.selection.fit
 
@@ -293,19 +293,21 @@ def _cut(problem: Problem, idx) -> Problem:
 
 
 def _scaled_rows(Z, Y, problem: Problem):
-    """Rows of Z and Y on ``problem``'s standardized and centered scale,
-    where a solution b predicts them with the error zs @ b.T - ys."""
+    """The rows [zs ys] of Z and Y on ``problem``'s standardized and centered
+    scale, where a solution b predicts them with the error zs @ b.T - ys."""
     info = problem.info
-    return ((Z - info.z_mean) / info.z_sd - problem.z_bar,
-            Y - info.y_mean - problem.y_bar)
+    F = np.hstack([Z, Y])
+    F -= np.concatenate([info.z_mean, info.y_mean])
+    F[:, :Z.shape[1]] /= info.z_sd
+    F -= np.concatenate([problem.z_bar, problem.y_bar])
+    return F
 
 
-def _sq_errors(zs, ys, X):
-    """The column sums of ([zs ys] @ X)^2, taken through a factor F with
-    F'F = [zs ys]'[zs ys]: the rows themselves when there are at most as
-    many as columns, else the R of their QR factorization. (A Gram form of
+def _sq_errors(F, X):
+    """The column sums of (F @ X)^2 for the scaled rows F = [zs ys], taken
+    through a factor R with R'R = F'F: F itself when it has at most as many
+    rows as columns, else the R of its QR factorization. (A Gram form of
     the same sums would square the rows' conditioning.)"""
-    F = np.hstack([zs, ys])
     if len(F) > F.shape[1]:
         F = np.linalg.qr(F, mode="r")
     E = F @ X
@@ -354,7 +356,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
             for gi in range(n_grid - 1, -1, -1):
                 # the first window chains warm starts down the grid; later
                 # ones start each lambda from its own previous window
-                b, n_iter, converged, kkt = _solve(
+                b, n_iter, converged, kkt = solve(
                     sub, penalties[gi], spec.tol, spec.max_iter,
                     b if fits[gi] is None else fits[gi][0])
                 fits[gi] = b, n_iter, converged
@@ -365,8 +367,8 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
                 count[3] = max(count[3], kkt)
         if first is None:
             first = problem, [list(fits) for fits in last]
-        zs, ys = _scaled_rows(design.Z[start:stop], design.Y[start:stop], problem)
-        sse += _sq_errors(zs, ys, X.reshape(q + k, -1)).reshape(
+        F = _scaled_rows(design.Z[start:stop], design.Y[start:stop], problem)
+        sse += _sq_errors(F, X.reshape(q + k, -1)).reshape(
             n_cut, n_grid, k).sum(axis=2)
 
     paths = []
@@ -417,7 +419,7 @@ def _order_bics(Z, Y, problem: Problem, B) -> np.ndarray:
     n, k = Y.shape
     X = np.vstack([B.transpose(2, 0, 1).reshape(B.shape[2], -1),
                    np.tile(-np.eye(k), len(B))])
-    rss = _sq_errors(*_scaled_rows(Z, Y, problem), X).reshape(-1, k).sum(axis=1)
+    rss = _sq_errors(_scaled_rows(Z, Y, problem), X).reshape(-1, k).sum(axis=1)
     raw = B / problem.info.z_sd
     support = (np.abs(raw) >= SNAP_TOL).any(axis=1).sum(axis=1)
     yy = float(np.sum(Y * Y))

@@ -15,10 +15,11 @@ The problem separates by target equation, so each row of B is solved
 independently, in the covariance form of Friedman, Hastie & Tibshirani
 (2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
 alpha) I, the gradient of one equation is g = c - H b. ``prepare``
-standardizes and centers a design and forms G and c once; ``solve`` returns
-the standardized coefficients of that ``Problem`` at one penalty, so a lambda
-grid forms each window's problem once and builds no model. (Under expanding
-refit, ``selection._windows`` grows each later window's problem from running
+standardizes and centers a design and forms G and c once; ``solve``, the one
+way to solve that ``Problem``, returns its standardized coefficients at one
+penalty, from zero or from a given start, so a lambda grid forms each
+window's problem once and builds no model. (Under expanding refit,
+``selection._windows`` grows each later window's problem from running
 co-moments instead of preparing it again.) ``fit`` is ``prepare``, ``solve``,
 then ``_finish``, the mapping back, which also turns a grid's solve into a
 model without a refit.
@@ -404,12 +405,17 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
     return b, iters, converged, kkt
 
 
-def _solve(problem: Problem, penalty: Penalty, tol, max_iter, warm_start):
-    """``solve``, plus the largest KKT residual over the equations."""
+def solve(problem: Problem, penalty: Penalty, tol: float = 1e-7,
+          max_iter: int = 10000, start=None):
+    """Solve ``problem`` at one penalty; returns ``(scaled_b, n_iter,
+    converged, kkt)``: the (k x q) coefficients on the problem's scale, the
+    iterations per equation, whether every equation was certified optimal,
+    and the largest KKT residual over the equations (see ``_cd_solve``).
+    ``start`` is a ``scaled_b`` to start from (None: zero).
+    """
     k, q = problem.c.shape
     scaled_b = np.zeros((k, q))
-    start = np.zeros((k, q)) if warm_start is None \
-        else np.asarray(warm_start, dtype=float)
+    start = np.zeros((k, q)) if start is None else np.asarray(start, dtype=float)
     n_iter = []
     converged = True
     kkt = 0.0
@@ -423,33 +429,21 @@ def _solve(problem: Problem, penalty: Penalty, tol, max_iter, warm_start):
     return scaled_b, tuple(n_iter), converged, kkt
 
 
-def solve(problem: Problem, penalty: Penalty, *, tol: float = 1e-7,
-          max_iter: int = 10000, warm_start=None):
-    """Solve ``problem`` at one penalty; returns ``(scaled_b, n_iter, converged)``:
-    the (k x q) coefficients on the problem's scale, the iterations per
-    equation, and whether every equation was certified optimal (see
-    ``_cd_solve``). ``warm_start`` takes a ``scaled_b``.
-    """
-    return _solve(problem, penalty, tol, max_iter, warm_start)[:3]
-
-
 def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
-        tol: float = 1e-7, max_iter: int = 10000, warm_start=None) -> FittedModel:
+        tol: float = 1e-7, max_iter: int = 10000) -> FittedModel:
     """Fit the penalized VARX system on the rows of ``design``.
 
     ``design`` is in original units. With ``standardize_design`` (default) the
     regressors are centered/scaled by their sample statistics over these rows
     before solving, and the solution is mapped back, so reported coefficients
     are always in original units. The intercept is solved exactly (never
-    penalized). ``warm_start`` accepts the ``scaled_coeffs`` of a previous
-    fit on the same design to speed up paths over a lambda grid.
+    penalized).
 
     Convergence: every equation certified optimal, its KKT residual within
     ``tol * max(1, max_j G_jj)``, within ``max_iter`` iterations.
     """
     problem = prepare(design, standardize_design=standardize_design)
-    scaled_b, n_iter, converged = solve(problem, penalty, tol=tol,
-                                        max_iter=max_iter, warm_start=warm_start)
+    scaled_b, n_iter, converged, _ = solve(problem, penalty, tol, max_iter)
     return _finish(design, problem, penalty, scaled_b, n_iter, converged)
 
 
@@ -518,18 +512,3 @@ def predict_rows(model: FittedModel, design: DesignMatrix) -> np.ndarray:
             "design regressors do not match the model: "
             f"{design.col_labels[:3]}... vs {model.col_labels[:3]}...")
     return model.nu + design.Z @ model.coeffs.T
-
-
-def lambda_max(design: DesignMatrix, alpha: float, *,
-               standardize_design: bool = True) -> float:
-    """Smallest lambda at which every coefficient is exactly zero.
-
-    From the coordinate-wise stationarity condition at b = 0: coordinate j
-    stays at zero iff |z_j'(y - ybar)| <= lambda * alpha / 2, hence
-    lambda_max = 2 * max_ij |z_j'(y_i - ybar_i)| / alpha, read off the same
-    ``c`` the kernel thresholds against.
-    """
-    if alpha <= 0:
-        raise ContractError("lambda_max is defined for alpha > 0")
-    c = prepare(design, standardize_design=standardize_design).c
-    return float(2.0 * np.abs(c).max() / alpha)

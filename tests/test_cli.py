@@ -214,7 +214,7 @@ def _snapshot(out):
 @pytest.mark.parametrize("extra, needle", [
     (["--grid", "1e4:1e6:3"], "is the largest grid value"),
     (["--grid", "0.5:50:6", "--max-iter", "3"],
-     "final fit did not converge within max_iter=3 sweeps"),
+     "final fit did not converge within max_iter=3 iterations"),
 ])
 def test_fit_warns_on_edge_lambda_or_unconverged_fit(synth_csv, tmp_path, capsys,
                                                      monkeypatch, extra, needle):
@@ -229,7 +229,7 @@ def test_fit_warns_on_edge_lambda_or_unconverged_fit(synth_csv, tmp_path, capsys
     err = capsys.readouterr().err
     unconverged = "--max-iter" in extra  # which stops lambda-path solves too
     assert err.count("hydrovarx fit: warning:") == 1 + unconverged and needle in err
-    assert ("lambda-path solves did not converge within max_iter=3 sweeps"
+    assert ("lambda-path solves did not converge within max_iter=3 iterations"
             in err) == unconverged
     warned = _snapshot(out)
     assert all(b"warning" not in blob for blob in warned.values())
@@ -252,8 +252,8 @@ def test_ablate_warns_for_each_run(synth_csv, tmp_path, capsys, monkeypatch):
     for i, run in ((0, "full"), (3, "reduced")):
         assert f"smallest grid value ({run} run)" in err[i]
         assert f"of 4 lambda-path solves did not converge within max_iter=1 " \
-            f"sweeps ({run} run)" in err[i + 1]
-        assert f"final fit did not converge within max_iter=1 sweeps ({run} run)" \
+            f"iterations ({run} run)" in err[i + 1]
+        assert f"final fit did not converge within max_iter=1 iterations ({run} run)" \
             in err[i + 2]
     warned = _snapshot(out)
     monkeypatch.setattr(hydrovarx.cli, "_warn_outcomes", lambda *a: None)
@@ -690,7 +690,7 @@ def test_select_order_warns_on_unconverged_solves(two_year_csv, tmp_path, capsys
     # 4 candidates x 6 lambdas, one fixed-refit window each
     assert capsys.readouterr().err == (
         "hydrovarx select-order: warning: 24 of 24 lambda-path solves did not "
-        "converge within max_iter=1 sweeps\n")
+        "converge within max_iter=1 iterations\n")
     warned = _snapshot(out)
     monkeypatch.setattr(hydrovarx.cli, "_warn_unconverged_solves", lambda *a: None)
     assert main([*args, "--max-iter", "1", "--out", str(out)]) == 0

@@ -96,6 +96,38 @@ def test_fixture_constant_simulation():
         assert math.isnan(rep.values[key]), key
 
 
+# a flat water table at -41.7, which has no exact binary form: the mean of
+# its 100 copies rounds, so deviations from that mean are not zero
+FLAT = np.full(100, -41.7)
+VARYING = -41.7 + np.sin(np.arange(100) / 5.0)
+
+
+def test_flat_observations_are_constant_when_their_mean_rounds():
+    rep = full_report((FLAT, VARYING))
+    for key in ("NRMSE%", "RSR", "rSD", "NSE", "NNSE", "mNSE", "rNSE", "dr",
+                "r", "bR2", "R2", "adjR2", "KGE", "KGEnp"):
+        assert rep.flags[key] and math.isnan(rep.values[key]), key
+    assert rep.flags["NSE"] == rep.flags["r"] == "constant observations"
+    assert rep.flags["KGE"] == "zero variance"
+
+
+def test_flat_simulations_are_constant_when_their_mean_rounds():
+    rep = full_report((VARYING, FLAT))
+    assert rep.flags["r"] == rep.flags["bR2"] == "constant simulations"
+    assert rep.flags["KGE"] == "zero variance"
+    assert rep.flags["KGEnp"] == "constant series"
+    assert rep.values["rSD"] == 0.0
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 0)])
+def test_flat_series_flag_alike_whether_or_not_their_mean_rounds(pair):
+    # -41.5 is exact in binary, so its mean and deviations are too
+    def flags(level):
+        series = (np.full(100, level), level + np.sin(np.arange(100) / 5.0))
+        return full_report((series[pair[0]], series[pair[1]])).flags
+    assert flags(-41.7) == flags(-41.5)
+
+
 def test_fixture_half_amplitude():
     rep = full_report((OBS, SIM_HALF), n_predictors=1)
     assert not any(rep.flags.values())

@@ -27,7 +27,7 @@ from hydrovarx import (
 from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
 from hydrovarx.selection import _cut, _lambda_path, _windows, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
-from hydrovarx.solver import _finish, kkt_violation, prepare
+from hydrovarx.solver import _finish, kkt_violation, prepare, solve
 
 
 def _design(seed=0, n=90, m=2, p=2, s=1):
@@ -155,11 +155,16 @@ def reference_select_lambda(design, split, alpha, grid, refit, refit_every,
     train = design.take(split.train)
     msfe = np.empty(grid.size)
     warm = None
+
+    def fit_from(start, window, penalty):
+        problem = prepare(window, standardize_design=standardize_design)
+        b, n_iter, converged, _ = solve(problem, penalty, start=start)
+        return _finish(window, problem, penalty, b, n_iter, converged)
+
     for gi in range(grid.size - 1, -1, -1):
         penalty = Penalty(float(grid[gi]), alpha)
         if refit == "fixed":
-            model = fit(train, penalty, standardize_design=standardize_design,
-                        warm_start=warm)
+            model = fit_from(warm, train, penalty)
             warm = model.scaled_coeffs
             err = predict_rows(model, val) - val.Y
             sse = float(np.sum(err * err))
@@ -169,9 +174,8 @@ def reference_select_lambda(design, split, alpha, grid, refit, refit_every,
             for v in range(n_val):
                 if v % refit_every == 0:
                     window = design.take(slice(0, split.T1 + v))
-                    model = fit(window, penalty,
-                                standardize_design=standardize_design,
-                                warm_start=warm if v == 0 else model.scaled_coeffs)
+                    model = fit_from(warm if v == 0 else model.scaled_coeffs,
+                                     window, penalty)
                     if v == 0:
                         warm = model.scaled_coeffs
                 row = design.take(slice(split.T1 + v, split.T1 + v + 1))

@@ -16,13 +16,12 @@ from hydrovarx import (
     build_design,
     fit,
     kkt_violation,
-    lambda_max,
     objective,
     predict_rows,
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve, _face_step, prepare, solve
+from hydrovarx.solver import _cd_solve, _face_step, _finish, prepare, solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -430,11 +429,13 @@ def test_solve_on_prepared_problem_equals_fit_on_design():
     design = _random_design(26, k=2, m=2)
     for standardize_design in (True, False):
         problem = prepare(design, standardize_design=standardize_design)
-        b, n_iter, converged = solve(problem, Penalty(3.0, 0.5))
+        b, n_iter, converged, kkt = solve(problem, Penalty(3.0, 0.5))
         model = fit(design, Penalty(3.0, 0.5),
                     standardize_design=standardize_design)
         assert b.tobytes() == model.scaled_coeffs.tobytes()
         assert (n_iter, converged) == (model.n_iter, model.converged)
+        bound = 1e-7 * max(1.0, problem.G.diagonal().max())
+        assert converged and 0.0 <= kkt <= bound
 
 
 def test_duplicated_column_coefficients_split_equally():
@@ -494,10 +495,11 @@ def test_heavy_penalty_gives_empty_support():
 
 
 def test_lambda_max_kills_every_coefficient():
+    # at b = 0 coordinate j stays zero iff |c_j| <= lambda alpha / 2
     for seed in range(5):
         design = _random_design(seed, n=80, m=3)
         for alpha in (0.5, 1.0):
-            lam_max = lambda_max(design, alpha)
+            lam_max = 2.0 * np.abs(prepare(design).c).max() / alpha
             model = fit(design, Penalty(lam_max * (1 + 1e-9), alpha))
             assert model.support == (), (seed, alpha)
             below = fit(design, Penalty(lam_max * 0.5, alpha))
@@ -534,9 +536,14 @@ def test_predict_rows_rejects_mismatched_design():
 
 def test_warm_start_agrees_with_cold_start():
     design = _random_design(18, n=100, m=3)
-    cold = fit(design, Penalty(5.0, 0.5))
+    penalty = Penalty(5.0, 0.5)
+    cold = fit(design, penalty)
     hot_source = fit(design, Penalty(50.0, 0.5))
-    warm = fit(design, Penalty(5.0, 0.5), warm_start=hot_source.scaled_coeffs)
+    problem = prepare(design)
+    b, n_iter, converged, _ = solve(problem, penalty,
+                                    start=hot_source.scaled_coeffs)
+    warm = _finish(design, problem, penalty, b, n_iter, converged)
+    assert warm.converged
     np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-6)
 
 
