@@ -24,7 +24,6 @@ from .errors import (
     ContractError,
     DataError,
     DegenerateFitError,
-    DegenerateRegressionError,
     EmptyDataError,
     HydroVarxError,
     InputError,
@@ -90,7 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationResult", "Column", "ColumnNotFoundError", "CompatibilityError",
     "ConfigError", "ContractError", "DORMANT_WINDOW",
-    "DataError", "DegenerateFitError", "DegenerateRegressionError",
+    "DataError", "DegenerateFitError",
     "DesignMatrix", "EmptyDataError", "EvaluationReport", "FittedModel",
     "ForecastSeries", "GROWING_WINDOW", "GroundTruth", "HydroVarxError",
     "InputError", "InsufficientDataError", "InvalidOperationError",

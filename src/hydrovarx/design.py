@@ -190,39 +190,45 @@ class ScalingInfo:
                    constant=np.zeros(q, dtype=bool), enabled=False)
 
 
-def _scaling(mu, sd, y_mean) -> ScalingInfo:
-    """The ScalingInfo of regressor columns with means ``mu`` and ddof=1
-    standard deviations ``sd``: a column whose sd is zero to rounding,
-    relative to its mean, is constant and keeps scale 1."""
+def _comoments(X):
+    """The column means and centered co-moments (X - mean)'(X - mean) of
+    X's rows, taken on X less its first row: there a column that is
+    constant is exactly zero, so its mean is exact and its co-moments are
+    exactly zero."""
+    shift = X[0]
+    dev = X - shift
+    mean = dev.sum(axis=0) / len(X)
+    dev -= mean
+    return shift + mean, dev.T @ dev
+
+
+def _scaling(n, mean, M, q) -> ScalingInfo:
+    """The ScalingInfo of n rows of [Z | Y], Z's q columns first, from
+    their column means ``mean`` and centered co-moments ``M``: Z's columns
+    are scaled by their ddof=1 standard deviations, and one whose sd is
+    zero to rounding, relative to its mean, is constant and keeps scale 1."""
+    mu = mean[:q]
+    sd = np.sqrt(M.diagonal()[:q] / (n - 1))
     constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
     return ScalingInfo(z_mean=mu, z_sd=np.where(constant, 1.0, sd),
-                       y_mean=y_mean, constant=constant, enabled=True)
-
-
-def _standardize_arrays(design: DesignMatrix):
-    """Scaled Z, centered Y and their ScalingInfo, statistics over every row."""
-    # mean and ddof=1 standard deviation, spelled out as the operations
-    # numpy's mean and std run (same bits), without their per-call overhead
-    n = design.n_eff
-    mu = design.Z.sum(axis=0) / n
-    dev = design.Z - mu
-    y_mean = design.Y.sum(axis=0) / n
-    info = _scaling(mu, np.sqrt((dev * dev).sum(axis=0) / (n - 1)), y_mean)
-    return dev / info.z_sd, design.Y - y_mean, info
+                       y_mean=mean[q:], constant=constant, enabled=True)
 
 
 def standardize(design: DesignMatrix):
     """Standardize a design; returns (scaled design, ScalingInfo).
 
-    The statistics come from every row of ``design``; standardize
-    ``design.take(rows)`` to keep other rows out of the scaling.
+    The statistics come from every row of ``design``, from the same
+    co-moments as ``solver.prepare``'s; standardize ``design.take(rows)``
+    to keep other rows out of the scaling.
     """
-    if design.n_eff < 2:
+    n = design.n_eff
+    if n < 2:
         raise InsufficientDataError(
-            f"need >= 2 statistic rows to standardize; have {design.n_eff}")
-    Z, Y, info = _standardize_arrays(design)
+            f"need >= 2 statistic rows to standardize; have {n}")
+    info = _scaling(n, *_comoments(np.hstack([design.Z, design.Y])), design.q)
     scaled = DesignMatrix(
-        Y=Y, Z=Z, row_dates=design.row_dates, col_labels=design.col_labels,
+        Y=design.Y - info.y_mean, Z=(design.Z - info.z_mean) / info.z_sd,
+        row_dates=design.row_dates, col_labels=design.col_labels,
         target_names=design.target_names, exog_names=design.exog_names,
         p=design.p, s=design.s, mode=design.mode,
     )

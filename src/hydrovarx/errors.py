@@ -73,10 +73,6 @@ class DegenerateFitError(NumericalError):
     """The fitting problem is degenerate (zero rows, zero residual variance...)."""
 
 
-class DegenerateRegressionError(NumericalError):
-    """Regression line undefined (constant predictor or too few points)."""
-
-
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception to the process exit code used by the CLI."""
     if isinstance(exc, (ConfigError, ContractError)):

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import (
-    ContractError,
-    DegenerateRegressionError,
-    InsufficientDataError,
-)
+from .errors import ContractError, InsufficientDataError
+from .metrics import _constant
 from .selection import SplitPlan, _check_split
 from .solver import FittedModel, predict_rows
 
@@ -99,7 +96,8 @@ def rolling_forecast(model: FittedModel, design: DesignMatrix, split: SplitPlan,
 
 @dataclass(frozen=True)
 class RegressionLine:
-    """Per-target OLS line observed = intercept + slope * predicted."""
+    """Per-target OLS line observed = intercept + slope * predicted; NaN
+    (``null`` in JSON) for a target whose predictions are constant."""
 
     intercept: np.ndarray
     slope: np.ndarray
@@ -112,24 +110,29 @@ class RegressionLine:
             object.__setattr__(self, name, arr)
 
     def to_dict(self) -> dict:
-        return {"intercept": self.intercept.tolist(), "slope": self.slope.tolist()}
+        return {name: [None if np.isnan(v) else v for v in arr.tolist()]
+                for name, arr in (("intercept", self.intercept),
+                                  ("slope", self.slope))}
 
 
 def regression_line(series: ForecastSeries) -> RegressionLine:
-    """Least-squares line of observed on predicted over the forecast rows."""
+    """Least-squares line of observed on predicted over the forecast rows.
+
+    A target whose predictions are all equal, as an intercept-only model's
+    are, has no line: its slope and intercept are flagged NaN, as the
+    metrics flag r for a constant simulation.
+    """
     if series.n < 3:
         raise InsufficientDataError(
             f"regression line needs >= 3 rows; have {series.n}")
-    intercepts = np.empty(series.k)
-    slopes = np.empty(series.k)
+    intercepts = np.full(series.k, np.nan)
+    slopes = np.full(series.k, np.nan)
     for t in range(series.k):
         x = series.predicted[:, t]
         y = series.observed[:, t]
+        if _constant(x):
+            continue
         dev = x - x.mean()
-        sxx = float(dev @ dev)
-        if sxx == 0.0:
-            raise DegenerateRegressionError(
-                f"predictions for target {series.target_names[t]!r} are constant")
-        slopes[t] = float(dev @ (y - y.mean())) / sxx
+        slopes[t] = float(dev @ (y - y.mean())) / float(dev @ dev)
         intercepts[t] = y.mean() - slopes[t] * x.mean()
     return RegressionLine(intercept=intercepts, slope=slopes)

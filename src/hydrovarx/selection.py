@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, ScalingInfo, _scaling, build_design
+from .design import DesignMatrix, LagSpec, ScalingInfo, _comoments, build_design
 from .errors import (
     ContractError,
     DegenerateFitError,
@@ -26,8 +26,8 @@ from .solver import (
     FittedModel,
     Penalty,
     Problem,
+    _moment_problem,
     predict_rows,
-    prepare,
     solve,
 )
 from .solver import fit  # noqa: F401  perfbench traces hydrovarx.selection.fit
@@ -145,14 +145,15 @@ class ModelSpec:
 class LambdaPath:
     """MSFE per grid value and the chosen index (ties go to the larger lambda),
     with the solver's work: one solve per (lambda, refit window), their
-    iterations (``sweeps``), the solves that stopped at ``max_iter``
-    uncertified, and the largest KKT residual any solve returned."""
+    iterations (``iterations``, counted as ``FittedModel.n_iter`` counts
+    them), the solves that stopped at ``max_iter`` uncertified, and the
+    largest KKT residual any solve returned."""
 
     grid: np.ndarray
     msfe: np.ndarray
     chosen_index: int
     solves: int = 0
-    sweeps: int = 0
+    iterations: int = 0
     nonconverged: int = 0
     kkt_max: float = 0.0
 
@@ -206,18 +207,11 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     return _lambda_path(design, split, spec)[0][0]
 
 
-def _comoments(X):
-    """The column means and centered co-moments (X - mean)'(X - mean) of X's rows."""
-    mean = X.sum(axis=0) / len(X)
-    dev = X - mean
-    return mean, dev.T @ dev
-
-
 def _merge(n, mean, M, X):
     """``(mean, M)`` of n rows, with the rows of X folded in, by the pairwise
     update of Chan, Golub & LeVeque (1983): with d the difference of the two
     parts' means, M = M_a + M_b + d d' n_a n_b / (n_a + n_b). Unlike
-    S - n mean mean', it does not cancel."""
+    S - n mean mean', it does not cancel. With n = 0 it is X's own."""
     n_x = len(X)
     if n_x == 1:
         # one row is its own mean, with zero co-moment
@@ -230,57 +224,34 @@ def _merge(n, mean, M, X):
     return mean + d * w, M + M_x + np.outer(d, d * (n * w))
 
 
-def _moment_problem(n, mean, M, q, standardize):
-    """The ``Problem`` that ``prepare`` makes from n rows of [Z | Y] with
-    column means ``mean`` and centered co-moments ``M``. Standardized, it is
-    G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D the ddof=1 sds under
-    ``prepare``'s constant rule; the scaled columns then have mean zero."""
-    M_zz, M_yz = M[:q, :q], M[q:, :q]
-    z_mean, y_mean = mean[:q], mean[q:]
-    if not standardize:
-        return Problem(info=ScalingInfo.identity(q, len(y_mean)),
-                       z_bar=z_mean, y_bar=y_mean, G=M_zz, c=M_yz)
-    info = _scaling(z_mean, np.sqrt(M_zz.diagonal() / (n - 1)), y_mean)
-    sd = info.z_sd
-    return Problem(info=info, z_bar=np.zeros(q), y_bar=np.zeros(len(y_mean)),
-                   G=M_zz / sd / sd[:, None], c=M_yz / sd)
-
-
 def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     """Each refit window: ``(start, stop, problem)``, the problem fit on rows
     [0, start) and predicting rows [start, stop).
 
     Fixed refit is one window, [0, T1), that predicts the whole validation
     segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
-    The first window's problem is ``prepare``'s. Later windows grow it: the
-    running means and centered co-moments of [Z | Y] take in each window's
-    new rows (``_merge``), and the problem is read off them, equal to
-    ``prepare``'s on the window's rows up to rounding.
+    The running means and centered co-moments of [Z | Y] take in each
+    window's new rows (``_merge``), and the window's problem is read off
+    them (``solver._moment_problem``), as ``prepare`` reads its own. The
+    first window's is ``prepare``'s on rows [0, T1) to the bit; a later
+    window's equals ``prepare``'s on its rows up to rounding.
     """
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
     starts = range(split.T1, split.T2, step)
-    n = split.T1
-    yield n, min(n + step, split.T2), prepare(
-        design.take(slice(0, n)), standardize_design=spec.standardize)
-    if len(starts) == 1:
-        return
-    # shifted by the first row: a column that has been constant so far is
-    # exactly zero, so it adds nothing to the co-moments
     X = np.hstack([design.Z[:starts[-1]], design.Y[:starts[-1]]])
-    shift = X[0].copy()
-    X -= shift
-    mean, M = _comoments(X[:n])
-    for start in starts[1:]:
+    n, mean, M = 0, 0.0, 0.0
+    for start in starts:
         mean, M = _merge(n, mean, M, X[n:start])
         n = start
         yield start, min(start + step, split.T2), _moment_problem(
-            n, shift + mean, M, design.q, spec.standardize)
+            n, mean, M, design.q, spec.standardize)
 
 
 def _cut(problem: Problem, idx) -> Problem:
     """The problem of the columns ``idx`` of ``problem``'s design (None: all
-    of them). Scaling and centering are per column, so this is ``prepare``'s
-    problem of those columns alone, up to the rounding of its Gram product."""
+    of them). Means, scaling and centering are per column, so this is the
+    problem of those columns' rows alone, but for the rounding of the
+    co-moment product, whose diagonal also gives the sds."""
     if idx is None:
         return problem
     info = problem.info
@@ -347,7 +318,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     X[q:] = -np.eye(k)[:, None, None, :]
     sse = np.zeros((n_cut, n_grid))
     last = [[None] * n_grid for _ in cuts]  # each solve on its last window
-    counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, sweeps, nonconverged, kkt
+    counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, iterations, nonconverged, kkt
     first = None
     for start, stop, problem in _windows(design, split, spec):
         for idx, fits, count, Xc in zip(cuts, last, counts, X.swapaxes(0, 1)):
@@ -372,11 +343,11 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
             n_cut, n_grid, k).sum(axis=2)
 
     paths = []
-    for msfe, (solves, sweeps, nonconverged, kkt_max) in zip(sse / (n_val - 1),
-                                                             counts):
+    for msfe, (solves, iterations, nonconverged, kkt_max) in zip(
+            sse / (n_val - 1), counts):
         chosen = int(n_grid - 1 - np.argmin(msfe[::-1]))
         paths.append(LambdaPath(grid=grid, msfe=msfe, chosen_index=chosen,
-                                solves=solves, sweeps=sweeps,
+                                solves=solves, iterations=iterations,
                                 nonconverged=nonconverged, kkt_max=kkt_max))
     return paths, *first
 
@@ -431,7 +402,7 @@ def _order_bics(Z, Y, problem: Problem, B) -> np.ndarray:
 class OrderScan:
     """BIC for each candidate (p, s); ties prefer smaller p, then smaller s.
 
-    ``solves``, ``sweeps`` and ``nonconverged`` sum the candidates' lambda
+    ``solves``, ``iterations`` and ``nonconverged`` sum the candidates' lambda
     paths (see ``LambdaPath``), and ``kkt_max`` is the largest of theirs;
     the train models are among those solves.
     """
@@ -441,7 +412,7 @@ class OrderScan:
     lambdas: np.ndarray
     chosen: tuple[int, int]
     solves: int
-    sweeps: int
+    iterations: int
     nonconverged: int
     kkt_max: float
 
@@ -508,6 +479,6 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
                      lambdas=[path.chosen_lambda for path in paths],
                      chosen=candidates[best],
                      solves=sum(path.solves for path in paths),
-                     sweeps=sum(path.sweeps for path in paths),
+                     iterations=sum(path.iterations for path in paths),
                      nonconverged=sum(path.nonconverged for path in paths),
                      kkt_max=max(path.kkt_max for path in paths))

@@ -14,15 +14,15 @@ comparable across columns with different physical units.
 The problem separates by target equation, so each row of B is solved
 independently, in the covariance form of Friedman, Hastie & Tibshirani
 (2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
-alpha) I, the gradient of one equation is g = c - H b. ``prepare``
-standardizes and centers a design and forms G and c once; ``solve``, the one
-way to solve that ``Problem``, returns its standardized coefficients at one
-penalty, from zero or from a given start, so a lambda grid forms each
-window's problem once and builds no model. (Under expanding refit,
-``selection._windows`` grows each later window's problem from running
-co-moments instead of preparing it again.) ``fit`` is ``prepare``, ``solve``,
-then ``_finish``, the mapping back, which also turns a grid's solve into a
-model without a refit.
+alpha) I, the gradient of one equation is g = c - H b. Every ``Problem``
+is read off the column means and centered co-moments of its rows of
+[Z | Y] by ``_moment_problem``: ``prepare`` takes them from a design's rows,
+and ``selection._windows`` from running co-moments that grow with each
+refit window. ``solve``, the one way to solve a problem, returns its
+standardized coefficients at one penalty, from zero or from a given start,
+so a lambda grid forms each window's problem once and builds no model.
+``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
+also turns a grid's solve into a model without a refit.
 
 The kernel (``_cd_solve``) is the active-set method of Osborne, Presnell &
 Turlach (2000). With t = lambda alpha / 2, b is optimal when every nonzero
@@ -72,7 +72,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .design import DesignMatrix, ScalingInfo, _standardize_arrays, destandardize_coeffs
+from .design import (
+    DesignMatrix,
+    ScalingInfo,
+    _comoments,
+    _scaling,
+    destandardize_coeffs,
+)
 from .errors import (
     CompatibilityError,
     ContractError,
@@ -239,8 +245,8 @@ class Problem:
     """The centered Gram problem of one design, shared by solves over a lambda grid.
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
-    when enabled) regressors centered over the design's rows. Built by
-    ``prepare``.
+    when enabled) regressors centered over the design's rows. Built from
+    the rows' co-moments by ``_moment_problem``.
     """
 
     info: ScalingInfo
@@ -250,23 +256,30 @@ class Problem:
     c: np.ndarray
 
 
-def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
-    """Standardize, center and form the Gram problem of ``design`` once."""
-    n = design.n_eff
+def _moment_problem(n, mean, M, q, standardize):
+    """The ``Problem`` of n rows of [Z | Y], Z's q columns first, with
+    column means ``mean`` and centered co-moments ``M``. Standardized, it
+    is G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D the sds of
+    ``_scaling``; the scaled columns then have mean zero."""
     if n < 2:
         raise DegenerateFitError(f"cannot fit on {n} rows")
-    if standardize_design:
-        Z, Y, info = _standardize_arrays(design)
-    else:
-        Z, Y = design.Z, design.Y
-        info = ScalingInfo.identity(design.q, design.k)
-    # center over the fitted rows; makes the unpenalized intercept exact
-    z_bar = Z.sum(axis=0) / n
-    y_bar = Y.sum(axis=0) / n
-    Zc = Z - z_bar
-    G = Zc.T @ Zc
-    c = (Y - y_bar).T @ Zc
-    return Problem(info=info, z_bar=z_bar, y_bar=y_bar, G=G, c=c)
+    M_zz, M_yz = M[:q, :q], M[q:, :q]
+    if not standardize:
+        return Problem(info=ScalingInfo.identity(q, len(mean) - q),
+                       z_bar=mean[:q], y_bar=mean[q:], G=M_zz, c=M_yz)
+    info = _scaling(n, mean, M, q)
+    sd = info.z_sd
+    return Problem(info=info, z_bar=np.zeros(q), y_bar=np.zeros(len(mean) - q),
+                   G=M_zz / sd / sd[:, None], c=M_yz / sd)
+
+
+def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
+    """The Gram problem of ``design``'s rows, standardized and centered."""
+    n = design.n_eff
+    if n < 2:  # before _comoments, which reads the first row
+        raise DegenerateFitError(f"cannot fit on {n} rows")
+    X = np.hstack([design.Z, design.Y])
+    return _moment_problem(n, *_comoments(X), design.q, standardize_design)
 
 
 def _sweep(H, thr, b, g):

@@ -240,6 +240,22 @@ def test_fit_warns_on_edge_lambda_or_unconverged_fit(synth_csv, tmp_path, capsys
     assert _snapshot(out) == warned
 
 
+def test_intercept_only_model_gets_a_flagged_regression_line(synth_csv, tmp_path):
+    # lambda = 1e6 at the grid's top edge leaves only the intercept, so the
+    # test predictions are all equal and have no line
+    args = ["--input", str(synth_csv), "--target", "Y1", "--p", "6", "--s", "4",
+            "--grid", "1e4:1e6:3"]
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", *args, "--out", str(fit_dir)]) == 0
+    model = json.loads((fit_dir / "model.json").read_text())["model"]
+    assert model["lambda"] == 1e6 and model["support"] == []
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", "--model", str(fit_dir / "model.json"), *args,
+                 "--out", str(eval_dir)]) == 0
+    reg = json.loads((eval_dir / "regression_line.json").read_text())
+    assert reg["regression_line"] == {"intercept": [None], "slope": [None]}
+
+
 def test_ablate_warns_for_each_run(synth_csv, tmp_path, capsys, monkeypatch):
     out = tmp_path / "abl"
     args = ["ablate", "--input", str(synth_csv), "--out", str(out),

@@ -1,0 +1,83 @@
+"""The equivalence harness (tools/equivalence.py) digests a run and holds
+two digests to a contract."""
+
+import copy
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "equivalence", ROOT / "tools" / "equivalence.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+equivalence = _load_tool()
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    out = tmp_path_factory.mktemp("digest") / "tiny.json"
+    assert equivalence.main(["digest", "--set", "tiny", "--out", str(out),
+                             "--src", str(ROOT / "src")]) == 0
+    return out
+
+
+def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
+    doc = json.loads(tiny.read_text())
+    assert sorted(doc["datasets"]) == ["tiny/expanding", "tiny/fixed", "tiny/scan"]
+    fixed = doc["datasets"]["tiny/fixed"]
+    assert fixed["audit"] == {"lookahead": 0, "forecast_dates": 0,
+                              "split_overlap": 0, "scaling": 0}
+    assert fixed["lambda_path"]["solves"] == 4
+    for contract in equivalence.CONTRACTS:
+        assert equivalence.main(["compare", str(tiny), str(tiny),
+                                 "--contract", contract]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "HOLDS"
+
+
+def _verdicts(old, new, contract):
+    """The contract's verdict and the fields it failed."""
+    out = io.StringIO()
+    holds = equivalence.compare(old, new, contract, out=out)
+    failed = [line.split()[0] for line in out.getvalue().splitlines()
+              if line.endswith("FAIL")]
+    return holds, failed
+
+
+@pytest.mark.parametrize("shift, bit, kernel", [
+    (1e-12, False, True),   # rounding: within the kernel tolerance
+    (1e-6, False, False),   # a different solution
+])
+def test_coefficient_moves_are_judged_by_size(tiny, shift, bit, kernel):
+    old = json.loads(tiny.read_text())
+    new = copy.deepcopy(old)
+    new["datasets"]["tiny/fixed"]["model"]["coeffs"][0][0] += shift
+    assert _verdicts(old, new, "bit") == (bit, ["model.coeffs"])
+    assert _verdicts(old, new, "kernel") == (kernel, [] if kernel else ["model.coeffs"])
+
+
+def test_kernel_contract_holds_counts_and_choices_exactly(tiny):
+    old = json.loads(tiny.read_text())
+    for field, edit in (
+            ("lambda_path.iterations",
+             lambda d: d["tiny/expanding"]["lambda_path"].update(
+                 iterations=d["tiny/expanding"]["lambda_path"]["iterations"] + 1)),
+            ("model.support",
+             lambda d: d["tiny/fixed"]["model"]["support"].append("x12")),
+            ("scan.chosen", lambda d: d["tiny/scan"]["scan"].update(chosen=[9, 9]))):
+        new = copy.deepcopy(old)
+        edit(new["datasets"])
+        assert _verdicts(old, new, "kernel") == (False, [field])
+    # a dataset that only one digest has fails the contract too
+    new = copy.deepcopy(old)
+    del new["datasets"]["tiny/scan"]
+    assert _verdicts(old, new, "kernel") == (False, [])

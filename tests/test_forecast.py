@@ -1,5 +1,7 @@
 """One-step test-segment forecasting, error bands, and summary tables."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,7 @@ from hydrovarx import (
     rolling_forecast,
 )
 from hydrovarx.cli import _write_coefficients_csv, _write_forecast_csv
-from hydrovarx.errors import (
-    ContractError,
-    DegenerateRegressionError,
-    InsufficientDataError,
-)
+from hydrovarx.errors import ContractError, InsufficientDataError
 from hydrovarx.simulate import SynthSpec, simulate
 
 
@@ -146,15 +144,22 @@ def test_regression_line_exact_on_affine_data():
     np.testing.assert_allclose(line.slope[0], 0.5, atol=1e-12)
 
 
-def test_regression_line_constant_predictions_rejected():
-    dates = np.datetime64("2010-01-01") + np.arange(4)
-    pred = np.full(4, 3.0)
-    obs = np.array([1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("level", [3.0, -41.7])
+def test_regression_line_constant_predictions_flagged(level):
+    # -41.7 repeated has a mean that rounds, so its deviations from the mean
+    # are not all zero; constancy is decided on the values themselves
+    n = 100
+    dates = np.datetime64("2010-01-01") + np.arange(n)
+    pred = np.column_stack([np.full(n, level), np.arange(n, dtype=float)])
+    obs = pred * 0.5 + np.sin(np.arange(n))[:, None]
     series = ForecastSeries(dates=dates, observed=obs, predicted=pred,
-                            lower=pred, upper=pred, se=np.array([0.0]),
-                            multiplier=1.0, target_names=("Y1",))
-    with pytest.raises(DegenerateRegressionError):
-        regression_line(series)
+                            lower=pred, upper=pred, se=np.array([0.0, 0.0]),
+                            multiplier=1.0, target_names=("Y1", "Y2"))
+    line = regression_line(series)
+    assert np.isnan(line.slope[0]) and np.isnan(line.intercept[0])
+    assert np.isfinite(line.slope[1]) and np.isfinite(line.intercept[1])
+    assert json.loads(json.dumps(line.to_dict())) == {
+        "intercept": [None, line.intercept[1]], "slope": [None, line.slope[1]]}
 
 
 def test_regression_line_needs_three_rows():

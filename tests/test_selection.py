@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_frame
+from conftest import (
+    assert_problem_close,
+    close,
+    make_frame,
+    moment_design,
+    reference_prepare,
+)
 import hydrovarx.selection
+import hydrovarx.solver
 from hydrovarx import (
     DesignMatrix,
     LagSpec,
@@ -24,7 +31,12 @@ from hydrovarx import (
     select_lambda,
     select_order,
 )
-from hydrovarx.errors import ContractError, HydroVarxError, InsufficientDataError
+from hydrovarx.errors import (
+    ContractError,
+    DegenerateFitError,
+    HydroVarxError,
+    InsufficientDataError,
+)
 from hydrovarx.selection import _cut, _lambda_path, _windows, check_grid
 from hydrovarx.simulate import SynthSpec, simulate
 from hydrovarx.solver import _finish, kkt_violation, prepare, solve
@@ -55,6 +67,19 @@ def test_split_plan_uneven():
 def test_split_plan_too_short():
     with pytest.raises(InsufficientDataError):
         SplitPlan(2)
+
+
+@pytest.mark.parametrize("refit", ["fixed", "expanding"])
+def test_lambda_path_refuses_a_one_row_training_window(refit):
+    # five usable rows split 1 / 2 / 2: the validation third is long enough
+    # to score, but no problem can be fit on the single training row
+    design = _design(n=7, m=0, p=2, s=0)
+    split = SplitPlan(design.n_eff)
+    assert (design.n_eff, split.T1, split.T2) == (5, 1, 3)
+    with pytest.raises(DegenerateFitError, match="cannot fit on 1 rows"):
+        select_lambda(design, split, ModelSpec(refit=refit))
+    with pytest.raises(InsufficientDataError):
+        select_lambda(design.take(slice(0, 4)), SplitPlan(4), ModelSpec())
 
 
 def test_default_grid_endpoints():
@@ -231,32 +256,16 @@ def test_select_lambda_matches_reference_on_random_problems(
     assert path.chosen_index == chosen
 
 
-def _close(got, want, scale=0.0):
-    """Equal to 1e-12 * max(1, |want|, scale), entry by entry."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    bound = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), scale)
-    assert np.all(np.abs(got - want) <= bound)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), n=st.integers(12, 80),
        refit_every=st.sampled_from([1, 2, 3, 7]), standardize=st.booleans(),
        level=st.sampled_from([0.0, 0.3, -41.7]))
 def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
                                          level):
-    rng = np.random.default_rng(seed)
     split = SplitPlan(n)
-    # columns of several scales and offsets; a mean that dwarfs its sd
-    # costs both computations digits, so |mean| / sd stays below 20
-    Z = rng.normal(size=(n, 4)) * [1.0, 1.0, 0.1, 50.0] + [0.0, 3.0, -2.0, 100.0]
-    # constant over the first window and a few rows beyond, then varying
-    Z[:split.T1 + 2, 0] = level
-    Y = rng.normal(size=(n, k)).cumsum(axis=0) + 5.0
-    design = DesignMatrix(Y=Y, Z=Z, row_dates=np.arange(n).astype("datetime64[D]"),
-                          col_labels=("a", "b", "c", "d"),
-                          target_names=tuple(f"Y{i}" for i in range(k)),
-                          exog_names=(), p=4, s=0, mode="positional")
+    # the first column is constant over the first window and a few rows
+    # beyond, then varies
+    design = moment_design(seed, n, k, level, split.T1 + 2)
     spec = ModelSpec(refit="expanding", refit_every=refit_every,
                      standardize=standardize)
     windows = list(_windows(design, split, spec))
@@ -264,26 +273,22 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
     assert [(start, stop) for start, stop, _ in windows] \
         == [(t, min(t + refit_every, split.T2)) for t in starts]
     for start, _, got in windows:
-        want = prepare(design.take(slice(0, start)), standardize_design=standardize)
-        # an entry of G or c that is small by cancellation is held to its
-        # Cauchy-Schwarz bound, sqrt(G_ii G_jj) or sqrt(S_yy G_jj), instead
-        ydev = Y[:start] - Y[:start].mean(axis=0)
-        zz = np.sqrt(want.G.diagonal())
-        _close(got.G, want.G, np.outer(zz, zz))
-        _close(got.c, want.c, np.outer(np.sqrt((ydev * ydev).sum(axis=0)), zz))
-        for name in ("z_bar", "y_bar"):
-            _close(getattr(got, name), getattr(want, name))
-        for name in ("z_mean", "z_sd", "y_mean"):
-            _close(getattr(got.info, name), getattr(want.info, name))
-        np.testing.assert_array_equal(got.info.constant, want.info.constant)
-        assert got.info.enabled == want.info.enabled == standardize
+        rows = design.take(slice(0, start))
+        assert_problem_close(got, reference_prepare(rows, standardize), rows.Y)
+        assert got.info.enabled == standardize
     assert windows[0][2].info.constant[0] == standardize
-    # fixed refit is the one training window, exactly prepare's
+    # the first window is prepare's on its rows, and fixed refit is that
+    # one window
     (start, stop, got), = _windows(design, split, replace(spec, refit="fixed"))
-    want = prepare(design.take(split.train), standardize_design=standardize)
     assert (start, stop) == (split.T1, split.T2)
-    for name in ("G", "c", "z_bar", "y_bar"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    want = prepare(design.take(split.train), standardize_design=standardize)
+    for problem in (got, windows[0][2]):
+        for name in ("G", "c", "z_bar", "y_bar"):
+            np.testing.assert_array_equal(getattr(problem, name),
+                                          getattr(want, name))
+        for name in ("z_mean", "z_sd", "y_mean", "constant"):
+            np.testing.assert_array_equal(getattr(problem.info, name),
+                                          getattr(want.info, name))
 
 
 @pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
@@ -291,20 +296,20 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
 def test_lambda_path_counts_its_solves(refit, refit_every):
     design = _design(7, n=60)
     split = SplitPlan(design.n_eff)
-    # light penalties: no solve is at its optimum after a single sweep
+    # light penalties: no solve is at its optimum after a single iteration
     grid = np.geomspace(0.1, 2.0, 3)
     spec = ModelSpec(grid=grid, refit=refit, refit_every=refit_every)
     path = select_lambda(design, split, spec)
     n_val = split.T2 - split.T1
     windows = 1 if refit == "fixed" else -(-n_val // refit_every)
     assert path.solves == grid.size * windows
-    assert path.sweeps >= path.solves  # one equation, at least one sweep each
+    assert path.iterations >= path.solves  # one equation, at least one each
     assert path.nonconverged == 0
     assert select_lambda(design, split, ModelSpec(
         refit=refit, refit_every=refit_every)).nonconverged == 0
     capped = select_lambda(design, split, replace(spec, max_iter=1))
     assert capped.solves == path.solves
-    assert capped.sweeps == capped.solves
+    assert capped.iterations == capped.solves
     assert capped.nonconverged == capped.solves
 
 
@@ -521,7 +526,7 @@ def test_select_order_matches_per_candidate_reference(
         cut = _cut(problem, idx)
         own = prepare(d.take(split.train), standardize_design=standardize_design)
         for name in ("G", "c"):
-            _close(getattr(cut, name), getattr(own, name))
+            close(getattr(cut, name), getattr(own, name))
         if abs(got_bic - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic)):
             continue
         # a BIC outside the bound is a different support, and each train
@@ -536,10 +541,10 @@ def test_select_order_matches_per_candidate_reference(
 
 
 @pytest.mark.parametrize("refit", ["fixed", "expanding"])
-def test_order_scan_prepares_once_and_cuts_no_designs(monkeypatch, refit):
+def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
                                   beta=np.array([[[0.8]]]), seed=3))
-    calls = {"prepare": 0, "design": 0, "take": 0}
+    calls = {"prepare": 0, "design": 0, "take": 0, "problem": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -547,16 +552,21 @@ def test_order_scan_prepares_once_and_cuts_no_designs(monkeypatch, refit):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hydrovarx.selection, "prepare",
-                        counted("prepare", hydrovarx.selection.prepare))
+    monkeypatch.setattr(hydrovarx.solver, "prepare",
+                        counted("prepare", hydrovarx.solver.prepare))
+    monkeypatch.setattr(hydrovarx.selection, "_moment_problem",
+                        counted("problem", hydrovarx.selection._moment_problem))
     monkeypatch.setattr(DesignMatrix, "__post_init__",
                         counted("design", DesignMatrix.__post_init__))
     monkeypatch.setattr(DesignMatrix, "take", counted("take", DesignMatrix.take))
     scan = select_order(frame, [1, 2, 3], [0, 1, 2], ModelSpec(
         grid=np.geomspace(0.1, 10.0, 3), refit=refit, refit_every=5))
     assert len(scan.candidates) == 9
-    # the widest design, and its training rows for the one prepare
-    assert calls == {"prepare": 1, "design": 1, "take": 1}
+    # the widest design, and one problem per refit window, read off its
+    # running co-moments: no design's rows are taken or prepared
+    split = SplitPlan(frame.n - 3)
+    windows = 1 if refit == "fixed" else -(-(split.T2 - split.T1) // 5)
+    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": windows}
 
 
 @pytest.mark.parametrize("refit", ["fixed", "expanding"])
@@ -591,16 +601,16 @@ def test_near_exact_fits_score_like_the_reference(refit):
 def test_order_scan_counts_its_solves():
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
                                   beta=np.array([[[0.8]]]), seed=3))
-    # light penalties: no solve is at its optimum after a single sweep
+    # light penalties: no solve is at its optimum after a single iteration
     spec = ModelSpec(grid=np.geomspace(0.1, 2.0, 3))
     scan = select_order(frame, [1, 2], [0, 1], spec)
     paths = [select_lambda(d, SplitPlan(d.n_eff), spec)
              for d, *_ in reference_select_order(frame, [1, 2], [0, 1], spec)]
     assert scan.solves == sum(path.solves for path in paths) == 4 * 3
-    assert scan.sweeps == sum(path.sweeps for path in paths)
+    assert scan.iterations == sum(path.iterations for path in paths)
     assert scan.nonconverged == 0
     capped = select_order(frame, [1, 2], [0, 1], replace(spec, max_iter=1))
-    assert capped.solves == capped.sweeps == capped.nonconverged == scan.solves
+    assert capped.solves == capped.iterations == capped.nonconverged == scan.solves
 
 
 @pytest.mark.parametrize("refit", ["fixed", "expanding"])

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dposv
 
-from conftest import make_frame
+from conftest import (
+    assert_problem_close,
+    assert_scaling_close,
+    close,
+    make_frame,
+    moment_design,
+    reference_prepare,
+)
 from hydrovarx import (
     DesignMatrix,
     FittedModel,
@@ -425,6 +432,31 @@ def test_kkt_certificate_holds_for_converged_fits(seed, k, p, s, m, alpha,
     assert kkt_violation(replace(model, scaled_coeffs=b), design) > bound
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), n=st.integers(2, 80),
+       flat=st.sampled_from([0.0, 0.5, 1.0]),
+       level=st.sampled_from([0.0, 0.3, -41.7]))
+def test_prepare_and_standardize_match_the_row_arithmetic(seed, k, n, flat, level):
+    # the first column is constant over a share of the rows (all of them,
+    # when flat is 1), and a constant column at -41.7 has a mean that rounds
+    design = moment_design(seed, n, k, level, int(flat * n))
+    for standardize_design in (True, False):
+        assert_problem_close(prepare(design, standardize_design=standardize_design),
+                             reference_prepare(design, standardize_design),
+                             design.Y)
+    scaled, info = standardize(design)
+    want = reference_prepare(design)
+    assert_scaling_close(info, want.info)
+    # the scaling a fit records is standardize's to the bit, which is what
+    # the leakage audit checks
+    got = prepare(design).info
+    for name in ("z_mean", "z_sd", "y_mean", "constant"):
+        assert getattr(got, name).tobytes() == getattr(info, name).tobytes()
+    assert info.constant[0] == (flat == 1.0)
+    close(scaled.Z, (design.Z - want.info.z_mean) / want.info.z_sd, 20.0)
+    close(scaled.Y, design.Y - want.info.y_mean, np.abs(design.Y).max())
+
+
 def test_solve_on_prepared_problem_equals_fit_on_design():
     design = _random_design(26, k=2, m=2)
     for standardize_design in (True, False):
@@ -615,6 +647,8 @@ def test_fit_needs_two_rows():
     design = build_design(frame, LagSpec(p=1, s=0))
     with pytest.raises(DegenerateFitError):
         fit(design, Penalty(1.0, 0.5))
+    with pytest.raises(DegenerateFitError):
+        fit(design.take(slice(0, 0)), Penalty(1.0, 0.5))
 
 
 def test_phi_beta_views():
