@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractError
 
@@ -77,6 +76,21 @@ def _centered(x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _sd(x: np.ndarray) -> float:
     return 0.0 if _constant(x) else float(np.std(x, ddof=1))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks.
+
+    Each tie group's rank is first + 1 + (count - 1) / 2, which does not
+    depend on how the sort orders equal values.
+    """
+    order = np.argsort(x)
+    y = x[order]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    counts = np.diff(np.r_[starts, len(y)])
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 class _Report:
@@ -284,7 +298,8 @@ def kge_metrics(obs, sim) -> MetricsReport:
     values; it is flagged whenever the transform hits a non-positive value
     (the usual case for negative-valued depth series). KGEnp replaces r by
     Spearman's rho and the sd ratio by the overlap of normalized sorted
-    series.
+    series; rho is Pearson's r of the average ranks (tied values share
+    their mean rank), computed without scipy.
     """
     obs, sim = _pair(obs, sim)
     r = _Report()
@@ -311,8 +326,8 @@ def kge_metrics(obs, sim) -> MetricsReport:
     elif _constant(obs) or _constant(sim):
         r.flag("KGEnp", "constant series")
     else:
-        rank_o = rankdata(obs)
-        rank_s = rankdata(sim)
+        rank_o = _average_ranks(obs)
+        rank_s = _average_ranks(sim)
         dev_o = rank_o - rank_o.mean()
         dev_s = rank_s - rank_s.mean()
         rho = float((dev_o @ dev_s)

@@ -33,7 +33,17 @@ def tiny(tmp_path_factory):
 
 def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     doc = json.loads(tiny.read_text())
-    assert sorted(doc["datasets"]) == ["tiny/expanding", "tiny/fixed", "tiny/scan"]
+    cli = {key: entry["cli"] for key, entry in doc["datasets"].items()
+           if key.startswith("tiny/cli/")}
+    assert sorted(set(doc["datasets"]) - set(cli)) == [
+        "tiny/expanding", "tiny/fixed", "tiny/scan"]
+    runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing",
+            "evaluate", "evaluate-expanding", "ablate", "select-order"]
+    assert sorted(cli) == sorted(f"tiny/cli/k{k}/{run}" for k in (1, 2)
+                                 for run in runs)
+    assert {entry["rc"] for entry in cli.values()} == {0}
+    assert sorted(cli["tiny/cli/k2/evaluate"]["sha256"]) == [
+        "config.json", "forecast.csv", "metrics.csv", "regression_line.json"]
     fixed = doc["datasets"]["tiny/fixed"]
     assert fixed["audit"] == {"lookahead": 0, "forecast_dates": 0,
                               "split_overlap": 0, "scaling": 0}
@@ -81,3 +91,26 @@ def test_kernel_contract_holds_counts_and_choices_exactly(tiny):
     new = copy.deepcopy(old)
     del new["datasets"]["tiny/scan"]
     assert _verdicts(old, new, "kernel") == (False, [])
+
+
+def test_artifact_hashes_and_exit_codes_are_exact_under_every_contract(tiny):
+    old = json.loads(tiny.read_text())
+    for field, edit in (
+            ("cli.sha256.model.json",
+             lambda d: d["tiny/cli/k1/fit-expanding"]["cli"]["sha256"].update(
+                 {"model.json": "0" * 64})),
+            ("cli.rc", lambda d: d["tiny/cli/k2/ablate"]["cli"].update(rc=1))):
+        new = copy.deepcopy(old)
+        edit(new["datasets"])
+        for contract in equivalence.CONTRACTS:
+            assert _verdicts(old, new, contract) == (False, [field])
+
+
+def test_cli_artifacts_do_not_depend_on_the_working_directory(tiny, tmp_path,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    again = tmp_path / "again.json"
+    assert equivalence.main(["digest", "--set", "tiny", "--out", str(again),
+                             "--src", str(ROOT / "src")]) == 0
+    assert _verdicts(json.loads(tiny.read_text()),
+                     json.loads(again.read_text()), "bit") == (True, [])

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from hydrovarx import METRIC_ORDER, full_report
 from hydrovarx.errors import ContractError
 from hydrovarx.metrics import (
+    _average_ranks,
     correlation_metrics,
     efficiency_metrics,
     error_metrics,
@@ -266,3 +269,24 @@ def test_report_merge_keeps_flags():
     assert merged.values["MAE"] == pytest.approx(2.0 / 3.0)
     assert merged.flags["r"]
     assert "MAE" not in merged.flags and "r" in merged.flags
+
+
+# few distinct values force ties; 0.0 and -0.0 are one value
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 7.0])
+_ROUNDED = st.floats(-10, 10).map(lambda v: round(v, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TIED, _ROUNDED, st.floats(-1e6, 1e6)),
+                min_size=2, max_size=300))
+def test_average_ranks_equal_scipy_rankdata_to_the_bit(values):
+    x = np.array(values)
+    assert np.array_equal(_average_ranks(x).view(np.int64),
+                          rankdata(x).view(np.int64))
+
+
+def test_kgenp_on_tied_series():
+    # the value KGEnp gave when it ranked with scipy.stats.rankdata
+    obs = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 5.0, 6.0])
+    sim = np.array([1.5, 2.0, 2.0, 2.0, 3.5, 3.0, 4.0, 4.0, 6.0, 5.5])
+    assert kge_metrics(obs, sim).values["KGEnp"] == 0.9145380778350165

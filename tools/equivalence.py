@@ -19,7 +19,13 @@ lambdas, chosen (p, s) and counters. The dataset sets (``--set``):
   ``fit_audit_daily`` as the ``run_pipeline`` it wraps);
 - ``acceptance06``: the 40 order scans of acceptance check 06;
 - ``tiny``: one small series, run with fixed and expanding refit and
-  scanned over a few orders, for a quick self-check.
+  scanned over a few orders, for a quick self-check; and a fixed set of
+  command-line runs at k = 1 and k = 2 (``simulate``; ``fit`` with fixed
+  and with expanding refit and over the growing season; ``evaluate`` of
+  the fixed and the expanding model; ``ablate``; ``select-order``), whose
+  exit codes and the sha256 of every artifact they write are recorded.
+  They run in one temporary working directory with relative paths,
+  because the artifacts record the paths.
 
 ``compare`` checks a new digest against an old one under a contract and
 prints, per field, how many datasets differ and the largest deviation,
@@ -29,8 +35,9 @@ absolute and relative to max(1, |old|). It exits 1 when the contract fails.
   counts).
 - ``kernel``: the same lambda grid, chosen index and lambda, support,
   (p, s), candidates and their chosen lambdas, solves, iterations and
-  ``n_iter``, non-converged counts, ``converged`` and audit counts; every
-  other number, coefficients included, within 1e-9 * max(1, |old|).
+  ``n_iter``, non-converged counts, ``converged``, audit counts, and
+  command-line exit codes and artifact hashes; every other number,
+  coefficients included, within 1e-9 * max(1, |old|).
 
 BLAS and OpenMP pools are pinned to one thread before numpy loads, so a
 digest does not depend on the machine's core count.
@@ -44,9 +51,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -60,7 +71,7 @@ KERNEL_EXACT = {
     "lambda_path.iterations", "lambda_path.nonconverged",
     "model.lambda", "model.support", "model.n_iter", "model.converged",
     "scan.candidates", "scan.lambdas", "scan.chosen", "scan.solves",
-    "scan.iterations", "scan.nonconverged",
+    "scan.iterations", "scan.nonconverged", "cli.rc",
 }
 CONTRACTS = ("bit", "kernel")
 SETS = ("perfbench", "acceptance06", "tiny")
@@ -169,6 +180,57 @@ def _tiny():
         yield f"tiny/{refit}", _report_digest(run_pipeline(frame, spec), frame)
     scan = select_order(frame, [1, 2], [0, 1], ModelSpec(grid=grid))
     yield "tiny/scan", {"scan": _scan_digest(scan)}
+    yield from _cli_runs()
+
+
+#: simulate flags per target count k
+_CLI_DATA = {
+    1: ["--k", "1", "--phi", "0.6", "--beta", "0.8"],
+    2: ["--k", "2", "--phi", "0.5,0.1,0.2,0.4", "--beta", "0.8,-0.5"],
+}
+#: (run name, command) run on each simulated set; ``{k}`` is its directory
+_CLI_RUNS = (
+    ("fit-fixed", "fit"),
+    ("fit-expanding", "fit --refit expanding --refit-every 5"),
+    ("fit-growing", "fit --season growing"),
+    ("evaluate", "evaluate --model {k}/fit-fixed/model.json"),
+    ("evaluate-expanding", "evaluate --model {k}/fit-expanding/model.json"),
+    ("ablate", "ablate --drop x1"),
+    ("select-order", "select-order --p-range 1:3 --s-range 0:1"),
+)
+
+
+def _cli_runs():
+    """Run the command-line set in a temporary working directory and yield
+    each run's exit code and the sha256 of every file it wrote."""
+    from hydrovarx.cli import main as cli
+
+    def run(name, argv):
+        with contextlib.redirect_stderr(io.StringIO()):  # edge-lambda warnings
+            rc = cli(argv)
+        out = Path(name)
+        hashes = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                  for f in sorted(out.iterdir())} if out.is_dir() else {}
+        return f"tiny/cli/{name}", {"cli": {"rc": rc, "sha256": hashes}}
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for k, flags in _CLI_DATA.items():
+                yield run(f"k{k}/simulate", [
+                    "simulate", "--out", f"k{k}/simulate", "--n", "730",
+                    "--m", "1", "--p", "1", "--s", "1", *flags,
+                    "--noise-sd", "0.5", "--seed", "7"])
+                common = ["--input", f"k{k}/simulate/synth.csv",
+                          "--target", ",".join(f"Y{i + 1}" for i in range(k)),
+                          "--p", "2", "--s", "1", "--grid", "0.5:50:4"]
+                for name, command in _CLI_RUNS:
+                    argv = command.format(k=f"k{k}").split()
+                    yield run(f"k{k}/{name}",
+                              [*argv, *common, "--out", f"k{k}/{name}"])
+        finally:
+            os.chdir(home)
 
 
 def digest(sets, seeds) -> dict:
@@ -214,7 +276,8 @@ def _deviation(old, new, rule):
 
 
 def _rule(field: str, contract: str) -> str:
-    if contract == "bit" or field in KERNEL_EXACT or field.startswith("audit."):
+    if (contract == "bit" or field in KERNEL_EXACT
+            or field.startswith(("audit.", "cli.sha256."))):
         return "exact"
     return f"rel {KERNEL_TOL:g}"
 
@@ -245,10 +308,10 @@ def compare(old: dict, new: dict, contract: str, out=None) -> bool:
           f"{len(lonely)} in only one", file=out)
     for key in lonely:
         print(f"  only in {'old' if key in old_sets else 'new'}: {key}", file=out)
-    print(f"{'field':28} {'rule':10} {'differ':>9} {'max |d|':>10} "
+    print(f"{'field':32} {'rule':10} {'differ':>9} {'max |d|':>10} "
           f"{'max rel':>10}  verdict", file=out)
     for field, (rule, differ, n, dev, rel, ok) in stats.items():
-        print(f"{field:28} {rule:10} {f'{differ}/{n}':>9} {dev:10.3g} "
+        print(f"{field:32} {rule:10} {f'{differ}/{n}':>9} {dev:10.3g} "
               f"{rel:10.3g}  {'ok' if ok else 'FAIL'}", file=out)
     print("HOLDS" if holds else "FAILS", file=out)
     return holds
