@@ -111,113 +111,153 @@ class _Report:
         return MetricsReport(values=self.values, flags=self.flags)
 
 
-def error_metrics(obs, sim) -> MetricsReport:
-    """Bias and error magnitude: ME, MAE, MSE, RMSE, ubRMSE, NRMSE%, PBIAS%, RSR, rSD.
+def _pearson(dev_x: np.ndarray, dev_y: np.ndarray) -> float:
+    """Pearson's r of two series, from their deviations about their means."""
+    return float((dev_x @ dev_y)
+                 / math.sqrt(float(dev_x @ dev_x) * float(dev_y @ dev_y)))
 
-    ubRMSE = sqrt(MSE - ME^2) isolates random error from systematic bias;
-    NRMSE% and RSR normalize RMSE by the sample sd of the observations.
+
+def _kge(r: float, alpha: float, beta: float) -> float:
+    """The KGE of Gupta et al. (2009): one less the distance of (r, alpha,
+    beta) from the ideal point (1, 1, 1); -inf when a term is too large
+    for its square to be a float."""
+    try:
+        return 1.0 - math.sqrt((r - 1) ** 2 + (alpha - 1) ** 2 + (beta - 1) ** 2)
+    except OverflowError:
+        return -math.inf
+
+
+def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """x's mean and deviations (as ``_centered``) and its sample sd."""
+    return (*_centered(x), _sd(x))
+
+
+def _kge_terms(mo, ms):
+    """(KGE value, reason) for the 2009 sd-ratio form, from the ``_moments``
+    of the observed and the simulated series; reason is None if defined."""
+    (mean_o, dev_o, sd_o), (mean_s, dev_s, sd_s) = mo, ms
+    if mean_o == 0.0 or mean_s == 0.0:
+        return math.nan, "zero mean"
+    if sd_o == 0.0 or sd_s == 0.0:
+        return math.nan, "zero variance"
+    return _kge(_pearson(dev_o, dev_s), sd_s / sd_o, mean_s / mean_o), None
+
+
+def full_report(pair, n_predictors: int = 1) -> MetricsReport:
+    """All 27 metrics for an (obs, sim) pair of arrays.
+
+    Every key is present; undefined ones carry flags. With e = sim - obs
+    and dev = obs - mean(obs): ubRMSE = sqrt(MSE - ME^2) is the error less
+    its bias; NRMSE% and RSR divide RMSE by sd(obs), and rSD is the sd ratio.
+    NSE = R2 = 1 - sum(e^2) / sum(dev^2), which is not r^2 when the fit is
+    biased, and NNSE = 1/(2 - NSE). mNSE and md use absolute deviations;
+    rNSE and rd divide by the observations, so a zero observation or mean
+    flags them. dr is Willmott's refined index, cp scores against the lag-1
+    persistence forecast, VE = 1 - sum|e| / sum(obs), and bR2 = |b| r^2
+    with b the OLS slope of sim on obs. KGE (Gupta et al. 2009) combines r,
+    the sd ratio and the mean ratio. KGElf applies it to 1/(x + eps) with
+    eps = mean(obs)/100, and is flagged when that meets a non-positive value,
+    as depth series below a datum do. KGEnp (Pool, Vis & Seibert 2018) puts
+    Spearman's rho (r of the average ranks) and the overlap of the
+    normalized sorted series in place of r and the sd ratio.
     """
-    obs, sim = _pair(obs, sim)
+    obs, sim = _pair(*pair)
+    if n_predictors < 0:
+        raise ContractError("n_predictors must be >= 0")
+    n = len(obs)
     e = sim - obs
-    me = float(e.mean())
-    mse = float((e * e).mean())
-    rmse = math.sqrt(mse)
+    sum_e = float(e.sum())
+    sum_abs_e = float(np.abs(e).sum())
+    # MSE sums e^2 with numpy's pairwise sum and the SSE ratios with a dot
+    # product; the two round differently, so each keeps its own
+    mse = float((e * e).sum()) / n
+    sse = float(e @ e)
+    total = float(obs.sum())
+    mo, ms = _moments(obs), _moments(sim)
+    (obar, dev, sd_obs), (sbar, dev_s, sd_sim) = mo, ms
+    sst = float(dev @ dev)
+    sss = float(dev_s @ dev_s)
+    abs_dev = np.abs(dev)
+    sum_abs_dev = float(abs_dev.sum())
+    agree = np.abs(sim - obar) + abs_dev
     r = _Report()
+
+    me = sum_e / n
+    rmse = math.sqrt(mse)
     r.put("ME", me)
-    r.put("MAE", float(np.abs(e).mean()))
+    r.put("MAE", sum_abs_e / n)
     r.put("MSE", mse)
     r.put("RMSE", rmse)
     r.put("ubRMSE", math.sqrt(max(mse - me * me, 0.0)))
-    sd_obs = _sd(obs)
     if sd_obs > 0:
         r.put("NRMSE%", 100.0 * rmse / sd_obs)
         r.put("RSR", rmse / sd_obs)
-        r.put("rSD", _sd(sim) / sd_obs)
+        r.put("rSD", sd_sim / sd_obs)
     else:
         for key in ("NRMSE%", "RSR", "rSD"):
             r.flag(key, "sd(obs) = 0")
-    total = float(obs.sum())
     if total != 0.0:
-        r.put("PBIAS%", 100.0 * float(e.sum()) / total)
+        r.put("PBIAS%", 100.0 * sum_e / total)
+        r.put("VE", 1.0 - sum_abs_e / total)
     else:
         r.flag("PBIAS%", "sum(obs) = 0")
-    return r.done()
-
-
-def efficiency_metrics(obs, sim) -> MetricsReport:
-    """Efficiency and agreement family: NSE variants, Willmott indices, cp, VE.
-
-    NSE = 1 - sum((sim-obs)^2) / sum((obs-mean)^2); NNSE = 1/(2-NSE) maps it
-    to (0, 1]. The modified forms (mNSE, md) use absolute deviations; the
-    relative forms (rNSE, rd) use observation-relative residuals and are
-    undefined when any observation or the observed mean is zero. cp compares
-    against the lag-1 persistence forecast. VE = 1 - sum|sim-obs| / sum(obs).
-    """
-    obs, sim = _pair(obs, sim)
-    e = sim - obs
-    obar, dev = _centered(obs)
-    sse = float(e @ e)
-    sst = float(dev @ dev)
-    r = _Report()
+        r.flag("VE", "sum(obs) = 0")
 
     if sst > 0:
         nse = 1.0 - sse / sst
         r.put("NSE", nse)
         r.put("NNSE", 1.0 / (2.0 - nse))
+        r.put("R2", nse)
+        if n - n_predictors - 1 > 0:
+            r.put("adjR2", 1.0 - (1.0 - nse) * (n - 1) / (n - n_predictors - 1))
+        else:
+            r.flag("adjR2", f"n = {n} too small for {n_predictors} predictors")
     else:
-        r.flag("NSE", "constant observations")
-        r.flag("NNSE", "constant observations")
-
-    abs_dev = float(np.abs(dev).sum())
-    if abs_dev > 0:
-        r.put("mNSE", 1.0 - float(np.abs(e).sum()) / abs_dev)
+        for key in ("NSE", "NNSE", "R2", "adjR2"):
+            r.flag(key, "constant observations")
+    if sum_abs_dev > 0:
+        r.put("mNSE", 1.0 - sum_abs_e / sum_abs_dev)
     else:
         r.flag("mNSE", "constant observations")
-
     if np.any(obs == 0.0) or obar == 0.0:
         r.flag("rNSE", "zero observation under relative residuals")
         r.flag("rd", "zero observation under relative residuals")
     else:
+        rel_sse = float(np.sum((e / obs) ** 2))
         rel_den = float(np.sum((dev / obar) ** 2))
         if rel_den > 0:
-            r.put("rNSE", 1.0 - float(np.sum((e / obs) ** 2)) / rel_den)
+            r.put("rNSE", 1.0 - rel_sse / rel_den)
         else:
             r.flag("rNSE", "constant observations")
-        rd_den = float(np.sum(((np.abs(sim - obar) + np.abs(dev)) / obar) ** 2))
+        rd_den = float(np.sum((agree / obar) ** 2))
         if rd_den > 0:
-            r.put("rd", 1.0 - float(np.sum((e / obs) ** 2)) / rd_den)
+            r.put("rd", 1.0 - rel_sse / rd_den)
         else:
             r.flag("rd", "degenerate agreement denominator")
-
     w_den = float(np.sum(obs * dev * dev))
     if w_den != 0.0:
         r.put("wNSE", 1.0 - float(np.sum(obs * e * e)) / w_den)
     else:
         r.flag("wNSE", "zero weighted variance")
-
-    d_den = float(np.sum((np.abs(sim - obar) + np.abs(dev)) ** 2))
+    d_den = float(np.sum(agree ** 2))
     if d_den > 0:
         r.put("d", 1.0 - sse / d_den)
     else:
         r.flag("d", "degenerate agreement denominator")
-
-    md_den = float(np.sum(np.abs(sim - obar) + np.abs(dev)))
-    if md_den > 0:
-        r.put("md", 1.0 - float(np.abs(e).sum()) / md_den)
-    else:
-        r.flag("md", "degenerate agreement denominator")
-
     # refined index: dr = 1 - A/B when A <= B else B/A - 1, with B = 2*sum|dev|
-    A = float(np.abs(e).sum())
-    B = 2.0 * abs_dev
+    B = 2.0 * sum_abs_dev
     if B > 0:
-        r.put("dr", 1.0 - A / B if A <= B else B / A - 1.0)
-    elif A == 0.0:
+        r.put("dr", 1.0 - sum_abs_e / B if sum_abs_e <= B else B / sum_abs_e - 1.0)
+    elif sum_abs_e == 0.0:
         r.put("dr", 1.0)
     else:
         r.flag("dr", "constant observations")
-
-    if len(obs) < 3:
+    md_den = float(np.sum(agree))
+    if md_den > 0:
+        r.put("md", 1.0 - sum_abs_e / md_den)
+    else:
+        r.flag("md", "degenerate agreement denominator")
+    if n < 3:
         r.flag("cp", "need at least 3 points")
     else:
         cp_den = float(np.sum(np.diff(obs) ** 2))
@@ -226,133 +266,73 @@ def efficiency_metrics(obs, sim) -> MetricsReport:
         else:
             r.flag("cp", "zero persistence denominator")
 
-    total = float(obs.sum())
-    if total != 0.0:
-        r.put("VE", 1.0 - float(np.abs(e).sum()) / total)
-    else:
-        r.flag("VE", "sum(obs) = 0")
-    return r.done()
-
-
-def correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
-    """Pearson r, R2 (the 1 - SSE/SST definition), adjusted R2, and bR2.
-
-    R2 here is one minus the ratio of squared prediction error to observed
-    variance — identical to NSE, and different from r^2 whenever the fit is
-    biased. bR2 = |b| * r^2 weights r^2 by the OLS slope b of sim on obs.
-    """
-    obs, sim = _pair(obs, sim)
-    if n_predictors < 0:
-        raise ContractError("n_predictors must be >= 0")
-    n = len(obs)
-    _, dev_o = _centered(obs)
-    _, dev_s = _centered(sim)
-    sso = float(dev_o @ dev_o)
-    sss = float(dev_s @ dev_s)
-    r = _Report()
-
-    if sso > 0 and sss > 0:
-        pearson = float((dev_o @ dev_s) / math.sqrt(sso * sss))
+    if sst > 0 and sss > 0:
+        pearson = _pearson(dev, dev_s)
         r.put("r", pearson)
-        slope = float((dev_o @ dev_s) / sso)
-        r.put("bR2", abs(slope) * pearson * pearson)
+        r.put("bR2", abs(float((dev @ dev_s) / sst)) * pearson * pearson)
     else:
-        reason = "constant simulations" if sso > 0 else "constant observations"
+        reason = "constant simulations" if sst > 0 else "constant observations"
         r.flag("r", reason)
         r.flag("bR2", reason)
 
-    if sso > 0:
-        e = sim - obs
-        r2 = 1.0 - float(e @ e) / sso
-        r.put("R2", r2)
-        if n - n_predictors - 1 > 0:
-            r.put("adjR2", 1.0 - (1.0 - r2) * (n - 1) / (n - n_predictors - 1))
-        else:
-            r.flag("adjR2", f"n = {n} too small for {n_predictors} predictors")
-    else:
-        r.flag("R2", "constant observations")
-        r.flag("adjR2", "constant observations")
-    return r.done()
-
-
-def _kge_terms(obs, sim):
-    """(KGE value, reason) for the 2009 sd-ratio form; reason is None if defined."""
-    if obs.mean() == 0.0 or sim.mean() == 0.0:
-        return math.nan, "zero mean"
-    sd_o, sd_s = _sd(obs), _sd(sim)
-    if sd_o == 0.0 or sd_s == 0.0:
-        return math.nan, "zero variance"
-    dev_o = obs - obs.mean()
-    dev_s = sim - sim.mean()
-    pearson = float((dev_o @ dev_s)
-                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
-    alpha = sd_s / sd_o
-    beta = float(sim.mean() / obs.mean())
-    return 1.0 - math.sqrt((pearson - 1) ** 2 + (alpha - 1) ** 2 + (beta - 1) ** 2), None
-
-
-def kge_metrics(obs, sim) -> MetricsReport:
-    """Kling-Gupta efficiency: KGE (2009), low-flow KGElf, non-parametric KGEnp.
-
-    KGElf applies KGE to 1/(x + eps) with eps = mean(obs)/100, stressing low
-    values; it is flagged whenever the transform hits a non-positive value
-    (the usual case for negative-valued depth series). KGEnp replaces r by
-    Spearman's rho and the sd ratio by the overlap of normalized sorted
-    series; rho is Pearson's r of the average ranks (tied values share
-    their mean rank), computed without scipy.
-    """
-    obs, sim = _pair(obs, sim)
-    r = _Report()
-
-    kge, reason = _kge_terms(obs, sim)
+    kge, reason = _kge_terms(mo, ms)
     if reason is None:
         r.put("KGE", kge)
     else:
         r.flag("KGE", reason)
-
+    # the plain mean: _centered takes a constant series' first value instead
     eps = float(obs.mean()) / 100.0
     to, ts = obs + eps, sim + eps
     if np.any(to <= 0.0) or np.any(ts <= 0.0):
         r.flag("KGElf", "non-positive values under low-flow transform")
     else:
-        kge_lf, reason = _kge_terms(1.0 / to, 1.0 / ts)
+        kge_lf, reason = _kge_terms(_moments(1.0 / to), _moments(1.0 / ts))
         if reason is None:
             r.put("KGElf", kge_lf)
         else:
             r.flag("KGElf", f"transformed series: {reason}")
-
-    if obs.mean() == 0.0 or sim.mean() == 0.0:
+    if obar == 0.0 or sbar == 0.0:
         r.flag("KGEnp", "zero mean")
     elif _constant(obs) or _constant(sim):
         r.flag("KGEnp", "constant series")
     else:
-        rank_o = _average_ranks(obs)
-        rank_s = _average_ranks(sim)
-        dev_o = rank_o - rank_o.mean()
-        dev_s = rank_s - rank_s.mean()
-        rho = float((dev_o @ dev_s)
-                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
-        n = len(obs)
-        fdc_o = np.sort(obs) / (n * obs.mean())
-        fdc_s = np.sort(sim) / (n * sim.mean())
+        rho = _pearson(_centered(_average_ranks(obs))[1],
+                       _centered(_average_ranks(sim))[1])
+        fdc_o = np.sort(obs) / (n * obar)
+        fdc_s = np.sort(sim) / (n * sbar)
         alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
-        beta = float(sim.mean() / obs.mean())
-        r.put("KGEnp", 1.0 - math.sqrt((rho - 1) ** 2 + (alpha_np - 1) ** 2
-                                       + (beta - 1) ** 2))
-    return r.done()
+        r.put("KGEnp", _kge(rho, alpha_np, sbar / obar))
 
-
-def full_report(pair, n_predictors: int = 1) -> MetricsReport:
-    """All 27 metrics for an (obs, sim) pair of arrays.
-
-    Every key is present; undefined ones carry flags.
-    """
-    obs, sim = pair
-    report = (error_metrics(obs, sim)
-              | efficiency_metrics(obs, sim)
-              | correlation_metrics(obs, sim, n_predictors)
-              | kge_metrics(obs, sim))
+    report = r.done()
     missing = [k for k in METRIC_ORDER if k not in report.values]
     if missing:  # defensive: canonical order and producers must stay in sync
         raise ContractError(f"metrics missing from report: {missing}")
     return report
+
+
+def _family(obs, sim, keys, n_predictors: int = 1) -> MetricsReport:
+    report = full_report((obs, sim), n_predictors)
+    return MetricsReport(values={k: report.values[k] for k in keys},
+                         flags={k: v for k, v in report.flags.items() if k in keys})
+
+
+def error_metrics(obs, sim) -> MetricsReport:
+    """Bias and error magnitude; see ``full_report``."""
+    return _family(obs, sim, ("ME", "MAE", "MSE", "RMSE", "ubRMSE", "NRMSE%",
+                              "PBIAS%", "RSR", "rSD"))
+
+
+def efficiency_metrics(obs, sim) -> MetricsReport:
+    """NSE variants, Willmott indices, cp and VE; see ``full_report``."""
+    return _family(obs, sim, ("NSE", "NNSE", "mNSE", "rNSE", "wNSE", "d", "dr",
+                              "md", "rd", "cp", "VE"))
+
+
+def correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
+    """Pearson r, R2, adjusted R2 and bR2; see ``full_report``."""
+    return _family(obs, sim, ("r", "R2", "adjR2", "bR2"), n_predictors)
+
+
+def kge_metrics(obs, sim) -> MetricsReport:
+    """Kling-Gupta efficiency: KGE, KGElf and KGEnp; see ``full_report``."""
+    return _family(obs, sim, ("KGE", "KGElf", "KGEnp"))

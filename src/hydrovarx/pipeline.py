@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, build_design, lookahead_violations, standardize
+from .design import DesignMatrix, LagSpec, build_design, lookahead_violations
 from .errors import ContractError, HydroVarxError
 from .forecast import ForecastSeries, RegressionLine, regression_line, rolling_forecast
 from .frame import TimeSeriesFrame, aggregate_monthly, drop_columns, filter_season
 from .metrics import METRIC_ORDER, MetricsReport, full_report
 from .selection import LambdaPath, ModelSpec, SplitPlan, select_lambda
-from .solver import FittedModel, Penalty, fit
+from .solver import FittedModel, Penalty, fit, prepare
 
 
 @contextmanager
@@ -161,8 +161,10 @@ def leakage_audit(report: EvaluationReport,
     counts["lookahead"] = lookahead_violations(design, pre)
 
     test_dates = design.row_dates[split.test]
-    counts["forecast_dates"] = int(np.sum(report.forecast.dates != test_dates)) \
-        + abs(len(report.forecast.dates) - len(test_dates))
+    dates = report.forecast.dates
+    common = min(len(dates), len(test_dates))
+    counts["forecast_dates"] = int(np.sum(dates[:common] != test_dates[:common])) \
+        + abs(len(dates) - len(test_dates))
 
     train_d = set(design.row_dates[split.train].tolist())
     val_d = set(design.row_dates[split.validate].tolist())
@@ -172,7 +174,7 @@ def leakage_audit(report: EvaluationReport,
 
     sc = report.model.scaling
     if sc.enabled:
-        redo = standardize(design.take(slice(0, split.T2)))[1]
+        redo = prepare(design.take(slice(0, split.T2))).info
         counts["scaling"] = int(np.sum(redo.z_mean != sc.z_mean)) \
             + int(np.sum(redo.z_sd != sc.z_sd)) \
             + int(np.sum(redo.y_mean != sc.y_mean)) \

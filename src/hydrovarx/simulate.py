@@ -167,23 +167,22 @@ def simulate(spec: SynthSpec) -> tuple[TimeSeriesFrame, GroundTruth]:
         x = np.zeros((total, 0))
 
     eps = rng.standard_normal((total, k)) * spec.noise_sd
-    lags = np.zeros((p, k)) if spec.init_y is None else spec.init_y.copy()
-    x_lags = np.zeros((max(s, 1), m))
-    y = np.empty((total, k))
+    # y_t is row t + p of y, after p pre-sample rows (init_y, lag 1 last);
+    # x_t is row t + s of x_pad, after s zero rows
+    y = np.zeros((p + total, k))
+    if spec.init_y is not None:
+        y[:p] = spec.init_y[::-1]
+    x_pad = np.vstack([np.zeros((s, m)), x])
     beta = spec.beta if spec.beta is not None else np.zeros((0, k, 0))
     for t in range(total):
         val = spec.nu + eps[t]
         for lag in range(p):
-            val = val + spec.phi[lag] @ lags[lag]
+            val = val + spec.phi[lag] @ y[t + p - 1 - lag]
         for lag in range(s):
-            val = val + beta[lag] @ x_lags[lag]
-        y[t] = val
-        if p:
-            lags = np.vstack([val.reshape(1, -1), lags[:-1]])
-        if s:
-            x_lags = np.vstack([x[t].reshape(1, -1), x_lags[:-1]])
+            val = val + beta[lag] @ x_pad[t + s - 1 - lag]
+        y[t + p] = val
 
-    y = y[spec.burn_in:]
+    y = y[p + spec.burn_in:]
     x = x[spec.burn_in:]
     start = np.datetime64(spec.start_date, "D")
     dates = start + np.arange(spec.n)

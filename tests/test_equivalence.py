@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from hydrovarx import METRIC_ORDER
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,6 +75,27 @@ def test_coefficient_moves_are_judged_by_size(tiny, shift, bit, kernel):
     new["datasets"]["tiny/fixed"]["model"]["coeffs"][0][0] += shift
     assert _verdicts(old, new, "bit") == (bit, ["model.coeffs"])
     assert _verdicts(old, new, "kernel") == (kernel, [] if kernel else ["model.coeffs"])
+
+
+def test_metrics_and_the_regression_line_are_digested(tiny):
+    old = json.loads(tiny.read_text())
+    fixed = old["datasets"]["tiny/fixed"]
+    assert list(fixed["metrics"]) == list(METRIC_ORDER)
+    assert all(len(values) == 1 for values in fixed["metrics"].values())
+    assert [len(flags) for flags in fixed["metric_flags"]] == [len(METRIC_ORDER)]
+    assert [len(fixed["regression"][key]) for key in ("slope", "intercept")] == [1, 1]
+    # (field, the list whose first item changes, its new value, kernel verdict)
+    for field, path, value, kernel in (
+            ("metrics.RMSE", ("metrics", "RMSE"),       # rounding: within tolerance
+             fixed["metrics"]["RMSE"][0] + 1e-12, True),
+            ("metric_flags", ("metric_flags", 0), "sd(obs) = 0", False),
+            ("regression.slope", ("regression", "slope"),
+             fixed["regression"]["slope"][0] + 1e-6, False)):
+        new = copy.deepcopy(old)
+        entry = new["datasets"]["tiny/fixed"]
+        entry[path[0]][path[1]][0] = value
+        assert _verdicts(old, new, "bit") == (False, [field])
+        assert _verdicts(old, new, "kernel") == (kernel, [] if kernel else [field])
 
 
 def test_kernel_contract_holds_counts_and_choices_exactly(tiny):

@@ -10,7 +10,13 @@ from scipy.stats import rankdata
 from hydrovarx import METRIC_ORDER, full_report
 from hydrovarx.errors import ContractError
 from hydrovarx.metrics import (
+    MetricsReport,
+    _Report,
     _average_ranks,
+    _centered,
+    _constant,
+    _pair,
+    _sd,
     correlation_metrics,
     efficiency_metrics,
     error_metrics,
@@ -274,11 +280,11 @@ def test_report_merge_keeps_flags():
 # few distinct values force ties; 0.0 and -0.0 are one value
 _TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 7.0])
 _ROUNDED = st.floats(-10, 10).map(lambda v: round(v, 1))
+_VALUE = st.one_of(_TIED, _ROUNDED, st.floats(-1e6, 1e6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_TIED, _ROUNDED, st.floats(-1e6, 1e6)),
-                min_size=2, max_size=300))
+@given(st.lists(_VALUE, min_size=2, max_size=300))
 def test_average_ranks_equal_scipy_rankdata_to_the_bit(values):
     x = np.array(values)
     assert np.array_equal(_average_ranks(x).view(np.int64),
@@ -290,3 +296,292 @@ def test_kgenp_on_tied_series():
     obs = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 5.0, 6.0])
     sim = np.array([1.5, 2.0, 2.0, 2.0, 3.5, 3.0, 4.0, 4.0, 6.0, 5.5])
     assert kge_metrics(obs, sim).values["KGEnp"] == 0.9145380778350165
+
+
+# --- oracle: the suite as four families, each validating its own pair ---------
+# A copy of the families that full_report merged before it became the one
+# implementation, changed in one place: a KGE term whose square overflows
+# gives -inf (``_reference_distance``), where it raised OverflowError.
+
+
+def _reference_distance(r, alpha, beta):
+    try:
+        return 1.0 - math.sqrt((r - 1) ** 2 + (alpha - 1) ** 2 + (beta - 1) ** 2)
+    except OverflowError:
+        return -math.inf
+
+
+def reference_error_metrics(obs, sim) -> MetricsReport:
+    """Bias and error magnitude: ME, MAE, MSE, RMSE, ubRMSE, NRMSE%, PBIAS%, RSR, rSD.
+
+    ubRMSE = sqrt(MSE - ME^2) isolates random error from systematic bias;
+    NRMSE% and RSR normalize RMSE by the sample sd of the observations.
+    """
+    obs, sim = _pair(obs, sim)
+    e = sim - obs
+    me = float(e.mean())
+    mse = float((e * e).mean())
+    rmse = math.sqrt(mse)
+    r = _Report()
+    r.put("ME", me)
+    r.put("MAE", float(np.abs(e).mean()))
+    r.put("MSE", mse)
+    r.put("RMSE", rmse)
+    r.put("ubRMSE", math.sqrt(max(mse - me * me, 0.0)))
+    sd_obs = _sd(obs)
+    if sd_obs > 0:
+        r.put("NRMSE%", 100.0 * rmse / sd_obs)
+        r.put("RSR", rmse / sd_obs)
+        r.put("rSD", _sd(sim) / sd_obs)
+    else:
+        for key in ("NRMSE%", "RSR", "rSD"):
+            r.flag(key, "sd(obs) = 0")
+    total = float(obs.sum())
+    if total != 0.0:
+        r.put("PBIAS%", 100.0 * float(e.sum()) / total)
+    else:
+        r.flag("PBIAS%", "sum(obs) = 0")
+    return r.done()
+
+
+def reference_efficiency_metrics(obs, sim) -> MetricsReport:
+    """Efficiency and agreement family: NSE variants, Willmott indices, cp, VE.
+
+    NSE = 1 - sum((sim-obs)^2) / sum((obs-mean)^2); NNSE = 1/(2-NSE) maps it
+    to (0, 1]. The modified forms (mNSE, md) use absolute deviations; the
+    relative forms (rNSE, rd) use observation-relative residuals and are
+    undefined when any observation or the observed mean is zero. cp compares
+    against the lag-1 persistence forecast. VE = 1 - sum|sim-obs| / sum(obs).
+    """
+    obs, sim = _pair(obs, sim)
+    e = sim - obs
+    obar, dev = _centered(obs)
+    sse = float(e @ e)
+    sst = float(dev @ dev)
+    r = _Report()
+
+    if sst > 0:
+        nse = 1.0 - sse / sst
+        r.put("NSE", nse)
+        r.put("NNSE", 1.0 / (2.0 - nse))
+    else:
+        r.flag("NSE", "constant observations")
+        r.flag("NNSE", "constant observations")
+
+    abs_dev = float(np.abs(dev).sum())
+    if abs_dev > 0:
+        r.put("mNSE", 1.0 - float(np.abs(e).sum()) / abs_dev)
+    else:
+        r.flag("mNSE", "constant observations")
+
+    if np.any(obs == 0.0) or obar == 0.0:
+        r.flag("rNSE", "zero observation under relative residuals")
+        r.flag("rd", "zero observation under relative residuals")
+    else:
+        rel_den = float(np.sum((dev / obar) ** 2))
+        if rel_den > 0:
+            r.put("rNSE", 1.0 - float(np.sum((e / obs) ** 2)) / rel_den)
+        else:
+            r.flag("rNSE", "constant observations")
+        rd_den = float(np.sum(((np.abs(sim - obar) + np.abs(dev)) / obar) ** 2))
+        if rd_den > 0:
+            r.put("rd", 1.0 - float(np.sum((e / obs) ** 2)) / rd_den)
+        else:
+            r.flag("rd", "degenerate agreement denominator")
+
+    w_den = float(np.sum(obs * dev * dev))
+    if w_den != 0.0:
+        r.put("wNSE", 1.0 - float(np.sum(obs * e * e)) / w_den)
+    else:
+        r.flag("wNSE", "zero weighted variance")
+
+    d_den = float(np.sum((np.abs(sim - obar) + np.abs(dev)) ** 2))
+    if d_den > 0:
+        r.put("d", 1.0 - sse / d_den)
+    else:
+        r.flag("d", "degenerate agreement denominator")
+
+    md_den = float(np.sum(np.abs(sim - obar) + np.abs(dev)))
+    if md_den > 0:
+        r.put("md", 1.0 - float(np.abs(e).sum()) / md_den)
+    else:
+        r.flag("md", "degenerate agreement denominator")
+
+    # refined index: dr = 1 - A/B when A <= B else B/A - 1, with B = 2*sum|dev|
+    A = float(np.abs(e).sum())
+    B = 2.0 * abs_dev
+    if B > 0:
+        r.put("dr", 1.0 - A / B if A <= B else B / A - 1.0)
+    elif A == 0.0:
+        r.put("dr", 1.0)
+    else:
+        r.flag("dr", "constant observations")
+
+    if len(obs) < 3:
+        r.flag("cp", "need at least 3 points")
+    else:
+        cp_den = float(np.sum(np.diff(obs) ** 2))
+        if cp_den > 0:
+            r.put("cp", 1.0 - float(np.sum(e[1:] ** 2)) / cp_den)
+        else:
+            r.flag("cp", "zero persistence denominator")
+
+    total = float(obs.sum())
+    if total != 0.0:
+        r.put("VE", 1.0 - float(np.abs(e).sum()) / total)
+    else:
+        r.flag("VE", "sum(obs) = 0")
+    return r.done()
+
+
+def reference_correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
+    """Pearson r, R2 (the 1 - SSE/SST definition), adjusted R2, and bR2.
+
+    R2 here is one minus the ratio of squared prediction error to observed
+    variance — identical to NSE, and different from r^2 whenever the fit is
+    biased. bR2 = |b| * r^2 weights r^2 by the OLS slope b of sim on obs.
+    """
+    obs, sim = _pair(obs, sim)
+    if n_predictors < 0:
+        raise ContractError("n_predictors must be >= 0")
+    n = len(obs)
+    _, dev_o = _centered(obs)
+    _, dev_s = _centered(sim)
+    sso = float(dev_o @ dev_o)
+    sss = float(dev_s @ dev_s)
+    r = _Report()
+
+    if sso > 0 and sss > 0:
+        pearson = float((dev_o @ dev_s) / math.sqrt(sso * sss))
+        r.put("r", pearson)
+        slope = float((dev_o @ dev_s) / sso)
+        r.put("bR2", abs(slope) * pearson * pearson)
+    else:
+        reason = "constant simulations" if sso > 0 else "constant observations"
+        r.flag("r", reason)
+        r.flag("bR2", reason)
+
+    if sso > 0:
+        e = sim - obs
+        r2 = 1.0 - float(e @ e) / sso
+        r.put("R2", r2)
+        if n - n_predictors - 1 > 0:
+            r.put("adjR2", 1.0 - (1.0 - r2) * (n - 1) / (n - n_predictors - 1))
+        else:
+            r.flag("adjR2", f"n = {n} too small for {n_predictors} predictors")
+    else:
+        r.flag("R2", "constant observations")
+        r.flag("adjR2", "constant observations")
+    return r.done()
+
+
+def _reference_kge_terms(obs, sim):
+    """(KGE value, reason) for the 2009 sd-ratio form; reason is None if defined."""
+    if obs.mean() == 0.0 or sim.mean() == 0.0:
+        return math.nan, "zero mean"
+    sd_o, sd_s = _sd(obs), _sd(sim)
+    if sd_o == 0.0 or sd_s == 0.0:
+        return math.nan, "zero variance"
+    dev_o = obs - obs.mean()
+    dev_s = sim - sim.mean()
+    pearson = float((dev_o @ dev_s)
+                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
+    alpha = sd_s / sd_o
+    beta = float(sim.mean() / obs.mean())
+    return _reference_distance(pearson, alpha, beta), None
+
+
+def reference_kge_metrics(obs, sim) -> MetricsReport:
+    """Kling-Gupta efficiency: KGE (2009), low-flow KGElf, non-parametric KGEnp.
+
+    KGElf applies KGE to 1/(x + eps) with eps = mean(obs)/100, stressing low
+    values; it is flagged whenever the transform hits a non-positive value
+    (the usual case for negative-valued depth series). KGEnp replaces r by
+    Spearman's rho and the sd ratio by the overlap of normalized sorted
+    series; rho is Pearson's r of the average ranks (tied values share
+    their mean rank), computed without scipy.
+    """
+    obs, sim = _pair(obs, sim)
+    r = _Report()
+
+    kge, reason = _reference_kge_terms(obs, sim)
+    if reason is None:
+        r.put("KGE", kge)
+    else:
+        r.flag("KGE", reason)
+
+    eps = float(obs.mean()) / 100.0
+    to, ts = obs + eps, sim + eps
+    if np.any(to <= 0.0) or np.any(ts <= 0.0):
+        r.flag("KGElf", "non-positive values under low-flow transform")
+    else:
+        kge_lf, reason = _reference_kge_terms(1.0 / to, 1.0 / ts)
+        if reason is None:
+            r.put("KGElf", kge_lf)
+        else:
+            r.flag("KGElf", f"transformed series: {reason}")
+
+    if obs.mean() == 0.0 or sim.mean() == 0.0:
+        r.flag("KGEnp", "zero mean")
+    elif _constant(obs) or _constant(sim):
+        r.flag("KGEnp", "constant series")
+    else:
+        rank_o = _average_ranks(obs)
+        rank_s = _average_ranks(sim)
+        dev_o = rank_o - rank_o.mean()
+        dev_s = rank_s - rank_s.mean()
+        rho = float((dev_o @ dev_s)
+                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
+        n = len(obs)
+        fdc_o = np.sort(obs) / (n * obs.mean())
+        fdc_s = np.sort(sim) / (n * sim.mean())
+        alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
+        beta = float(sim.mean() / obs.mean())
+        r.put("KGEnp", _reference_distance(rho, alpha_np, beta))
+    return r.done()
+
+
+def reference_full_report(pair, n_predictors=1):
+    obs, sim = pair
+    return (reference_error_metrics(obs, sim)
+            | reference_efficiency_metrics(obs, sim)
+            | reference_correlation_metrics(obs, sim, n_predictors)
+            | reference_kge_metrics(obs, sim))
+
+
+def _bits(report):
+    """A report's values as int64 bit patterns, every NaN as one pattern."""
+    return {key: -1 if math.isnan(v) else int(np.float64(v).view(np.int64))
+            for key, v in report.values.items()}
+
+
+def _assert_same(got, want):
+    assert _bits(got) == _bits(want)
+    assert got.flags == want.flags
+
+
+@st.composite
+def _pairs(draw):
+    obs = draw(st.lists(_VALUE, min_size=2, max_size=300))
+    sim = draw(st.lists(_VALUE, min_size=len(obs), max_size=len(obs)))
+    return np.array(obs), np.array(sim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(), st.integers(0, 5))
+def test_full_report_and_families_equal_the_reference_to_the_bit(pair, n_predictors):
+    obs, sim = pair
+    with np.errstate(all="ignore"):  # extreme draws overflow on purpose
+        _assert_same(full_report(pair, n_predictors),
+                     reference_full_report(pair, n_predictors))
+        for family, reference in ((error_metrics, reference_error_metrics),
+                                  (efficiency_metrics, reference_efficiency_metrics),
+                                  (kge_metrics, reference_kge_metrics)):
+            _assert_same(family(obs, sim), reference(obs, sim))
+        _assert_same(correlation_metrics(obs, sim, n_predictors),
+                     reference_correlation_metrics(obs, sim, n_predictors))
+
+
+def test_correlation_metrics_reject_a_negative_predictor_count():
+    with pytest.raises(ContractError, match="n_predictors"):
+        correlation_metrics(OBS, SIM_HALF, n_predictors=-1)

@@ -104,6 +104,18 @@ def test_audit_counts_one_corrupted_design_cell():
     assert leakage_audit(forged, frame)["lookahead"] == 1
 
 
+def test_audit_counts_a_forecast_one_row_short():
+    frame = _synth_frame(seed=16)
+    report = run_pipeline(frame, ModelSpec(p=2, s=1, grid=SMALL_GRID))
+    series = report.forecast
+    short = dataclasses.replace(
+        series, **{name: getattr(series, name)[:-1]
+                   for name in ("dates", "observed", "predicted", "lower", "upper")})
+    counts = leakage_audit(dataclasses.replace(report, forecast=short), frame)
+    assert counts["forecast_dates"] == 1
+    assert counts["lookahead"] == counts["split_overlap"] == counts["scaling"] == 0
+
+
 def test_unstandardized_run_audits_clean():
     frame = _synth_frame(seed=17)
     report = run_pipeline(frame, ModelSpec(p=1, s=1, grid=SMALL_GRID,

@@ -37,6 +37,50 @@ def test_noise_free_decay():
                                0.9 ** np.arange(1, 7), rtol=1e-12)
 
 
+def reference_targets(spec):
+    """simulate's targets from the same draws, by the recursion with lag
+    buffers shifted one row per step: lags[l] holds y_(t-1-l), x_lags[l]
+    holds x_(t-1-l)."""
+    rng = np.random.default_rng(spec.seed)
+    total, k, m = spec.burn_in + spec.n, spec.k, spec.m
+    x = rng.standard_normal((total, m)) if m else np.zeros((total, 0))
+    if spec.exog_mode == "ar1":
+        for t in range(1, total):
+            x[t] += spec.exog_rho * x[t - 1]
+    eps = rng.standard_normal((total, k)) * spec.noise_sd
+    lags = np.zeros((spec.p, k)) if spec.init_y is None else spec.init_y.copy()
+    x_lags = np.zeros((max(spec.s, 1), m))
+    y = np.empty((total, k))
+    for t in range(total):
+        val = spec.nu + eps[t]
+        for lag in range(spec.p):
+            val = val + spec.phi[lag] @ lags[lag]
+        for lag in range(spec.s):
+            val = val + spec.beta[lag] @ x_lags[lag]
+        y[t] = val
+        lags = np.vstack([val.reshape(1, -1), lags[:-1]])
+        if spec.s:
+            x_lags = np.vstack([x[t].reshape(1, -1), x_lags[:-1]])
+    return y[spec.burn_in:]
+
+
+_PHI2 = np.array([[[0.5, 0.1], [0.0, 0.3]], [[0.1, 0.0], [0.05, 0.2]]])
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n=60, phi=_PHI2, init_y=np.array([[1.0, -2.0], [3.0, 0.5]]),
+              burn_in=0, noise_sd=0.5, seed=1),
+    SynthSpec(n=60, phi=np.array([0.5]), beta=np.array([[[0.9]], [[0.0]], [[0.3]]]),
+              burn_in=0, exog_mode="ar1", exog_rho=0.6, seed=2),     # s > p
+    SynthSpec(n=40, phi=_PHI2, beta=np.zeros((2, 2, 3)), seed=3),    # zero beta
+    SynthSpec(n=40, phi=np.array([0.4, 0.2, 0.1]), init_y=np.array([2.0]),
+              beta=np.array([[[0.7, -0.2]]]), burn_in=5, seed=4),
+])
+def test_targets_equal_the_shifted_buffer_recursion_to_the_bit(spec):
+    frame, _ = simulate(spec)
+    assert np.array_equal(frame.targets, reference_targets(spec))
+
+
 def test_dates_are_consecutive_days():
     frame, _ = simulate(SynthSpec(n=50, phi=np.array([0.5]), seed=0,
                                   start_date="2015-06-01"))

@@ -11,8 +11,10 @@ Run from the repository root:
 path (grid, MSFE, chosen index and the solver's counters), the final
 model (lambda, support, ``n_iter``, ``converged``, raw and scaled
 coefficients and intercepts, sigma2), the test forecasts and their se,
-the leakage-audit counts, and for an order scan its candidates, BICs,
-lambdas, chosen (p, s) and counters. The dataset sets (``--set``):
+per target every metric of ``METRIC_ORDER`` and its flag, the regression
+line's slope and intercept, the leakage-audit counts, and for an order
+scan its candidates, BICs, lambdas, chosen (p, s) and counters. The
+dataset sets (``--set``):
 
 - ``perfbench``: every dataset of the pools of ``perfbench/workloads.py``
   for ``--seeds``, each run as the workload's op runs it (the CLI fit of
@@ -35,9 +37,9 @@ absolute and relative to max(1, |old|). It exits 1 when the contract fails.
   counts).
 - ``kernel``: the same lambda grid, chosen index and lambda, support,
   (p, s), candidates and their chosen lambdas, solves, iterations and
-  ``n_iter``, non-converged counts, ``converged``, audit counts, and
-  command-line exit codes and artifact hashes; every other number,
-  coefficients included, within 1e-9 * max(1, |old|).
+  ``n_iter``, non-converged counts, ``converged``, audit counts, metric
+  flags, and command-line exit codes and artifact hashes; every other
+  number, coefficients and metrics included, within 1e-9 * max(1, |old|).
 
 BLAS and OpenMP pools are pinned to one thread before numpy loads, so a
 digest does not depend on the machine's core count.
@@ -71,7 +73,7 @@ KERNEL_EXACT = {
     "lambda_path.iterations", "lambda_path.nonconverged",
     "model.lambda", "model.support", "model.n_iter", "model.converged",
     "scan.candidates", "scan.lambdas", "scan.chosen", "scan.solves",
-    "scan.iterations", "scan.nonconverged", "cli.rc",
+    "scan.iterations", "scan.nonconverged", "metric_flags", "cli.rc",
 }
 CONTRACTS = ("bit", "kernel")
 SETS = ("perfbench", "acceptance06", "tiny")
@@ -87,9 +89,9 @@ def _path_digest(path) -> dict:
 
 
 def _report_digest(report, frame) -> dict:
-    from hydrovarx import leakage_audit
+    from hydrovarx import METRIC_ORDER, leakage_audit
 
-    model, series = report.model, report.forecast
+    model, series, line = report.model, report.forecast, report.regression
     return {
         "lambda_path": _path_digest(report.lambda_path),
         "model": {"lambda": model.lam, "support": list(model.support),
@@ -100,6 +102,12 @@ def _report_digest(report, frame) -> dict:
                   "sigma2": model.sigma2},
         "forecast": {"predicted": series.predicted.tolist(),
                      "se": series.se.tolist()},
+        "metrics": {key: [m.values[key] for m in report.metrics]
+                    for key in METRIC_ORDER},
+        "metric_flags": [[m.flags.get(key, "") for key in METRIC_ORDER]
+                         for m in report.metrics],
+        "regression": {"slope": line.slope.tolist(),
+                       "intercept": line.intercept.tolist()},
         "audit": leakage_audit(report, frame),
     }
 
