@@ -112,7 +112,11 @@ class _Report:
 
 
 def _pearson(dev_x: np.ndarray, dev_y: np.ndarray) -> float:
-    """Pearson's r of two series, from their deviations about their means."""
+    """Pearson's r of two series, from their deviations about their means.
+    Each is first scaled by a power of two to a largest magnitude in [0.5,
+    1): that is exact, and keeps the sums within the float range."""
+    dev_x, dev_y = (np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+                    for d in (dev_x, dev_y))
     return float((dev_x @ dev_y)
                  / math.sqrt(float(dev_x @ dev_x) * float(dev_y @ dev_y)))
 

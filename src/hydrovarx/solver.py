@@ -41,10 +41,16 @@ breaks its condition, each signed as its g_j, or only the worst one if any
 would start the wrong way. b then moves toward x as far as the signs allow
 (the ratio test): an old coordinate that would cross zero stops the step
 there and leaves the face. With t = 0 there are no signs to keep and b
-moves to x. A block that is not positive definite takes one plain
-coordinate-descent sweep instead. A coordinate with H_jj = 0 (a zero column
-without ridge) is pinned at zero. Every step keeps b on the closed orthant
-of its face, so the objective never increases.
+moves to x. A coordinate with H_jj = 0 (a zero column without ridge) is
+pinned at zero. Dependent columns with alpha = 1 make a face's block
+singular. If Cholesky fails at a j spanned by old face coordinates R, b
+makes a null move (Tibshirani 2013, "The lasso problem and uniqueness",
+section 3): along d = (x, -1) on R and j, with H_RR x = H_Rj, H d = 0 and
+the objective is linear; d points where it does not rise (on a tie, where
+b_j nears zero), and b stops where a coordinate first reaches zero, which
+leaves the face. A step that fails otherwise is retried with the worst
+violator alone; if that fails, the solve stops uncertified. Every step
+keeps b on the closed orthant of its face, so the objective never rises.
 
 A warm start is almost never at its own face's optimum (it solved a nearby
 problem), so its first pass would only lead to re-solving that face. A warm
@@ -56,11 +62,11 @@ after it. So ``max_iter=0`` returns the start unchanged, and ``max_iter=1``
 returns a warm start's opening face step. The arithmetic is deterministic,
 so fitting is reproducible bit for bit.
 
-Equivalence contract: the kernel reaches the same minimizer as plain
-coordinate descent, not the same bits. The test suite keeps the plain
-numpy-scalar kernel as an oracle: converged fits match it, run to
-tol = 1e-13 (where it converges within 10000 sweeps), in zero pattern and
-within 1e-9 * max(1, |b|) per coefficient.
+Equivalence contract: where the minimizer is unique, the kernel reaches
+the one plain coordinate descent reaches, not the same bits. The test
+suite keeps the plain numpy-scalar kernel as an oracle: converged fits
+match it, run to tol = 1e-13 (where it converges within 10000 sweeps), in
+zero pattern and within 1e-9 * max(1, |b|) per coefficient.
 ``kkt_violation`` certifies a fit against its optimality conditions.
 """
 
@@ -282,56 +288,50 @@ def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem
     return _moment_problem(n, *_comoments(X), design.q, standardize_design)
 
 
-def _sweep(H, thr, b, g):
-    """One cyclic coordinate-descent pass over ``b`` (a list, updated in
-    place) from its gradient ``g = c - H b``; a coordinate with H_jj <= 0
-    is set to zero."""
-    g = np.array(g)
-    for j, d in enumerate(H.diagonal().tolist()):
-        old = b[j]
-        u = float(g[j]) + d * old
-        if d <= 0.0:
-            new = 0.0
-        elif u > thr:
-            new = (u - thr) / d
-        elif u < -thr:
-            new = (u + thr) / d
-        else:
-            new = 0.0
-        if new != old:
-            g -= H[:, j] * (new - old)
-            b[j] = new
-
-
 def _face_step(H, c, thr, b, g, face, signs, new):
     """Move ``b`` (in place) toward the minimizer x of the objective on its
     face plus the coordinates ``new``, each signed as its gradient ``g``.
 
-    Returns False, leaving b as it was, when the face's block of H is not
-    positive definite, x is not finite, or a new coordinate would start the
-    wrong way. Otherwise b steps as far toward x as the signs allow (the
-    ratio test), and the old coordinate that reaches zero first leaves the
-    face. With thr = 0 there are no signs to keep and b moves to x.
+    b steps toward x as far as the signs allow (the ratio test); the old
+    coordinate that reaches zero first leaves the face. With thr = 0, b
+    moves to x. On a singular block b takes the null move (see the module
+    docstring): the ratio test toward b + 2 t d, t the first zero crossing.
+    Returns False, with b unchanged, if the block fails otherwise, the step
+    is not finite, or a new coordinate would start the wrong way.
     """
     face = face + new
     signs = signs + [1.0 if g[j] > 0.0 else -1.0 for j in new]
-    _, x, info = dposv(H.take(face, 0).take(face, 1),
-                       [c[j] - thr * s for j, s in zip(face, signs)])
+    H_F = H.take(face, 0).take(face, 1)
+    u, x, info = dposv(H_F, [c[j] - thr * s for j, s in zip(face, signs)])
     x = x.tolist()
+    if info:
+        # j = face[i]: the failed pivot, or an earlier one at rounding level
+        tiny = u.diagonal()[:info - 1] ** 2 <= 1e-12 * H_F.diagonal()[:info - 1]
+        i = (tiny.tolist() + [True]).index(True)
+        if not 0 < i <= len(face) - len(new):
+            return False
+        face, signs = face[:i + 1], signs[:i + 1]
+        d = dposv(H_F[:i, :i], H_F[:i, i])[1].tolist() + [-1.0]
+        # the slope along d; c.d = 0, as c lies in the range of H
+        slope = thr * sum(s * v for s, v in zip(signs, d))
+        if slope > 0.0 or slope == 0.0 and signs[i] < 0.0:
+            d = [-v for v in d]
+        t = min([-b[j] / v for j, v in zip(face, d) if b[j] * v < 0.0],
+                default=math.inf)
+        x = [b[j] + 2.0 * t * v for j, v in zip(face, d)]
     # a sum is finite only if every term is
-    if info or not math.isfinite(sum(x)):
+    if not math.isfinite(sum(x)):
         return False
-    if thr == 0.0:
+    if thr == 0.0 and not info:
         for j, v in zip(face, x):
             b[j] = v
         return True
     t, drop = 1.0, -1
     for j, s, v in zip(face, signs, x):
         if v * s <= 0.0:
-            bj = b[j]
-            if bj == 0.0:
+            if b[j] == 0.0:
                 return False
-            tj = bj / (bj - v)
+            tj = b[j] / (b[j] - v)
             if tj < t:
                 t, drop = tj, j
     for j, s, v in zip(face, signs, x):
@@ -368,9 +368,8 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
         b = [v if d + ridge > 0.0 else 0.0 for v, d in zip(b, diag)]
     iters = 0
     converged = False
-    # from a warm start the first pass nearly always finds b off its face's
-    # optimum and re-solves that face: take that step without the pass, as
-    # iteration 1; a step that fails leaves b to the loop, uncounted
+    # a warm start re-solves its face without the first pass, as iteration
+    # 1; a step that fails leaves b to the loop, uncounted
     face = [j for j, bj in enumerate(b) if bj != 0.0]
     signs = [1.0 if b[j] > 0.0 else -1.0 for j in face]
     if face and max_iter > 0 and _face_step(H, cl, thr, b, None, face, signs, []):
@@ -414,7 +413,7 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
             worst = max(new, key=lambda j: abs(g[j]))
             moved = _face_step(H, cl, thr, b, g, face, signs, [worst])
         if not moved:
-            _sweep(H, thr, b, g)
+            break
     return b, iters, converged, kkt
 
 

@@ -16,6 +16,7 @@ from hydrovarx.metrics import (
     _centered,
     _constant,
     _pair,
+    _pearson,
     _sd,
     correlation_metrics,
     efficiency_metrics,
@@ -291,6 +292,19 @@ def test_average_ranks_equal_scipy_rankdata_to_the_bit(values):
                           rankdata(x).view(np.int64))
 
 
+@pytest.mark.parametrize("k", [-530, 600])
+def test_pearson_is_unchanged_by_scales_near_the_float_range(k):
+    # near 1e-160 the sums' product underflows to 0 and near 1e180 the sums
+    # overflow, unless each series is scaled first
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=40)
+    y = x + rng.normal(size=40)
+    dx, dy = x - x.mean(), y - y.mean()
+    want = _pearson(dx, dy)
+    assert 0.0 < want < 1.0
+    assert _pearson(np.ldexp(dx, k), np.ldexp(dy, k)) == want
+
+
 def test_kgenp_on_tied_series():
     # the value KGEnp gave when it ranked with scipy.stats.rankdata
     obs = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 5.0, 6.0])
@@ -300,8 +314,11 @@ def test_kgenp_on_tied_series():
 
 # --- oracle: the suite as four families, each validating its own pair ---------
 # A copy of the families that full_report merged before it became the one
-# implementation, changed in one place: a KGE term whose square overflows
-# gives -inf (``_reference_distance``), where it raised OverflowError.
+# implementation, changed in two places: a KGE term whose square overflows
+# gives -inf (``_reference_distance``), where it raised OverflowError; and
+# Pearson's r scales each series' deviations by a power of two first
+# (``_reference_pearson``), which changes no bit unless a sum of squares
+# would leave the float range.
 
 
 def _reference_distance(r, alpha, beta):
@@ -309,6 +326,16 @@ def _reference_distance(r, alpha, beta):
         return 1.0 - math.sqrt((r - 1) ** 2 + (alpha - 1) ** 2 + (beta - 1) ** 2)
     except OverflowError:
         return -math.inf
+
+
+def _reference_pearson(dev_o, dev_s):
+    def scaled(dev):
+        e = math.frexp(float(np.abs(dev).max()))[1]
+        return np.array([math.ldexp(v, -e) for v in dev.tolist()])
+
+    dev_o, dev_s = scaled(dev_o), scaled(dev_s)
+    return float((dev_o @ dev_s)
+                 / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
 
 
 def reference_error_metrics(obs, sim) -> MetricsReport:
@@ -452,7 +479,7 @@ def reference_correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsRep
     r = _Report()
 
     if sso > 0 and sss > 0:
-        pearson = float((dev_o @ dev_s) / math.sqrt(sso * sss))
+        pearson = _reference_pearson(dev_o, dev_s)
         r.put("r", pearson)
         slope = float((dev_o @ dev_s) / sso)
         r.put("bR2", abs(slope) * pearson * pearson)
@@ -484,8 +511,7 @@ def _reference_kge_terms(obs, sim):
         return math.nan, "zero variance"
     dev_o = obs - obs.mean()
     dev_s = sim - sim.mean()
-    pearson = float((dev_o @ dev_s)
-                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
+    pearson = _reference_pearson(dev_o, dev_s)
     alpha = sd_s / sd_o
     beta = float(sim.mean() / obs.mean())
     return _reference_distance(pearson, alpha, beta), None
@@ -530,8 +556,7 @@ def reference_kge_metrics(obs, sim) -> MetricsReport:
         rank_s = _average_ranks(sim)
         dev_o = rank_o - rank_o.mean()
         dev_s = rank_s - rank_s.mean()
-        rho = float((dev_o @ dev_s)
-                    / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
+        rho = _reference_pearson(dev_o, dev_s)
         n = len(obs)
         fdc_o = np.sort(obs) / (n * obs.mean())
         fdc_s = np.sort(sim) / (n * sim.mean())

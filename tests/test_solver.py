@@ -200,12 +200,25 @@ def _kernel_objective(G, c, penalty, b):
     return sum(terms), sum(abs(t) for t in terms)
 
 
-def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed):
-    """A random centered problem (G, c, diag), a penalty and a start point."""
+def _copy_columns(rng, Z, scales):
+    """Replace about half of Z's columns after the first, in place, by an
+    earlier column times one of ``scales``."""
+    for j in range(1, Z.shape[1]):
+        if rng.random() < 0.5:
+            Z[:, j] = Z[:, rng.integers(j)] * rng.choice(scales)
+
+
+def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed,
+                 dup=False):
+    """A random centered problem (G, c, diag), a penalty and a start point;
+    with ``dup``, columns duplicated, negated or rescaled from earlier ones,
+    so that a face's block of G can be singular."""
     rng = np.random.default_rng(seed)
     n = q + n_extra
     Z = rng.normal(size=(n, q)) @ rng.normal(size=(q, q)) * 0.5 \
         + rng.normal(size=(n, q))
+    if dup:
+        _copy_columns(rng, Z, [1.0, -1.0, 3.0, -0.7])
     if zero_col:
         # a zero-variance column: with alpha = 1 its denominator is 0
         Z[:, rng.integers(q)] = 3.0
@@ -272,7 +285,7 @@ def test_cd_kernel_converges_to_reference(**case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(max_iter=st.integers(1, 5), **KERNEL_DOMAIN)
+@given(max_iter=st.integers(1, 5), dup=st.booleans(), **KERNEL_DOMAIN)
 def test_cd_kernel_never_raises_objective(max_iter, **case):
     G, c, diag, penalty, b0 = _kernel_case(**case)
     start, scale = _kernel_objective(G, c, penalty, b0)
@@ -283,7 +296,8 @@ def test_cd_kernel_never_raises_objective(max_iter, **case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(max_iter=st.sampled_from([1, 2, 3, 5, 10000]), **KERNEL_DOMAIN)
+@given(max_iter=st.sampled_from([1, 2, 3, 5, 10000]), dup=st.booleans(),
+       **KERNEL_DOMAIN)
 def test_converged_kernel_solves_are_certified(max_iter, **case):
     G, c, diag, penalty, b0 = _kernel_case(**case)
     got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, max_iter)
@@ -296,6 +310,8 @@ def test_converged_kernel_solves_are_certified(max_iter, **case):
     scale = np.abs(G).max() * np.abs(got).max() + np.abs(c).max()
     assert abs(kkt - viol) <= 1e-12 * max(1.0, scale)
     assert iters <= max_iter
+    # certified within 10000 iterations, singular faces included
+    assert ok or max_iter < 10000
     if ok:
         assert viol <= 1e-7 * max(1.0, diag.max())
 
@@ -316,10 +332,11 @@ def test_near_singular_problem_converges_in_few_iterations():
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
-def test_face_step_rejects_singular_block():
-    # two identical columns with alpha = 1: both stay active from this warm
-    # start, so the face's block is singular, Cholesky fails, and a plain
-    # coordinate sweep takes the step
+def test_singular_face_moves_along_its_null_direction():
+    # two identical columns with alpha = 1, both active from this warm start:
+    # the face's block is singular, so b moves along the null direction
+    # (1, -1), which keeps b_1 + b_2 and the fit, until b_2 reaches zero.
+    # The minimizer is not unique; a coordinate sweep picks another split.
     z = np.random.default_rng(25).normal(size=40)
     zc = z - z.mean()
     G = np.outer([1.0, 1.0], [1.0, 1.0]) * (zc @ zc)
@@ -328,11 +345,54 @@ def test_face_step_rejects_singular_block():
     assert dposv(G, c - 2.0)[2] > 0
     b, _, ok = _solve(G, c, penalty, np.array([0.5, 0.7]), 10000)
     assert ok
-    # the second copy keeps its start (up to rounding), the first takes the rest
-    np.testing.assert_allclose(b, [2.0 - 2.0 / (zc @ zc) - 0.7, 0.7], rtol=1e-12)
-    want = reference_cd_solve(G, c, np.diag(G).copy(), penalty,
-                              np.array([0.5, 0.7]), 1e-13, 10000)[0]
-    np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+    assert 0.0 in b
+    split = np.array([2.0 - 2.0 / (zc @ zc) - 0.7, 0.7])
+    assert abs(sum(b) - split.sum()) <= 1e-12 * split.sum()
+    got, scale = _kernel_objective(G, c, penalty, b)
+    assert abs(got - _kernel_objective(G, c, penalty, split)[0]) <= 1e-12 * scale
+
+
+def _degenerate_case(rng):
+    """An alpha = 1 problem with about half its columns copied or negated
+    from earlier ones, lambda log-uniform in [1e-6, 1] lambda_max, and a
+    start at zero or, half the time, at a random sparse point."""
+    n, q = rng.integers(8, 41), rng.integers(3, 13)
+    Z = rng.normal(size=(n, q))
+    _copy_columns(rng, Z, [1.0, -1.0])
+    y = Z @ (rng.normal(size=q) * (rng.random(q) < 0.5)) + rng.normal(size=n)
+    Zc = Z - Z.mean(axis=0)
+    c = Zc.T @ (y - y.mean())
+    lam = 2.0 * np.abs(c).max() * 10.0 ** rng.uniform(-6.0, 0.0)
+    b0 = np.zeros(q)
+    if rng.random() < 0.5:
+        b0 = rng.normal(size=q) * (rng.random(q) < 0.5)
+    return Zc.T @ Zc, c, Penalty(lam, 1.0), b0
+
+
+def test_degenerate_faces_are_certified():
+    rng = np.random.default_rng(3)
+    failed = [i for i in range(1000)
+              if not _solve(*_degenerate_case(rng), 10000)[2]]
+    assert failed == []
+
+
+def test_spanned_violator_takes_over_its_face():
+    # z_2 = 2 z_1: from face {0}'s optimum, coordinate 1 breaks its
+    # condition but is spanned by coordinate 0, so the null move trades
+    # b_0 for b_1 at the same fit, and a face step on {1} finishes
+    z = np.random.default_rng(7).normal(size=30)
+    zc = z - z.mean()
+    a = zc @ zc
+    G = np.array([[1.0, 2.0], [2.0, 4.0]]) * a
+    c0 = 3.0 * a
+    c = np.array([c0, 2.0 * c0])
+    penalty = Penalty(20.0, 1.0)
+    assert dposv(G, c - 10.0)[2] > 0
+    b0 = np.array([(c0 - 10.0) / a, 0.0])
+    b, iters, ok = _solve(G, c, penalty, b0, 10000)
+    assert ok and iters <= 5
+    assert b[0] == 0.0
+    np.testing.assert_allclose(b[1], (2.0 * c0 - 10.0) / (4.0 * a), rtol=1e-12)
 
 
 def test_face_step_rejects_sign_change():
