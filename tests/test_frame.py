@@ -330,7 +330,7 @@ def csv_texts(draw):
         elif kind == "date" and date_pos < len(row):
             row[date_pos] = draw(_ODD_DATES)
         elif kind == "length":
-            row.append("1") if draw(st.booleans()) else row.pop()
+            row.append("1") if not row or draw(st.booleans()) else row.pop()  # an emptied row can only grow
         else:
             row[:] = draw(st.sampled_from([[""], ["   "], [" ", " "], ["\t", ""]]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -360,6 +360,7 @@ def _outcome(load, path):
 @example(text="Date,Y\n+2016-01-01,1\n2016-01-02T12:30,2\n")  # sign, time
 @example(text="Date,Y\n0999-12-31,1\n1000-01-01,2\n")  # loop-only year
 @example(text="Date,Y\n2016-01-01,1\n2016-01-02T00:00Z,2\n")  # a timezone
+@example(text="Date,Y\n2016-01-01,1\n\n1\n")  # an emptied row, and one grown again
 def test_load_csv_matches_per_line_loop(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
