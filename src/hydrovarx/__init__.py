@@ -47,15 +47,7 @@ from .frame import (
     load_csv,
     write_csv,
 )
-from .metrics import (
-    METRIC_ORDER,
-    MetricsReport,
-    correlation_metrics,
-    efficiency_metrics,
-    error_metrics,
-    full_report,
-    kge_metrics,
-)
+from .metrics import METRIC_ORDER, MetricsReport, full_report
 from .pipeline import (
     AblationResult,
     EvaluationReport,
@@ -98,9 +90,8 @@ __all__ = [
     "RegressionLine", "SEASONS", "ScalingInfo", "SplitPlan",
     "SynthSpec", "TimeSeriesFrame", "UnsupportedResolutionError",
     "ablation_run", "aggregate_monthly", "bic", "build_design",
-    "correlation_metrics", "default_grid", "destandardize_coeffs", "drop_columns",
-    "efficiency_metrics", "error_metrics", "exit_code_for", "filter_season",
-    "fit", "full_report", "kge_metrics", "kkt_violation",
+    "default_grid", "destandardize_coeffs", "drop_columns",
+    "exit_code_for", "filter_season", "fit", "full_report", "kkt_violation",
     "leakage_audit", "load_csv", "lookahead_violations", "objective",
     "predict_rows", "preprocess", "regression_line", "rolling_forecast",
     "run_pipeline", "select_lambda", "select_order",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InsufficientDataError, NonFiniteError
-from .frame import TimeSeriesFrame
+from .frame import TimeSeriesFrame, freeze
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,7 @@ class DesignMatrix:
             raise ContractError("regressor labels collide; rename columns")
         if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Z))):
             raise NonFiniteError("design contains non-finite values")
-        for name, arr in (("Y", Y), ("Z", Z), ("row_dates", dates)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, Y=Y, Z=Z, row_dates=dates)
 
     @property
     def n_eff(self) -> int:
@@ -92,10 +89,7 @@ class DesignMatrix:
         copies (masks, index arrays) are marked read-only.
         """
         new = object.__new__(DesignMatrix)
-        for name in ("Y", "Z", "row_dates"):
-            arr = np.ascontiguousarray(getattr(self, name)[rows])
-            arr.setflags(write=False)
-            object.__setattr__(new, name, arr)
+        freeze(new, Y=self.Y[rows], Z=self.Z[rows], row_dates=self.row_dates[rows])
         for name in ("col_labels", "target_names", "exog_names", "p", "s", "mode"):
             object.__setattr__(new, name, getattr(self, name))
         return new
@@ -178,10 +172,8 @@ class ScalingInfo:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("z_mean", "z_sd", "y_mean", "constant"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name)))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, z_mean=self.z_mean, z_sd=self.z_sd, y_mean=self.y_mean,
+               constant=self.constant)
 
     @classmethod
     def identity(cls, q: int, k: int) -> "ScalingInfo":

@@ -14,6 +14,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .errors import ContractError, InsufficientDataError
+from .frame import freeze
 from .metrics import _constant
 from .selection import SplitPlan, _check_split
 from .solver import FittedModel, predict_rows
@@ -46,10 +47,7 @@ class ForecastSeries:
         se = np.asarray(self.se, dtype=float).reshape(-1)
         if se.shape[0] != shape[1]:
             raise ContractError("se must have one entry per target")
-        for name, arr in {**arrays, "dates": dates, "se": se}.items():
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, **arrays, dates=dates, se=se)
 
     @property
     def n(self) -> int:
@@ -103,11 +101,8 @@ class RegressionLine:
     slope: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("intercept", "slope"):
-            arr = np.ascontiguousarray(
-                np.asarray(getattr(self, name), dtype=float).reshape(-1))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, intercept=np.asarray(self.intercept, dtype=float).reshape(-1),
+               slope=np.asarray(self.slope, dtype=float).reshape(-1))
 
     def to_dict(self) -> dict:
         return {name: [None if np.isnan(v) else v for v in arr.tolist()]

@@ -48,6 +48,15 @@ DORMANT_WINDOW = ((11, 1), (3, 31))
 SEASONS = ("all", "growing", "dormant")
 
 
+def freeze(record, **arrays) -> None:
+    """Set each named array on the frozen dataclass ``record``, C-contiguous
+    and read-only."""
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in MISSING_TOKENS
 
@@ -157,13 +166,15 @@ class TimeSeriesFrame:
         k = targets.shape[1]
         if roles != ["target"] * k + ["exog"] * exog.shape[1]:
             raise ContractError("columns must list targets first, then exogenous")
+        if k == 0:
+            raise ContractError("a frame needs at least one target column")
+        names = [c.name for c in self.columns]
+        if len(set(names)) < len(names):
+            raise ContractError(f"column names repeat: {names}")
         if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(exog))):
             raise NonFiniteError("frame contains non-finite values")
 
-        for name, arr in (("dates", dates), ("targets", targets), ("exog", exog)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, dates=dates, targets=targets, exog=exog)
 
     # -- views ---------------------------------------------------------------
 
@@ -208,7 +219,9 @@ def load_csv(path, targets, date_column: str = "Date",
     Malformed numbers, dates not written ``YYYY-MM-DD``, and dates that name
     no calendar day (``NaT``, ``today``, ``now``), raise :class:`InputError`
     naming the line and column.
-    Duplicate dates are rejected; rows are sorted by date.
+    Duplicate dates are rejected; rows are sorted by date. A column listed
+    twice, or a used column the header names twice, raises
+    :class:`ContractError` before the body is read.
 
     A plain file is parsed in one bulk pass, any other in a per-line loop,
     which alone reports the line and column of a bad cell. The frame is
@@ -240,9 +253,14 @@ def load_csv(path, targets, date_column: str = "Date",
         if overlap:
             raise ContractError(f"columns {sorted(overlap)} listed as both "
                                 "target and exogenous")
+        used = targets + exog_columns
+        twice = sorted({name for name in used if used.count(name) > 1}
+                       | {name for name in [date_column, *used]
+                          if header.count(name) > 1})
+        if twice:
+            raise ContractError(f"{path}: columns {twice} named twice")
 
         date_idx = header.index(date_column)
-        used = targets + exog_columns
         used_idx = [header.index(name) for name in used]
 
         try:

@@ -35,15 +35,11 @@ class MetricsReport:
     """Metric name -> value, plus a flag map for undefined metrics.
 
     Flagged metrics hold NaN in ``values`` and a human-readable reason in
-    ``flags``. Reports merge with ``|`` and serialize in canonical order.
+    ``flags``. Reports serialize in canonical order.
     """
 
     values: dict[str, float] = field(default_factory=dict)
     flags: dict[str, str] = field(default_factory=dict)
-
-    def __or__(self, other: "MetricsReport") -> "MetricsReport":
-        return MetricsReport(values={**self.values, **other.values},
-                             flags={**self.flags, **other.flags})
 
     def to_rows(self) -> list[tuple[str, float, str]]:
         """(metric, value, flag) rows in canonical table order."""
@@ -313,30 +309,3 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         raise ContractError(f"metrics missing from report: {missing}")
     return report
 
-
-def _family(obs, sim, keys, n_predictors: int = 1) -> MetricsReport:
-    report = full_report((obs, sim), n_predictors)
-    return MetricsReport(values={k: report.values[k] for k in keys},
-                         flags={k: v for k, v in report.flags.items() if k in keys})
-
-
-def error_metrics(obs, sim) -> MetricsReport:
-    """Bias and error magnitude; see ``full_report``."""
-    return _family(obs, sim, ("ME", "MAE", "MSE", "RMSE", "ubRMSE", "NRMSE%",
-                              "PBIAS%", "RSR", "rSD"))
-
-
-def efficiency_metrics(obs, sim) -> MetricsReport:
-    """NSE variants, Willmott indices, cp and VE; see ``full_report``."""
-    return _family(obs, sim, ("NSE", "NNSE", "mNSE", "rNSE", "wNSE", "d", "dr",
-                              "md", "rd", "cp", "VE"))
-
-
-def correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
-    """Pearson r, R2, adjusted R2 and bR2; see ``full_report``."""
-    return _family(obs, sim, ("r", "R2", "adjR2", "bR2"), n_predictors)
-
-
-def kge_metrics(obs, sim) -> MetricsReport:
-    """Kling-Gupta efficiency: KGE, KGElf and KGEnp; see ``full_report``."""
-    return _family(obs, sim, ("KGE", "KGElf", "KGEnp"))

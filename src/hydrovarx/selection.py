@@ -20,7 +20,7 @@ from .errors import (
     DegenerateFitError,
     InsufficientDataError,
 )
-from .frame import SEASONS, TimeSeriesFrame
+from .frame import SEASONS, TimeSeriesFrame, freeze
 from .solver import (
     SNAP_TOL,
     FittedModel,
@@ -164,10 +164,7 @@ class LambdaPath:
             raise ContractError("grid and msfe must be equal-length 1-D arrays")
         if not (0 <= self.chosen_index < grid.size):
             raise ContractError("chosen index out of range")
-        for name, arr in (("grid", grid), ("msfe", msfe)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, grid=grid, msfe=msfe)
 
     @property
     def chosen_lambda(self) -> float:
@@ -417,10 +414,8 @@ class OrderScan:
     kkt_max: float
 
     def __post_init__(self) -> None:
-        for name in ("bic", "lambdas"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, bic=np.asarray(self.bic, dtype=float),
+               lambdas=np.asarray(self.lambdas, dtype=float))
 
     @property
     def chosen_p(self) -> int:

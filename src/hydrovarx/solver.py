@@ -90,6 +90,7 @@ from .errors import (
     ContractError,
     DegenerateFitError,
 )
+from .frame import freeze
 
 #: back-transformed coefficients below this magnitude are reported as zero
 SNAP_TOL = 1e-12
@@ -144,10 +145,8 @@ class FittedModel:
     n_iter: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("nu", "coeffs", "scaled_intercept", "scaled_coeffs"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        names = ("nu", "coeffs", "scaled_intercept", "scaled_coeffs")
+        freeze(self, **{n: np.asarray(getattr(self, n), dtype=float) for n in names})
 
     @property
     def k(self) -> int:
@@ -363,8 +362,9 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
         H = G
     cl = c.tolist()
     b = b.tolist()
-    if min(diag) + ridge <= 0.0:
-        # H_jj = 0: a zero column, whose coefficient stays pinned at zero
+    if max_iter > 0 and min(diag) + ridge <= 0.0:
+        # H_jj = 0: a zero column, whose coefficient stays pinned at zero;
+        # max_iter = 0 returns the start as it is
         b = [v if d + ridge > 0.0 else 0.0 for v, d in zip(b, diag)]
     iters = 0
     converged = False

@@ -340,6 +340,16 @@ def test_unknown_column_exits_3(synth_csv, tmp_path, capsys):
     assert "load" in capsys.readouterr().err
 
 
+def test_target_named_twice_exits_2_and_writes_nothing(synth_csv, tmp_path,
+                                                       capsys):
+    out = tmp_path / "o"
+    rc = main(["fit", "--input", str(synth_csv), "--out", str(out),
+               "--target", "Y1,Y1", "--grid", GRID])
+    assert rc == 2
+    assert "columns ['Y1'] named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_cell_exits_4(tmp_path):
     bad = tmp_path / "bad.csv"
     lines = ["Date,Y"] + [f"2001-01-{d:02d},{v}" for d, v in

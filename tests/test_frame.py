@@ -171,6 +171,40 @@ def test_frame_arrays_read_only():
         frame.targets[0, 0] = 9.0
 
 
+def test_frame_rejects_no_target_and_repeated_names():
+    with pytest.raises(ContractError, match="at least one target"):
+        TimeSeriesFrame(daily_dates(3), np.zeros((3, 0)), np.zeros((3, 1)),
+                        (Column("x"),))
+    with pytest.raises(ContractError, match="column names repeat"):
+        make_frame(np.zeros((3, 2)), target_names=["Y", "Y"])
+    with pytest.raises(ContractError, match="column names repeat"):
+        make_frame(np.zeros(3), np.zeros(3), target_names=["Y"], exog_names=["Y"])
+
+
+@pytest.mark.parametrize("header, targets, exog_columns", [
+    ("Date,Y,x", ["Y", "Y"], None),
+    ("Date,Y,x", ["Y"], ["x", "x"]),
+    ("Date,Y,x,x", ["Y"], None),
+    ("Date,Y,x,x", ["Y"], ["x"]),
+    ("Date,Y,Date", ["Y"], []),
+])
+def test_load_csv_rejects_a_column_named_twice(tmp_path, header, targets,
+                                               exog_columns):
+    # the body's bad cell would raise InputError: the names are checked first
+    path = tmp_path / "twice.csv"
+    path.write_text(header + "\n2001-01-01,oops" + ",1" * (header.count(",") - 1)
+                    + "\n")
+    with pytest.raises(ContractError, match="named twice"):
+        load_csv(path, targets, exog_columns=exog_columns)
+
+
+def test_load_csv_without_a_target_is_refused(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("Date,Y,x\n2001-01-01,1,2\n2001-01-02,3,4\n")
+    with pytest.raises(ContractError, match="at least one target"):
+        load_csv(path, [])
+
+
 # -- bulk parse against the per-line loop ------------------------------------
 
 def reference_load_csv(path, targets, date_column="Date", exog_columns=None):

@@ -1,5 +1,7 @@
-"""Importing hydrovarx loads scipy.linalg and no other public scipy subpackage."""
+"""Importing hydrovarx loads scipy.linalg and no other public scipy subpackage,
+and exports exactly the names its ``__all__`` lists."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -22,3 +24,16 @@ def test_import_loads_only_scipy_linalg():
     assert "linalg" in subpackages
     assert sorted(p for p in subpackages
                   if p not in ALLOWED and not p.startswith("_")) == []
+
+
+def test_all_lists_each_public_name_once():
+    import hydrovarx
+
+    names = hydrovarx.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(hydrovarx, name) and not name.startswith("_")
+               for name in names)
+    # and every public name the package imports is listed
+    public = {name for name, value in vars(hydrovarx).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(names)

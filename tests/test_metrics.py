@@ -18,10 +18,6 @@ from hydrovarx.metrics import (
     _pair,
     _pearson,
     _sd,
-    correlation_metrics,
-    efficiency_metrics,
-    error_metrics,
-    kge_metrics,
 )
 
 OBS = np.array([1.0, 2.0, 3.0])
@@ -202,7 +198,7 @@ def test_error_metrics_sign_convention():
     # and positive PBIAS under this sign convention
     obs = np.array([1.0, 2.0, 3.0, 4.0])
     sim = obs + 1.0
-    v = error_metrics(obs, sim).values
+    v = full_report((obs, sim)).values
     assert v["ME"] == 1.0
     assert v["PBIAS%"] == pytest.approx(100.0 * 4.0 / 10.0)
 
@@ -211,8 +207,8 @@ def test_r_translation_and_scale_invariance():
     rng = np.random.default_rng(3)
     obs = rng.normal(size=30)
     sim = rng.normal(size=30)
-    r0 = correlation_metrics(obs, sim).values["r"]
-    r1 = correlation_metrics(obs * 3.0 - 7.0, sim * 0.5 + 2.0).values["r"]
+    r0 = full_report((obs, sim)).values["r"]
+    r1 = full_report((obs * 3.0 - 7.0, sim * 0.5 + 2.0)).values["r"]
     np.testing.assert_allclose(r0, r1, atol=1e-12)
 
 
@@ -235,7 +231,7 @@ def test_zero_in_observations_flags_relative_metrics():
 def test_negative_values_flag_kgelf():
     obs = np.array([-50.0, -60.0, -55.0])
     sim = np.array([-52.0, -58.0, -56.0])
-    rep = kge_metrics(obs, sim)
+    rep = full_report((obs, sim))
     assert rep.flags["KGElf"]
     assert math.isnan(rep.values["KGElf"])
     assert not rep.flags.get("KGE")
@@ -250,13 +246,13 @@ def test_ve_can_exceed_one_for_negative_totals():
 
 
 def test_cp_needs_three_points():
-    rep = efficiency_metrics(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    rep = full_report((np.array([1.0, 2.0]), np.array([1.0, 2.0])))
     assert rep.flags["cp"]
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ContractError):
-        error_metrics(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        full_report((np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0])))
 
 
 def test_single_point_rejected():
@@ -266,16 +262,7 @@ def test_single_point_rejected():
 
 def test_nonfinite_rejected():
     with pytest.raises(ContractError):
-        error_metrics(np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, 3.0]))
-
-
-def test_report_merge_keeps_flags():
-    a = error_metrics(OBS, SIM_CONST)
-    b = correlation_metrics(OBS, SIM_CONST)
-    merged = a | b
-    assert merged.values["MAE"] == pytest.approx(2.0 / 3.0)
-    assert merged.flags["r"]
-    assert "MAE" not in merged.flags and "r" in merged.flags
+        full_report((np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, 3.0])))
 
 
 # few distinct values force ties; 0.0 and -0.0 are one value
@@ -309,7 +296,7 @@ def test_kgenp_on_tied_series():
     # the value KGEnp gave when it ranked with scipy.stats.rankdata
     obs = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 5.0, 6.0])
     sim = np.array([1.5, 2.0, 2.0, 2.0, 3.5, 3.0, 4.0, 4.0, 6.0, 5.5])
-    assert kge_metrics(obs, sim).values["KGEnp"] == 0.9145380778350165
+    assert full_report((obs, sim)).values["KGEnp"] == 0.9145380778350165
 
 
 # --- oracle: the suite as four families, each validating its own pair ---------
@@ -568,10 +555,13 @@ def reference_kge_metrics(obs, sim) -> MetricsReport:
 
 def reference_full_report(pair, n_predictors=1):
     obs, sim = pair
-    return (reference_error_metrics(obs, sim)
-            | reference_efficiency_metrics(obs, sim)
-            | reference_correlation_metrics(obs, sim, n_predictors)
-            | reference_kge_metrics(obs, sim))
+    parts = (reference_error_metrics(obs, sim),
+             reference_efficiency_metrics(obs, sim),
+             reference_correlation_metrics(obs, sim, n_predictors),
+             reference_kge_metrics(obs, sim))
+    return MetricsReport(
+        values={k: v for part in parts for k, v in part.values.items()},
+        flags={k: v for part in parts for k, v in part.flags.items()})
 
 
 def _bits(report):
@@ -594,19 +584,12 @@ def _pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_pairs(), st.integers(0, 5))
-def test_full_report_and_families_equal_the_reference_to_the_bit(pair, n_predictors):
-    obs, sim = pair
+def test_full_report_equals_the_reference_to_the_bit(pair, n_predictors):
     with np.errstate(all="ignore"):  # extreme draws overflow on purpose
         _assert_same(full_report(pair, n_predictors),
                      reference_full_report(pair, n_predictors))
-        for family, reference in ((error_metrics, reference_error_metrics),
-                                  (efficiency_metrics, reference_efficiency_metrics),
-                                  (kge_metrics, reference_kge_metrics)):
-            _assert_same(family(obs, sim), reference(obs, sim))
-        _assert_same(correlation_metrics(obs, sim, n_predictors),
-                     reference_correlation_metrics(obs, sim, n_predictors))
 
 
-def test_correlation_metrics_reject_a_negative_predictor_count():
+def test_full_report_rejects_a_negative_predictor_count():
     with pytest.raises(ContractError, match="n_predictors"):
-        correlation_metrics(OBS, SIM_HALF, n_predictors=-1)
+        full_report((OBS, SIM_HALF), n_predictors=-1)

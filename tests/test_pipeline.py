@@ -13,6 +13,7 @@ from hydrovarx import (
     leakage_audit,
     preprocess,
     run_pipeline,
+    select_order,
     simulate,
     standardize,
 )
@@ -45,6 +46,40 @@ def test_report_is_internally_consistent():
     assert len(report.metrics) == design.k
     assert set(report.model.support) <= set(design.col_labels)
     assert np.isfinite(report.regression.slope)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One record of each type that freezes its arrays, by name."""
+    frame = _synth_frame()
+    spec = ModelSpec(p=2, s=1, grid=SMALL_GRID)
+    report = run_pipeline(frame, spec)
+    design = report.design
+    return {
+        "TimeSeriesFrame": frame, "DesignMatrix": design,
+        "DesignMatrix.take(slice)": design.take(slice(3, 40)),
+        "DesignMatrix.take(mask)": design.take(np.arange(design.n_eff) % 3 == 0),
+        "ScalingInfo": report.model.scaling, "FittedModel": report.model,
+        "LambdaPath": report.lambda_path,
+        "OrderScan": select_order(frame, [1, 2], [0, 1], spec),
+        "ForecastSeries": report.forecast, "RegressionLine": report.regression,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "TimeSeriesFrame", "DesignMatrix", "DesignMatrix.take(slice)",
+    "DesignMatrix.take(mask)", "ScalingInfo", "FittedModel", "LambdaPath",
+    "OrderScan", "ForecastSeries", "RegressionLine"])
+def test_every_record_freezes_its_arrays(records, name):
+    record = records[name]
+    fields = [f.name for f in dataclasses.fields(record) if f.type == "np.ndarray"]
+    assert fields
+    for field in fields:
+        arr = getattr(record, field)
+        assert isinstance(arr, np.ndarray)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
 
 
 def test_metrics_match_direct_recomputation():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dposv
 
 from conftest import (
@@ -435,6 +435,19 @@ def test_zero_iterations_return_the_warm_start(alpha):
     got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
     assert got == b0.tolist() and iters == 0 and not ok
     assert abs(kkt - _kkt(G, c, penalty, b0)) <= 1e-12 * max(1.0, kkt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_DOMAIN)
+# a start entry on a zero column (H_jj = 0, no ridge), -1.6145 at j = 2,
+# used to come back as 0.0
+@example(q=5, n_extra=10, alpha=1.0, lam_frac=0.1, warm="warm", zero_col=True,
+         asym=False, seed=4)
+def test_zero_iterations_return_the_start_to_the_bit(**case):
+    G, c, _, penalty, b0 = _kernel_case(**case)
+    got, iters, ok, _ = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
+    assert np.array(got).view(np.int64).tolist() == b0.view(np.int64).tolist()
+    assert iters == 0 and not ok
 
 
 def test_first_warm_iteration_is_the_face_step():
