@@ -194,16 +194,21 @@ def _comoments(X):
     return shift + mean, dev.T @ dev
 
 
-def _scaling(n, mean, M, q) -> ScalingInfo:
-    """The ScalingInfo of n rows of [Z | Y], Z's q columns first, from
-    their column means ``mean`` and centered co-moments ``M``: Z's columns
-    are scaled by their ddof=1 standard deviations, and one whose sd is
-    zero to rounding, relative to its mean, is constant and keeps scale 1."""
-    mu = mean[:q]
+def _sds(n, mean, M, q):
+    """The scales of Z's columns and their constant flags, from n rows of
+    [Z | Y], Z's q columns first, with column means ``mean`` and centered
+    co-moments ``M``: each column's ddof=1 standard deviation, or 1 for a
+    column whose sd is zero to rounding, relative to its mean."""
     sd = np.sqrt(M.diagonal()[:q] / (n - 1))
-    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
-    return ScalingInfo(z_mean=mu, z_sd=np.where(constant, 1.0, sd),
-                       y_mean=mean[q:], constant=constant, enabled=True)
+    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mean[:q]))
+    return np.where(constant, 1.0, sd), constant
+
+
+def _scaling(n, mean, M, q) -> ScalingInfo:
+    """The ScalingInfo of n rows of [Z | Y] (see ``_sds``)."""
+    sd, constant = _sds(n, mean, M, q)
+    return ScalingInfo(z_mean=mean[:q], z_sd=sd, y_mean=mean[q:],
+                       constant=constant, enabled=True)
 
 
 def standardize(design: DesignMatrix):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, ScalingInfo, _comoments, build_design
+from .design import DesignMatrix, LagSpec, _comoments, _sds, build_design
 from .errors import (
     ContractError,
     DegenerateFitError,
@@ -24,6 +24,7 @@ from .frame import SEASONS, TimeSeriesFrame, freeze
 from .solver import (
     SNAP_TOL,
     FittedModel,
+    Gram,
     Penalty,
     Problem,
     _moment_problem,
@@ -222,42 +223,49 @@ def _merge(n, mean, M, X):
 
 
 def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
-    """Each refit window: ``(start, stop, problem)``, the problem fit on rows
-    [0, start) and predicting rows [start, stop).
+    """Each refit window: ``(start, stop, problem, rows)``, the problem fit
+    on rows [0, start) and predicting rows [start, stop), whose scaled rows
+    (as ``_scaled_rows`` makes them) are ``rows``.
 
     Fixed refit is one window, [0, T1), that predicts the whole validation
     segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
     The running means and centered co-moments of [Z | Y] take in each
-    window's new rows (``_merge``), and the window's problem is read off
-    them (``solver._moment_problem``), as ``prepare`` reads its own. The
-    first window's is ``prepare``'s on rows [0, T1) to the bit; a later
-    window's equals ``prepare``'s on its rows up to rounding.
+    window's new rows (``_merge``). The first window's problem is the full
+    ``Problem`` read off them (``solver._moment_problem``), ``prepare``'s on
+    rows [0, T1) to the bit. A later window's is a bare ``Gram``: its G and
+    c by the same arithmetic, inline, equal to ``prepare``'s on its rows up
+    to rounding. Its rows are centered by the running means and, when
+    standardized, divided by the sds; ``_scaled_rows`` also subtracts the
+    problem's zero means, or divides by its unit sds, which changes no bit.
     """
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
-    starts = range(split.T1, split.T2, step)
-    X = np.hstack([design.Z[:starts[-1]], design.Y[:starts[-1]]])
+    q = design.q
+    X = np.hstack([design.Z[:split.T2], design.Y[:split.T2]])
     n, mean, M = 0, 0.0, 0.0
-    for start in starts:
+    for start in range(split.T1, split.T2, step):
+        stop = min(start + step, split.T2)
         mean, M = _merge(n, mean, M, X[n:start])
+        if n == 0:  # the first window's full problem refuses a one-row window
+            problem = _moment_problem(start, mean, M, q, spec.standardize)
         n = start
-        yield start, min(start + step, split.T2), _moment_problem(
-            n, mean, M, design.q, spec.standardize)
+        rows = X[start:stop] - mean
+        G, c = M[:q, :q], M[q:, :q]
+        if spec.standardize:
+            sd = _sds(n, mean, M, q)[0]
+            rows[:, :q] /= sd
+            G, c = G / sd / sd[:, None], c / sd
+        yield start, stop, problem if start == split.T1 else Gram(G, c), rows
 
 
-def _cut(problem: Problem, idx) -> Problem:
-    """The problem of the columns ``idx`` of ``problem``'s design (None: all
-    of them). Means, scaling and centering are per column, so this is the
-    problem of those columns' rows alone, but for the rounding of the
-    co-moment product, whose diagonal also gives the sds."""
+def _cut(problem, idx):
+    """The ``Gram`` of the columns ``idx`` of ``problem``'s design (None:
+    ``problem`` itself). Centering and scaling are per column, so this is
+    the G and c of those columns' rows alone, but for the rounding of the
+    co-moment product, whose diagonal also gives the sds. A cut is only
+    solved, and ``solve`` reads nothing else."""
     if idx is None:
         return problem
-    info = problem.info
-    return Problem(
-        info=ScalingInfo(z_mean=info.z_mean[idx], z_sd=info.z_sd[idx],
-                         y_mean=info.y_mean, constant=info.constant[idx],
-                         enabled=info.enabled),
-        z_bar=problem.z_bar[idx], y_bar=problem.y_bar,
-        G=problem.G[np.ix_(idx, idx)], c=problem.c[:, idx])
+    return Gram(problem.G[np.ix_(idx, idx)], problem.c[:, idx])
 
 
 def _scaled_rows(Z, Y, problem: Problem):
@@ -288,11 +296,12 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     pass over its windows (``_windows``); a cut is an index array of the
     design's columns, and None is the whole design.
 
-    In each window a cut's problem is cut from the window's (``_cut``), and
-    its grid is solved as ``select_lambda``'s: chained down the grid in the
-    first window, then each lambda from its own previous window. The
-    window's solutions, every cut's at every lambda, are then scored in one
-    product (``_sq_errors``).
+    In each window a cut's G and c are cut from the window's (``_cut``),
+    and its grid is solved as ``select_lambda``'s: chained down the grid in
+    the first window, then each lambda from its own previous window. The
+    window's solutions, every cut's at every lambda, are then scored on
+    its scaled rows in one product (``_sq_errors``). Only the first window
+    is a full ``Problem``; the later ones are bare ``Gram``s (``_windows``).
 
     Returns the paths, the first window's ``Problem`` (the whole design's)
     and, per cut, that window's ``(scaled_b, n_iter, converged)`` per grid
@@ -317,7 +326,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     last = [[None] * n_grid for _ in cuts]  # each solve on its last window
     counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, iterations, nonconverged, kkt
     first = None
-    for start, stop, problem in _windows(design, split, spec):
+    for _, _, problem, rows in _windows(design, split, spec):
         for idx, fits, count, Xc in zip(cuts, last, counts, X.swapaxes(0, 1)):
             sub = _cut(problem, idx)
             b = None
@@ -335,8 +344,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
                 count[3] = max(count[3], kkt)
         if first is None:
             first = problem, [list(fits) for fits in last]
-        F = _scaled_rows(design.Z[start:stop], design.Y[start:stop], problem)
-        sse += _sq_errors(F, X.reshape(q + k, -1)).reshape(
+        sse += _sq_errors(rows, X.reshape(q + k, -1)).reshape(
             n_cut, n_grid, k).sum(axis=2)
 
     paths = []

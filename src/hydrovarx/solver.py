@@ -17,8 +17,10 @@ independently, in the covariance form of Friedman, Hastie & Tibshirani
 alpha) I, the gradient of one equation is g = c - H b. Every ``Problem``
 is read off the column means and centered co-moments of its rows of
 [Z | Y] by ``_moment_problem``: ``prepare`` takes them from a design's rows,
-and ``selection._windows`` from running co-moments that grow with each
-refit window. ``solve``, the one way to solve a problem, returns its
+and ``selection._windows`` the first refit window's from running
+co-moments that grow with each window. A later window is a bare
+``Gram``, its G and c read off the same running co-moments, since a solve
+reads nothing else. ``solve``, the one way to solve a problem, returns its
 standardized coefficients at one penalty, from zero or from a given start,
 so a lambda grid forms each window's problem once and builds no model.
 ``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -251,12 +254,22 @@ class Problem:
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
     when enabled) regressors centered over the design's rows. Built from
-    the rows' co-moments by ``_moment_problem``.
+    the rows' co-moments by ``_moment_problem``. ``solve`` reads only G and
+    c; ``info``, ``z_bar`` and ``y_bar`` map its solution back (``_finish``),
+    so a lambda path keeps a ``Problem`` for its first window, whose train
+    fits become models, and a bare ``Gram`` for each later one.
     """
 
     info: ScalingInfo
     z_bar: np.ndarray
     y_bar: np.ndarray
+    G: np.ndarray
+    c: np.ndarray
+
+
+class Gram(NamedTuple):
+    """The G and c of a ``Problem`` alone: all that ``solve`` reads."""
+
     G: np.ndarray
     c: np.ndarray
 
@@ -419,26 +432,26 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
 
 def solve(problem: Problem, penalty: Penalty, tol: float = 1e-7,
           max_iter: int = 10000, start=None):
-    """Solve ``problem`` at one penalty; returns ``(scaled_b, n_iter,
-    converged, kkt)``: the (k x q) coefficients on the problem's scale, the
-    iterations per equation, whether every equation was certified optimal,
-    and the largest KKT residual over the equations (see ``_cd_solve``).
-    ``start`` is a ``scaled_b`` to start from (None: zero).
+    """Solve ``problem`` (a ``Problem`` or a ``Gram``) at one penalty;
+    returns ``(scaled_b, n_iter, converged, kkt)``: the (k x q) coefficients
+    on the problem's scale, the iterations per equation, whether every
+    equation was certified optimal, and the largest KKT residual over the
+    equations (see ``_cd_solve``). ``start`` is a ``scaled_b`` to start
+    from (None: zero).
     """
-    k, q = problem.c.shape
-    scaled_b = np.zeros((k, q))
-    start = np.zeros((k, q)) if start is None else np.asarray(start, dtype=float)
+    G, c = problem.G, problem.c
+    start = np.zeros(c.shape) if start is None else np.asarray(start, dtype=float)
+    rows = []
     n_iter = []
     converged = True
     kkt = 0.0
-    for i in range(k):
-        b, iters, ok, r = _cd_solve(problem.G, problem.c[i], penalty, start[i],
-                                    tol, max_iter)
-        scaled_b[i] = b
+    for i in range(len(c)):
+        b, iters, ok, r = _cd_solve(G, c[i], penalty, start[i], tol, max_iter)
+        rows.append(b)
         n_iter.append(iters)
         converged &= ok
         kkt = max(kkt, r)
-    return scaled_b, tuple(n_iter), converged, kkt
+    return np.array(rows), tuple(n_iter), converged, kkt
 
 
 def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,

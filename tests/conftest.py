@@ -67,8 +67,9 @@ def assert_scaling_close(got, want):
     assert got.enabled == want.enabled
 
 
-def assert_problem_close(got, want, Y):
-    """``got`` is the problem ``want`` of rows with responses Y, to rounding.
+def assert_gram_close(got, want, Y):
+    """``got``'s G and c are those of the problem ``want`` of rows with
+    responses Y, to rounding; ``got`` may be a bare ``Gram``.
 
     An entry of G or c that is small by cancellation is held to its
     Cauchy-Schwarz bound, sqrt(G_ii G_jj) or sqrt(S_yy G_jj), instead.
@@ -77,6 +78,12 @@ def assert_problem_close(got, want, Y):
     zz = np.sqrt(want.G.diagonal())
     close(got.G, want.G, np.outer(zz, zz))
     close(got.c, want.c, np.outer(np.sqrt((ydev * ydev).sum(axis=0)), zz))
+
+
+def assert_problem_close(got, want, Y):
+    """``got`` is the problem ``want`` of rows with responses Y, to rounding
+    (G and c as ``assert_gram_close`` holds them)."""
+    assert_gram_close(got, want, Y)
     close(got.z_bar, want.z_bar)
     close(got.y_bar, want.y_bar)
     assert_scaling_close(got.info, want.info)

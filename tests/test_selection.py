@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    assert_problem_close,
+    assert_gram_close,
     close,
     make_frame,
     moment_design,
@@ -22,12 +22,14 @@ from hydrovarx import (
     LambdaPath,
     ModelSpec,
     Penalty,
+    ScalingInfo,
     SplitPlan,
     bic,
     build_design,
     default_grid,
     fit,
     predict_rows,
+    run_pipeline,
     select_lambda,
     select_order,
 )
@@ -37,9 +39,24 @@ from hydrovarx.errors import (
     HydroVarxError,
     InsufficientDataError,
 )
-from hydrovarx.selection import _cut, _lambda_path, _windows, check_grid
+from hydrovarx.selection import (
+    _cut,
+    _lambda_path,
+    _merge,
+    _scaled_rows,
+    _windows,
+    check_grid,
+)
 from hydrovarx.simulate import SynthSpec, simulate
-from hydrovarx.solver import _finish, kkt_violation, prepare, solve
+from hydrovarx.solver import (
+    Gram,
+    Problem,
+    _finish,
+    _moment_problem,
+    kkt_violation,
+    prepare,
+    solve,
+)
 
 
 def _design(seed=0, n=90, m=2, p=2, s=1):
@@ -266,23 +283,40 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
     # the first column is constant over the first window and a few rows
     # beyond, then varies
     design = moment_design(seed, n, k, level, split.T1 + 2)
+    q = design.q
     spec = ModelSpec(refit="expanding", refit_every=refit_every,
                      standardize=standardize)
     windows = list(_windows(design, split, spec))
     starts = list(range(split.T1, split.T2, refit_every))
-    assert [(start, stop) for start, stop, _ in windows] \
+    assert [(start, stop) for start, stop, *_ in windows] \
         == [(t, min(t + refit_every, split.T2)) for t in starts]
-    for start, _, got in windows:
-        rows = design.take(slice(0, start))
-        assert_problem_close(got, reference_prepare(rows, standardize), rows.Y)
-        assert got.info.enabled == standardize
-    assert windows[0][2].info.constant[0] == standardize
+    # the running co-moments, merged as the windows merge them
+    X = np.hstack([design.Z, design.Y])
+    n_rows, mean, M = 0, 0.0, 0.0
+    for i, (start, stop, got, rows) in enumerate(windows):
+        mean, M = _merge(n_rows, mean, M, X[n_rows:start])
+        n_rows = start
+        full = _moment_problem(start, mean, M, q, standardize)
+        # a later window is a bare Gram, by _moment_problem's arithmetic, and
+        # equals the plain row arithmetic's problem on its rows to rounding
+        assert isinstance(got, Problem if i == 0 else Gram)
+        for name in ("G", "c"):
+            assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
+        train = design.take(slice(0, start))
+        assert_gram_close(got, reference_prepare(train, standardize), train.Y)
+        # the scoring rows are _scaled_rows' of the window's full problem
+        want = _scaled_rows(design.Z[start:stop], design.Y[start:stop], full)
+        assert rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+    first = windows[0][2]
+    assert first.info.enabled == standardize
+    assert first.info.constant[0] == standardize
     # the first window is prepare's on its rows, and fixed refit is that
     # one window
-    (start, stop, got), = _windows(design, split, replace(spec, refit="fixed"))
+    (start, stop, got, _), = _windows(design, split, replace(spec, refit="fixed"))
     assert (start, stop) == (split.T1, split.T2)
     want = prepare(design.take(split.train), standardize_design=standardize)
-    for problem in (got, windows[0][2]):
+    for problem in (got, first):
         for name in ("G", "c", "z_bar", "y_bar"):
             np.testing.assert_array_equal(getattr(problem, name),
                                           getattr(want, name))
@@ -524,13 +558,22 @@ def test_select_order_matches_per_candidate_reference(
         for name in ("Y", "row_dates"):
             assert getattr(wide, name).tobytes() == getattr(d, name).tobytes()
         cut = _cut(problem, idx)
+        assert isinstance(cut, Gram)
         own = prepare(d.take(split.train), standardize_design=standardize_design)
         for name in ("G", "c"):
             close(getattr(cut, name), getattr(own, name))
         if abs(got_bic - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic)):
             continue
         # a BIC outside the bound is a different support, and each train
-        # model must then be optimal on its own
+        # model must then be optimal on its own; mapping it back needs the
+        # first window's scaling, cut here to the candidate's columns
+        info = problem.info
+        cut = Problem(info=ScalingInfo(z_mean=info.z_mean[idx],
+                                       z_sd=info.z_sd[idx], y_mean=info.y_mean,
+                                       constant=info.constant[idx],
+                                       enabled=info.enabled),
+                      z_bar=problem.z_bar[idx], y_bar=problem.y_bar,
+                      G=cut.G, c=cut.c)
         train = d.take(split.train)
         model = _finish(train, cut, Penalty(path.chosen_lambda, spec.alpha),
                         *path_fits[path.chosen_index])
@@ -562,11 +605,74 @@ def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
     scan = select_order(frame, [1, 2, 3], [0, 1, 2], ModelSpec(
         grid=np.geomspace(0.1, 10.0, 3), refit=refit, refit_every=5))
     assert len(scan.candidates) == 9
-    # the widest design, and one problem per refit window, read off its
-    # running co-moments: no design's rows are taken or prepared
+    # the widest design, and one full problem, the first window's, read off
+    # its running co-moments: no design's rows are taken or prepared, and a
+    # later window is a bare Gram
+    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": 1}
     split = SplitPlan(frame.n - 3)
     windows = 1 if refit == "fixed" else -(-(split.T2 - split.T1) // 5)
-    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": windows}
+    assert scan.solves == 9 * 3 * windows
+
+
+def test_expanding_run_scales_once_per_path_and_never_per_window(monkeypatch):
+    frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
+                                  beta=np.array([[[0.8]]]), seed=3))
+    made = []
+    init = ScalingInfo.__post_init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    per_window = []  # the ScalingInfo made while each window was formed
+    windows = hydrovarx.selection._windows
+
+    def spy(*args):
+        before = len(made)
+        for window in windows(*args):
+            per_window.append(len(made) - before)
+            yield window
+            before = len(made)
+
+    monkeypatch.setattr(ScalingInfo, "__post_init__", counted)
+    monkeypatch.setattr(hydrovarx.selection, "_windows", spy)
+    report = run_pipeline(frame, ModelSpec(grid=np.geomspace(0.1, 10.0, 3),
+                                           refit="expanding", refit_every=2))
+    split = report.split
+    assert per_window == [1] + [0] * (len(range(split.T1, split.T2, 2)) - 1)
+    assert len(per_window) > 10
+    # the path's first window, and the final fit's prepare
+    assert len(made) == 2
+
+
+def test_expanding_order_scan_paths_match_each_candidates_own():
+    # every candidate's path through the lean windows' column cuts, against
+    # select_lambda on the candidate's own design over the scan's rows
+    rng = np.random.default_rng(23)
+    n = 120
+    y = rng.normal(size=(n, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, 2))
+    frame = make_frame(y, rng.normal(size=(n, 2)))
+    spec = ModelSpec(grid=np.geomspace(0.5, 80.0, 5), refit="expanding",
+                     refit_every=3, standardize=False)
+    seen = []
+
+    def spy(*args):
+        seen.append(_lambda_path(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hydrovarx.selection, "_lambda_path", spy)
+        scan = select_order(frame, [1, 2, 3], [0, 1, 2], spec)
+    (paths, *_), = seen
+    common = build_design(frame, LagSpec(3, 2)).row_dates
+    split = SplitPlan(len(common))
+    for (p, s), lam, path in zip(scan.candidates, scan.lambdas, paths,
+                                 strict=True):
+        own = build_design(frame, LagSpec(p, s))
+        own = own.take(np.isin(own.row_dates, common))
+        want = select_lambda(own, split, spec)
+        np.testing.assert_allclose(path.msfe, want.msfe, rtol=1e-12, atol=0)
+        assert lam == want.chosen_lambda
 
 
 @pytest.mark.parametrize("refit", ["fixed", "expanding"])
