@@ -11,7 +11,9 @@ deviations are the sample kind (ddof=1); series are evaluated exactly as
 given — depth series are typically negative and no metric silently flips or
 clips them. A metric whose formula is undefined for the given data (zero
 variance, zero totals, zeros in a denominator series...) is *flagged*: its
-value is NaN and the report records the reason.
+value is NaN and the report records the reason. So is a metric that needs
+a sum outside the float range: one that overflows, or one whose terms
+have lost digits to underflow (``_in_range``).
 """
 
 from __future__ import annotations
@@ -57,6 +59,31 @@ def _pair(obs, sim, min_n: int = 2):
     if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(sim))):
         raise ContractError("series contain missing or non-finite values")
     return obs, sim
+
+
+#: the smallest normal float
+_TINY = np.finfo(float).tiny
+#: the reason a metric is flagged when a sum it needs left the float range
+OUT_OF_RANGE = "sum outside the float range"
+
+
+def _in_range(total: float, *factors: np.ndarray) -> bool:
+    """Whether ``total``, the sum of the products of the n entries of
+    ``factors``, is within the float range: finite, and, below n times the
+    smallest normal float in magnitude (where its mean is subnormal), with
+    no term below that bound but a zero factor's; such a term can have lost
+    digits to underflow. A small sum of larger terms is cancellation, and
+    stays in range."""
+    if not math.isfinite(total):
+        return False
+    low = _TINY * len(factors[0])
+    if abs(total) >= low:
+        return True
+    terms, nonzero = factors[0], factors[0] != 0.0
+    for f in factors[1:]:
+        terms = terms * f
+        nonzero &= f != 0.0
+    return not (nonzero & (np.abs(terms) < low)).any()
 
 
 def _constant(x: np.ndarray) -> bool:
@@ -127,62 +154,65 @@ def _kge(r: float, alpha: float, beta: float) -> float:
         return -math.inf
 
 
-def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """x's mean and deviations (as ``_centered``) and its sample sd."""
-    return (*_centered(x), _sd(x))
+def _moments(x: np.ndarray) -> tuple[float, np.ndarray, float, float, bool]:
+    """x's mean and deviations (as ``_centered``), its sample sd, the sum
+    of its squared deviations, and whether that sum and the sd are within
+    the float range (``_in_range``)."""
+    mean, dev = _centered(x)
+    sd = _sd(x)
+    ss = float(dev @ dev)
+    return mean, dev, sd, ss, math.isfinite(sd) and _in_range(ss, dev, dev)
 
 
 def _kge_terms(mo, ms):
     """(KGE value, reason) for the 2009 sd-ratio form, from the ``_moments``
     of the observed and the simulated series; reason is None if defined."""
-    (mean_o, dev_o, sd_o), (mean_s, dev_s, sd_s) = mo, ms
+    (mean_o, dev_o, sd_o, _, ok_o), (mean_s, dev_s, sd_s, _, ok_s) = mo, ms
     if mean_o == 0.0 or mean_s == 0.0:
         return math.nan, "zero mean"
+    if not (ok_o and ok_s):
+        return math.nan, OUT_OF_RANGE
     if sd_o == 0.0 or sd_s == 0.0:
         return math.nan, "zero variance"
     return _kge(_pearson(dev_o, dev_s), sd_s / sd_o, mean_s / mean_o), None
 
 
-def full_report(pair, n_predictors: int = 1) -> MetricsReport:
-    """All 27 metrics for an (obs, sim) pair of arrays.
-
-    Every key is present; undefined ones carry flags. With e = sim - obs
-    and dev = obs - mean(obs): ubRMSE = sqrt(MSE - ME^2) is the error less
-    its bias; NRMSE% and RSR divide RMSE by sd(obs), and rSD is the sd ratio.
-    NSE = R2 = 1 - sum(e^2) / sum(dev^2), which is not r^2 when the fit is
-    biased, and NNSE = 1/(2 - NSE). mNSE and md use absolute deviations;
-    rNSE and rd divide by the observations, so a zero observation or mean
-    flags them. dr is Willmott's refined index, cp scores against the lag-1
-    persistence forecast, VE = 1 - sum|e| / sum(obs), and bR2 = |b| r^2
-    with b the OLS slope of sim on obs. KGE (Gupta et al. 2009) combines r,
-    the sd ratio and the mean ratio. KGElf applies it to 1/(x + eps) with
-    eps = mean(obs)/100, and is flagged when that meets a non-positive value,
-    as depth series below a datum do. KGEnp (Pool, Vis & Seibert 2018) puts
-    Spearman's rho (r of the average ranks) and the overlap of the
-    normalized sorted series in place of r and the sd ratio.
-    """
-    obs, sim = _pair(*pair)
-    if n_predictors < 0:
-        raise ContractError("n_predictors must be >= 0")
+def _metrics(obs, sim, n_predictors):
+    """``full_report``'s report of a validated pair; a metric that needs a
+    sum outside the float range (``lost``) is flagged ``OUT_OF_RANGE``."""
     n = len(obs)
     e = sim - obs
     sum_e = float(e.sum())
     sum_abs_e = float(np.abs(e).sum())
     # MSE sums e^2 with numpy's pairwise sum and the SSE ratios with a dot
     # product; the two round differently, so each keeps its own
-    mse = float((e * e).sum()) / n
+    sum_sq_e = float((e * e).sum())
+    mse = sum_sq_e / n
     sse = float(e @ e)
     total = float(obs.sum())
     mo, ms = _moments(obs), _moments(sim)
-    (obar, dev, sd_obs), (sbar, dev_s, sd_sim) = mo, ms
-    sst = float(dev @ dev)
-    sss = float(dev_s @ dev_s)
+    (obar, dev, sd_obs, sst, spread_o), (sbar, dev_s, sd_sim, sss, spread_s) = mo, ms
     abs_dev = np.abs(dev)
     sum_abs_dev = float(abs_dev.sum())
     agree = np.abs(sim - obar) + abs_dev
     r = _Report()
+    lost = set()
+
+    def need(ok, *keys):
+        if not ok:
+            lost.update(keys)
+
+    need(math.isfinite(sum_e), "ME", "ubRMSE", "PBIAS%")
+    need(math.isfinite(sum_abs_e), "MAE", "VE", "mNSE", "dr", "md")
+    need(_in_range(sum_sq_e, e, e), "MSE", "RMSE", "ubRMSE", "NRMSE%", "RSR")
+    need(_in_range(sse, e, e), "NSE", "NNSE", "R2", "adjR2", "d")
+    need(math.isfinite(total), "PBIAS%", "VE")
+    need(spread_o, "NRMSE%", "RSR", "rSD", "NSE", "NNSE", "R2", "adjR2", "bR2")
+    need(spread_s, "rSD", "bR2")
+    need(math.isfinite(sum_abs_dev), "mNSE", "dr")
 
     me = sum_e / n
+    need(me * me >= _TINY or me == 0.0, "ubRMSE")
     rmse = math.sqrt(mse)
     r.put("ME", me)
     r.put("MAE", sum_abs_e / n)
@@ -223,23 +253,30 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         r.flag("rNSE", "zero observation under relative residuals")
         r.flag("rd", "zero observation under relative residuals")
     else:
-        rel_sse = float(np.sum((e / obs) ** 2))
-        rel_den = float(np.sum((dev / obar) ** 2))
+        rel, rel_dev, rel_agree = e / obs, dev / obar, agree / obar
+        rel_sse = float(np.sum(rel ** 2))
+        rel_den = float(np.sum(rel_dev ** 2))
+        rd_den = float(np.sum(rel_agree ** 2))
+        need(_in_range(rel_sse, rel, rel), "rNSE", "rd")
+        need(_in_range(rel_den, rel_dev, rel_dev), "rNSE")
+        need(_in_range(rd_den, rel_agree, rel_agree), "rd")
         if rel_den > 0:
             r.put("rNSE", 1.0 - rel_sse / rel_den)
         else:
             r.flag("rNSE", "constant observations")
-        rd_den = float(np.sum((agree / obar) ** 2))
         if rd_den > 0:
             r.put("rd", 1.0 - rel_sse / rd_den)
         else:
             r.flag("rd", "degenerate agreement denominator")
     w_den = float(np.sum(obs * dev * dev))
+    w_num = float(np.sum(obs * e * e))
+    need(_in_range(w_den, obs, dev, dev) and _in_range(w_num, obs, e, e), "wNSE")
     if w_den != 0.0:
-        r.put("wNSE", 1.0 - float(np.sum(obs * e * e)) / w_den)
+        r.put("wNSE", 1.0 - w_num / w_den)
     else:
         r.flag("wNSE", "zero weighted variance")
     d_den = float(np.sum(agree ** 2))
+    need(_in_range(d_den, agree, agree), "d")
     if d_den > 0:
         r.put("d", 1.0 - sse / d_den)
     else:
@@ -253,6 +290,7 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     else:
         r.flag("dr", "constant observations")
     md_den = float(np.sum(agree))
+    need(math.isfinite(md_den), "md")
     if md_den > 0:
         r.put("md", 1.0 - sum_abs_e / md_den)
     else:
@@ -260,18 +298,28 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     if n < 3:
         r.flag("cp", "need at least 3 points")
     else:
-        cp_den = float(np.sum(np.diff(obs) ** 2))
+        step, e_next = np.diff(obs), e[1:]
+        cp_den = float(np.sum(step ** 2))
+        cp_num = float(np.sum(e_next ** 2))
+        need(_in_range(cp_den, step, step) and _in_range(cp_num, e_next, e_next),
+             "cp")
         if cp_den > 0:
-            r.put("cp", 1.0 - float(np.sum(e[1:] ** 2)) / cp_den)
+            r.put("cp", 1.0 - cp_num / cp_den)
         else:
             r.flag("cp", "zero persistence denominator")
 
-    if sst > 0 and sss > 0:
+    # r scales the deviations first (_pearson): it needs them finite, but no
+    # sum in range
+    if not (_constant(obs) or _constant(sim)):
         pearson = _pearson(dev, dev_s)
+        cov = dev @ dev_s
+        need(np.isfinite(dev).all() and np.isfinite(dev_s).all(), "r")
+        need(_in_range(float(cov), dev, dev_s), "bR2")
         r.put("r", pearson)
-        r.put("bR2", abs(float((dev @ dev_s) / sst)) * pearson * pearson)
+        # a numpy division: an sst lost to underflow is 0
+        r.put("bR2", abs(float(cov / sst)) * pearson * pearson)
     else:
-        reason = "constant simulations" if sst > 0 else "constant observations"
+        reason = "constant observations" if _constant(obs) else "constant simulations"
         r.flag("r", reason)
         r.flag("bR2", reason)
 
@@ -296,14 +344,46 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     elif _constant(obs) or _constant(sim):
         r.flag("KGEnp", "constant series")
     else:
+        need(math.isfinite(n * obar) and math.isfinite(n * sbar), "KGEnp")
         rho = _pearson(_centered(_average_ranks(obs))[1],
                        _centered(_average_ranks(sim))[1])
         fdc_o = np.sort(obs) / (n * obar)
         fdc_s = np.sort(sim) / (n * sbar)
         alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
         r.put("KGEnp", _kge(rho, alpha_np, sbar / obar))
+    for key in METRIC_ORDER:
+        if key in lost:
+            r.flag(key, OUT_OF_RANGE)
+    return r.done()
 
-    report = r.done()
+
+def full_report(pair, n_predictors: int = 1) -> MetricsReport:
+    """All 27 metrics for an (obs, sim) pair of arrays.
+
+    Every key is present; undefined ones carry flags. With e = sim - obs
+    and dev = obs - mean(obs): ubRMSE = sqrt(MSE - ME^2) is the error less
+    its bias; NRMSE% and RSR divide RMSE by sd(obs), and rSD is the sd ratio.
+    NSE = R2 = 1 - sum(e^2) / sum(dev^2), which is not r^2 when the fit is
+    biased, and NNSE = 1/(2 - NSE). mNSE and md use absolute deviations;
+    rNSE and rd divide by the observations, so a zero observation or mean
+    flags them. dr is Willmott's refined index, cp scores against the lag-1
+    persistence forecast, VE = 1 - sum|e| / sum(obs), and bR2 = |b| r^2
+    with b the OLS slope of sim on obs. KGE (Gupta et al. 2009) combines r,
+    the sd ratio and the mean ratio. KGElf applies it to 1/(x + eps) with
+    eps = mean(obs)/100, and is flagged when that meets a non-positive value,
+    as depth series below a datum do. KGEnp (Pool, Vis & Seibert 2018) puts
+    Spearman's rho (r of the average ranks) and the overlap of the
+    normalized sorted series in place of r and the sd ratio. A metric that
+    needs a sum outside the float range is flagged ``OUT_OF_RANGE``.
+    """
+    obs, sim = _pair(*pair)
+    if n_predictors < 0:
+        raise ContractError("n_predictors must be >= 0")
+    # a sum outside the float range flags the metrics that need it, in
+    # place of numpy's warnings
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        report = _metrics(obs, sim, n_predictors)
     missing = [k for k in METRIC_ORDER if k not in report.values]
     if missing:  # defensive: canonical order and producers must stay in sync
         raise ContractError(f"metrics missing from report: {missing}")

@@ -244,8 +244,9 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     n, mean, M = 0, 0.0, 0.0
     for start in range(split.T1, split.T2, step):
         stop = min(start + step, split.T2)
+        first = n == 0
         mean, M = _merge(n, mean, M, X[n:start])
-        if n == 0:  # the first window's full problem refuses a one-row window
+        if first:  # the full problem, which refuses a one-row window
             problem = _moment_problem(start, mean, M, q, spec.standardize)
         n = start
         rows = X[start:stop] - mean
@@ -254,7 +255,7 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
             sd = _sds(n, mean, M, q)[0]
             rows[:, :q] /= sd
             G, c = G / sd / sd[:, None], c / sd
-        yield start, stop, problem if start == split.T1 else Gram(G, c), rows
+        yield start, stop, problem if first else Gram(G, c), rows
 
 
 def _cut(problem, idx):

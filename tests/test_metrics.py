@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 from hydrovarx import METRIC_ORDER, full_report
 from hydrovarx.errors import ContractError
 from hydrovarx.metrics import (
+    OUT_OF_RANGE,
     MetricsReport,
     _Report,
     _average_ranks,
@@ -301,11 +302,13 @@ def test_kgenp_on_tied_series():
 
 # --- oracle: the suite as four families, each validating its own pair ---------
 # A copy of the families that full_report merged before it became the one
-# implementation, changed in two places: a KGE term whose square overflows
-# gives -inf (``_reference_distance``), where it raised OverflowError; and
-# Pearson's r scales each series' deviations by a power of two first
-# (``_reference_pearson``), which changes no bit unless a sum of squares
-# would leave the float range.
+# implementation, changed in three places: a KGE term whose square
+# overflows gives -inf (``_reference_distance``), where it raised
+# OverflowError; Pearson's r scales each series' deviations by a power of
+# two first (``_reference_pearson``), which changes no bit unless a sum of
+# squares would leave the float range; and a metric that needs a sum
+# outside the float range (``_reference_lost``) is flagged OUT_OF_RANGE,
+# and r is undefined only for a constant series.
 
 
 def _reference_distance(r, alpha, beta):
@@ -325,6 +328,37 @@ def _reference_pearson(dev_o, dev_s):
                  / math.sqrt(float(dev_o @ dev_o) * float(dev_s @ dev_s)))
 
 
+def _reference_lost(total, *factors):
+    """Whether the sum ``total`` of the products of the n entries of
+    ``factors`` left the float range: it is not finite, or it is below n
+    times the smallest normal float while a term with no zero factor is,
+    too (underflow)."""
+    total = float(total)
+    low = np.finfo(float).tiny * len(factors[0])
+    if not math.isfinite(total):
+        return True
+    if abs(total) >= low:
+        return False
+    for values in zip(*factors):
+        term = math.prod(values)
+        if all(v != 0.0 for v in values) and abs(term) < low:
+            return True
+    return False
+
+
+def _reference_spread_lost(x):
+    """Whether x's sample sd, or its sum of squared deviations, left the
+    float range."""
+    dev = _centered(x)[1]
+    return not math.isfinite(_sd(x)) or _reference_lost(dev @ dev, dev, dev)
+
+
+def _reference_flag_lost(r, lost):
+    for key in lost:
+        r.flag(key, OUT_OF_RANGE)
+    return r.done()
+
+
 def reference_error_metrics(obs, sim) -> MetricsReport:
     """Bias and error magnitude: ME, MAE, MSE, RMSE, ubRMSE, NRMSE%, PBIAS%, RSR, rSD.
 
@@ -336,6 +370,21 @@ def reference_error_metrics(obs, sim) -> MetricsReport:
     me = float(e.mean())
     mse = float((e * e).mean())
     rmse = math.sqrt(mse)
+    lost = set()
+    if not math.isfinite(float(e.sum())):
+        lost |= {"ME", "ubRMSE", "PBIAS%"}
+    if not math.isfinite(float(np.abs(e).sum())):
+        lost.add("MAE")
+    if _reference_lost((e * e).sum(), e, e):
+        lost |= {"MSE", "RMSE", "ubRMSE", "NRMSE%", "RSR"}
+    if me != 0.0 and me * me < np.finfo(float).tiny:
+        lost.add("ubRMSE")
+    if _reference_spread_lost(obs):
+        lost |= {"NRMSE%", "RSR", "rSD"}
+    if _reference_spread_lost(sim):
+        lost.add("rSD")
+    if not math.isfinite(float(obs.sum())):
+        lost.add("PBIAS%")
     r = _Report()
     r.put("ME", me)
     r.put("MAE", float(np.abs(e).mean()))
@@ -355,7 +404,7 @@ def reference_error_metrics(obs, sim) -> MetricsReport:
         r.put("PBIAS%", 100.0 * float(e.sum()) / total)
     else:
         r.flag("PBIAS%", "sum(obs) = 0")
-    return r.done()
+    return _reference_flag_lost(r, lost)
 
 
 def reference_efficiency_metrics(obs, sim) -> MetricsReport:
@@ -372,6 +421,18 @@ def reference_efficiency_metrics(obs, sim) -> MetricsReport:
     obar, dev = _centered(obs)
     sse = float(e @ e)
     sst = float(dev @ dev)
+    agree = np.abs(sim - obar) + np.abs(dev)
+    lost = set()
+    if _reference_lost(sse, e, e):
+        lost |= {"NSE", "NNSE", "d"}
+    if _reference_spread_lost(obs):
+        lost |= {"NSE", "NNSE"}
+    if not math.isfinite(float(np.abs(e).sum())):
+        lost |= {"mNSE", "md", "dr", "VE"}
+    if not math.isfinite(float(np.abs(dev).sum())):
+        lost |= {"mNSE", "dr"}
+    if not math.isfinite(float(obs.sum())):
+        lost.add("VE")
     r = _Report()
 
     if sst > 0:
@@ -392,6 +453,13 @@ def reference_efficiency_metrics(obs, sim) -> MetricsReport:
         r.flag("rNSE", "zero observation under relative residuals")
         r.flag("rd", "zero observation under relative residuals")
     else:
+        rel, rel_dev, rel_agree = e / obs, dev / obar, agree / obar
+        if _reference_lost(np.sum(rel ** 2), rel, rel):
+            lost |= {"rNSE", "rd"}
+        if _reference_lost(np.sum(rel_dev ** 2), rel_dev, rel_dev):
+            lost.add("rNSE")
+        if _reference_lost(np.sum(rel_agree ** 2), rel_agree, rel_agree):
+            lost.add("rd")
         rel_den = float(np.sum((dev / obar) ** 2))
         if rel_den > 0:
             r.put("rNSE", 1.0 - float(np.sum((e / obs) ** 2)) / rel_den)
@@ -404,18 +472,25 @@ def reference_efficiency_metrics(obs, sim) -> MetricsReport:
             r.flag("rd", "degenerate agreement denominator")
 
     w_den = float(np.sum(obs * dev * dev))
+    if (_reference_lost(w_den, obs, dev, dev)
+            or _reference_lost(np.sum(obs * e * e), obs, e, e)):
+        lost.add("wNSE")
     if w_den != 0.0:
         r.put("wNSE", 1.0 - float(np.sum(obs * e * e)) / w_den)
     else:
         r.flag("wNSE", "zero weighted variance")
 
     d_den = float(np.sum((np.abs(sim - obar) + np.abs(dev)) ** 2))
+    if _reference_lost(d_den, agree, agree):
+        lost.add("d")
     if d_den > 0:
         r.put("d", 1.0 - sse / d_den)
     else:
         r.flag("d", "degenerate agreement denominator")
 
     md_den = float(np.sum(np.abs(sim - obar) + np.abs(dev)))
+    if not math.isfinite(md_den):
+        lost.add("md")
     if md_den > 0:
         r.put("md", 1.0 - float(np.abs(e).sum()) / md_den)
     else:
@@ -434,7 +509,11 @@ def reference_efficiency_metrics(obs, sim) -> MetricsReport:
     if len(obs) < 3:
         r.flag("cp", "need at least 3 points")
     else:
+        step = np.diff(obs)
         cp_den = float(np.sum(np.diff(obs) ** 2))
+        if (_reference_lost(cp_den, step, step)
+                or _reference_lost(np.sum(e[1:] ** 2), e[1:], e[1:])):
+            lost.add("cp")
         if cp_den > 0:
             r.put("cp", 1.0 - float(np.sum(e[1:] ** 2)) / cp_den)
         else:
@@ -445,7 +524,7 @@ def reference_efficiency_metrics(obs, sim) -> MetricsReport:
         r.put("VE", 1.0 - float(np.abs(e).sum()) / total)
     else:
         r.flag("VE", "sum(obs) = 0")
-    return r.done()
+    return _reference_flag_lost(r, lost)
 
 
 def reference_correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsReport:
@@ -462,21 +541,32 @@ def reference_correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsRep
     _, dev_o = _centered(obs)
     _, dev_s = _centered(sim)
     sso = float(dev_o @ dev_o)
-    sss = float(dev_s @ dev_s)
+    e = sim - obs
+    lost = set()
+    if _reference_spread_lost(obs):
+        lost |= {"bR2", "R2", "adjR2"}
+    if _reference_spread_lost(sim):
+        lost.add("bR2")
+    if _reference_lost(e @ e, e, e):
+        lost |= {"R2", "adjR2"}
     r = _Report()
 
-    if sso > 0 and sss > 0:
+    flat_o, flat_s = np.all(obs == obs[0]), np.all(sim == sim[0])
+    if not (flat_o or flat_s):
+        if not (np.all(np.isfinite(dev_o)) and np.all(np.isfinite(dev_s))):
+            lost.add("r")
+        if _reference_lost(dev_o @ dev_s, dev_o, dev_s):
+            lost.add("bR2")
         pearson = _reference_pearson(dev_o, dev_s)
         r.put("r", pearson)
         slope = float((dev_o @ dev_s) / sso)
         r.put("bR2", abs(slope) * pearson * pearson)
     else:
-        reason = "constant simulations" if sso > 0 else "constant observations"
+        reason = "constant observations" if flat_o else "constant simulations"
         r.flag("r", reason)
         r.flag("bR2", reason)
 
     if sso > 0:
-        e = sim - obs
         r2 = 1.0 - float(e @ e) / sso
         r.put("R2", r2)
         if n - n_predictors - 1 > 0:
@@ -486,13 +576,15 @@ def reference_correlation_metrics(obs, sim, n_predictors: int = 1) -> MetricsRep
     else:
         r.flag("R2", "constant observations")
         r.flag("adjR2", "constant observations")
-    return r.done()
+    return _reference_flag_lost(r, lost)
 
 
 def _reference_kge_terms(obs, sim):
     """(KGE value, reason) for the 2009 sd-ratio form; reason is None if defined."""
     if obs.mean() == 0.0 or sim.mean() == 0.0:
         return math.nan, "zero mean"
+    if _reference_spread_lost(obs) or _reference_spread_lost(sim):
+        return math.nan, OUT_OF_RANGE
     sd_o, sd_s = _sd(obs), _sd(sim)
     if sd_o == 0.0 or sd_s == 0.0:
         return math.nan, "zero variance"
@@ -550,6 +642,8 @@ def reference_kge_metrics(obs, sim) -> MetricsReport:
         alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
         beta = float(sim.mean() / obs.mean())
         r.put("KGEnp", _reference_distance(rho, alpha_np, beta))
+        if not (math.isfinite(n * obs.mean()) and math.isfinite(n * sim.mean())):
+            r.flag("KGEnp", OUT_OF_RANGE)
     return r.done()
 
 
@@ -575,21 +669,84 @@ def _assert_same(got, want):
     assert got.flags == want.flags
 
 
+#: magnitudes whose sums of squares leave the float range: they overflow
+#: near 1e200 and underflow near 1e-160
+_SCALES = st.sampled_from([1.0, 1.0, 1e200, -3e199, 1e-160, 7e-162, 1e-300])
+
+
 @st.composite
 def _pairs(draw):
     obs = draw(st.lists(_VALUE, min_size=2, max_size=300))
     sim = draw(st.lists(_VALUE, min_size=len(obs), max_size=len(obs)))
-    return np.array(obs), np.array(sim)
+    scale_o, scale_s = draw(_SCALES), draw(_SCALES)
+    return np.array(obs) * scale_o, np.array(sim) * scale_s
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_pairs(), st.integers(0, 5))
 def test_full_report_equals_the_reference_to_the_bit(pair, n_predictors):
-    with np.errstate(all="ignore"):  # extreme draws overflow on purpose
-        _assert_same(full_report(pair, n_predictors),
-                     reference_full_report(pair, n_predictors))
+    with np.errstate(all="ignore"):  # the reference warns where sums leave the range
+        want = reference_full_report(pair, n_predictors)
+    # full_report flags those sums instead of warning
+    _assert_same(full_report(pair, n_predictors), want)
 
 
 def test_full_report_rejects_a_negative_predictor_count():
     with pytest.raises(ContractError, match="n_predictors"):
         full_report((OBS, SIM_HALF), n_predictors=-1)
+
+
+def test_sums_outside_the_float_range_flag_their_metrics():
+    # near 1e200 the sums of squares overflow, near 1e-160 they underflow;
+    # numpy's warnings would fail this test (warnings are errors)
+    obs, sim = np.array([1.0, 2.0, 4.0]), np.array([1.5, 2.0, 3.5])
+    want = full_report((obs, sim))
+    for scale, lost in ((1e200, ("NSE", "bR2", "KGE", "MSE", "wNSE", "d", "cp")),
+                        (1e-160, ("KGElf", "wNSE", "NSE", "MSE", "KGE"))):
+        got = full_report((obs * scale, sim * scale))
+        for key in lost:
+            assert math.isnan(got.values[key])
+            assert got.flags[key].endswith(OUT_OF_RANGE)
+        # r, the ratios of linear sums and KGEnp need no sum of squares
+        for key in ("r", "mNSE", "md", "dr", "VE", "PBIAS%", "rNSE", "rd", "KGEnp"):
+            assert key not in got.flags
+            assert got.values[key] == pytest.approx(want.values[key], rel=1e-12)
+        assert -1.0 <= got.values["r"] <= 1.0
+    # a weighted variance that cancels to zero is still flagged as zero
+    assert full_report((np.array([1.0, -1.0]), np.zeros(2))).flags["wNSE"] \
+        == "zero weighted variance"
+
+
+#: the power of two each metric scales by when both series scale by 2^k
+_SCALE_POWER = {"ME": 1, "MAE": 1, "RMSE": 1, "ubRMSE": 1, "MSE": 2}
+# values of at least 1e-6 in magnitude, so that no difference of them, and
+# no mean, is subnormal at the scales drawn
+_NORMAL = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, 7.0]), _ROUNDED,
+                    st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_NORMAL, _NORMAL), min_size=2, max_size=100),
+       st.integers(-880, 990), st.integers(0, 3))
+def test_metrics_scale_or_flag_their_range(rows, k, n_predictors):
+    # scaling both series by 2^k is exact, and each metric is scale-free (or
+    # scales by 2^k or 4^k): at any scale it must match its value at scale
+    # 1 to rounding, or be flagged. A sum kept in range can still round
+    # differently, as terms far below it underflow, but by no more than that
+    obs, sim = np.array(rows).T
+    base = full_report((obs, sim), n_predictors)
+    got = full_report((np.ldexp(obs, k), np.ldexp(sim, k)), n_predictors)
+    for key in METRIC_ORDER:
+        if got.flags.get(key, "").endswith(OUT_OF_RANGE):
+            # within about 1e+-30 of the drawn magnitudes no sum leaves it
+            assert abs(k) > 100, key
+            continue
+        assert got.flags.get(key) == base.flags.get(key), key
+        if key not in got.flags:
+            value = math.ldexp(got.values[key], -_SCALE_POWER.get(key, 0) * k)
+            want = base.values[key]
+            assert value == want \
+                or abs(value - want) <= 1e-12 * max(1.0, abs(want)), key
+            if abs(k) <= 100:  # no term underflows: the bits scale exactly
+                assert _bits(MetricsReport({key: value})) \
+                    == _bits(MetricsReport({key: want})), key
