@@ -177,9 +177,31 @@ def _kge_terms(mo, ms):
     return _kge(_pearson(dev_o, dev_s), sd_s / sd_o, mean_s / mean_o), None
 
 
-def _metrics(obs, sim, n_predictors):
-    """``full_report``'s report of a validated pair; a metric that needs a
-    sum outside the float range (``lost``) is flagged ``OUT_OF_RANGE``."""
+# a sum outside the float range flags the metrics that need it, in place
+# of numpy's warnings
+@np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
+def full_report(pair, n_predictors: int = 1) -> MetricsReport:
+    """All 27 metrics for an (obs, sim) pair of arrays.
+
+    Every key is present; undefined ones carry flags. With e = sim - obs
+    and dev = obs - mean(obs): ubRMSE = sqrt(MSE - ME^2) is the error less
+    its bias; NRMSE% and RSR divide RMSE by sd(obs), and rSD is the sd ratio.
+    NSE = R2 = 1 - sum(e^2) / sum(dev^2), which is not r^2 when the fit is
+    biased, and NNSE = 1/(2 - NSE). mNSE and md use absolute deviations;
+    rNSE and rd divide by the observations, so a zero observation or mean
+    flags them. dr is Willmott's refined index, cp scores against the lag-1
+    persistence forecast, VE = 1 - sum|e| / sum(obs), and bR2 = |b| r^2
+    with b the OLS slope of sim on obs. KGE (Gupta et al. 2009) combines r,
+    the sd ratio and the mean ratio. KGElf applies it to 1/(x + eps) with
+    eps = mean(obs)/100, and is flagged when that meets a non-positive value,
+    as depth series below a datum do. KGEnp (Pool, Vis & Seibert 2018) puts
+    Spearman's rho (r of the average ranks) and the overlap of the
+    normalized sorted series in place of r and the sd ratio. A metric that
+    needs a sum outside the float range is flagged ``OUT_OF_RANGE``.
+    """
+    obs, sim = _pair(*pair)
+    if n_predictors < 0:
+        raise ContractError("n_predictors must be >= 0")
     n = len(obs)
     e = sim - obs
     sum_e = float(e.sum())
@@ -354,38 +376,9 @@ def _metrics(obs, sim, n_predictors):
     for key in METRIC_ORDER:
         if key in lost:
             r.flag(key, OUT_OF_RANGE)
-    return r.done()
 
-
-def full_report(pair, n_predictors: int = 1) -> MetricsReport:
-    """All 27 metrics for an (obs, sim) pair of arrays.
-
-    Every key is present; undefined ones carry flags. With e = sim - obs
-    and dev = obs - mean(obs): ubRMSE = sqrt(MSE - ME^2) is the error less
-    its bias; NRMSE% and RSR divide RMSE by sd(obs), and rSD is the sd ratio.
-    NSE = R2 = 1 - sum(e^2) / sum(dev^2), which is not r^2 when the fit is
-    biased, and NNSE = 1/(2 - NSE). mNSE and md use absolute deviations;
-    rNSE and rd divide by the observations, so a zero observation or mean
-    flags them. dr is Willmott's refined index, cp scores against the lag-1
-    persistence forecast, VE = 1 - sum|e| / sum(obs), and bR2 = |b| r^2
-    with b the OLS slope of sim on obs. KGE (Gupta et al. 2009) combines r,
-    the sd ratio and the mean ratio. KGElf applies it to 1/(x + eps) with
-    eps = mean(obs)/100, and is flagged when that meets a non-positive value,
-    as depth series below a datum do. KGEnp (Pool, Vis & Seibert 2018) puts
-    Spearman's rho (r of the average ranks) and the overlap of the
-    normalized sorted series in place of r and the sd ratio. A metric that
-    needs a sum outside the float range is flagged ``OUT_OF_RANGE``.
-    """
-    obs, sim = _pair(*pair)
-    if n_predictors < 0:
-        raise ContractError("n_predictors must be >= 0")
-    # a sum outside the float range flags the metrics that need it, in
-    # place of numpy's warnings
-    with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                     divide="ignore"):
-        report = _metrics(obs, sim, n_predictors)
+    report = r.done()
     missing = [k for k in METRIC_ORDER if k not in report.values]
     if missing:  # defensive: canonical order and producers must stay in sync
         raise ContractError(f"metrics missing from report: {missing}")
     return report
-
