@@ -332,7 +332,8 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
 
     # r scales the deviations first (_pearson): it needs them finite, but no
     # sum in range
-    if not (_constant(obs) or _constant(sim)):
+    flat_o, flat_s = _constant(obs), _constant(sim)
+    if not (flat_o or flat_s):
         pearson = _pearson(dev, dev_s)
         cov = dev @ dev_s
         need(np.isfinite(dev).all() and np.isfinite(dev_s).all(), "r")
@@ -341,7 +342,7 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         # a numpy division: an sst lost to underflow is 0
         r.put("bR2", abs(float(cov / sst)) * pearson * pearson)
     else:
-        reason = "constant observations" if _constant(obs) else "constant simulations"
+        reason = "constant observations" if flat_o else "constant simulations"
         r.flag("r", reason)
         r.flag("bR2", reason)
 
@@ -363,7 +364,7 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
             r.flag("KGElf", f"transformed series: {reason}")
     if obar == 0.0 or sbar == 0.0:
         r.flag("KGEnp", "zero mean")
-    elif _constant(obs) or _constant(sim):
+    elif flat_o or flat_s:
         r.flag("KGEnp", "constant series")
     else:
         need(math.isfinite(n * obar) and math.isfinite(n * sbar), "KGEnp")

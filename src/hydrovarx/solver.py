@@ -17,10 +17,10 @@ independently, in the covariance form of Friedman, Hastie & Tibshirani
 alpha) I, the gradient of one equation is g = c - H b. Every ``Problem``
 is read off the column means and centered co-moments of its rows of
 [Z | Y] by ``_moment_problem``: ``prepare`` takes them from a design's rows,
-and ``selection._windows`` the first refit window's from running
-co-moments that grow with each window. A later window is a bare
-``Gram``, its G and c read off the same running co-moments, since a solve
-reads nothing else. ``solve``, the one way to solve a problem, returns its
+and ``selection._windows`` takes a lambda path's first refit window's from
+co-moments that grow with each window. A later window is a bare ``Gram``,
+its G and c read off the same running co-moments, since a solve reads
+nothing else. ``solve``, the one way to solve a problem, returns its
 standardized coefficients at one penalty, from zero or from a given start,
 so a lambda grid forms each window's problem once and builds no model.
 ``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
@@ -430,7 +430,7 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
     return b, iters, converged, kkt
 
 
-def solve(problem: Problem, penalty: Penalty, tol: float = 1e-7,
+def solve(problem: Problem | Gram, penalty: Penalty, tol: float = 1e-7,
           max_iter: int = 10000, start=None):
     """Solve ``problem`` (a ``Problem`` or a ``Gram``) at one penalty;
     returns ``(scaled_b, n_iter, converged, kkt)``: the (k x q) coefficients
