@@ -204,9 +204,9 @@ def _sds(n, mean, M, q):
     return np.where(constant, 1.0, sd), constant
 
 
-def _scaling(n, mean, M, q) -> ScalingInfo:
-    """The ScalingInfo of n rows of [Z | Y] (see ``_sds``)."""
-    sd, constant = _sds(n, mean, M, q)
+def _scaling(mean, q, sd, constant) -> ScalingInfo:
+    """The ScalingInfo of rows of [Z | Y], Z's q columns first, with column
+    means ``mean`` and Z's ``_sds`` ``sd`` and ``constant``."""
     return ScalingInfo(z_mean=mean[:q], z_sd=sd, y_mean=mean[q:],
                        constant=constant, enabled=True)
 
@@ -222,7 +222,8 @@ def standardize(design: DesignMatrix):
     if n < 2:
         raise InsufficientDataError(
             f"need >= 2 statistic rows to standardize; have {n}")
-    info = _scaling(n, *_comoments(np.hstack([design.Z, design.Y])), design.q)
+    mean, M = _comoments(np.hstack([design.Z, design.Y]))
+    info = _scaling(mean, design.q, *_sds(n, mean, M, design.q))
     scaled = DesignMatrix(
         Y=design.Y - info.y_mean, Z=(design.Z - info.z_mean) / info.z_sd,
         row_dates=design.row_dates, col_labels=design.col_labels,

@@ -234,7 +234,6 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     need(math.isfinite(sum_abs_dev), "mNSE", "dr")
 
     me = sum_e / n
-    need(me * me >= _TINY or me == 0.0, "ubRMSE")
     rmse = math.sqrt(mse)
     r.put("ME", me)
     r.put("MAE", sum_abs_e / n)

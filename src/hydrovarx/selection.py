@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, _comoments, _sds, build_design
+from .design import DesignMatrix, LagSpec, _comoments, build_design
 from .errors import (
     ContractError,
     DegenerateFitError,
@@ -27,6 +27,7 @@ from .solver import (
     Gram,
     Penalty,
     Problem,
+    _moment_gram,
     _moment_problem,
     predict_rows,
     solve,
@@ -232,30 +233,32 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     The running means and centered co-moments of [Z | Y] take in each
     window's new rows (``_merge``). The first window's problem is the full
     ``Problem`` read off them (``solver._moment_problem``), ``prepare``'s on
-    rows [0, T1) to the bit. A later window's is a bare ``Gram``: its G and
-    c by the same arithmetic, inline, equal to ``prepare``'s on its rows up
-    to rounding. Its rows are centered by the running means and, when
+    rows [0, T1) to the bit. A later window's is the bare ``Gram`` under it
+    (``solver._moment_gram``), equal to ``prepare``'s on its rows up to
+    rounding. Its rows are centered by the running means and, when
     standardized, divided by the sds; ``_scaled_rows`` also subtracts the
     problem's zero means, or divides by its unit sds, which changes no bit.
     """
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
+    starts = range(split.T1, split.T2, step)
     q = design.q
-    X = np.hstack([design.Z[:split.T2], design.Y[:split.T2]])
+    X = np.hstack([design.Z[:starts[-1]], design.Y[:starts[-1]]])
     n, mean, M = 0, 0.0, 0.0
-    for start in range(split.T1, split.T2, step):
+    for start in starts:
         stop = min(start + step, split.T2)
-        first = n == 0
         mean, M = _merge(n, mean, M, X[n:start])
-        if first:  # the full problem, which refuses a one-row window
+        if n == 0:  # the full problem, which refuses a one-row window
             problem = _moment_problem(start, mean, M, q, spec.standardize)
+            sd = problem.info.z_sd if spec.standardize else None
+        else:
+            problem, scales = _moment_gram(start, mean, M, q, spec.standardize)
+            sd = None if scales is None else scales[0]
         n = start
-        rows = X[start:stop] - mean
-        G, c = M[:q, :q], M[q:, :q]
-        if spec.standardize:
-            sd = _sds(n, mean, M, q)[0]
+        rows = np.hstack([design.Z[start:stop], design.Y[start:stop]])
+        rows -= mean
+        if sd is not None:
             rows[:, :q] /= sd
-            G, c = G / sd / sd[:, None], c / sd
-        yield start, stop, problem if first else Gram(G, c), rows
+        yield start, stop, problem, rows
 
 
 def _cut(problem, idx):

@@ -86,6 +86,7 @@ from .design import (
     ScalingInfo,
     _comoments,
     _scaling,
+    _sds,
     destandardize_coeffs,
 )
 from .errors import (
@@ -274,21 +275,32 @@ class Gram(NamedTuple):
     c: np.ndarray
 
 
+def _moment_gram(n, mean, M, q, standardize):
+    """The ``Gram`` of n rows of [Z | Y], Z's q columns first, with column
+    means ``mean`` and centered co-moments ``M``, and the scales of Z's
+    columns with their constant flags (``design._sds``), or None when not
+    standardized. Standardized, it is G = D^-1 M_zz D^-1 and c = M_yz D^-1,
+    with D those sds; the scaled columns then have mean zero."""
+    G, c = M[:q, :q], M[q:, :q]
+    if not standardize:
+        return Gram(G, c), None
+    scales = _sds(n, mean, M, q)
+    sd = scales[0]
+    return Gram(G / sd / sd[:, None], c / sd), scales
+
+
 def _moment_problem(n, mean, M, q, standardize):
-    """The ``Problem`` of n rows of [Z | Y], Z's q columns first, with
-    column means ``mean`` and centered co-moments ``M``. Standardized, it
-    is G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D the sds of
-    ``_scaling``; the scaled columns then have mean zero."""
+    """The ``Problem`` of those rows: their ``_moment_gram``, with the
+    scaling and the means that map its solutions back."""
     if n < 2:
         raise DegenerateFitError(f"cannot fit on {n} rows")
-    M_zz, M_yz = M[:q, :q], M[q:, :q]
-    if not standardize:
-        return Problem(info=ScalingInfo.identity(q, len(mean) - q),
-                       z_bar=mean[:q], y_bar=mean[q:], G=M_zz, c=M_yz)
-    info = _scaling(n, mean, M, q)
-    sd = info.z_sd
-    return Problem(info=info, z_bar=np.zeros(q), y_bar=np.zeros(len(mean) - q),
-                   G=M_zz / sd / sd[:, None], c=M_yz / sd)
+    (G, c), scales = _moment_gram(n, mean, M, q, standardize)
+    k = len(mean) - q
+    if scales is None:
+        return Problem(info=ScalingInfo.identity(q, k),
+                       z_bar=mean[:q], y_bar=mean[q:], G=G, c=c)
+    return Problem(info=_scaling(mean, q, *scales), z_bar=np.zeros(q),
+                   y_bar=np.zeros(k), G=G, c=c)
 
 
 def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:

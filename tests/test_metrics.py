@@ -377,8 +377,6 @@ def reference_error_metrics(obs, sim) -> MetricsReport:
         lost.add("MAE")
     if _reference_lost((e * e).sum(), e, e):
         lost |= {"MSE", "RMSE", "ubRMSE", "NRMSE%", "RSR"}
-    if me != 0.0 and me * me < np.finfo(float).tiny:
-        lost.add("ubRMSE")
     if _reference_spread_lost(obs):
         lost |= {"NRMSE%", "RSR", "rSD"}
     if _reference_spread_lost(sim):
@@ -712,6 +710,10 @@ def test_sums_outside_the_float_range_flag_their_metrics():
             assert key not in got.flags
             assert got.values[key] == pytest.approx(want.values[key], rel=1e-12)
         assert -1.0 <= got.values["r"] <= 1.0
+    # a subnormal ME^2 beside a normal MSE leaves ubRMSE exact to rounding
+    got = full_report((np.array([1.0, 2.0, 0.0]), np.array([2.0, 1.0, 1e-200])))
+    assert "ubRMSE" not in got.flags
+    assert got.values["ubRMSE"] == math.sqrt(2.0 / 3.0)
     # a weighted variance that cancels to zero is still flagged as zero
     assert full_report((np.array([1.0, -1.0]), np.zeros(2))).flags["wNSE"] \
         == "zero weighted variance"

@@ -297,11 +297,9 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
         mean, M = _merge(n_rows, mean, M, X[n_rows:start])
         n_rows = start
         full = _moment_problem(start, mean, M, q, standardize)
-        # a later window is a bare Gram, by _moment_problem's arithmetic, and
-        # equals the plain row arithmetic's problem on its rows to rounding
+        # a later window is a bare Gram, equal to the plain row arithmetic's
+        # problem on its rows to rounding
         assert isinstance(got, Problem if i == 0 else Gram)
-        for name in ("G", "c"):
-            assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
         train = design.take(slice(0, start))
         assert_gram_close(got, reference_prepare(train, standardize), train.Y)
         # the scoring rows are _scaled_rows' of the window's full problem

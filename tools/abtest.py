@@ -4,14 +4,15 @@ Run from the repository root:
 
     python tools/abtest.py --parent ../old --change ../new \
         --plan expanding_refit:301-310 --plan fit_audit_daily:311-312 \
-        --seconds 30 --out BENCH_23.json --change-text "..." --claim "..."
+        --out BENCH_23.json --change-text "..." --claim "..."
 
 ``--parent`` and ``--change`` are checkouts (whole trees, each with its own
 ``perfbench/`` and ``src/``). Every ``--plan WORKLOAD:SEEDS`` runs one pair
 per seed: ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in each checkout, one run at a time, with the side that runs
-first alternating from pair to pair (the parent first in the first pair).
-The last line each run prints is its result.
+--trace 0``, T being ``BENCHMARK.json``'s ``run_seconds``, in each
+checkout, one run at a time, with the side that runs first alternating
+from pair to pair (the parent first in the first pair). The last line
+each run prints is its result.
 
 The output has the keys ``change``, ``command``, ``protocol``, ``host``,
 ``claim``, ``summary`` and ``runs``, and is rewritten after every run, so
@@ -126,7 +127,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="changed checkout")
     ap.add_argument("--plan", type=_plan, action="append", required=True,
                     help="WORKLOAD:SEEDS, e.g. expanding_refit:301-310")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--change-text", default="", help="what the change is")
     ap.add_argument("--claim", default="", help="the gain the change claims")
@@ -134,11 +134,12 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     plans = ", then ".join(f"{w} on seeds {s[0]}-{s[-1]}" for w, s in args.plan)
     doc = {
         "change": args.change_text,
-        "command": " ".join(_command("W", "S", args.seconds)),
+        "command": " ".join(_command("W", "S", seconds)),
         "protocol": (
             "parent commit and change run from separate checkouts, each with "
             f"its own perfbench code; {plans}; each pair alternates which side "
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                rc, result = run_one(trees[side], workload, seed, args.seconds)
+                rc, result = run_one(trees[side], workload, seed, seconds)
                 doc["runs"].append({"side": side, "workload": workload,
                                     "seed": seed, "trace": 0, "first": order[0],
                                     "result": result, "rc": rc})
