@@ -238,13 +238,15 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     rounding. Its rows are centered by the running means and, when
     standardized, divided by the sds; ``_scaled_rows`` also subtracts the
     problem's zero means, or divides by its unit sds, which changes no bit.
+    [Z | Y] is stacked only up to the last window's start, so a fixed refit
+    holds no validation row twice; the last window stacks its own rows.
     """
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
-    starts = range(split.T1, split.T2, step)
+    last = range(split.T1, split.T2, step)[-1]
     q = design.q
-    X = np.hstack([design.Z[:starts[-1]], design.Y[:starts[-1]]])
+    X = np.hstack([design.Z[:last], design.Y[:last]])
     n, mean, M = 0, 0.0, 0.0
-    for start in starts:
+    for start in range(split.T1, split.T2, step):
         stop = min(start + step, split.T2)
         mean, M = _merge(n, mean, M, X[n:start])
         if n == 0:  # the full problem, which refuses a one-row window
@@ -254,8 +256,11 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
             problem, scales = _moment_gram(start, mean, M, q, spec.standardize)
             sd = None if scales is None else scales[0]
         n = start
-        rows = np.hstack([design.Z[start:stop], design.Y[start:stop]])
-        rows -= mean
+        if start < last:
+            rows = X[start:stop] - mean
+        else:  # the last window's rows lie past X
+            rows = np.hstack([design.Z[start:stop], design.Y[start:stop]])
+            rows -= mean
         if sd is not None:
             rows[:, :q] /= sd
         yield start, stop, problem, rows

@@ -14,13 +14,14 @@ comparable across columns with different physical units.
 The problem separates by target equation, so each row of B is solved
 independently, in the covariance form of Friedman, Hastie & Tibshirani
 (2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
-alpha) I, the gradient of one equation is g = c - H b. Every ``Problem``
-is read off the column means and centered co-moments of its rows of
-[Z | Y] by ``_moment_problem``: ``prepare`` takes them from a design's rows,
-and ``selection._windows`` takes a lambda path's first refit window's from
-co-moments that grow with each window. A later window is a bare ``Gram``,
-its G and c read off the same running co-moments, since a solve reads
-nothing else. ``solve``, the one way to solve a problem, returns its
+alpha) I, the gradient of one equation is g = c - H b. G and c are read
+off the column means and centered co-moments of the rows of [Z | Y] by
+``_moment_gram``, and a ``Problem`` adds the scaling that maps a solution
+back (``_moment_problem``): ``prepare`` takes the co-moments from a
+design's rows, and ``selection._windows`` from co-moments that grow with
+each refit window, keeping a full ``Problem`` for a lambda path's first
+window and a bare ``Gram`` for each later one, since a solve reads nothing
+else. ``solve``, the one way to solve a problem, returns its
 standardized coefficients at one penalty, from zero or from a given start,
 so a lambda grid forms each window's problem once and builds no model.
 ``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
@@ -255,7 +256,8 @@ class Problem:
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
     when enabled) regressors centered over the design's rows. Built from
-    the rows' co-moments by ``_moment_problem``. ``solve`` reads only G and
+    the rows' co-moments by ``_moment_problem``, its G and c by
+    ``_moment_gram``. ``solve`` reads only G and
     c; ``info``, ``z_bar`` and ``y_bar`` map its solution back (``_finish``),
     so a lambda path keeps a ``Problem`` for its first window, whose train
     fits become models, and a bare ``Gram`` for each later one.
