@@ -257,10 +257,10 @@ class Problem:
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
     when enabled) regressors centered over the design's rows. Built from
     the rows' co-moments by ``_moment_problem``, its G and c by
-    ``_moment_gram``. ``solve`` reads only G and
-    c; ``info``, ``z_bar`` and ``y_bar`` map its solution back (``_finish``),
-    so a lambda path keeps a ``Problem`` for its first window, whose train
-    fits become models, and a bare ``Gram`` for each later one.
+    ``_moment_gram``. ``solve`` reads only G and c; ``info``, ``z_bar`` and
+    ``y_bar`` map its solution back (``_finish``), so a lambda path keeps a
+    ``Problem`` for its first window, whose train fits become models, and a
+    bare ``Gram`` for each later one.
     """
 
     info: ScalingInfo
