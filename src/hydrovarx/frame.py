@@ -50,7 +50,10 @@ SEASONS = ("all", "growing", "dormant")
 
 def freeze(record, **arrays) -> None:
     """Set each named array on the frozen dataclass ``record``, C-contiguous
-    and read-only."""
+    and read-only. A C-contiguous array is kept, so a record keeps a
+    caller's C-contiguous float64 array itself and makes it read-only; any
+    other input is copied. (A copy of every array would hold a design's Z
+    twice while the caller's is alive.)"""
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)

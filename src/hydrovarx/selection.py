@@ -10,6 +10,7 @@ recursion). Lag orders are compared by BIC on a common set of response rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,8 @@ from .solver import (
     FittedModel,
     Gram,
     Penalty,
-    Problem,
     _moment_gram,
-    _moment_problem,
+    check_stopping,
     predict_rows,
     solve,
 )
@@ -132,10 +132,12 @@ class ModelSpec:
             raise ContractError(f"unknown aggregation {self.aggregate!r}")
         if self.refit not in ("fixed", "expanding"):
             raise ContractError(f"unknown refit policy {self.refit!r}")
-        if self.refit_every < 1:
-            raise ContractError("refit_every must be >= 1")
-        if self.ci_multiplier <= 0:
-            raise ContractError("ci_multiplier must be positive")
+        if not (isinstance(self.refit_every, numbers.Integral)
+                and self.refit_every >= 1):
+            raise ContractError("refit_every must be an int >= 1")
+        if not (math.isfinite(self.ci_multiplier) and self.ci_multiplier > 0):
+            raise ContractError("ci_multiplier must be finite and positive")
+        check_stopping(self.tol, self.max_iter)
         if self.grid is not None:
             grid = tuple(float(v) for v in check_grid(self.grid))
             object.__setattr__(self, "grid", grid)
@@ -224,23 +226,23 @@ def _merge(n, mean, M, X):
 
 
 def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
-    """Each refit window: ``(start, stop, problem, rows)``, the problem fit
-    on rows [0, start) and predicting rows [start, stop), whose scaled rows
-    (as ``_scaled_rows`` makes them) are ``rows``.
+    """Each refit window: ``(start, stop, gram, mean, sd, rows)``, the
+    ``Gram`` of rows [0, start), their column means of [Z | Y] and Z's sds
+    (None when not standardized), and the rows [start, stop) it predicts,
+    less the means, Z's columns divided by the sds: a solution b predicts
+    them with the error zs @ b.T - ys.
 
     Fixed refit is one window, [0, T1), that predicts the whole validation
     segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
     The running means and centered co-moments of [Z | Y] take in each
-    window's new rows (``_merge``). The first window's problem is the full
-    ``Problem`` read off them (``solver._moment_problem``), ``prepare``'s on
-    rows [0, T1) to the bit. A later window's is the bare ``Gram`` under it
-    (``solver._moment_gram``), equal to ``prepare``'s on its rows up to
-    rounding. Its rows are centered by the running means and, when
-    standardized, divided by the sds; ``_scaled_rows`` also subtracts the
-    problem's zero means, or divides by its unit sds, which changes no bit.
+    window's new rows (``_merge``); each Gram is read off them by
+    ``solver._moment_gram``. The first window's G, c, means and sds are
+    ``prepare``'s on rows [0, T1) to the bit, a later one's up to rounding.
     [Z | Y] is stacked only up to the last window's start, so a fixed refit
     holds no validation row twice; the last window stacks its own rows.
     """
+    if split.T1 < 2:  # before any row is merged or solved
+        raise DegenerateFitError(f"cannot fit on {split.T1} rows")
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
     last = range(split.T1, split.T2, step)[-1]
     q = design.q
@@ -249,13 +251,9 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
     for start in range(split.T1, split.T2, step):
         stop = min(start + step, split.T2)
         mean, M = _merge(n, mean, M, X[n:start])
-        if n == 0:  # the full problem, which refuses a one-row window
-            problem = _moment_problem(start, mean, M, q, spec.standardize)
-            sd = problem.info.z_sd if spec.standardize else None
-        else:
-            problem, scales = _moment_gram(start, mean, M, q, spec.standardize)
-            sd = None if scales is None else scales[0]
         n = start
+        gram, scales = _moment_gram(start, mean, M, q, spec.standardize)
+        sd = None if scales is None else scales[0]
         if start < last:
             rows = X[start:stop] - mean
         else:  # the last window's rows lie past X
@@ -263,29 +261,17 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
             rows -= mean
         if sd is not None:
             rows[:, :q] /= sd
-        yield start, stop, problem, rows
+        yield start, stop, gram, mean, sd, rows
 
 
-def _cut(problem, idx):
-    """The ``Gram`` of the columns ``idx`` of ``problem``'s design (None:
-    ``problem`` itself). Centering and scaling are per column, so this is
-    the G and c of those columns' rows alone, but for the rounding of the
-    co-moment product, whose diagonal also gives the sds. A cut is only
-    solved, and ``solve`` reads nothing else."""
+def _cut(gram, idx):
+    """The ``Gram`` of the columns ``idx`` of ``gram``'s design (None:
+    ``gram`` itself). Centering and scaling are per column, so this is the
+    G and c of those columns' rows alone, but for the rounding of the
+    co-moment product, whose diagonal also gives the sds."""
     if idx is None:
-        return problem
-    return Gram(problem.G[np.ix_(idx, idx)], problem.c[:, idx])
-
-
-def _scaled_rows(Z, Y, problem: Problem):
-    """The rows [zs ys] of Z and Y on ``problem``'s standardized and centered
-    scale, where a solution b predicts them with the error zs @ b.T - ys."""
-    info = problem.info
-    F = np.hstack([Z, Y])
-    F -= np.concatenate([info.z_mean, info.y_mean])
-    F[:, :Z.shape[1]] /= info.z_sd
-    F -= np.concatenate([problem.z_bar, problem.y_bar])
-    return F
+        return gram
+    return Gram(gram.G[np.ix_(idx, idx)], gram.c[:, idx])
 
 
 def _sq_errors(F, X):
@@ -309,14 +295,13 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     and its grid is solved as ``select_lambda``'s: chained down the grid in
     the first window, then each lambda from its own previous window. The
     window's solutions, every cut's at every lambda, are then scored on
-    its scaled rows in one product (``_sq_errors``). Only the first window
-    is a full ``Problem``; the later ones are bare ``Gram``s (``_windows``).
+    its scaled rows in one product (``_sq_errors``).
 
-    Returns the paths, the first window's ``Problem`` (the whole design's)
-    and, per cut, that window's ``(scaled_b, n_iter, converged)`` per grid
-    value. Under either refit policy the first window is [0, T1), the
-    training segment ``split.train``, so these are the train fits at every
-    lambda.
+    Returns the paths, then the first window's means and sds (the whole
+    design's, as ``_windows`` yields them) and, per cut, that window's
+    ``(scaled_b, n_iter, converged)`` per grid value. Under either refit
+    policy the first window is [0, T1), the training segment
+    ``split.train``, so these are the train fits at every lambda.
     """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
@@ -335,9 +320,9 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     last = [[None] * n_grid for _ in cuts]  # each solve on its last window
     counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, iterations, nonconverged, kkt
     first = None
-    for _, _, problem, rows in _windows(design, split, spec):
+    for _, _, gram, mean, sd, rows in _windows(design, split, spec):
         for idx, fits, count, Xc in zip(cuts, last, counts, X.swapaxes(0, 1)):
-            sub = _cut(problem, idx)
+            sub = _cut(gram, idx)
             b = None
             for gi in range(n_grid - 1, -1, -1):
                 # the first window chains warm starts down the grid; later
@@ -352,7 +337,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
                 count[2] += not converged
                 count[3] = max(count[3], kkt)
         if first is None:
-            first = problem, [list(fits) for fits in last]
+            first = mean, sd, [list(fits) for fits in last]
         sse += _sq_errors(rows, X.reshape(q + k, -1)).reshape(
             n_cut, n_grid, k).sum(axis=2)
 
@@ -393,19 +378,24 @@ def bic(design: DesignMatrix, model: FittedModel) -> float:
                 model.k, float(np.sum(design.Y * design.Y)))
 
 
-def _order_bics(Z, Y, problem: Problem, B) -> np.ndarray:
+def _order_bics(Z, Y, mean, sd, B) -> np.ndarray:
     """The ``bic`` of each train model of an order scan, fit on the rows Z
-    and Y. B holds their (k x q) scaled coefficients on ``problem``, the
-    rows' own, each in the widest design's columns (zero outside its own).
+    and Y, with the rows' column means ``mean`` and Z's sds ``sd`` (None:
+    not standardized). B holds their (k x q) scaled coefficients, each in
+    the widest design's columns (zero outside its own).
 
-    The RSS come from one residual factor of the rows (``_sq_errors``) and
-    the support from the snapped raw coefficients, as ``_finish`` makes them.
+    The RSS come from one residual factor of the scaled rows
+    (``_sq_errors``), the support from the snapped raw coefficients B / sd.
     """
     n, k = Y.shape
+    F = np.hstack([Z, Y])
+    F -= mean
+    if sd is not None:
+        F[:, :Z.shape[1]] /= sd
+    raw = B if sd is None else B / sd
     X = np.vstack([B.transpose(2, 0, 1).reshape(B.shape[2], -1),
                    np.tile(-np.eye(k), len(B))])
-    rss = _sq_errors(_scaled_rows(Z, Y, problem), X).reshape(-1, k).sum(axis=1)
-    raw = B / problem.info.z_sd
+    rss = _sq_errors(F, X).reshape(-1, k).sum(axis=1)
     support = (np.abs(raw) >= SNAP_TOL).any(axis=1).sum(axis=1)
     yy = float(np.sum(Y * Y))
     return np.array([_bic(n, float(r), int(sz), k, yy)
@@ -462,8 +452,8 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     lambda, not a refit: the first window of either refit policy is the
     training segment, solved warm from the next larger lambda (cold at the
     largest). Its BIC is ``bic``'s, taken from one residual factor of the
-    training rows (``_order_bics``). The ranges, not ``spec.p`` and
-    ``spec.s``, give the lag orders.
+    training rows, scaled by the path's means and sds (``_order_bics``).
+    The ranges, not ``spec.p`` and ``spec.s``, give the lag orders.
     """
     p_range = sorted(set(int(p) for p in p_range))
     s_range = sorted(set(int(s) for s in s_range))
@@ -477,12 +467,12 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
 
     candidates = [(p, s) for p in p_range for s in s_range]
     cuts = [np.r_[0:p * k, p_max * k:p_max * k + s * m] for p, s in candidates]
-    paths, problem, fits = _lambda_path(wide, split, spec, cuts)
+    paths, mean, sd, fits = _lambda_path(wide, split, spec, cuts)
     # each train model is its path's train solve at its lambda
     B = np.zeros((len(cuts), k, wide.q))
     for b, idx, path, path_fits in zip(B, cuts, paths, fits):
         b[:, idx] = path_fits[path.chosen_index][0]
-    bics = _order_bics(wide.Z[split.train], wide.Y[split.train], problem, B)
+    bics = _order_bics(wide.Z[split.train], wide.Y[split.train], mean, sd, B)
 
     # BICs within rounding of the minimum tie; the first in (p, s) order wins
     low = float(np.min(bics))

@@ -16,14 +16,13 @@ independently, in the covariance form of Friedman, Hastie & Tibshirani
 (2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
 alpha) I, the gradient of one equation is g = c - H b. G and c are read
 off the column means and centered co-moments of the rows of [Z | Y] by
-``_moment_gram``, and a ``Problem`` adds the scaling that maps a solution
-back (``_moment_problem``): ``prepare`` takes the co-moments from a
-design's rows, and ``selection._windows`` from co-moments that grow with
-each refit window, keeping a full ``Problem`` for a lambda path's first
-window and a bare ``Gram`` for each later one, since a solve reads nothing
-else. ``solve``, the one way to solve a problem, returns its
+``_moment_gram``. ``prepare`` takes the co-moments from a design's rows and
+adds the scaling that maps a solution back, making a ``Problem``;
+``selection._windows`` takes them from co-moments that grow with each
+refit window and keeps every window a bare ``Gram``, since a solve reads
+nothing else. ``solve``, the one way to solve a problem, returns its
 standardized coefficients at one penalty, from zero or from a given start,
-so a lambda grid forms each window's problem once and builds no model.
+so a lambda grid forms each window's Gram once and builds no model.
 ``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
 also turns a grid's solve into a model without a refit.
 
@@ -76,6 +75,7 @@ zero pattern and within 1e-9 * max(1, |b|) per coefficient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -252,15 +252,13 @@ class FittedModel:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """The centered Gram problem of one design, shared by solves over a lambda grid.
+    """The centered Gram problem of one design, which ``fit`` maps back to a model.
 
     ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
-    when enabled) regressors centered over the design's rows. Built from
-    the rows' co-moments by ``_moment_problem``, its G and c by
-    ``_moment_gram``. ``solve`` reads only G and c; ``info``, ``z_bar`` and
-    ``y_bar`` map its solution back (``_finish``), so a lambda path keeps a
-    ``Problem`` for its first window, whose train fits become models, and a
-    bare ``Gram`` for each later one.
+    when enabled) regressors centered over the design's rows. Built by
+    ``prepare`` from the rows' co-moments, its G and c by ``_moment_gram``.
+    ``solve`` reads only G and c; ``info``, ``z_bar`` and ``y_bar`` map its
+    solution back (``_finish``). A lambda path solves bare ``Gram``s.
     """
 
     info: ScalingInfo
@@ -271,7 +269,8 @@ class Problem:
 
 
 class Gram(NamedTuple):
-    """The G and c of a ``Problem`` alone: all that ``solve`` reads."""
+    """The G and c of a problem alone: all that ``solve`` reads, and all
+    that a lambda path's refit windows form (``selection._windows``)."""
 
     G: np.ndarray
     c: np.ndarray
@@ -291,13 +290,14 @@ def _moment_gram(n, mean, M, q, standardize):
     return Gram(G / sd / sd[:, None], c / sd), scales
 
 
-def _moment_problem(n, mean, M, q, standardize):
-    """The ``Problem`` of those rows: their ``_moment_gram``, with the
-    scaling and the means that map its solutions back."""
-    if n < 2:
+def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
+    """The Gram problem of ``design``'s rows, standardized and centered: their
+    ``_moment_gram``, with the scaling and means that map a solution back."""
+    n, q, k = design.n_eff, design.q, design.k
+    if n < 2:  # before _comoments, which reads the first row
         raise DegenerateFitError(f"cannot fit on {n} rows")
-    (G, c), scales = _moment_gram(n, mean, M, q, standardize)
-    k = len(mean) - q
+    mean, M = _comoments(np.hstack([design.Z, design.Y]))
+    (G, c), scales = _moment_gram(n, mean, M, q, standardize_design)
     if scales is None:
         return Problem(info=ScalingInfo.identity(q, k),
                        z_bar=mean[:q], y_bar=mean[q:], G=G, c=c)
@@ -305,13 +305,13 @@ def _moment_problem(n, mean, M, q, standardize):
                    y_bar=np.zeros(k), G=G, c=c)
 
 
-def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
-    """The Gram problem of ``design``'s rows, standardized and centered."""
-    n = design.n_eff
-    if n < 2:  # before _comoments, which reads the first row
-        raise DegenerateFitError(f"cannot fit on {n} rows")
-    X = np.hstack([design.Z, design.Y])
-    return _moment_problem(n, *_comoments(X), design.q, standardize_design)
+def check_stopping(tol, max_iter) -> None:
+    """Refuse a ``tol`` that is not finite and >= 0 (a negative bound is never
+    met) or a ``max_iter`` that is not an int >= 0 (it is never reached)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractError(f"tol must be finite and >= 0, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ContractError(f"max_iter must be an int >= 0, got {max_iter!r}")
 
 
 def _face_step(H, c, thr, b, g, face, signs, new):
@@ -479,8 +479,10 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     penalized).
 
     Convergence: every equation certified optimal, its KKT residual within
-    ``tol * max(1, max_j G_jj)``, within ``max_iter`` iterations.
+    ``tol * max(1, max_j G_jj)``, within ``max_iter`` iterations, which
+    ``check_stopping`` checks before any solve.
     """
+    check_stopping(tol, max_iter)
     problem = prepare(design, standardize_design=standardize_design)
     scaled_b, n_iter, converged, _ = solve(problem, penalty, tol, max_iter)
     return _finish(design, problem, penalty, scaled_b, n_iter, converged)

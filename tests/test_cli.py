@@ -326,6 +326,13 @@ def test_negative_or_non_finite_grid_is_a_config_error(grid):
         RunConfig(input="in.csv", out="o", target=("Y",), grid=grid)
 
 
+@pytest.mark.parametrize("setting", [{"tol": -1.0}, {"max_iter": -1},
+                                     {"ci_multiplier": float("nan")}])
+def test_a_setting_the_solver_cannot_keep_is_a_config_error(setting):
+    with pytest.raises(ConfigError):
+        RunConfig(input="in.csv", out="o", target=("Y",), **setting)
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "ghost.csv"),
                "--out", str(tmp_path / "o"), "--target", "Y", "--grid", GRID])

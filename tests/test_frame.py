@@ -171,6 +171,27 @@ def test_frame_arrays_read_only():
         frame.targets[0, 0] = 9.0
 
 
+def test_a_record_keeps_a_contiguous_float_array_and_copies_any_other():
+    dates = daily_dates(3)
+    columns = (Column("Y", role="target"), Column("x", role="exog"))
+    targets = np.array([[1.0], [2.0], [3.0]])
+    wide = np.arange(6.0).reshape(3, 2)
+    frame = TimeSeriesFrame(dates, targets, wide[:, 1:], columns)
+    # a C-contiguous float64 array is kept as it is, and made read-only
+    assert frame.targets is targets
+    assert not targets.flags.writeable
+    # a non-contiguous view is copied, and the caller's array stays writable
+    assert not np.shares_memory(frame.exog, wide)
+    assert not frame.exog.flags.writeable
+    wide[0, 1] = 9.0
+    assert frame.exog[0, 0] == 1.0
+    # so is an array of another dtype, converted first
+    ints = np.array([[1], [2], [3]])
+    frame = TimeSeriesFrame(dates, ints, wide[:, 1:], columns)
+    assert not np.shares_memory(frame.targets, ints)
+    assert ints.flags.writeable
+
+
 def test_frame_rejects_no_target_and_repeated_names():
     with pytest.raises(ContractError, match="at least one target"):
         TimeSeriesFrame(daily_dates(3), np.zeros((3, 0)), np.zeros((3, 1)),

@@ -242,6 +242,23 @@ def test_errors_carry_the_stage_name():
     assert exc_info.value.stage == "split"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("max_iter", -1), ("max_iter", 2.5),
+    ("ci_multiplier", float("nan")), ("ci_multiplier", float("inf")),
+    ("refit_every", 2.5)])
+def test_spec_refuses_settings_that_crash_or_hang_the_solver(field, value):
+    # a negative tol is never met, a negative or fractional max_iter never
+    # reached; only specs are made here, so no solve starts
+    with pytest.raises(ContractError, match=field):
+        ModelSpec(**{field: value})
+
+
+def test_spec_accepts_the_edges_of_the_solver_settings():
+    spec = ModelSpec(tol=0.0, max_iter=0, refit_every=1, ci_multiplier=1e-9)
+    assert (spec.tol, spec.max_iter) == (0.0, 0)
+
+
 def test_spec_rejects_bad_fields():
     with pytest.raises(ContractError):
         ModelSpec(p=0)

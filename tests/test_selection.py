@@ -33,6 +33,7 @@ from hydrovarx import (
     select_lambda,
     select_order,
 )
+from hydrovarx.design import _sds
 from hydrovarx.errors import (
     ContractError,
     DegenerateFitError,
@@ -43,7 +44,6 @@ from hydrovarx.selection import (
     _cut,
     _lambda_path,
     _merge,
-    _scaled_rows,
     _windows,
     check_grid,
 )
@@ -52,7 +52,6 @@ from hydrovarx.solver import (
     Gram,
     Problem,
     _finish,
-    _moment_problem,
     kkt_violation,
     prepare,
     solve,
@@ -293,34 +292,50 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
     # the running co-moments, merged as the windows merge them
     X = np.hstack([design.Z, design.Y])
     n_rows, mean, M = 0, 0.0, 0.0
-    for i, (start, stop, got, rows) in enumerate(windows):
+    for start, stop, gram, got_mean, got_sd, rows in windows:
         mean, M = _merge(n_rows, mean, M, X[n_rows:start])
         n_rows = start
-        full = _moment_problem(start, mean, M, q, standardize)
-        # a later window is a bare Gram, equal to the plain row arithmetic's
-        # problem on its rows to rounding
-        assert isinstance(got, Problem if i == 0 else Gram)
+        # every window is a bare Gram, equal to the plain row arithmetic's
+        # problem on its rows to rounding, and so are its means and sds
+        assert isinstance(gram, Gram)
         train = design.take(slice(0, start))
-        assert_gram_close(got, reference_prepare(train, standardize), train.Y)
-        # the scoring rows are _scaled_rows' of the window's full problem
-        want = _scaled_rows(design.Z[start:stop], design.Y[start:stop], full)
-        assert rows.shape == want.shape
-        assert rows.tobytes() == want.tobytes()
-    first = windows[0][2]
-    assert first.info.enabled == standardize
-    assert first.info.constant[0] == standardize
-    # the first window is prepare's on its rows, and fixed refit is that
-    # one window
-    (start, stop, got, _), = _windows(design, split, replace(spec, refit="fixed"))
-    assert (start, stop) == (split.T1, split.T2)
+        want = reference_prepare(train, standardize)
+        assert_gram_close(gram, want, train.Y)
+        assert got_mean.tobytes() == mean.tobytes()
+        if standardize:
+            sd = _sds(start, mean, M, q)[0]
+            assert got_sd.tobytes() == sd.tobytes()
+            close(got_mean, np.concatenate([want.info.z_mean, want.info.y_mean]))
+            close(got_sd, want.info.z_sd)
+        else:
+            assert got_sd is None
+            close(got_mean, np.concatenate([want.z_bar, want.y_bar]))
+        # the scoring rows: the window's rows less its means, Z's columns
+        # divided by its sds
+        scaled = X[start:stop] - mean
+        if standardize:
+            scaled[:, :q] /= sd
+        assert rows.shape == scaled.shape
+        assert rows.tobytes() == scaled.tobytes()
+    # the first window is prepare's on its rows to the bit, and fixed refit
+    # is that one window
+    fixed, = _windows(design, split, replace(spec, refit="fixed"))
+    assert fixed[:2] == (split.T1, split.T2)
     want = prepare(design.take(split.train), standardize_design=standardize)
-    for problem in (got, first):
-        for name in ("G", "c", "z_bar", "y_bar"):
-            np.testing.assert_array_equal(getattr(problem, name),
+    assert want.info.enabled == standardize
+    assert want.info.constant[0] == standardize
+    for _, _, gram, got_mean, got_sd, _ in (fixed, windows[0]):
+        for name in ("G", "c"):
+            np.testing.assert_array_equal(getattr(gram, name),
                                           getattr(want, name))
-        for name in ("z_mean", "z_sd", "y_mean", "constant"):
-            np.testing.assert_array_equal(getattr(problem.info, name),
-                                          getattr(want.info, name))
+        if standardize:
+            np.testing.assert_array_equal(
+                got_mean, np.concatenate([want.info.z_mean, want.info.y_mean]))
+            np.testing.assert_array_equal(got_sd, want.info.z_sd)
+        else:
+            np.testing.assert_array_equal(
+                got_mean, np.concatenate([want.z_bar, want.y_bar]))
+            assert got_sd is None
 
 
 @pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
@@ -449,7 +464,7 @@ def test_select_order_prefers_small_on_white_noise():
 def test_select_order_breaks_rounding_ties_by_order(monkeypatch):
     # (2, 1), the last candidate, undercuts every other one by a
     # rounding-sized gap only
-    def fake_bics(Z, Y, problem, B):
+    def fake_bics(Z, Y, mean, sd, B):
         assert len(B) == 4
         return np.array([100.0, 100.0, 100.0, 100.0 * (1 - 1e-14)])
 
@@ -546,7 +561,8 @@ def test_select_order_matches_per_candidate_reference(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hydrovarx.selection, "_lambda_path", spy)
         scan = select_order(frame, p_range, s_range, spec)
-    (wide, split, cuts, (paths, problem, fits)), = seen
+    (wide, split, cuts, (paths, mean, sd, fits)), = seen
+    (_, _, gram, *_) = next(_windows(wide, split, spec))
     assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
     for (d, _, ref_bic, ref_model, ref_train), got_bic, idx, path, path_fits \
             in zip(want, scan.bic, cuts, paths, fits, strict=True):
@@ -555,7 +571,7 @@ def test_select_order_matches_per_candidate_reference(
         assert wide.Z[:, idx].tobytes() == d.Z.tobytes()
         for name in ("Y", "row_dates"):
             assert getattr(wide, name).tobytes() == getattr(d, name).tobytes()
-        cut = _cut(problem, idx)
+        cut = _cut(gram, idx)
         assert isinstance(cut, Gram)
         own = prepare(d.take(split.train), standardize_design=standardize_design)
         for name in ("G", "c"):
@@ -564,14 +580,16 @@ def test_select_order_matches_per_candidate_reference(
             continue
         # a BIC outside the bound is a different support, and each train
         # model must then be optimal on its own; mapping it back needs the
-        # first window's scaling, cut here to the candidate's columns
-        info = problem.info
-        cut = Problem(info=ScalingInfo(z_mean=info.z_mean[idx],
-                                       z_sd=info.z_sd[idx], y_mean=info.y_mean,
-                                       constant=info.constant[idx],
-                                       enabled=info.enabled),
-                      z_bar=problem.z_bar[idx], y_bar=problem.y_bar,
-                      G=cut.G, c=cut.c)
+        # first window's means and sds, cut here to the candidate's columns
+        z_mean, y_mean = mean[:wide.q][idx], mean[wide.q:]
+        if sd is None:
+            cut = Problem(info=ScalingInfo.identity(len(idx), k), z_bar=z_mean,
+                          y_bar=y_mean, G=cut.G, c=cut.c)
+        else:
+            info = ScalingInfo(z_mean=z_mean, z_sd=sd[idx], y_mean=y_mean,
+                               constant=np.zeros(len(idx), dtype=bool))
+            cut = Problem(info=info, z_bar=np.zeros(len(idx)),
+                          y_bar=np.zeros(k), G=cut.G, c=cut.c)
         train = d.take(split.train)
         model = _finish(train, cut, Penalty(path.chosen_lambda, spec.alpha),
                         *path_fits[path.chosen_index])
@@ -585,7 +603,7 @@ def test_select_order_matches_per_candidate_reference(
 def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
                                   beta=np.array([[[0.8]]]), seed=3))
-    calls = {"prepare": 0, "design": 0, "take": 0, "problem": 0}
+    calls = {"prepare": 0, "design": 0, "take": 0, "problem": 0, "scaling": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -595,18 +613,20 @@ def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
 
     monkeypatch.setattr(hydrovarx.solver, "prepare",
                         counted("prepare", hydrovarx.solver.prepare))
-    monkeypatch.setattr(hydrovarx.selection, "_moment_problem",
-                        counted("problem", hydrovarx.selection._moment_problem))
+    monkeypatch.setattr(hydrovarx.solver.Problem, "__init__",
+                        counted("problem", hydrovarx.solver.Problem.__init__))
+    monkeypatch.setattr(ScalingInfo, "__post_init__",
+                        counted("scaling", ScalingInfo.__post_init__))
     monkeypatch.setattr(DesignMatrix, "__post_init__",
                         counted("design", DesignMatrix.__post_init__))
     monkeypatch.setattr(DesignMatrix, "take", counted("take", DesignMatrix.take))
     scan = select_order(frame, [1, 2, 3], [0, 1, 2], ModelSpec(
         grid=np.geomspace(0.1, 10.0, 3), refit=refit, refit_every=5))
     assert len(scan.candidates) == 9
-    # the widest design, and one full problem, the first window's, read off
-    # its running co-moments: no design's rows are taken or prepared, and a
-    # later window is a bare Gram
-    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": 1}
+    # the widest design alone: no design's rows are taken or prepared, and
+    # every window is a bare Gram, with no Problem or ScalingInfo
+    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": 0,
+                     "scaling": 0}
     split = SplitPlan(frame.n - 3)
     windows = 1 if refit == "fixed" else -(-(split.T2 - split.T1) // 5)
     assert scan.solves == 9 * 3 * windows
@@ -637,10 +657,10 @@ def test_expanding_run_scales_once_per_path_and_never_per_window(monkeypatch):
     report = run_pipeline(frame, ModelSpec(grid=np.geomspace(0.1, 10.0, 3),
                                            refit="expanding", refit_every=2))
     split = report.split
-    assert per_window == [1] + [0] * (len(range(split.T1, split.T2, 2)) - 1)
+    assert per_window == [0] * len(range(split.T1, split.T2, 2))
     assert len(per_window) > 10
-    # the path's first window, and the final fit's prepare
-    assert len(made) == 2
+    # the final fit's prepare alone
+    assert len(made) == 1
 
 
 def test_expanding_order_scan_paths_match_each_candidates_own():

@@ -15,6 +15,7 @@ from conftest import (
     moment_design,
     reference_prepare,
 )
+import hydrovarx.solver
 from hydrovarx import (
     DesignMatrix,
     FittedModel,
@@ -722,6 +723,20 @@ def test_fit_needs_two_rows():
         fit(design, Penalty(1.0, 0.5))
     with pytest.raises(DegenerateFitError):
         fit(design.take(slice(0, 0)), Penalty(1.0, 0.5))
+
+
+@pytest.mark.parametrize("tol,max_iter", [
+    (-1.0, 10000), (float("nan"), 10000), (float("inf"), 10000), (0.0, -1),
+    (1e-7, 2.5)])
+def test_fit_refuses_a_stopping_rule_before_solving(monkeypatch, tol, max_iter):
+    def no_solve(*args, **kwargs):
+        pytest.fail("fit started a solve")
+
+    # a solve under these settings may never stop, so none may start
+    monkeypatch.setattr(hydrovarx.solver, "solve", no_solve)
+    design = _random_design(0, n=12)
+    with pytest.raises(ContractError):
+        fit(design, Penalty(1.0, 0.5), tol=tol, max_iter=max_iter)
 
 
 def test_phi_beta_views():
