@@ -8,6 +8,7 @@ Labels follow the same convention used in reported coefficient tables:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ class LagSpec:
     mode: str = "calendar"  # "calendar" | "positional"
 
     def __post_init__(self) -> None:
+        for name, value in (("p", self.p), ("s", self.s)):
+            if not isinstance(value, numbers.Integral):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ContractError("p must be >= 1")
         if self.s < 0:

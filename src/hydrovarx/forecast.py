@@ -8,6 +8,7 @@ squared one-step error over the validation segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ def rolling_forecast(model: FittedModel, design: DesignMatrix, split: SplitPlan,
     one-step errors over the validation rows, per target.
     """
     _check_split(design, split)
-    if multiplier <= 0:
-        raise ContractError("band multiplier must be positive")
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise ContractError("band multiplier must be finite and positive")
     if split.T2 >= design.n_eff:
         raise InsufficientDataError("test segment is empty")
     val = design.take(split.validate)

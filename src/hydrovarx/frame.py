@@ -50,12 +50,16 @@ SEASONS = ("all", "growing", "dormant")
 
 def freeze(record, **arrays) -> None:
     """Set each named array on the frozen dataclass ``record``, C-contiguous
-    and read-only. A C-contiguous array is kept, so a record keeps a
-    caller's C-contiguous float64 array itself and makes it read-only; any
-    other input is copied. (A copy of every array would hold a design's Z
-    twice while the caller's is alive.)"""
+    and read-only. A C-contiguous array that owns its data, or views a
+    read-only one, is kept: a record keeps a caller's C-contiguous float64
+    array itself and makes it read-only. Any other input is copied, so
+    nothing can write to a record. (A copy of every array would hold a
+    design's Z twice while the caller's is alive.)"""
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
+        # a view of a writable array (the view's own flag for a non-array base)
+        if arr.base is not None and getattr(arr.base, "flags", arr.flags).writeable:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(record, name, arr)
 

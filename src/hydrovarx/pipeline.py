@@ -174,11 +174,11 @@ def leakage_audit(report: EvaluationReport,
 
     sc = report.model.scaling
     if sc.enabled:
-        redo = prepare(design.take(slice(0, split.T2))).info
-        counts["scaling"] = int(np.sum(redo.z_mean != sc.z_mean)) \
-            + int(np.sum(redo.z_sd != sc.z_sd)) \
-            + int(np.sum(redo.y_mean != sc.y_mean)) \
-            + int(np.sum(redo.constant != sc.constant))
+        _, mean, (sd, constant) = prepare(design.take(slice(0, split.T2)))
+        q = design.q
+        redo = (mean[:q], sd, mean[q:], constant)
+        counts["scaling"] = sum(int(np.sum(a != b)) for a, b in zip(
+            redo, (sc.z_mean, sc.z_sd, sc.y_mean, sc.constant)))
     else:
         counts["scaling"] = 0
     return counts

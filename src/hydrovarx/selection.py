@@ -226,18 +226,18 @@ def _merge(n, mean, M, X):
 
 
 def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
-    """Each refit window: ``(start, stop, gram, mean, sd, rows)``, the
-    ``Gram`` of rows [0, start), their column means of [Z | Y] and Z's sds
-    (None when not standardized), and the rows [start, stop) it predicts,
-    less the means, Z's columns divided by the sds: a solution b predicts
-    them with the error zs @ b.T - ys.
+    """Each refit window: ``(start, stop, gram, mean, scales, rows)``, the
+    problem ``(gram, mean, scales)`` of rows [0, start) (``prepare``'s
+    form), and the rows [start, stop) it predicts, less the means, Z's
+    columns divided by the sds: a solution b predicts them with the error
+    zs @ b.T - ys.
 
     Fixed refit is one window, [0, T1), that predicts the whole validation
     segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
     The running means and centered co-moments of [Z | Y] take in each
     window's new rows (``_merge``); each Gram is read off them by
-    ``solver._moment_gram``. The first window's G, c, means and sds are
-    ``prepare``'s on rows [0, T1) to the bit, a later one's up to rounding.
+    ``solver._moment_gram``. The first window's problem is ``prepare``'s on
+    rows [0, T1) to the bit, a later one's up to rounding.
     [Z | Y] is stacked only up to the last window's start, so a fixed refit
     holds no validation row twice; the last window stacks its own rows.
     """
@@ -252,16 +252,15 @@ def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
         stop = min(start + step, split.T2)
         mean, M = _merge(n, mean, M, X[n:start])
         n = start
-        gram, scales = _moment_gram(start, mean, M, q, spec.standardize)
-        sd = None if scales is None else scales[0]
+        gram, mean, scales = _moment_gram(start, mean, M, q, spec.standardize)
         if start < last:
             rows = X[start:stop] - mean
         else:  # the last window's rows lie past X
             rows = np.hstack([design.Z[start:stop], design.Y[start:stop]])
             rows -= mean
-        if sd is not None:
-            rows[:, :q] /= sd
-        yield start, stop, gram, mean, sd, rows
+        if scales is not None:
+            rows[:, :q] /= scales[0]
+        yield start, stop, gram, mean, scales, rows
 
 
 def _cut(gram, idx):
@@ -294,14 +293,15 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     In each window a cut's G and c are cut from the window's (``_cut``),
     and its grid is solved as ``select_lambda``'s: chained down the grid in
     the first window, then each lambda from its own previous window. The
-    window's solutions, every cut's at every lambda, are then scored on
-    its scaled rows in one product (``_sq_errors``).
+    window's solutions, every cut's at every lambda, are kept in one array
+    X, scored on its scaled rows in one product (``_sq_errors``), and the
+    next window starts each solve from X.
 
-    Returns the paths, then the first window's means and sds (the whole
-    design's, as ``_windows`` yields them) and, per cut, that window's
-    ``(scaled_b, n_iter, converged)`` per grid value. Under either refit
-    policy the first window is [0, T1), the training segment
-    ``split.train``, so these are the train fits at every lambda.
+    Returns the paths, then the first window's means and scales (the whole
+    design's, as ``_windows`` yields them) and solutions, X's (q x cut x
+    lambda x k) block, zero outside each cut. Under either refit policy
+    the first window is [0, T1), the training segment ``split.train``, so
+    these are the train fits at every lambda.
     """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
@@ -317,27 +317,26 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
     X = np.zeros((q + k, n_cut, n_grid, k))
     X[q:] = -np.eye(k)[:, None, None, :]
     sse = np.zeros((n_cut, n_grid))
-    last = [[None] * n_grid for _ in cuts]  # each solve on its last window
     counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, iterations, nonconverged, kkt
     first = None
-    for _, _, gram, mean, sd, rows in _windows(design, split, spec):
-        for idx, fits, count, Xc in zip(cuts, last, counts, X.swapaxes(0, 1)):
+    for _, _, gram, mean, scales, rows in _windows(design, split, spec):
+        for idx, count, Xc in zip(cuts, counts, X.swapaxes(0, 1)):
             sub = _cut(gram, idx)
+            cols = slice(0, q) if idx is None else idx
             b = None
             for gi in range(n_grid - 1, -1, -1):
                 # the first window chains warm starts down the grid; later
                 # ones start each lambda from its own previous window
                 b, n_iter, converged, kkt = solve(
                     sub, penalties[gi], spec.tol, spec.max_iter,
-                    b if fits[gi] is None else fits[gi][0])
-                fits[gi] = b, n_iter, converged
-                Xc[slice(0, q) if idx is None else idx, gi] = b.T
+                    b if first is None else Xc[cols, gi].T)
+                Xc[cols, gi] = b.T
                 count[0] += 1
                 count[1] += sum(n_iter)
                 count[2] += not converged
                 count[3] = max(count[3], kkt)
         if first is None:
-            first = mean, sd, [list(fits) for fits in last]
+            first = mean, scales, X[:q].copy()
         sse += _sq_errors(rows, X.reshape(q + k, -1)).reshape(
             n_cut, n_grid, k).sum(axis=2)
 
@@ -378,11 +377,11 @@ def bic(design: DesignMatrix, model: FittedModel) -> float:
                 model.k, float(np.sum(design.Y * design.Y)))
 
 
-def _order_bics(Z, Y, mean, sd, B) -> np.ndarray:
+def _order_bics(Z, Y, mean, scales, B) -> np.ndarray:
     """The ``bic`` of each train model of an order scan, fit on the rows Z
-    and Y, with the rows' column means ``mean`` and Z's sds ``sd`` (None:
-    not standardized). B holds their (k x q) scaled coefficients, each in
-    the widest design's columns (zero outside its own).
+    and Y, with the rows' column means ``mean`` and Z's ``scales`` (None:
+    not standardized). B (q x model x k) holds their scaled coefficients as
+    ``_lambda_path`` keeps them, in the widest design's columns.
 
     The RSS come from one residual factor of the scaled rows
     (``_sq_errors``), the support from the snapped raw coefficients B / sd.
@@ -390,13 +389,13 @@ def _order_bics(Z, Y, mean, sd, B) -> np.ndarray:
     n, k = Y.shape
     F = np.hstack([Z, Y])
     F -= mean
-    if sd is not None:
-        F[:, :Z.shape[1]] /= sd
-    raw = B if sd is None else B / sd
-    X = np.vstack([B.transpose(2, 0, 1).reshape(B.shape[2], -1),
-                   np.tile(-np.eye(k), len(B))])
+    raw = B
+    if scales is not None:
+        F[:, :len(B)] /= scales[0]
+        raw = B / scales[0][:, None, None]
+    X = np.vstack([B.reshape(len(B), -1), np.tile(-np.eye(k), B.shape[1])])
     rss = _sq_errors(F, X).reshape(-1, k).sum(axis=1)
-    support = (np.abs(raw) >= SNAP_TOL).any(axis=1).sum(axis=1)
+    support = (np.abs(raw) >= SNAP_TOL).any(axis=2).sum(axis=0)
     yy = float(np.sum(Y * Y))
     return np.array([_bic(n, float(r), int(sz), k, yy)
                      for r, sz in zip(rss, support)])
@@ -452,11 +451,13 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     lambda, not a refit: the first window of either refit policy is the
     training segment, solved warm from the next larger lambda (cold at the
     largest). Its BIC is ``bic``'s, taken from one residual factor of the
-    training rows, scaled by the path's means and sds (``_order_bics``).
+    training rows, scaled by the path's means and scales (``_order_bics``).
     The ranges, not ``spec.p`` and ``spec.s``, give the lag orders.
     """
-    p_range = sorted(set(int(p) for p in p_range))
-    s_range = sorted(set(int(s) for s in s_range))
+    p_range, s_range = list(p_range), list(s_range)
+    if not all(isinstance(v, numbers.Integral) for v in p_range + s_range):
+        raise ContractError(f"lag orders must be integers: {p_range}, {s_range}")
+    p_range, s_range = sorted(set(map(int, p_range))), sorted(set(map(int, s_range)))
     if not p_range or not s_range:
         raise ContractError("p_range and s_range must be non-empty")
     LagSpec(p_range[0], s_range[0], spec.lag_mode)  # the smallest orders, too
@@ -467,12 +468,10 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
 
     candidates = [(p, s) for p in p_range for s in s_range]
     cuts = [np.r_[0:p * k, p_max * k:p_max * k + s * m] for p, s in candidates]
-    paths, mean, sd, fits = _lambda_path(wide, split, spec, cuts)
+    paths, mean, scales, X0 = _lambda_path(wide, split, spec, cuts)
     # each train model is its path's train solve at its lambda
-    B = np.zeros((len(cuts), k, wide.q))
-    for b, idx, path, path_fits in zip(B, cuts, paths, fits):
-        b[:, idx] = path_fits[path.chosen_index][0]
-    bics = _order_bics(wide.Z[split.train], wide.Y[split.train], mean, sd, B)
+    B = X0[:, np.arange(len(cuts)), [path.chosen_index for path in paths]]
+    bics = _order_bics(wide.Z[split.train], wide.Y[split.train], mean, scales, B)
 
     # BICs within rounding of the minimum tie; the first in (p, s) order wins
     low = float(np.min(bics))

@@ -16,15 +16,15 @@ independently, in the covariance form of Friedman, Hastie & Tibshirani
 (2010): with G = Zc'Zc and c = Zc'y precomputed, and H = G + lambda (1 -
 alpha) I, the gradient of one equation is g = c - H b. G and c are read
 off the column means and centered co-moments of the rows of [Z | Y] by
-``_moment_gram``. ``prepare`` takes the co-moments from a design's rows and
-adds the scaling that maps a solution back, making a ``Problem``;
-``selection._windows`` takes them from co-moments that grow with each
-refit window and keeps every window a bare ``Gram``, since a solve reads
-nothing else. ``solve``, the one way to solve a problem, returns its
-standardized coefficients at one penalty, from zero or from a given start,
-so a lambda grid forms each window's Gram once and builds no model.
-``fit`` is ``prepare``, ``solve``, then ``_finish``, the mapping back, which
-also turns a grid's solve into a model without a refit.
+``_moment_gram``. A problem is ``(gram, mean, scales)``: that ``Gram``,
+the column means of [Z | Y] and Z's scales (None when not standardized).
+``prepare`` takes the co-moments from a design's rows, and
+``selection._windows`` from co-moments that grow with each refit window.
+``solve``, the one way to solve a problem, reads only the ``Gram`` and
+returns its standardized coefficients at one penalty, from zero or from a
+given start, so a lambda grid forms each window's Gram once and builds no
+model. ``fit`` is ``prepare``, ``solve``, then ``_finish``, the one mapping
+back from the means and scales to a model.
 
 The kernel (``_cd_solve``) is the active-set method of Osborne, Presnell &
 Turlach (2000). With t = lambda alpha / 2, b is optimal when every nonzero
@@ -250,59 +250,38 @@ class FittedModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Problem:
-    """The centered Gram problem of one design, which ``fit`` maps back to a model.
-
-    ``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
-    when enabled) regressors centered over the design's rows. Built by
-    ``prepare`` from the rows' co-moments, its G and c by ``_moment_gram``.
-    ``solve`` reads only G and c; ``info``, ``z_bar`` and ``y_bar`` map its
-    solution back (``_finish``). A lambda path solves bare ``Gram``s.
-    """
-
-    info: ScalingInfo
-    z_bar: np.ndarray
-    y_bar: np.ndarray
-    G: np.ndarray
-    c: np.ndarray
-
-
 class Gram(NamedTuple):
-    """The G and c of a problem alone: all that ``solve`` reads, and all
-    that a lambda path's refit windows form (``selection._windows``)."""
+    """``G = Zc'Zc`` and ``c[i] = Zc'(y_i - ybar_i)`` on the (standardized,
+    when enabled) regressors centered over a problem's rows: all that
+    ``solve`` reads."""
 
     G: np.ndarray
     c: np.ndarray
 
 
 def _moment_gram(n, mean, M, q, standardize):
-    """The ``Gram`` of n rows of [Z | Y], Z's q columns first, with column
-    means ``mean`` and centered co-moments ``M``, and the scales of Z's
-    columns with their constant flags (``design._sds``), or None when not
-    standardized. Standardized, it is G = D^-1 M_zz D^-1 and c = M_yz D^-1,
-    with D those sds; the scaled columns then have mean zero."""
+    """The problem ``(gram, mean, scales)`` of n rows of [Z | Y], Z's q
+    columns first, with column means ``mean`` and centered co-moments
+    ``M``: its ``Gram``, ``mean``, and the scales of Z's columns with their
+    constant flags (``design._sds``), or None when not standardized.
+    Standardized, it is G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D those
+    sds; the scaled columns then have mean zero."""
     G, c = M[:q, :q], M[q:, :q]
     if not standardize:
-        return Gram(G, c), None
+        return Gram(G, c), mean, None
     scales = _sds(n, mean, M, q)
     sd = scales[0]
-    return Gram(G / sd / sd[:, None], c / sd), scales
+    return Gram(G / sd / sd[:, None], c / sd), mean, scales
 
 
-def prepare(design: DesignMatrix, *, standardize_design: bool = True) -> Problem:
-    """The Gram problem of ``design``'s rows, standardized and centered: their
-    ``_moment_gram``, with the scaling and means that map a solution back."""
-    n, q, k = design.n_eff, design.q, design.k
+def prepare(design: DesignMatrix, *, standardize_design: bool = True):
+    """The problem ``(gram, mean, scales)`` of ``design``'s rows, read off
+    their co-moments as every refit window's is (``selection._windows``)."""
+    n = design.n_eff
     if n < 2:  # before _comoments, which reads the first row
         raise DegenerateFitError(f"cannot fit on {n} rows")
     mean, M = _comoments(np.hstack([design.Z, design.Y]))
-    (G, c), scales = _moment_gram(n, mean, M, q, standardize_design)
-    if scales is None:
-        return Problem(info=ScalingInfo.identity(q, k),
-                       z_bar=mean[:q], y_bar=mean[q:], G=G, c=c)
-    return Problem(info=_scaling(mean, q, *scales), z_bar=np.zeros(q),
-                   y_bar=np.zeros(k), G=G, c=c)
+    return _moment_gram(n, mean, M, design.q, standardize_design)
 
 
 def check_stopping(tol, max_iter) -> None:
@@ -444,16 +423,16 @@ def _cd_solve(G, c, penalty, b, tol, max_iter):
     return b, iters, converged, kkt
 
 
-def solve(problem: Problem | Gram, penalty: Penalty, tol: float = 1e-7,
+def solve(gram: Gram, penalty: Penalty, tol: float = 1e-7,
           max_iter: int = 10000, start=None):
-    """Solve ``problem`` (a ``Problem`` or a ``Gram``) at one penalty;
-    returns ``(scaled_b, n_iter, converged, kkt)``: the (k x q) coefficients
-    on the problem's scale, the iterations per equation, whether every
-    equation was certified optimal, and the largest KKT residual over the
-    equations (see ``_cd_solve``). ``start`` is a ``scaled_b`` to start
-    from (None: zero).
+    """Solve the problem of ``gram`` at one penalty; returns ``(scaled_b,
+    n_iter, converged, kkt)``: the (k x q) coefficients on the problem's
+    scale, the iterations per equation, whether every equation was
+    certified optimal, and the largest KKT residual over the equations
+    (see ``_cd_solve``). ``start`` is a ``scaled_b`` to start from (None:
+    zero).
     """
-    G, c = problem.G, problem.c
+    G, c = gram
     start = np.zeros(c.shape) if start is None else np.asarray(start, dtype=float)
     rows = []
     n_iter = []
@@ -483,19 +462,23 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     ``check_stopping`` checks before any solve.
     """
     check_stopping(tol, max_iter)
-    problem = prepare(design, standardize_design=standardize_design)
-    scaled_b, n_iter, converged, _ = solve(problem, penalty, tol, max_iter)
-    return _finish(design, problem, penalty, scaled_b, n_iter, converged)
+    gram, mean, scales = prepare(design, standardize_design=standardize_design)
+    scaled_b, n_iter, converged, _ = solve(gram, penalty, tol, max_iter)
+    return _finish(design, mean, scales, penalty, scaled_b, n_iter, converged)
 
 
-def _finish(design: DesignMatrix, problem: Problem, penalty: Penalty,
+def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,
             scaled_b, n_iter, converged) -> FittedModel:
-    """The model of a ``solve`` result on ``problem``, which ``prepare`` made
-    from ``design``: the intercept, original units, support and sigma2."""
-    info = problem.info
-    n, k = design.n_eff, design.k
-    scaled_a = np.array([problem.y_bar[i] - problem.z_bar @ scaled_b[i]
-                         for i in range(k)])
+    """The model of a ``solve`` result on the problem of ``design`` with
+    means ``mean`` and ``scales`` (``prepare``'s): its scaling, intercept
+    (zero on standardized columns, which have mean zero), original units,
+    support and sigma2."""
+    n, q, k = design.n_eff, design.q, design.k
+    if scales is None:
+        info = ScalingInfo.identity(q, k)
+        scaled_a = np.array([mean[q + i] - mean[:q] @ scaled_b[i] for i in range(k)])
+    else:
+        info, scaled_a = _scaling(mean, q, *scales), np.zeros(k)
 
     raw_b, raw_nu = destandardize_coeffs(scaled_b, info, intercept=scaled_a)
     raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
@@ -527,10 +510,10 @@ def kkt_violation(model: FittedModel, design: DesignMatrix) -> float:
     this problem, which is tol (n - 1) on standardized columns; recomputed
     here, the figure can differ from the solver's by rounding.
     """
-    problem = prepare(design, standardize_design=model.scaling.enabled)
+    (G, c), _, _ = prepare(design, standardize_design=model.scaling.enabled)
     b = model.scaled_coeffs
     thr = model.lam * model.alpha / 2.0
-    grad = problem.c - b @ problem.G.T - model.lam * (1.0 - model.alpha) * b
+    grad = c - b @ G.T - model.lam * (1.0 - model.alpha) * b
     viol = np.where(b != 0.0, np.abs(grad - thr * np.sign(b)),
                     np.maximum(np.abs(grad) - thr, 0.0))
     return float(viol.max()) if viol.size else 0.0

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from hydrovarx import Column, DesignMatrix, ScalingInfo, TimeSeriesFrame
-from hydrovarx.solver import Problem
+from hydrovarx import Column, DesignMatrix, TimeSeriesFrame
+from hydrovarx.solver import Gram
 
 
 def daily_dates(n, start="2001-01-01"):
@@ -31,24 +31,22 @@ def make_frame(targets, exog=None, start="2001-01-01",
 
 
 def reference_prepare(design, standardize=True):
-    """The Gram problem of ``design``'s rows by the plain row arithmetic:
-    numpy's mean and ddof=1 std, a column constant when its sd is at most
-    1e-12 * max(1, |mean|) (scale 1), then the scaled rows centered over
-    themselves, Zc'Zc and (Y - ybar)'Zc. An oracle for the co-moments that
-    ``prepare``, ``standardize`` and every refit window read."""
+    """The problem ``(gram, mean, scales)`` of ``design``'s rows by the
+    plain row arithmetic: numpy's column means of [Z | Y] and ddof=1 std, a
+    column constant when its sd is at most 1e-12 * max(1, |mean|) (scale
+    1), then the scaled rows centered over themselves, Zc'Zc and
+    (Y - ybar)'Zc. An oracle for the co-moments that ``prepare``,
+    ``standardize`` and every refit window read."""
     Z, Y = design.Z, design.Y
+    mean = np.concatenate([Z.mean(axis=0), Y.mean(axis=0)])
+    scales = None
     if standardize:
-        mu, sd = Z.mean(axis=0), Z.std(axis=0, ddof=1)
+        mu, sd = mean[:design.q], Z.std(axis=0, ddof=1)
         constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mu))
-        info = ScalingInfo(z_mean=mu, z_sd=np.where(constant, 1.0, sd),
-                           y_mean=Y.mean(axis=0), constant=constant)
-        Z, Y = (Z - info.z_mean) / info.z_sd, Y - info.y_mean
-    else:
-        info = ScalingInfo.identity(design.q, design.k)
-    z_bar, y_bar = Z.mean(axis=0), Y.mean(axis=0)
-    Zc = Z - z_bar
-    return Problem(info=info, z_bar=z_bar, y_bar=y_bar, G=Zc.T @ Zc,
-                   c=(Y - y_bar).T @ Zc)
+        scales = np.where(constant, 1.0, sd), constant
+        Z, Y = (Z - mu) / scales[0], Y - mean[design.q:]
+    Zc = Z - Z.mean(axis=0)
+    return Gram(Zc.T @ Zc, (Y - Y.mean(axis=0)).T @ Zc), mean, scales
 
 
 def close(got, want, scale=0.0):
@@ -57,14 +55,6 @@ def close(got, want, scale=0.0):
     assert got.shape == want.shape
     bound = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), scale)
     assert np.all(np.abs(got - want) <= bound)
-
-
-def assert_scaling_close(got, want):
-    """Two ScalingInfo agree: statistics by ``close``, flags exactly."""
-    for name in ("z_mean", "z_sd", "y_mean"):
-        close(getattr(got, name), getattr(want, name))
-    np.testing.assert_array_equal(got.constant, want.constant)
-    assert got.enabled == want.enabled
 
 
 def assert_gram_close(got, want, Y):
@@ -81,12 +71,16 @@ def assert_gram_close(got, want, Y):
 
 
 def assert_problem_close(got, want, Y):
-    """``got`` is the problem ``want`` of rows with responses Y, to rounding
-    (G and c as ``assert_gram_close`` holds them)."""
-    assert_gram_close(got, want, Y)
-    close(got.z_bar, want.z_bar)
-    close(got.y_bar, want.y_bar)
-    assert_scaling_close(got.info, want.info)
+    """``got`` is the problem ``(gram, mean, scales)`` ``want`` of rows with
+    responses Y, to rounding: G and c as ``assert_gram_close`` holds them,
+    the means and sds by ``close``, the constant flags exactly."""
+    (gram, mean, scales), (want_gram, want_mean, want_scales) = got, want
+    assert_gram_close(gram, want_gram, Y)
+    close(mean, want_mean)
+    assert (scales is None) == (want_scales is None)
+    if scales is not None:
+        close(scales[0], want_scales[0])
+        np.testing.assert_array_equal(scales[1], want_scales[1])
 
 
 def moment_design(seed, n, k, level, flat_rows):

@@ -114,6 +114,23 @@ def test_lagspec_validation():
         LagSpec(p=1, s=-1)
     with pytest.raises(ContractError):
         LagSpec(p=1, s=1, mode="sideways")
+    for p, s in ((2.5, 1), (2, 1.5), (2.0, 1), ("2", 1)):
+        with pytest.raises(ContractError, match="must be an integer"):
+            LagSpec(p=p, s=s)
+    # numpy's integers are integers
+    assert LagSpec(p=np.int64(2), s=np.int32(1)).p == 2
+
+
+def test_design_copies_a_view_of_a_writable_target():
+    # a 1-D Y is reshaped to a column, a view of the caller's array; a
+    # write to that array must not reach the design
+    y = np.arange(5.0)
+    design = DesignMatrix(Y=y, Z=np.ones((5, 1)), row_dates=daily_dates(5),
+                          col_labels=("a",), target_names=("Y1",),
+                          exog_names=(), p=1, s=0, mode="positional")
+    y[0] = 99.0
+    assert design.Y[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert y.flags.writeable
 
 
 def test_take_slices_rows():

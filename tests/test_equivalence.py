@@ -38,9 +38,11 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     cli = {key: entry["cli"] for key, entry in doc["datasets"].items()
            if key.startswith("tiny/cli/")}
     assert sorted(set(doc["datasets"]) - set(cli)) == [
-        "tiny/expanding", "tiny/fixed", "tiny/scan"]
-    runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing",
-            "evaluate", "evaluate-expanding", "ablate", "select-order"]
+        "tiny/expanding", "tiny/expanding-raw", "tiny/fixed", "tiny/fixed-raw",
+        "tiny/scan", "tiny/scan-raw"]
+    runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing", "fit-raw",
+            "evaluate", "evaluate-expanding", "evaluate-raw", "ablate",
+            "select-order"]
     assert sorted(cli) == sorted(f"tiny/cli/k{k}/{run}" for k in (1, 2)
                                  for run in runs)
     assert {entry["rc"] for entry in cli.values()} == {0}

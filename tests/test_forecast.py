@@ -107,6 +107,27 @@ def test_multiplier_must_be_positive():
         rolling_forecast(model, design, split, multiplier=0.0)
 
 
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf")])
+def test_multiplier_must_be_finite(multiplier):
+    # a NaN band would cover nothing, an infinite one everything
+    model, design, split = _fitted(4)
+    with pytest.raises(ContractError, match="finite"):
+        rolling_forecast(model, design, split, multiplier=multiplier)
+
+
+def test_a_forecast_copies_a_view_of_a_writable_array():
+    # a 1-D array is reshaped to a column, a view of the caller's array; a
+    # write to that array must not reach the series
+    dates = np.datetime64("2010-01-01") + np.arange(3)
+    obs = np.array([1.0, 2.0, 3.0])
+    series = ForecastSeries(dates=dates, observed=obs, predicted=obs + 0.5,
+                            lower=obs - 1, upper=obs + 1, se=np.array([1.0]),
+                            multiplier=1.0)
+    obs[0] = 99.0
+    assert series.observed[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert obs.flags.writeable
+
+
 def test_split_must_match_design():
     model, design, _ = _fitted(5)
     head = design.take(slice(0, 6))

@@ -192,6 +192,26 @@ def test_a_record_keeps_a_contiguous_float_array_and_copies_any_other():
     assert ints.flags.writeable
 
 
+def test_a_record_copies_a_view_of_a_writable_array_and_keeps_a_read_only_one():
+    target = (Column("Y", role="target"),)
+    # a 1-D target is reshaped to a column, a view of the caller's array; a
+    # write to that array must not reach the frame
+    t = np.array([1.0, 2.0, 3.0])
+    frame = TimeSeriesFrame(daily_dates(3), t, np.zeros((3, 0)), target)
+    t[0] = 99.0
+    assert frame.targets[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert t.flags.writeable
+    # so is a contiguous row slice
+    rows = np.arange(4.0).reshape(4, 1)
+    frame = TimeSeriesFrame(daily_dates(2), rows[2:], np.zeros((2, 0)), target)
+    rows[2, 0] = -1.0
+    assert frame.targets[:, 0].tolist() == [2.0, 3.0]
+    # a view of a read-only array is kept: no write can reach it
+    tail = TimeSeriesFrame(frame.dates[1:], frame.targets[1:],
+                           frame.exog[1:], target)
+    assert np.shares_memory(tail.targets, frame.targets)
+
+
 def test_frame_rejects_no_target_and_repeated_names():
     with pytest.raises(ContractError, match="at least one target"):
         TimeSeriesFrame(daily_dates(3), np.zeros((3, 0)), np.zeros((3, 1)),

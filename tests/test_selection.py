@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    assert_gram_close,
+    assert_problem_close,
     close,
     make_frame,
     moment_design,
@@ -50,7 +50,6 @@ from hydrovarx.selection import (
 from hydrovarx.simulate import SynthSpec, simulate
 from hydrovarx.solver import (
     Gram,
-    Problem,
     _finish,
     kkt_violation,
     prepare,
@@ -198,9 +197,9 @@ def reference_select_lambda(design, split, alpha, grid, refit, refit_every,
     warm = None
 
     def fit_from(start, window, penalty):
-        problem = prepare(window, standardize_design=standardize_design)
-        b, n_iter, converged, _ = solve(problem, penalty, start=start)
-        return _finish(window, problem, penalty, b, n_iter, converged)
+        gram, mean, scales = prepare(window, standardize_design=standardize_design)
+        b, n_iter, converged, _ = solve(gram, penalty, start=start)
+        return _finish(window, mean, scales, penalty, b, n_iter, converged)
 
     for gi in range(grid.size - 1, -1, -1):
         penalty = Penalty(float(grid[gi]), alpha)
@@ -292,24 +291,22 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
     # the running co-moments, merged as the windows merge them
     X = np.hstack([design.Z, design.Y])
     n_rows, mean, M = 0, 0.0, 0.0
-    for start, stop, gram, got_mean, got_sd, rows in windows:
+    for start, stop, gram, got_mean, got_scales, rows in windows:
         mean, M = _merge(n_rows, mean, M, X[n_rows:start])
         n_rows = start
-        # every window is a bare Gram, equal to the plain row arithmetic's
-        # problem on its rows to rounding, and so are its means and sds
+        # every window's problem is a bare Gram with the running means and
+        # scales, equal to the plain row arithmetic's on its rows to rounding
         assert isinstance(gram, Gram)
         train = design.take(slice(0, start))
-        want = reference_prepare(train, standardize)
-        assert_gram_close(gram, want, train.Y)
+        assert_problem_close((gram, got_mean, got_scales),
+                             reference_prepare(train, standardize), train.Y)
         assert got_mean.tobytes() == mean.tobytes()
         if standardize:
-            sd = _sds(start, mean, M, q)[0]
-            assert got_sd.tobytes() == sd.tobytes()
-            close(got_mean, np.concatenate([want.info.z_mean, want.info.y_mean]))
-            close(got_sd, want.info.z_sd)
+            sd, constant = _sds(start, mean, M, q)
+            assert got_scales[0].tobytes() == sd.tobytes()
+            assert got_scales[1].tobytes() == constant.tobytes()
         else:
-            assert got_sd is None
-            close(got_mean, np.concatenate([want.z_bar, want.y_bar]))
+            assert got_scales is None
         # the scoring rows: the window's rows less its means, Z's columns
         # divided by its sds
         scaled = X[start:stop] - mean
@@ -317,25 +314,22 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
             scaled[:, :q] /= sd
         assert rows.shape == scaled.shape
         assert rows.tobytes() == scaled.tobytes()
-    # the first window is prepare's on its rows to the bit, and fixed refit
-    # is that one window
+    # the first window's problem is prepare's on its rows to the bit, and
+    # fixed refit is that one window
     fixed, = _windows(design, split, replace(spec, refit="fixed"))
     assert fixed[:2] == (split.T1, split.T2)
-    want = prepare(design.take(split.train), standardize_design=standardize)
-    assert want.info.enabled == standardize
-    assert want.info.constant[0] == standardize
-    for _, _, gram, got_mean, got_sd, _ in (fixed, windows[0]):
-        for name in ("G", "c"):
-            np.testing.assert_array_equal(getattr(gram, name),
-                                          getattr(want, name))
+    (G, c), want_mean, want_scales = prepare(design.take(split.train),
+                                             standardize_design=standardize)
+    assert (want_scales is not None) == standardize
+    for _, _, gram, got_mean, got_scales, _ in (fixed, windows[0]):
+        got = [*gram, got_mean, *(got_scales or ())]
+        want = [G, c, want_mean, *(want_scales or ())]
+        assert len(got) == len(want) == (5 if standardize else 3)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
         if standardize:
-            np.testing.assert_array_equal(
-                got_mean, np.concatenate([want.info.z_mean, want.info.y_mean]))
-            np.testing.assert_array_equal(got_sd, want.info.z_sd)
-        else:
-            np.testing.assert_array_equal(
-                got_mean, np.concatenate([want.z_bar, want.y_bar]))
-            assert got_sd is None
+            assert got_scales[1][0]  # the first column is constant there
 
 
 @pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
@@ -464,8 +458,8 @@ def test_select_order_prefers_small_on_white_noise():
 def test_select_order_breaks_rounding_ties_by_order(monkeypatch):
     # (2, 1), the last candidate, undercuts every other one by a
     # rounding-sized gap only
-    def fake_bics(Z, Y, mean, sd, B):
-        assert len(B) == 4
+    def fake_bics(Z, Y, mean, scales, B):
+        assert B.shape[1] == 4
         return np.array([100.0, 100.0, 100.0, 100.0 * (1 - 1e-14)])
 
     monkeypatch.setattr(hydrovarx.selection, "_order_bics", fake_bics)
@@ -561,11 +555,11 @@ def test_select_order_matches_per_candidate_reference(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hydrovarx.selection, "_lambda_path", spy)
         scan = select_order(frame, p_range, s_range, spec)
-    (wide, split, cuts, (paths, mean, sd, fits)), = seen
+    (wide, split, cuts, (paths, mean, scales, X0)), = seen
     (_, _, gram, *_) = next(_windows(wide, split, spec))
     assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
-    for (d, _, ref_bic, ref_model, ref_train), got_bic, idx, path, path_fits \
-            in zip(want, scan.bic, cuts, paths, fits, strict=True):
+    for ci, ((d, _, ref_bic, ref_model, ref_train), got_bic, idx, path) \
+            in enumerate(zip(want, scan.bic, cuts, paths, strict=True)):
         # the cut is the candidate's own design, and its problem is prepare's
         # on the candidate's training rows
         assert wide.Z[:, idx].tobytes() == d.Z.tobytes()
@@ -573,26 +567,25 @@ def test_select_order_matches_per_candidate_reference(
             assert getattr(wide, name).tobytes() == getattr(d, name).tobytes()
         cut = _cut(gram, idx)
         assert isinstance(cut, Gram)
-        own = prepare(d.take(split.train), standardize_design=standardize_design)
+        own, _, _ = prepare(d.take(split.train),
+                            standardize_design=standardize_design)
         for name in ("G", "c"):
             close(getattr(cut, name), getattr(own, name))
+        # the train solutions are zero outside the candidate's columns
+        b = X0[:, ci, path.chosen_index].T
+        assert not np.delete(b, idx, axis=1).any()
         if abs(got_bic - ref_bic) <= 1e-9 * max(1.0, abs(ref_bic)):
             continue
         # a BIC outside the bound is a different support, and each train
         # model must then be optimal on its own; mapping it back needs the
-        # first window's means and sds, cut here to the candidate's columns
-        z_mean, y_mean = mean[:wide.q][idx], mean[wide.q:]
-        if sd is None:
-            cut = Problem(info=ScalingInfo.identity(len(idx), k), z_bar=z_mean,
-                          y_bar=y_mean, G=cut.G, c=cut.c)
-        else:
-            info = ScalingInfo(z_mean=z_mean, z_sd=sd[idx], y_mean=y_mean,
-                               constant=np.zeros(len(idx), dtype=bool))
-            cut = Problem(info=info, z_bar=np.zeros(len(idx)),
-                          y_bar=np.zeros(k), G=cut.G, c=cut.c)
+        # first window's means and scales, cut here to the candidate's
+        # columns (the path keeps no per-solve counts: the model gets none)
+        cut_mean = np.concatenate([mean[:wide.q][idx], mean[wide.q:]])
+        cut_scales = None if scales is None else (scales[0][idx], scales[1][idx])
         train = d.take(split.train)
-        model = _finish(train, cut, Penalty(path.chosen_lambda, spec.alpha),
-                        *path_fits[path.chosen_index])
+        model = _finish(train, cut_mean, cut_scales,
+                        Penalty(path.chosen_lambda, spec.alpha), b[:, idx],
+                        (), True)
         assert model.support != ref_model.support
         bound = train.q * (train.n_eff - 1) * spec.tol
         assert kkt_violation(model, train) <= bound
@@ -603,7 +596,7 @@ def test_select_order_matches_per_candidate_reference(
 def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
     frame, _ = simulate(SynthSpec(n=150, phi=np.array([0.6]),
                                   beta=np.array([[[0.8]]]), seed=3))
-    calls = {"prepare": 0, "design": 0, "take": 0, "problem": 0, "scaling": 0}
+    calls = {"prepare": 0, "design": 0, "take": 0, "scaling": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -613,8 +606,6 @@ def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
 
     monkeypatch.setattr(hydrovarx.solver, "prepare",
                         counted("prepare", hydrovarx.solver.prepare))
-    monkeypatch.setattr(hydrovarx.solver.Problem, "__init__",
-                        counted("problem", hydrovarx.solver.Problem.__init__))
     monkeypatch.setattr(ScalingInfo, "__post_init__",
                         counted("scaling", ScalingInfo.__post_init__))
     monkeypatch.setattr(DesignMatrix, "__post_init__",
@@ -624,9 +615,8 @@ def test_order_scan_prepares_nothing_and_cuts_no_designs(monkeypatch, refit):
         grid=np.geomspace(0.1, 10.0, 3), refit=refit, refit_every=5))
     assert len(scan.candidates) == 9
     # the widest design alone: no design's rows are taken or prepared, and
-    # every window is a bare Gram, with no Problem or ScalingInfo
-    assert calls == {"prepare": 0, "design": 1, "take": 0, "problem": 0,
-                     "scaling": 0}
+    # no window makes a ScalingInfo
+    assert calls == {"prepare": 0, "design": 1, "take": 0, "scaling": 0}
     split = SplitPlan(frame.n - 3)
     windows = 1 if refit == "fixed" else -(-(split.T2 - split.T1) // 5)
     assert scan.solves == 9 * 3 * windows
@@ -750,7 +740,7 @@ def test_paths_and_scans_report_their_kkt_residual(refit):
     # every window's certificate bound is at most the widest window's
     split = SplitPlan(designs[-1].n_eff)
     rows = split.T1 if refit == "fixed" else split.T2
-    G = prepare(designs[-1].take(slice(0, rows))).G
+    G = prepare(designs[-1].take(slice(0, rows)))[0].G
     assert scan.kkt_max <= spec.tol * max(1.0, G.diagonal().max())
 
 
@@ -765,6 +755,18 @@ def test_select_order_validates_ranges():
         select_order(frame, [0, 1], [0])
     with pytest.raises(ContractError, match="s must be >= 0"):
         select_order(frame, [1], [-1, 0])
+    # no order is truncated: [1.5, 2] x [0.7] is not (1, 0), (2, 0)
+    for p_range, s_range in (([1.5, 2], [0]), ([1, 2], [0.7]), ([1, 2.0], [0])):
+        with pytest.raises(ContractError, match="lag orders must be integers"):
+            select_order(frame, p_range, s_range)
+
+
+def test_select_order_takes_numpy_integer_ranges():
+    frame, _ = simulate(SynthSpec(n=60, phi=np.array([0.5]), seed=1))
+    scan = select_order(frame, np.arange(1, 3), np.array([0]),
+                        ModelSpec(grid=np.geomspace(0.5, 50.0, 3)))
+    assert scan.candidates == ((1, 0), (2, 0))
+    assert {type(v) for c in scan.candidates for v in c} == {int}
 
 
 def test_lambda_path_at_edge():

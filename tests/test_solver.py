@@ -9,7 +9,6 @@ from scipy.linalg.lapack import dposv
 
 from conftest import (
     assert_problem_close,
-    assert_scaling_close,
     close,
     make_frame,
     moment_design,
@@ -518,29 +517,33 @@ def test_prepare_and_standardize_match_the_row_arithmetic(seed, k, n, flat, leve
         assert_problem_close(prepare(design, standardize_design=standardize_design),
                              reference_prepare(design, standardize_design),
                              design.Y)
+    q = design.q
     scaled, info = standardize(design)
-    want = reference_prepare(design)
-    assert_scaling_close(info, want.info)
-    # the scaling a fit records is standardize's to the bit, which is what
-    # the leakage audit checks
-    got = prepare(design).info
-    for name in ("z_mean", "z_sd", "y_mean", "constant"):
-        assert getattr(got, name).tobytes() == getattr(info, name).tobytes()
+    _, mean, (sd, constant) = reference_prepare(design)
+    close(info.z_mean, mean[:q])
+    close(info.z_sd, sd)
+    close(info.y_mean, mean[q:])
+    np.testing.assert_array_equal(info.constant, constant)
+    # standardize's scaling is prepare's, and so a fit's, to the bit
+    _, mean, (sd, constant) = prepare(design)
+    for got, want in ((mean[:q], info.z_mean), (sd, info.z_sd),
+                      (mean[q:], info.y_mean), (constant, info.constant)):
+        assert got.tobytes() == want.tobytes()
     assert info.constant[0] == (flat == 1.0)
-    close(scaled.Z, (design.Z - want.info.z_mean) / want.info.z_sd, 20.0)
-    close(scaled.Y, design.Y - want.info.y_mean, np.abs(design.Y).max())
+    close(scaled.Z, (design.Z - mean[:q]) / sd, 20.0)
+    close(scaled.Y, design.Y - mean[q:], np.abs(design.Y).max())
 
 
 def test_solve_on_prepared_problem_equals_fit_on_design():
     design = _random_design(26, k=2, m=2)
     for standardize_design in (True, False):
-        problem = prepare(design, standardize_design=standardize_design)
-        b, n_iter, converged, kkt = solve(problem, Penalty(3.0, 0.5))
+        gram, _, _ = prepare(design, standardize_design=standardize_design)
+        b, n_iter, converged, kkt = solve(gram, Penalty(3.0, 0.5))
         model = fit(design, Penalty(3.0, 0.5),
                     standardize_design=standardize_design)
         assert b.tobytes() == model.scaled_coeffs.tobytes()
         assert (n_iter, converged) == (model.n_iter, model.converged)
-        bound = 1e-7 * max(1.0, problem.G.diagonal().max())
+        bound = 1e-7 * max(1.0, gram.G.diagonal().max())
         assert converged and 0.0 <= kkt <= bound
 
 
@@ -605,7 +608,7 @@ def test_lambda_max_kills_every_coefficient():
     for seed in range(5):
         design = _random_design(seed, n=80, m=3)
         for alpha in (0.5, 1.0):
-            lam_max = 2.0 * np.abs(prepare(design).c).max() / alpha
+            lam_max = 2.0 * np.abs(prepare(design)[0].c).max() / alpha
             model = fit(design, Penalty(lam_max * (1 + 1e-9), alpha))
             assert model.support == (), (seed, alpha)
             below = fit(design, Penalty(lam_max * 0.5, alpha))
@@ -645,10 +648,10 @@ def test_warm_start_agrees_with_cold_start():
     penalty = Penalty(5.0, 0.5)
     cold = fit(design, penalty)
     hot_source = fit(design, Penalty(50.0, 0.5))
-    problem = prepare(design)
-    b, n_iter, converged, _ = solve(problem, penalty,
+    gram, mean, scales = prepare(design)
+    b, n_iter, converged, _ = solve(gram, penalty,
                                     start=hot_source.scaled_coeffs)
-    warm = _finish(design, problem, penalty, b, n_iter, converged)
+    warm = _finish(design, mean, scales, penalty, b, n_iter, converged)
     assert warm.converged
     np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-6)
 

@@ -21,10 +21,11 @@ dataset sets (``--set``):
   ``fit_audit_daily`` as the ``run_pipeline`` it wraps);
 - ``acceptance06``: the 40 order scans of acceptance check 06;
 - ``tiny``: one small series, run with fixed and expanding refit and
-  scanned over a few orders, for a quick self-check; and a fixed set of
-  command-line runs at k = 1 and k = 2 (``simulate``; ``fit`` with fixed
-  and with expanding refit and over the growing season; ``evaluate`` of
-  the fixed and the expanding model; ``ablate``; ``select-order``), whose
+  scanned over a few orders, each standardized and not, for a quick
+  self-check; and a fixed set of command-line runs at k = 1 and k = 2
+  (``simulate``; ``fit`` with fixed and with expanding refit, over the
+  growing season and unstandardized; ``evaluate`` of the fixed, the
+  expanding and the unstandardized model; ``ablate``; ``select-order``), whose
   exit codes and the sha256 of every artifact they write are recorded.
   They run in one temporary working directory with relative paths,
   because the artifacts record the paths.
@@ -183,11 +184,15 @@ def _tiny():
                                   beta=np.array([[[0.8]]]), noise_sd=0.5,
                                   seed=3))
     grid = tuple(np.geomspace(0.5, 50.0, 4))
-    for refit in ("fixed", "expanding"):
-        spec = ModelSpec(p=2, s=1, grid=grid, refit=refit, refit_every=3)
-        yield f"tiny/{refit}", _report_digest(run_pipeline(frame, spec), frame)
-    scan = select_order(frame, [1, 2], [0, 1], ModelSpec(grid=grid))
-    yield "tiny/scan", {"scan": _scan_digest(scan)}
+    for standardize, tag in ((True, ""), (False, "-raw")):
+        for refit in ("fixed", "expanding"):
+            spec = ModelSpec(p=2, s=1, grid=grid, refit=refit, refit_every=3,
+                             standardize=standardize)
+            yield (f"tiny/{refit}{tag}",
+                   _report_digest(run_pipeline(frame, spec), frame))
+        scan = select_order(frame, [1, 2], [0, 1],
+                            ModelSpec(grid=grid, standardize=standardize))
+        yield f"tiny/scan{tag}", {"scan": _scan_digest(scan)}
     yield from _cli_runs()
 
 
@@ -201,8 +206,10 @@ _CLI_RUNS = (
     ("fit-fixed", "fit"),
     ("fit-expanding", "fit --refit expanding --refit-every 5"),
     ("fit-growing", "fit --season growing"),
+    ("fit-raw", "fit --no-standardize"),
     ("evaluate", "evaluate --model {k}/fit-fixed/model.json"),
     ("evaluate-expanding", "evaluate --model {k}/fit-expanding/model.json"),
+    ("evaluate-raw", "evaluate --model {k}/fit-raw/model.json"),
     ("ablate", "ablate --drop x1"),
     ("select-order", "select-order --p-range 1:3 --s-range 0:1"),
 )
