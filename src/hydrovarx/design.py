@@ -17,6 +17,11 @@ from .errors import ContractError, InsufficientDataError, NonFiniteError
 from .frame import TimeSeriesFrame, freeze
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a ``bool`` (``True`` would pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LagSpec:
     """Lag orders and row-alignment mode.
@@ -33,7 +38,7 @@ class LagSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("p", self.p), ("s", self.s)):
-            if not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ContractError("p must be >= 1")

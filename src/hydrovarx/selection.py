@@ -10,12 +10,11 @@ recursion). Lag orders are compared by BIC on a common set of response rows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, _comoments, build_design
+from .design import DesignMatrix, LagSpec, _comoments, _is_int, build_design
 from .errors import (
     ContractError,
     DegenerateFitError,
@@ -132,8 +131,7 @@ class ModelSpec:
             raise ContractError(f"unknown aggregation {self.aggregate!r}")
         if self.refit not in ("fixed", "expanding"):
             raise ContractError(f"unknown refit policy {self.refit!r}")
-        if not (isinstance(self.refit_every, numbers.Integral)
-                and self.refit_every >= 1):
+        if not (_is_int(self.refit_every) and self.refit_every >= 1):
             raise ContractError("refit_every must be an int >= 1")
         if not (math.isfinite(self.ci_multiplier) and self.ci_multiplier > 0):
             raise ContractError("ci_multiplier must be finite and positive")
@@ -455,7 +453,7 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     The ranges, not ``spec.p`` and ``spec.s``, give the lag orders.
     """
     p_range, s_range = list(p_range), list(s_range)
-    if not all(isinstance(v, numbers.Integral) for v in p_range + s_range):
+    if not all(map(_is_int, p_range + s_range)):
         raise ContractError(f"lag orders must be integers: {p_range}, {s_range}")
     p_range, s_range = sorted(set(map(int, p_range))), sorted(set(map(int, s_range)))
     if not p_range or not s_range:

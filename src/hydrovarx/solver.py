@@ -53,6 +53,9 @@ b_j nears zero), and b stops where a coordinate first reaches zero, which
 leaves the face. A step that fails otherwise is retried with the worst
 violator alone; if that fails, the solve stops uncertified. Every step
 keeps b on the closed orthant of its face, so the objective never rises.
+``dposv`` is read straight from scipy's compiled ``scipy.linalg._flapack``
+(checked on scipy 1.17.1), so importing hydrovarx skips the ``scipy.linalg``
+package; ``scipy.linalg.lapack`` is the fallback.
 
 A warm start is almost never at its own face's optimum (it solved a nearby
 problem), so its first pass would only lead to re-solving that face. A warm
@@ -75,17 +78,21 @@ zero pattern and within 1e-9 * max(1, |b|) per coefficient.
 from __future__ import annotations
 
 import math
-import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+import scipy
 
 from .design import (
     DesignMatrix,
     ScalingInfo,
     _comoments,
+    _is_int,
     _scaling,
     _sds,
     destandardize_coeffs,
@@ -99,6 +106,33 @@ from .frame import freeze
 
 #: back-transformed coefficients below this magnitude are reported as zero
 SNAP_TOL = 1e-12
+
+
+def _flapack_dposv(scipy_dir: str):
+    """LAPACK ``dposv`` from scipy's compiled ``linalg/_flapack`` in
+    ``scipy_dir``, loaded under its own name, ``scipy.linalg._flapack``, so
+    the ``scipy.linalg`` package (and all it imports) is not run. The module
+    is registered in ``sys.modules``, or reused if already there, so a later
+    ``import scipy.linalg`` shares it. Falls back to the public import if
+    the file is missing or does not load (ImportError) or lacks the routine
+    (AttributeError)."""
+    name = "scipy.linalg._flapack"
+    try:
+        module = sys.modules.get(name)
+        if module is None:
+            path = os.path.join(scipy_dir, "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+            loader = ExtensionFileLoader(name, path)
+            module = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(module)
+        routine = module.dposv
+        sys.modules.setdefault(name, module)
+        return routine
+    except (ImportError, AttributeError):
+        from scipy.linalg.lapack import dposv
+        return dposv
+
+
+dposv = _flapack_dposv(scipy.__path__[0])
 
 
 @dataclass(frozen=True)
@@ -289,7 +323,7 @@ def check_stopping(tol, max_iter) -> None:
     met) or a ``max_iter`` that is not an int >= 0 (it is never reached)."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ContractError(f"tol must be finite and >= 0, got {tol}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+    if not (_is_int(max_iter) and max_iter >= 0):
         raise ContractError(f"max_iter must be an int >= 0, got {max_iter!r}")
 
 

@@ -114,7 +114,8 @@ def test_lagspec_validation():
         LagSpec(p=1, s=-1)
     with pytest.raises(ContractError):
         LagSpec(p=1, s=1, mode="sideways")
-    for p, s in ((2.5, 1), (2, 1.5), (2.0, 1), ("2", 1)):
+    # a bool is a numbers.Integral, but True is no lag order
+    for p, s in ((2.5, 1), (2, 1.5), (2.0, 1), ("2", 1), (True, 1), (2, False)):
         with pytest.raises(ContractError, match="must be an integer"):
             LagSpec(p=p, s=s)
     # numpy's integers are integers

@@ -755,8 +755,10 @@ def test_select_order_validates_ranges():
         select_order(frame, [0, 1], [0])
     with pytest.raises(ContractError, match="s must be >= 0"):
         select_order(frame, [1], [-1, 0])
-    # no order is truncated: [1.5, 2] x [0.7] is not (1, 0), (2, 0)
-    for p_range, s_range in (([1.5, 2], [0]), ([1, 2], [0.7]), ([1, 2.0], [0])):
+    # no order is truncated: [1.5, 2] x [0.7] is not (1, 0), (2, 0); nor is
+    # True read as 1
+    for p_range, s_range in (([1.5, 2], [0]), ([1, 2], [0.7]), ([1, 2.0], [0]),
+                             ([True, 2], [0]), ([1], [False])):
         with pytest.raises(ContractError, match="lag orders must be integers"):
             select_order(frame, p_range, s_range)
 

@@ -730,7 +730,7 @@ def test_fit_needs_two_rows():
 
 @pytest.mark.parametrize("tol,max_iter", [
     (-1.0, 10000), (float("nan"), 10000), (float("inf"), 10000), (0.0, -1),
-    (1e-7, 2.5)])
+    (1e-7, 2.5), (1e-7, True)])
 def test_fit_refuses_a_stopping_rule_before_solving(monkeypatch, tol, max_iter):
     def no_solve(*args, **kwargs):
         pytest.fail("fit started a solve")
