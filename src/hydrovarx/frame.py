@@ -355,13 +355,21 @@ def write_csv(frame: TimeSeriesFrame, path) -> None:
     Floats use shortest round-trip formatting, so load_csv(write_csv(f))
     reproduces the values exactly. Monthly frames serialize their
     first-of-month dates; resolution is not encoded in the file.
+
+    The header goes through ``csv.writer``, which quotes a name as needed.
+    The body is joined directly, with the writer's ``\r\n`` line ends: no
+    ISO date or ``repr`` of a float holds a comma, a quote or a line break,
+    so the writer would quote none of its fields. It is converted 256 rows
+    at a time (one ``astype(str)`` and one ``tolist()`` each), so the Python
+    objects alive at once stay few.
     """
+    values = np.hstack([frame.targets, frame.exog])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Date", *frame.target_names, *frame.exog_names])
-        both = np.hstack([frame.targets, frame.exog])
-        for i in range(frame.n):
-            writer.writerow([str(frame.dates[i])] + [repr(float(v)) for v in both[i]])
+        csv.writer(fh).writerow(["Date", *frame.target_names, *frame.exog_names])
+        for rows in (slice(lo, lo + 256) for lo in range(0, frame.n, 256)):
+            dates = frame.dates[rows].astype(str).tolist()
+            fh.writelines(f"{date},{','.join(map(repr, row))}\r\n"
+                          for date, row in zip(dates, values[rows].tolist()))
 
 
 def filter_season(frame: TimeSeriesFrame, season: str) -> TimeSeriesFrame:

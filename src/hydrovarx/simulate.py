@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import regressor_labels
+from .design import _is_int, regressor_labels
 from .errors import ContractError
 from .frame import Column, TimeSeriesFrame
 
@@ -24,8 +24,11 @@ BURN_IN_DEFAULT = 500
 
 
 def companion_spectral_radius(phi: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of the VAR companion matrix."""
+    """Largest eigenvalue magnitude of the VAR companion matrix; 0.0 when
+    there are no lags (p = 0)."""
     p, k = phi.shape[0], phi.shape[1]
+    if p == 0:
+        return 0.0
     comp = np.zeros((k * p, k * p))
     for lag in range(p):
         comp[:k, lag * k:(lag + 1) * k] = phi[lag]
@@ -58,8 +61,8 @@ class SynthSpec:
             phi = phi.reshape(1, 1, 1)
         elif phi.ndim == 1:  # scalar AR coefficients, one per lag
             phi = phi.reshape(-1, 1, 1)
-        if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
-            raise ContractError("phi must have shape (p, k, k)")
+        if phi.ndim != 3 or phi.shape[1] != phi.shape[2] or phi.shape[1] < 1:
+            raise ContractError("phi must have shape (p, k, k), k >= 1")
         object.__setattr__(self, "phi", phi)
         k = phi.shape[1]
 
@@ -77,12 +80,22 @@ class SynthSpec:
             raise ContractError(f"nu must have shape ({k},)")
         object.__setattr__(self, "nu", nu)
 
+        for name in ("n", "burn_in", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ContractError("n must be >= 1")
-        if self.noise_sd < 0:
-            raise ContractError("noise_sd must be >= 0")
         if self.burn_in < 0:
             raise ContractError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
+        for name in ("phi", "beta", "nu", "init_y", "noise_sd", "exog_rho"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ContractError(f"{name} must be finite")
+        if self.noise_sd < 0:
+            raise ContractError("noise_sd must be >= 0")
         if self.exog_mode not in ("iid", "ar1"):
             raise ContractError(f"unknown exog mode {self.exog_mode!r}")
         if self.exog_mode == "ar1" and not abs(self.exog_rho) < 1:
@@ -148,39 +161,66 @@ def simulate(spec: SynthSpec) -> tuple[TimeSeriesFrame, GroundTruth]:
     Draw order is fixed (exogenous paths first, then target innovations), so
     a given seed always produces the same frame bit for bit. Dates are
     consecutive days starting at ``spec.start_date``.
+
+    Every step rounds as the plain recursion does (``tests/conftest.py``
+    keeps it as the oracle). The AR(1) drivers are elementwise, so they run
+    on Python floats, as does the k = 1 recursion below. Those floats are
+    read from and written to numpy's buffers through ``memoryview``, not
+    held in lists, so no heap of float objects is left behind (one showed
+    in the benchmark's peak RSS). A product of more than one term stays the
+    numpy call it always was, one per step on a C-contiguous row: each
+    exogenous term ``beta[lag] @ x_(t-1-lag)`` (mapped straight over the
+    rows of x, which does not depend on y) and, for k >= 2, each AR term.
+    BLAS may form those sums with fused multiply-adds (OpenBLAS does on
+    x86_64), so neither a Python sum of products nor one batched product
+    over all steps gives the same bits. With k = 1 an AR term is one
+    multiplication, done on Python floats as numpy forms it: ``0.0 + a *
+    b``, whose sum starts at +0.0. The terms are added in the same order:
+    nu + eps_t, the AR lags, then the exogenous lags.
     """
     rng = np.random.default_rng(spec.seed)
     p, k, s, m = spec.p, spec.k, spec.s, spec.m
     total = spec.burn_in + spec.n
 
     if m:
-        shocks = rng.standard_normal((total, m))
-        if spec.exog_mode == "iid":
-            x = shocks
-        else:
-            x = np.empty((total, m))
-            prev = np.zeros(m)
-            for t in range(total):
-                prev = spec.exog_rho * prev + shocks[t]
-                x[t] = prev
+        x = rng.standard_normal((total, m))
+        if spec.exog_mode == "ar1":
+            rho = float(spec.exog_rho)
+            for j in range(m):
+                prev, path = 0.0, memoryview(x[:, j])
+                for t, e in enumerate(path):
+                    prev = path[t] = rho * prev + e
     else:
         x = np.zeros((total, 0))
 
-    eps = rng.standard_normal((total, k)) * spec.noise_sd
-    # y_t is row t + p of y, after p pre-sample rows (init_y, lag 1 last);
-    # x_t is row t + s of x_pad, after s zero rows
+    base = spec.nu + rng.standard_normal((total, k)) * spec.noise_sd
+    # x_t is row t + s of x_pad, after s zero rows, so exogenous term l of
+    # step t, beta[l] @ x_(t-1-l), is the product with row t + s - 1 - l.
+    # x_pad is C-contiguous: BLAS sums a strided row in another order
+    beta = spec.beta if spec.beta is not None else np.zeros((0, k, 0))
+    x_pad = np.zeros((s + total, m))
+    x_pad[s:] = x
+    terms = [map(beta[lag].__matmul__, x_pad[s - 1 - lag:]) for lag in range(s)]
+    # y_t is row t + p of y, after p pre-sample rows (init_y, lag 1 last)
     y = np.zeros((p + total, k))
     if spec.init_y is not None:
         y[:p] = spec.init_y[::-1]
-    x_pad = np.vstack([np.zeros((s, m)), x])
-    beta = spec.beta if spec.beta is not None else np.zeros((0, k, 0))
-    for t in range(total):
-        val = spec.nu + eps[t]
-        for lag in range(p):
-            val = val + spec.phi[lag] @ y[t + p - 1 - lag]
-        for lag in range(s):
-            val = val + beta[lag] @ x_pad[t + s - 1 - lag]
-        y[t + p] = val
+    if k == 1:
+        phi, ys = spec.phi[:, 0, 0].tolist(), memoryview(y[:, 0])
+        for t, (val, *xt) in enumerate(zip(memoryview(base[:, 0]), *terms)):
+            for lag, a in enumerate(phi):
+                val += 0.0 + a * ys[t + p - 1 - lag]
+            for term in xt:
+                val += term.item()
+            ys[t + p] = val
+    else:
+        lagged = [y[p - 1 - lag:] for lag in range(p)]
+        for val, out, *rest in zip(base, y[p:], *lagged, *terms):
+            for a, row in zip(spec.phi, rest):
+                val = val + a @ row
+            for term in rest[p:]:
+                val = val + term
+            out[:] = val
 
     y = y[p + spec.burn_in:]
     x = x[spec.burn_in:]

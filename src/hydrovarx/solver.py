@@ -381,31 +381,23 @@ def _face_step(H, c, thr, b, g, face, signs, new):
     return True
 
 
-def _cd_solve(G, c, penalty, b, tol, max_iter):
-    """Active-set solve of one equation on centered data.
+def _cd_solve(H, thr, h_diag, bound, c, b, max_iter):
+    """Active-set solve of one equation on centered data, with H = G +
+    lambda (1 - alpha) I, thr = lambda alpha / 2, H's diagonal as a list and
+    the KKT bound tol * max(1, max_j G_jj), which ``solve`` forms once for
+    all of a problem's equations.
 
     Returns ``(b, iterations, converged, kkt)``: b as a list of floats,
     ``kkt`` the largest KKT residual of the returned b, and ``converged``
-    whether it is within tol * max(1, max_j G_jj). G need not be
-    bit-symmetric. See the module docstring for the iteration.
+    whether it is within ``bound``. H need not be bit-symmetric. See the
+    module docstring for the iteration.
     """
-    q = len(c)
-    lam, alpha = penalty.lam, penalty.alpha
-    thr = lam * alpha / 2.0
-    ridge = lam * (1.0 - alpha)
-    diag = G.diagonal().tolist()
-    bound = tol * max([1.0] + diag)
-    if ridge:
-        H = G.copy()
-        H.flat[::q + 1] += ridge
-    else:
-        H = G
     cl = c.tolist()
     b = b.tolist()
-    if max_iter > 0 and min(diag) + ridge <= 0.0:
+    if max_iter > 0 and min(h_diag) <= 0.0:
         # H_jj = 0: a zero column, whose coefficient stays pinned at zero;
         # max_iter = 0 returns the start as it is
-        b = [v if d + ridge > 0.0 else 0.0 for v, d in zip(b, diag)]
+        b = [v if d > 0.0 else 0.0 for v, d in zip(b, h_diag)]
     iters = 0
     converged = False
     # a warm start re-solves its face without the first pass, as iteration
@@ -467,13 +459,21 @@ def solve(gram: Gram, penalty: Penalty, tol: float = 1e-7,
     zero).
     """
     G, c = gram
+    ridge = penalty.lam * (1.0 - penalty.alpha)
+    H = G
+    if ridge:
+        H = G.copy()
+        H.flat[::len(G) + 1] += ridge
+    thr = penalty.lam * penalty.alpha / 2.0
+    h_diag = H.diagonal().tolist()
+    bound = tol * max([1.0] + G.diagonal().tolist())
     start = np.zeros(c.shape) if start is None else np.asarray(start, dtype=float)
     rows = []
     n_iter = []
     converged = True
     kkt = 0.0
     for i in range(len(c)):
-        b, iters, ok, r = _cd_solve(G, c[i], penalty, start[i], tol, max_iter)
+        b, iters, ok, r = _cd_solve(H, thr, h_diag, bound, c[i], start[i], max_iter)
         rows.append(b)
         n_iter.append(iters)
         converged &= ok

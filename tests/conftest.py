@@ -96,3 +96,44 @@ def moment_design(seed, n, k, level, flat_rows):
                         col_labels=("a", "b", "c", "d"),
                         target_names=tuple(f"Y{i}" for i in range(k)),
                         exog_names=(), p=4, s=0, mode="positional")
+
+
+def reference_series(spec):
+    """``simulate``'s targets and exogenous drivers, after burn-in, by the
+    plain recursion: numpy's AR(1) step per row, then per step
+    y_t = nu + eps_t + sum_l phi[l] @ y_(t-1-l) + sum_l beta[l] @ x_(t-1-l),
+    each product a numpy call on one row. The oracle ``simulate`` matches to
+    the bit."""
+    rng = np.random.default_rng(spec.seed)
+    p, k, s, m = spec.p, spec.k, spec.s, spec.m
+    total = spec.burn_in + spec.n
+
+    if m:
+        shocks = rng.standard_normal((total, m))
+        if spec.exog_mode == "iid":
+            x = shocks
+        else:
+            x = np.empty((total, m))
+            prev = np.zeros(m)
+            for t in range(total):
+                prev = spec.exog_rho * prev + shocks[t]
+                x[t] = prev
+    else:
+        x = np.zeros((total, 0))
+
+    eps = rng.standard_normal((total, k)) * spec.noise_sd
+    # y_t is row t + p of y, after p pre-sample rows (init_y, lag 1 last);
+    # x_t is row t + s of x_pad, after s zero rows
+    y = np.zeros((p + total, k))
+    if spec.init_y is not None:
+        y[:p] = spec.init_y[::-1]
+    x_pad = np.vstack([np.zeros((s, m)), x])
+    beta = spec.beta if spec.beta is not None else np.zeros((0, k, 0))
+    for t in range(total):
+        val = spec.nu + eps[t]
+        for lag in range(p):
+            val = val + spec.phi[lag] @ y[t + p - 1 - lag]
+        for lag in range(s):
+            val = val + beta[lag] @ x_pad[t + s - 1 - lag]
+        y[t + p] = val
+    return y[p + spec.burn_in:], x[spec.burn_in:]

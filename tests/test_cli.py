@@ -792,6 +792,31 @@ def test_simulate_rejects_wrong_phi_count(tmp_path, capsys):
     assert "p*k*k" in capsys.readouterr().err
 
 
+def test_simulate_without_autoregressive_lags(tmp_path):
+    # its own check allows --p 0; the stability check used to crash on it
+    out = tmp_path / "s"
+    assert main(["simulate", "--out", str(out), "--n", "20", "--p", "0",
+                 "--phi=", "--m", "1", "--s", "1", "--beta", "0.5"]) == 0
+    assert len((out / "synth.csv").read_text().splitlines()) == 21
+    truth = json.loads((out / "truth.json").read_text())["truth"]
+    assert truth["phi"] == [] and truth["support"] == ["x11"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--phi", "nan"], "phi must be finite"),
+    (["--noise-sd", "inf"], "noise_sd must be finite"),
+])
+def test_simulate_refuses_bad_settings_before_drawing(flags, message, tmp_path,
+                                                     capsys):
+    # each of these used to end in a traceback (exit 1)
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--n", "20",
+               "--phi", "0.5", *flags])
+    assert rc == 2
+    assert f"hydrovarx simulate: setup: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_parse_grid_forms():
     np.testing.assert_allclose(parse_grid("10:500:24"),
                                np.geomspace(10, 500, 24))

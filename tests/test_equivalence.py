@@ -43,9 +43,12 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing", "fit-raw",
             "evaluate", "evaluate-expanding", "evaluate-raw", "ablate",
             "select-order"]
-    assert sorted(cli) == sorted(f"tiny/cli/k{k}/{run}" for k in (1, 2)
-                                 for run in runs)
+    simulate_only = ["tiny/cli/k1-iid/simulate", "tiny/cli/k3-ar1/simulate"]
+    assert sorted(cli) == sorted([f"tiny/cli/k{k}/{run}" for k in (1, 2)
+                                  for run in runs] + simulate_only)
     assert {entry["rc"] for entry in cli.values()} == {0}
+    for key in simulate_only:
+        assert sorted(cli[key]["sha256"]) == ["synth.csv", "truth.json"]
     assert sorted(cli["tiny/cli/k2/evaluate"]["sha256"]) == [
         "config.json", "forecast.csv", "metrics.csv", "regression_line.json"]
     fixed = doc["datasets"]["tiny/fixed"]

@@ -153,6 +153,40 @@ def test_write_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.dates, frame.dates)
 
 
+def reference_write_csv(frame, path):
+    """``write_csv`` by ``csv.writer``, one row at a time: ``str`` of each
+    date and ``repr`` of each value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Date", *frame.target_names, *frame.exog_names])
+        both = np.hstack([frame.targets, frame.exog])
+        for i in range(frame.n):
+            writer.writerow([str(frame.dates[i])] + [repr(float(v)) for v in both[i]])
+
+
+def _monthly_frame():
+    months = np.arange("1999-11", "2000-03", dtype="datetime64[M]")
+    dates = months.astype("datetime64[D]")
+    return TimeSeriesFrame(dates, [[1.0], [-0.0], [2.5e-300], [1e22]],
+                           [[0.1], [-1.5], [0.0], [3.0]],
+                           (Column("Y", "target"), Column("rain, mm", "exog")),
+                           resolution="monthly")
+
+
+@pytest.mark.parametrize("frame", [
+    make_frame(np.random.default_rng(1).normal(size=(30, 2)) * 1e3,
+               np.random.default_rng(2).normal(size=(30, 3)),
+               target_names=["Y1", 'say "hi"'], exog_names=["a,b", "c\nd", "x"]),
+    make_frame([[-0.0, 0.0], [5e-324, -1.7976931348623157e308]], start="0999-12-31"),
+    make_frame([1.0 / 3.0, 123456789.125, -2.0 ** -40]),
+    _monthly_frame(),
+], ids=["k2-quoted-names", "signed-zero-extremes", "k1", "monthly"])
+def test_write_csv_bytes_equal_the_csv_writer(tmp_path, frame):
+    write_csv(frame, tmp_path / "fast.csv")
+    reference_write_csv(frame, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_frame_rejects_unsorted_dates():
     dates = np.array(["2016-01-02", "2016-01-01"], dtype="datetime64[D]")
     with pytest.raises(ContractError):

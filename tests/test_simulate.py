@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
+from conftest import reference_series
 from hydrovarx import SynthSpec, simulate
 from hydrovarx.errors import ContractError
 from hydrovarx.simulate import companion_spectral_radius
@@ -191,3 +193,92 @@ def test_bad_exog_mode_rejected():
     with pytest.raises(ContractError):
         SynthSpec(n=10, phi=np.array([0.5]), beta=np.array([[[0.1]]]),
                   exog_mode="brownian")
+
+
+@st.composite
+def synth_specs(draw):
+    """Stable specs with k 1-3, p 0-4, s 0-3, m 0-6: every entry of phi is
+    at most 0.9 / (p k) in size, so sum_l ||phi_l||_inf <= 0.9 < 1. The
+    values are generic floats from a drawn numpy seed, since round values
+    hide differences in rounding order; about a fifth are signed zeros."""
+    k, p = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    s, m = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape, size):
+        v = rng.uniform(-size, size, shape)
+        return np.where(rng.random(shape) < 0.2, np.copysign(0.0, v), v)
+
+    return SynthSpec(
+        n=draw(st.integers(1, 200)), phi=values((p, k, k), 0.9 / max(p * k, 1)),
+        beta=draw(st.none() | st.just(values((s, k, m), 2.0))) if s else None,
+        nu=draw(st.none() | st.just(values((k,), 3.0))),
+        noise_sd=draw(st.sampled_from([0.0, -0.0, 0.5, 1.0])),
+        exog_mode=draw(st.sampled_from(["iid", "ar1"])),
+        exog_rho=draw(st.floats(-0.95, 0.95)), seed=draw(st.integers(0, 2**32)),
+        burn_in=draw(st.integers(0, 20)),
+        init_y=draw(st.none() | st.just(values((p, k), 3.0))))
+
+
+@seed(27)
+@settings(max_examples=300, deadline=None)
+@given(spec=synth_specs())
+# seed 1 draws positive innovations, so nu + eps_t is -0.0 at every step:
+# a one-term product that is -0.0 comes out of numpy as +0.0
+@example(spec=SynthSpec(n=5, phi=np.array([0.5]), nu=np.array([-0.0]),
+                        noise_sd=-0.0, init_y=np.array([-0.0]), burn_in=0,
+                        seed=1))
+# one exogenous lag next to AR(1) drivers: a strided row would sum in
+# another order than a C-contiguous one
+@example(spec=SynthSpec(n=60, phi=np.array([0.5]), exog_mode="ar1", exog_rho=-0.5,
+                        beta=np.array([[[0.3, -0.2, 0.5, 0.1, -0.4, 0.25]]])))
+# a product over no exogenous columns is +0.0, and it is still added
+@example(spec=SynthSpec(n=5, phi=np.zeros((0, 1, 1)), nu=np.array([-0.0]),
+                        beta=np.zeros((1, 1, 0)), noise_sd=-0.0, burn_in=0,
+                        seed=1))
+@example(spec=SynthSpec(n=5, phi=np.zeros((1, 2, 2)), nu=np.array([-0.0, -0.0]),
+                        beta=np.zeros((2, 2, 0)), noise_sd=-0.0, burn_in=0,
+                        seed=1))
+def test_simulate_equals_the_plain_recursion_to_the_bit(spec):
+    # bytes, so the sign of a zero counts
+    y, x = reference_series(spec)
+    frame, _ = simulate(spec)
+    assert frame.targets.tobytes() == np.ascontiguousarray(y).tobytes()
+    assert frame.exog.tobytes() == np.ascontiguousarray(x).tobytes()
+
+
+def test_a_spec_without_lags_is_white_noise_plus_drivers():
+    spec = SynthSpec(n=30, phi=np.zeros((0, 1, 1)), beta=np.array([[[0.5]]]),
+                     seed=1, burn_in=0)
+    assert spec.p == 0 and companion_spectral_radius(spec.phi) == 0.0
+    frame, truth = simulate(spec)
+    assert frame.n == 30 and truth.support == ("x11",)
+    y, _ = reference_series(spec)
+    assert np.array_equal(frame.targets, y)
+
+
+def test_phi_needs_a_target():
+    with pytest.raises(ContractError, match="k >= 1"):
+        SynthSpec(n=20, phi=np.zeros((1, 0, 0)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 20.5), ("n", True), ("n", "20"), ("burn_in", 1.5), ("burn_in", False),
+    ("seed", -1), ("seed", 2.0), ("seed", True),
+])
+def test_counts_and_seed_must_be_ints(field, value):
+    base = dict(n=20, phi=np.array([0.5]))
+    with pytest.raises(ContractError, match=field):
+        SynthSpec(**{**base, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phi", np.array([np.nan])), ("phi", np.array([0.5, np.inf])),
+    ("beta", np.array([[[np.nan]]])), ("nu", np.array([-np.inf])),
+    ("init_y", np.array([np.nan])), ("noise_sd", np.nan), ("noise_sd", np.inf),
+    ("exog_rho", np.nan),
+])
+def test_non_finite_parameters_are_refused(field, value):
+    base = dict(n=20, phi=np.array([0.5]), beta=np.array([[[0.3]]]))
+    with pytest.raises(ContractError, match=f"{field} must be finite"):
+        SynthSpec(**{**base, field: value})

@@ -28,7 +28,7 @@ from hydrovarx import (
     standardize,
 )
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
-from hydrovarx.solver import _cd_solve, _face_step, _finish, prepare, solve
+from hydrovarx.solver import Gram, _face_step, _finish, prepare, solve
 
 
 def _random_design(seed, n=60, m=2, p=2, s=1, k=1):
@@ -244,8 +244,16 @@ def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed,
     return G, c, diag, Penalty(lam, alpha), b0
 
 
+def cd_solve(G, c, penalty, b, tol, max_iter):
+    """The kernel on one equation, through ``solve``: ``(b, iterations,
+    converged, kkt)`` with b a list."""
+    rows, n_iter, ok, kkt = solve(Gram(G, c[None]), penalty, tol, max_iter,
+                                  start=b[None])
+    return rows[0].tolist(), n_iter[0], ok, kkt
+
+
 def _solve(G, c, penalty, b0, max_iter, tol=1e-7):
-    return _cd_solve(G, c, penalty, b0.copy(), tol, max_iter)[:3]
+    return cd_solve(G, c, penalty, b0.copy(), tol, max_iter)[:3]
 
 
 KERNEL_DOMAIN = dict(
@@ -300,7 +308,7 @@ def test_cd_kernel_never_raises_objective(max_iter, **case):
        **KERNEL_DOMAIN)
 def test_converged_kernel_solves_are_certified(max_iter, **case):
     G, c, diag, penalty, b0 = _kernel_case(**case)
-    got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, max_iter)
+    got, iters, ok, kkt = cd_solve(G, c, penalty, b0.copy(), 1e-7, max_iter)
     got = np.asarray(got)
     thr = penalty.lam * penalty.alpha / 2.0
     grad = c - G @ got - penalty.lam * (1.0 - penalty.alpha) * got
@@ -432,7 +440,7 @@ def test_zero_iterations_return_the_warm_start(alpha):
     G, c, _, penalty, b0 = _kernel_case(
         q=8, n_extra=20, alpha=alpha, lam_frac=0.3, warm="sparse",
         zero_col=False, asym=False, seed=11)
-    got, iters, ok, kkt = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
+    got, iters, ok, kkt = cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
     assert got == b0.tolist() and iters == 0 and not ok
     assert abs(kkt - _kkt(G, c, penalty, b0)) <= 1e-12 * max(1.0, kkt)
 
@@ -445,7 +453,7 @@ def test_zero_iterations_return_the_warm_start(alpha):
          asym=False, seed=4)
 def test_zero_iterations_return_the_start_to_the_bit(**case):
     G, c, _, penalty, b0 = _kernel_case(**case)
-    got, iters, ok, _ = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
+    got, iters, ok, _ = cd_solve(G, c, penalty, b0.copy(), 1e-7, 0)
     assert np.array(got).view(np.int64).tolist() == b0.view(np.int64).tolist()
     assert iters == 0 and not ok
 
@@ -454,8 +462,8 @@ def test_first_warm_iteration_is_the_face_step():
     # from b = (0, 5) the face is {1}: (G_11) x = c_1 - 0.1, so x = 0.4
     G = np.array([[1.0, 0.5], [0.5, 1.0]])
     c = np.array([1.0, 0.5])
-    got, iters, ok, _ = _cd_solve(G, c, Penalty(0.2, 1.0), np.array([0.0, 5.0]),
-                                  1e-7, 1)
+    got, iters, ok, _ = cd_solve(G, c, Penalty(0.2, 1.0), np.array([0.0, 5.0]),
+                                 1e-7, 1)
     assert got == [0.0, 0.4] and iters == 1 and not ok
     # on a random face, the one iteration is that face's step, bit for bit
     G, c, _, penalty, b0 = _kernel_case(
@@ -467,7 +475,7 @@ def test_first_warm_iteration_is_the_face_step():
     want = b0.tolist()
     assert _face_step(H, c.tolist(), thr, want, None, face,
                       [float(np.sign(b0[j])) for j in face], [])
-    got, iters, ok, _ = _cd_solve(G, c, penalty, b0.copy(), 1e-7, 1)
+    got, iters, ok, _ = cd_solve(G, c, penalty, b0.copy(), 1e-7, 1)
     assert got == want and iters == 1 and not ok
 
 
@@ -478,9 +486,9 @@ def test_first_warm_iteration_is_the_face_step():
 def test_resolving_from_a_solution_stays_there(q, n_extra, alpha, lam_frac, seed):
     G, c, _, penalty, b0 = _kernel_case(q, n_extra, alpha, lam_frac, "cold",
                                         False, False, seed)
-    first, _, ok, _ = _cd_solve(G, c, penalty, b0, 1e-7, 10000)
+    first, _, ok, _ = cd_solve(G, c, penalty, b0, 1e-7, 10000)
     assert ok
-    again, iters, ok, kkt = _cd_solve(G, c, penalty, np.array(first), 1e-7, 10000)
+    again, iters, ok, kkt = cd_solve(G, c, penalty, np.array(first), 1e-7, 10000)
     assert ok and iters <= 2
     assert kkt <= 1e-7 * max(1.0, G.diagonal().max())
     first, again = np.array(first), np.array(again)

@@ -25,8 +25,10 @@ dataset sets (``--set``):
   self-check; and a fixed set of command-line runs at k = 1 and k = 2
   (``simulate``; ``fit`` with fixed and with expanding refit, over the
   growing season and unstandardized; ``evaluate`` of the fixed, the
-  expanding and the unstandardized model; ``ablate``; ``select-order``), whose
-  exit codes and the sha256 of every artifact they write are recorded.
+  expanding and the unstandardized model; ``ablate``; ``select-order``) plus
+  two more ``simulate`` runs (k = 1 with iid drivers over two lags, and
+  k = 3 with AR(1) drivers), whose exit codes and the sha256 of every
+  artifact they write are recorded.
   They run in one temporary working directory with relative paths,
   because the artifacts record the paths.
 
@@ -201,6 +203,17 @@ _CLI_DATA = {
     1: ["--k", "1", "--phi", "0.6", "--beta", "0.8"],
     2: ["--k", "2", "--phi", "0.5,0.1,0.2,0.4", "--beta", "0.8,-0.5"],
 }
+#: simulate-only runs, so that each branch of simulate's recursion (k = 1
+#: and k >= 2, iid and AR(1) drivers) writes a hashed file
+_CLI_SIMULATE_ONLY = {
+    "k1-iid": ["--k", "1", "--m", "1", "--p", "2", "--s", "2",
+               "--phi", "0.5,0.2", "--beta", "0.8,-0.3", "--nu", "-0.5",
+               "--exog-mode", "iid"],
+    "k3-ar1": ["--k", "3", "--m", "2", "--p", "2", "--s", "2",
+               "--phi", "0.4,0.1,0,0,0.3,0.1,0.1,0,0.2,0.1,0,0,0,0.1,0,0,0,0.1",
+               "--beta", "0.5,0,0,-0.3,0.2,0.1,0.1,0,0,0,0,0.2",
+               "--nu", "1,-1,0", "--exog-mode", "ar1", "--exog-rho", "-0.4"],
+}
 #: (run name, command) run on each simulated set; ``{k}`` is its directory
 _CLI_RUNS = (
     ("fit-fixed", "fit"),
@@ -244,6 +257,10 @@ def _cli_runs():
                     argv = command.format(k=f"k{k}").split()
                     yield run(f"k{k}/{name}",
                               [*argv, *common, "--out", f"k{k}/{name}"])
+            for name, flags in _CLI_SIMULATE_ONLY.items():
+                yield run(f"{name}/simulate", [
+                    "simulate", "--out", f"{name}/simulate", "--n", "730",
+                    *flags, "--seed", "7"])
         finally:
             os.chdir(home)
 
