@@ -13,7 +13,6 @@ from .design import (
     LagSpec,
     ScalingInfo,
     build_design,
-    destandardize_coeffs,
     lookahead_violations,
     standardize,
 )
@@ -72,7 +71,6 @@ from .solver import (
     Penalty,
     fit,
     kkt_violation,
-    objective,
     predict_rows,
 )
 
@@ -90,9 +88,9 @@ __all__ = [
     "RegressionLine", "SEASONS", "ScalingInfo", "SplitPlan",
     "SynthSpec", "TimeSeriesFrame", "UnsupportedResolutionError",
     "ablation_run", "aggregate_monthly", "bic", "build_design",
-    "default_grid", "destandardize_coeffs", "drop_columns",
+    "default_grid", "drop_columns",
     "exit_code_for", "filter_season", "fit", "full_report", "kkt_violation",
-    "leakage_audit", "load_csv", "lookahead_violations", "objective",
+    "leakage_audit", "load_csv", "lookahead_violations",
     "predict_rows", "preprocess", "regression_line", "rolling_forecast",
     "run_pipeline", "select_lambda", "select_order",
     "simulate", "standardize", "write_csv",

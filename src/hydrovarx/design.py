@@ -4,6 +4,8 @@ Regressor columns are laid out lag-major: all target lags at lag 1, ...,
 all target lags at lag p, then all exogenous columns at lag 1, ..., lag s.
 Labels follow the same convention used in reported coefficient tables:
 ``Y1L1`` is target 1 at lag 1, ``Rainfall2`` is the Rainfall column at lag 2.
+A (k x q) coefficient matrix over these columns maps to per-lag blocks and
+back only through ``split_lags`` and ``stack_lags``.
 """
 
 from __future__ import annotations
@@ -110,6 +112,22 @@ def regressor_labels(target_names, exog_names, p: int, s: int) -> tuple[str, ...
               for i in range(len(target_names))]
     labels += [f"{name}{lag}" for lag in range(1, s + 1) for name in exog_names]
     return tuple(labels)
+
+
+def split_lags(coeffs: np.ndarray, p: int, s: int, m: int):
+    """Views of a (k x q) lag-major coefficient matrix as its per-lag blocks
+    ``phi`` (p, k, k) and ``beta`` (s, k, m), ``[l-1]`` of each at lag l."""
+    k = coeffs.shape[0]
+    phi = coeffs[:, :p * k].reshape(k, p, k).swapaxes(0, 1)
+    beta = coeffs[:, p * k:].reshape(k, s, m).swapaxes(0, 1)
+    return phi, beta
+
+
+def stack_lags(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The (k x q) lag-major coefficient matrix of ``split_lags``' blocks."""
+    k = phi.shape[1]
+    return np.hstack([phi.swapaxes(0, 1).reshape(k, -1),
+                      beta.swapaxes(0, 1).reshape(k, -1)])
 
 
 def _lag_indices(dates: np.ndarray, lag: int, resolution: str):
@@ -242,18 +260,6 @@ def standardize(design: DesignMatrix):
     return scaled, info
 
 
-def destandardize_coeffs(coeffs: np.ndarray, info: ScalingInfo, intercept=0.0):
-    """Map coefficients fit on the scaled system back to original units.
-
-    For a (k, q) matrix b of scaled coefficients and a (k,) scaled intercept a:
-    raw_b = b / sd_z and raw_intercept = mean_y + a - raw_b @ mean_z. The
-    fitted residuals are identical under both parameterizations.
-    """
-    raw = np.asarray(coeffs, dtype=float) / info.z_sd
-    raw_int = info.y_mean + np.asarray(intercept, dtype=float) - raw @ info.z_mean
-    return raw, raw_int
-
-
 def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
     """Recompute every regressor cell from the frame and count violations.
 
@@ -264,7 +270,8 @@ def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
 
     Source rows are located independently of ``build_design``: by exact date
     lookup in the frame (calendar mode) or by position minus lag (positional
-    mode), one whole-column pass per (lag, block).
+    mode), one whole-column pass per (lag, block), at column offsets of its
+    own, not ``split_lags``'.
     """
     dates = design.row_dates
 

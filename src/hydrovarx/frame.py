@@ -64,6 +64,22 @@ def freeze(record, **arrays) -> None:
         object.__setattr__(record, name, arr)
 
 
+def iso_day(token: str):
+    """The day ``token`` names if it is written ``YYYY-MM-DD`` and names a
+    calendar day, else None. numpy also reads 2016, 2016-01, 20160101 (a
+    year) and +2016-01-01T12:30, and warns on a zone such as ...T00:00Z;
+    only YYYY-MM-DD is 10 characters with a - 5th and 8th and prints back
+    as itself."""
+    if len(token) == 10 and token[4] == token[7] == "-":
+        try:
+            date = np.datetime64(token, "D")
+        except ValueError:
+            return None
+        if str(date) == token:
+            return date
+    return None
+
+
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in MISSING_TOKENS
 
@@ -302,17 +318,8 @@ def load_csv(path, targets, date_column: str = "Date",
                     raise InputError(f"{path}: line {lineno}: column "
                                      f"{date_column!r}: date {token!r} names "
                                      "no calendar day")
-                # numpy also reads 2016, 2016-01, 20160101 (a year) and
-                # +2016-01-01T12:30, and warns on a zone such as ...T00:00Z;
-                # only YYYY-MM-DD is 10 characters with a - 5th and 8th and
-                # prints back as itself
-                date = None
-                if len(token) == 10 and token[4] == token[7] == "-":
-                    try:
-                        date = np.datetime64(token, "D")
-                    except ValueError:
-                        pass
-                if date is None or str(date) != token:
+                date = iso_day(token)
+                if date is None:
                     raise InputError(f"{path}: line {lineno}: column "
                                      f"{date_column!r}: bad date {token!r}")
                 cells = [raw[i].strip() for i in used_idx]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _is_int, regressor_labels
+from .design import _is_int, regressor_labels, stack_lags
 from .errors import ContractError
-from .frame import Column, TimeSeriesFrame
+from .frame import Column, TimeSeriesFrame, iso_day
 
 BURN_IN_DEFAULT = 500
 
@@ -30,8 +30,7 @@ def companion_spectral_radius(phi: np.ndarray) -> float:
     if p == 0:
         return 0.0
     comp = np.zeros((k * p, k * p))
-    for lag in range(p):
-        comp[:k, lag * k:(lag + 1) * k] = phi[lag]
+    comp[:k] = stack_lags(phi, np.zeros((0, k, 0)))
     if p > 1:
         comp[k:, :-k] = np.eye(k * (p - 1))
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
@@ -113,6 +112,19 @@ class SynthSpec:
             if init.shape != (self.p, k):
                 raise ContractError(f"init_y must have shape ({self.p}, {k})")
             object.__setattr__(self, "init_y", init)
+
+        # the first and the last day must each be written YYYY-MM-DD, as
+        # load_csv reads a date back
+        first = iso_day(self.start_date) if isinstance(self.start_date, str) else None
+        try:
+            last = None if first is None else iso_day(str(first + (self.n - 1)))
+        except OverflowError:  # n - 1 does not fit an int64
+            last = None
+        if last is None:
+            raise ContractError(
+                f"start_date {self.start_date!r} and the last of its n = "
+                f"{self.n} days must each be a day written YYYY-MM-DD")
+        self.names()
 
     @property
     def p(self) -> int:
@@ -232,8 +244,7 @@ def simulate(spec: SynthSpec) -> tuple[TimeSeriesFrame, GroundTruth]:
         + tuple(Column(nm, "exog") for nm in exog_names)
     frame = TimeSeriesFrame(dates=dates, targets=y, exog=x, columns=columns)
 
-    blocks = [spec.phi[lag] for lag in range(p)] + [beta[lag] for lag in range(s)]
-    B = np.hstack(blocks) if blocks else np.empty((k, 0))
+    B = stack_lags(spec.phi, beta)
     labels = regressor_labels(target_names, exog_names, p, s)
     support = tuple(lbl for j, lbl in enumerate(labels) if np.any(B[:, j] != 0.0))
     truth = GroundTruth(phi=spec.phi.copy(), beta=np.asarray(beta).copy(),

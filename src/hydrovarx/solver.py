@@ -95,7 +95,8 @@ from .design import (
     _is_int,
     _scaling,
     _sds,
-    destandardize_coeffs,
+    split_lags,
+    stack_lags,
 )
 from .errors import (
     CompatibilityError,
@@ -149,12 +150,28 @@ class Penalty:
             raise ContractError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
+def _json_int(name, value):
+    """``value``, a model document's field ``name``, if it is an integer
+    >= 0 and not a bool; else ValueError naming the field."""
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _json_bool(name, value):
+    """``value``, a model document's field ``name``, if it is a bool; else
+    ValueError naming the field."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted sparse VARX model in original units.
 
     ``coeffs`` is the (k x q) coefficient matrix over the design's lag-major
-    regressor columns; ``phi`` and ``beta`` expose it as per-lag matrices.
+    regressor columns; ``phi`` and ``beta`` are read-only per-lag views of it.
     ``scaled_coeffs``/``scaled_intercept`` are the same solution on the
     standardized scale the solver actually minimized on (identical to the raw
     values when standardization was disabled). ``n_iter`` counts the solver's
@@ -198,18 +215,12 @@ class FittedModel:
     @property
     def phi(self) -> np.ndarray:
         """Autoregressive matrices, shape (p, k, k): phi[l-1] applies to lag l."""
-        k = self.k
-        return np.stack([self.coeffs[:, i * k:(i + 1) * k] for i in range(self.p)]) \
-            if self.p else np.empty((0, k, k))
+        return split_lags(self.coeffs, self.p, self.s, self.m)[0]
 
     @property
     def beta(self) -> np.ndarray:
         """Exogenous matrices, shape (s, k, m): beta[j-1] applies to lag j."""
-        k, m = self.k, self.m
-        off = self.p * k
-        return np.stack([self.coeffs[:, off + j * m: off + (j + 1) * m]
-                         for j in range(self.s)]) \
-            if self.s and m else np.empty((self.s, k, m))
+        return split_lags(self.coeffs, self.p, self.s, self.m)[1]
 
     # -- serialization ---------------------------------------------------------
 
@@ -246,15 +257,16 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
+        """The model of a ``to_dict`` document. ``p``, ``s``, ``n_rows`` and
+        each ``n_iter`` must be integers >= 0, and ``converged`` and
+        ``scaling.enabled`` bools; a field of another type raises ValueError
+        naming it."""
         if d.get("version") != 1:
             raise CompatibilityError(f"unsupported model version {d.get('version')!r}")
-        p, s = int(d["p"]), int(d["s"])
-        k = len(d["nu"])
-        phi = np.asarray(d["phi"], dtype=float).reshape(p, k, k)
-        m = len(d["exog_names"])
-        beta = np.asarray(d["beta"], dtype=float).reshape(s, k, m)
-        blocks = [phi[i] for i in range(p)] + [beta[j] for j in range(s)]
-        coeffs = np.hstack(blocks) if blocks else np.empty((k, 0))
+        p, s = _json_int("p", d["p"]), _json_int("s", d["s"])
+        k, m = len(d["nu"]), len(d["exog_names"])
+        coeffs = stack_lags(np.asarray(d["phi"], dtype=float).reshape(p, k, k),
+                            np.asarray(d["beta"], dtype=float).reshape(s, k, m))
         sc = d["scaling"]
         # documents written before stat_rows was dropped carry [0, n_rows]
         if sc.get("stat_rows") not in (None, [0, d["n_rows"]]):
@@ -265,7 +277,7 @@ class FittedModel:
             z_sd=np.asarray(sc["z_sd"], dtype=float),
             y_mean=np.asarray(sc["y_mean"], dtype=float),
             constant=np.asarray(sc["constant"], dtype=bool),
-            enabled=bool(sc["enabled"]),
+            enabled=_json_bool("scaling.enabled", sc["enabled"]),
         )
         return cls(
             nu=np.asarray(d["nu"], dtype=float),
@@ -278,9 +290,9 @@ class FittedModel:
             target_names=tuple(d["target_names"]),
             exog_names=tuple(d["exog_names"]),
             p=p, s=s, lag_mode=str(d.get("lag_mode", "calendar")),
-            scaling=scaling, n_rows=int(d["n_rows"]),
-            converged=bool(d["converged"]),
-            n_iter=tuple(int(v) for v in d.get("n_iter", ())),
+            scaling=scaling, n_rows=_json_int("n_rows", d["n_rows"]),
+            converged=_json_bool("converged", d["converged"]),
+            n_iter=tuple(_json_int("n_iter", v) for v in d.get("n_iter", ())),
         )
 
 
@@ -514,7 +526,9 @@ def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,
     else:
         info, scaled_a = _scaling(mean, q, *scales), np.zeros(k)
 
-    raw_b, raw_nu = destandardize_coeffs(scaled_b, info, intercept=scaled_a)
+    # original units; the fitted values are the same under both
+    raw_b = scaled_b / info.z_sd
+    raw_nu = info.y_mean + scaled_a - raw_b @ info.z_mean
     raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
     nonzero = (raw_b != 0.0).any(axis=0)
     support = tuple(lbl for lbl, nz in zip(design.col_labels, nonzero) if nz)
@@ -551,16 +565,6 @@ def kkt_violation(model: FittedModel, design: DesignMatrix) -> float:
     viol = np.where(b != 0.0, np.abs(grad - thr * np.sign(b)),
                     np.maximum(np.abs(grad) - thr, 0.0))
     return float(viol.max()) if viol.size else 0.0
-
-
-def objective(design: DesignMatrix, model: FittedModel, penalty: Penalty) -> float:
-    """Penalized RSS of ``model``'s original-unit coefficients on ``design``."""
-    pred = predict_rows(model, design)
-    resid = design.Y - pred
-    b = model.coeffs.ravel()
-    lam, alpha = penalty.lam, penalty.alpha
-    return float(np.sum(resid * resid)) \
-        + float(lam * (alpha * np.abs(b).sum() + (1.0 - alpha) * (b @ b)))
 
 
 def predict_rows(model: FittedModel, design: DesignMatrix) -> np.ndarray:

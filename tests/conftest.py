@@ -49,6 +49,17 @@ def reference_prepare(design, standardize=True):
     return Gram(Zc.T @ Zc, (Y - Y.mean(axis=0)).T @ Zc), mean, scales
 
 
+def reference_objective(design, model, penalty):
+    """Penalized RSS of ``model``'s original-unit coefficients and intercept
+    on ``design``: the objective, as the solver's module docstring states
+    it, of an unstandardized fit."""
+    resid = design.Y - (model.nu + design.Z @ model.coeffs.T)
+    b = model.coeffs.ravel()
+    lam, alpha = penalty.lam, penalty.alpha
+    return float(np.sum(resid * resid)) \
+        + float(lam * (alpha * np.abs(b).sum() + (1.0 - alpha) * (b @ b)))
+
+
 def close(got, want, scale=0.0):
     """Equal to 1e-12 * max(1, |want|, scale), entry by entry."""
     got, want = np.asarray(got), np.asarray(want)

@@ -184,6 +184,26 @@ def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
     assert not eval_dir.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("p", 2.0),
+    ("scaling.enabled", "false")])
+def test_evaluate_refuses_a_model_field_of_the_wrong_type(synth_csv, tmp_path,
+                                                          capsys, field, value):
+    # each used to evaluate (exit 0): 198.7 rows as 198, "no" as converged, ...
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    path = fit_dir / "model.json"
+    doc = json.loads(path.read_text())
+    parent, _, key = field.rpartition(".")
+    (doc["model"][parent] if parent else doc["model"])[key] = value
+    path.write_text(json.dumps(doc))
+    assert _evaluate(path, synth_csv, tmp_path / "eval") == 3
+    err = capsys.readouterr().err
+    assert f"hydrovarx evaluate: setup: {path}: malformed model document: " \
+        f"{field} must be" in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_ablate_audits_the_reduced_run(synth_csv, tmp_path, capsys, monkeypatch):
     real = hydrovarx.cli.ablation_run
 
@@ -806,6 +826,7 @@ def test_simulate_without_autoregressive_lags(tmp_path):
     (["--seed", "-1"], "seed must be >= 0"),
     (["--phi", "nan"], "phi must be finite"),
     (["--noise-sd", "inf"], "noise_sd must be finite"),
+    (["--n", "3000000"], "start_date '2000-01-01' and the last of its n = 3000000"),
 ])
 def test_simulate_refuses_bad_settings_before_drawing(flags, message, tmp_path,
                                                      capsys):

@@ -9,9 +9,10 @@ from conftest import daily_dates, make_frame
 from hydrovarx import (
     DesignMatrix,
     LagSpec,
+    Penalty,
     aggregate_monthly,
     build_design,
-    destandardize_coeffs,
+    fit,
     lookahead_violations,
     standardize,
 )
@@ -181,14 +182,21 @@ def test_destandardize_round_trip():
     rng = np.random.default_rng(3)
     frame = make_frame(rng.normal(size=30) * 4 - 50, rng.normal(size=(30, 2)))
     design = build_design(frame, LagSpec(p=2, s=1))
-    scaled, info = standardize(design)
-    b_scaled = rng.normal(size=(1, design.q))
-    raw, raw_int = destandardize_coeffs(b_scaled, info, intercept=np.zeros(1))
-    assert raw.shape == (1, design.q) and raw_int.shape == (1,)
-    # identical fitted values through either parameterization
-    fit_scaled = scaled.Z @ b_scaled.T + info.y_mean
-    fit_raw = design.Z @ raw.T + raw_int
-    np.testing.assert_allclose(fit_raw, fit_scaled, atol=1e-10)
+    for standardize_design in (True, False):
+        model = fit(design, Penalty(1.0, 0.5), standardize_design=standardize_design)
+        info = model.scaling
+        assert model.coeffs.shape == (1, design.q) and model.nu.shape == (1,)
+        # raw_b = b / sd_z and raw_nu = mean_y + a - raw_b @ mean_z, to the bit
+        raw = model.scaled_coeffs / info.z_sd
+        np.testing.assert_array_equal(model.coeffs, raw)
+        np.testing.assert_array_equal(
+            model.nu, info.y_mean + model.scaled_intercept - raw @ info.z_mean)
+        # identical fitted values through either parameterization
+        scaled_Z = (design.Z - info.z_mean) / info.z_sd
+        fit_scaled = scaled_Z @ model.scaled_coeffs.T + model.scaled_intercept \
+            + info.y_mean
+        fit_raw = design.Z @ model.coeffs.T + model.nu
+        np.testing.assert_allclose(fit_raw, fit_scaled, atol=1e-10)
 
 
 def test_duplicate_labels_rejected():

@@ -55,6 +55,11 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     assert fixed["audit"] == {"lookahead": 0, "forecast_dates": 0,
                               "split_overlap": 0, "scaling": 0}
     assert fixed["lambda_path"]["solves"] == 4
+    # the lag blocks model.json stores, in the coefficients' lag-major order
+    # (k = m = 1, p = 2, s = 1)
+    phi, beta = fixed["model"]["phi"], fixed["model"]["beta"]
+    assert [len(phi), len(beta)] == [2, 1]
+    assert phi[0][0] + phi[1][0] + beta[0][0] == fixed["model"]["coeffs"][0]
     for contract in equivalence.CONTRACTS:
         assert equivalence.main(["compare", str(tiny), str(tiny),
                                  "--contract", contract]) == 0

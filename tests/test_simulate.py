@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import reference_series
-from hydrovarx import SynthSpec, simulate
+from hydrovarx import SynthSpec, load_csv, simulate, write_csv
 from hydrovarx.errors import ContractError
 from hydrovarx.simulate import companion_spectral_radius
 
@@ -282,3 +282,30 @@ def test_non_finite_parameters_are_refused(field, value):
     base = dict(n=20, phi=np.array([0.5]), beta=np.array([[[0.3]]]))
     with pytest.raises(ContractError, match=f"{field} must be finite"):
         SynthSpec(**{**base, field: value})
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"start_date": "2001-02-30"}, "start_date"),   # names no day
+    ({"start_date": "20010101"}, "start_date"),     # numpy reads a year
+    ({"start_date": "2001-01-01 "}, "start_date"),
+    ({"start_date": np.datetime64("2001-01-01")}, "start_date"),
+    ({"start_date": "9999-12-30"}, "start_date"),   # runs into the year 10000
+    ({"n": 10 ** 30}, "start_date"),                # past any int64 day
+    ({"target_names": ("A", "B")}, "name tuples"),
+    ({"exog_names": ("a",)}, "name tuples"),
+], ids=["no-such-day", "numpy-year", "trailing-space", "not-a-string",
+        "year-10000", "n-past-int64", "target-names", "exog-names"])
+def test_spec_refuses_days_and_names_it_cannot_write(settings, message):
+    # each of these used to construct, then fail after the whole recursion
+    # or write a file load_csv rejects
+    with pytest.raises(ContractError, match=message):
+        SynthSpec(**{"n": 5, "phi": np.array([0.5]), **settings})
+
+
+def test_series_may_end_on_the_last_day_load_csv_reads(tmp_path):
+    frame, _ = simulate(SynthSpec(n=5, phi=np.array([0.5]),
+                                  start_date="9999-12-27"))
+    write_csv(frame, tmp_path / "s.csv")
+    back = load_csv(tmp_path / "s.csv", ["Y1"])
+    assert str(back.dates[-1]) == "9999-12-31"
+    np.testing.assert_array_equal(back.targets, frame.targets)

@@ -12,6 +12,7 @@ from conftest import (
     close,
     make_frame,
     moment_design,
+    reference_objective,
     reference_prepare,
 )
 import hydrovarx.solver
@@ -23,10 +24,10 @@ from hydrovarx import (
     build_design,
     fit,
     kkt_violation,
-    objective,
     predict_rows,
     standardize,
 )
+from hydrovarx.design import split_lags, stack_lags
 from hydrovarx.errors import CompatibilityError, ContractError, DegenerateFitError
 from hydrovarx.solver import Gram, _face_step, _finish, prepare, solve
 
@@ -127,17 +128,17 @@ def test_objective_is_minimal_at_solution():
     design = _random_design(8, n=80)
     penalty = Penalty(12.0, 0.5)
     model = fit(design, penalty, standardize_design=False)
-    best = objective(design, model, penalty)
+    best = reference_objective(design, model, penalty)
     eps = 1e-3
     for j in range(design.q):
         for sign in (1.0, -1.0):
             coeffs = model.coeffs.copy()
             coeffs[0, j] += sign * eps
             moved = replace(model, coeffs=coeffs)
-            assert best <= objective(design, moved, penalty), (j, sign)
+            assert best <= reference_objective(design, moved, penalty), (j, sign)
     for sign in (1.0, -1.0):
         moved = replace(model, nu=model.nu + sign * eps)
-        assert best <= objective(design, moved, penalty), sign
+        assert best <= reference_objective(design, moved, penalty), sign
 
 
 def reference_cd_solve(G, c, diag, penalty, b, tol, max_iter):
@@ -680,11 +681,17 @@ def test_standardized_and_raw_fits_predict_alike():
                                predict_rows(std, design), atol=1e-7)
 
 
-def test_model_round_trips_through_dict():
-    design = _random_design(21)
+#: (k, p, s, m) shapes: the ones with an empty block are s = 0 and m = 0
+LAG_SHAPES = [(1, 2, 1, 2), (2, 2, 1, 3), (2, 3, 0, 2), (2, 1, 2, 0), (1, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("k,p,s,m", LAG_SHAPES)
+def test_model_round_trips_through_dict(k, p, s, m):
+    design = _random_design(21, k=k, m=m, p=p, s=s)
     model = fit(design, Penalty(4.0, 0.5))
     back = FittedModel.from_dict(model.to_dict())
-    np.testing.assert_array_equal(back.coeffs, model.coeffs)
+    assert back.coeffs.shape == (k, p * k + s * m)
+    assert back.coeffs.tobytes() == model.coeffs.tobytes()
     np.testing.assert_array_equal(back.nu, model.nu)
     assert back.support == model.support
     assert back.col_labels == model.col_labels
@@ -697,6 +704,19 @@ def test_model_round_trips_through_dict():
     assert "stat_rows" not in doc["scaling"]
     doc["scaling"]["stat_rows"] = [0, model.n_rows]
     assert FittedModel.from_dict(doc).n_rows == model.n_rows
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("converged", 1),
+    ("p", 2.0), ("p", -1), ("s", False), ("n_iter", [2.5]),
+    ("scaling.enabled", "false")])
+def test_model_document_field_of_the_wrong_type_is_refused(field, value):
+    # each of these used to load: 198.7 as 198 rows, "no" as converged, ...
+    doc = fit(_random_design(25), Penalty(4.0, 0.5)).to_dict()
+    parent, _, key = field.rpartition(".")
+    (doc[parent] if parent else doc)[key] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FittedModel.from_dict(doc)
 
 
 def test_model_round_trips_n_iter_of_every_equation():
@@ -750,11 +770,25 @@ def test_fit_refuses_a_stopping_rule_before_solving(monkeypatch, tol, max_iter):
         fit(design, Penalty(1.0, 0.5), tol=tol, max_iter=max_iter)
 
 
-def test_phi_beta_views():
-    design = _random_design(23, k=2, m=3, p=2, s=1)
+@pytest.mark.parametrize("k,p,s,m", LAG_SHAPES)
+def test_phi_beta_views(k, p, s, m):
+    design = _random_design(23, k=k, m=m, p=p, s=s)
     model = fit(design, Penalty(1.0, 0.5))
-    assert model.phi.shape == (2, 2, 2)
-    assert model.beta.shape == (1, 2, 3)
-    # phi[lag][i][j] multiplies target j at that lag in equation i
-    np.testing.assert_array_equal(model.phi[0], model.coeffs[:, :2])
-    np.testing.assert_array_equal(model.beta[0], model.coeffs[:, 4:7])
+    phi, beta = model.phi, model.beta
+    assert phi.shape == (p, k, k) and beta.shape == (s, k, m)
+    # phi[lag - 1][i, j] multiplies target j at that lag in equation i, and
+    # beta[lag - 1][i, j] exogenous column j, as the labels name them
+    column = {label: j for j, label in enumerate(model.col_labels)}
+    for lag in range(1, p + 1):
+        for j in range(k):
+            np.testing.assert_array_equal(
+                phi[lag - 1][:, j], model.coeffs[:, column[f"Y{j + 1}L{lag}"]])
+    for lag in range(1, s + 1):
+        for j, name in enumerate(model.exog_names):
+            np.testing.assert_array_equal(
+                beta[lag - 1][:, j], model.coeffs[:, column[f"{name}{lag}"]])
+    # read-only views of the frozen coeffs, which stack back bit for bit
+    assert not phi.flags.writeable and not beta.flags.writeable
+    back = stack_lags(*split_lags(model.coeffs, p, s, m))
+    assert back.shape == model.coeffs.shape
+    assert back.tobytes() == model.coeffs.tobytes()

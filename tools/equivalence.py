@@ -10,11 +10,12 @@ Run from the repository root:
 ``src``) and runs it on fixed datasets. Per dataset it records the lambda
 path (grid, MSFE, chosen index and the solver's counters), the final
 model (lambda, support, ``n_iter``, ``converged``, raw and scaled
-coefficients and intercepts, sigma2), the test forecasts and their se,
-per target every metric of ``METRIC_ORDER`` and its flag, the regression
-line's slope and intercept, the leakage-audit counts, and for an order
-scan its candidates, BICs, lambdas, chosen (p, s) and counters. The
-dataset sets (``--set``):
+coefficients and intercepts, the raw coefficients again as the per-lag
+blocks ``phi`` and ``beta`` that ``model.json`` stores, sigma2), the test
+forecasts and their se, per target every metric of ``METRIC_ORDER`` and
+its flag, the regression line's slope and intercept, the leakage-audit
+counts, and for an order scan its candidates, BICs, lambdas, chosen (p, s)
+and counters. The dataset sets (``--set``):
 
 - ``perfbench``: every dataset of the pools of ``perfbench/workloads.py``
   for ``--seeds``, each run as the workload's op runs it (the CLI fit of
@@ -100,6 +101,7 @@ def _report_digest(report, frame) -> dict:
         "model": {"lambda": model.lam, "support": list(model.support),
                   "n_iter": list(model.n_iter), "converged": model.converged,
                   "coeffs": model.coeffs.tolist(), "nu": model.nu.tolist(),
+                  "phi": model.phi.tolist(), "beta": model.beta.tolist(),
                   "scaled_coeffs": model.scaled_coeffs.tolist(),
                   "scaled_intercept": model.scaled_intercept.tolist(),
                   "sigma2": model.sigma2},
