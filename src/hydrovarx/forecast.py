@@ -75,8 +75,8 @@ def rolling_forecast(model: FittedModel, design: DesignMatrix, split: SplitPlan,
     one-step errors over the validation rows, per target.
     """
     _check_split(design, split)
-    if not (math.isfinite(multiplier) and multiplier > 0):
-        raise ContractError("band multiplier must be finite and positive")
+    if isinstance(multiplier, bool) or not (math.isfinite(multiplier) and multiplier > 0):
+        raise ContractError("band multiplier must be a finite number > 0")
     if split.T2 >= design.n_eff:
         raise InsufficientDataError("test segment is empty")
     val = design.take(split.validate)

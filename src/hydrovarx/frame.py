@@ -229,7 +229,8 @@ def load_csv(path, targets, date_column: str = "Date",
     Parameters
     ----------
     path : str or Path
-        CSV file with a header row.
+        UTF-8 CSV file with a header row; a leading byte-order mark, as
+        Excel's "CSV UTF-8" writes, is skipped.
     targets : sequence of str
         Names of the modeled variables, in the order they should appear.
     date_column : str
@@ -252,7 +253,7 @@ def load_csv(path, targets, date_column: str = "Date",
     reads the file.
     """
     targets = list(targets)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -357,7 +358,8 @@ def load_csv(path, targets, date_column: str = "Date",
 
 
 def write_csv(frame: TimeSeriesFrame, path) -> None:
-    """Write a frame back out in the same CSV convention ``load_csv`` reads.
+    """Write a frame back out in the same CSV convention ``load_csv`` reads,
+    in UTF-8 without a byte-order mark, whatever the locale.
 
     Floats use shortest round-trip formatting, so load_csv(write_csv(f))
     reproduces the values exactly. Monthly frames serialize their
@@ -371,7 +373,7 @@ def write_csv(frame: TimeSeriesFrame, path) -> None:
     objects alive at once stay few.
     """
     values = np.hstack([frame.targets, frame.exog])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["Date", *frame.target_names, *frame.exog_names])
         for rows in (slice(lo, lo + 256) for lo in range(0, frame.n, 256)):
             dates = frame.dates[rows].astype(str).tolist()

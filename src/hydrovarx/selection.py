@@ -133,8 +133,9 @@ class ModelSpec:
             raise ContractError(f"unknown refit policy {self.refit!r}")
         if not (_is_int(self.refit_every) and self.refit_every >= 1):
             raise ContractError("refit_every must be an int >= 1")
-        if not (math.isfinite(self.ci_multiplier) and self.ci_multiplier > 0):
-            raise ContractError("ci_multiplier must be finite and positive")
+        if isinstance(self.ci_multiplier, bool) or not (
+                math.isfinite(self.ci_multiplier) and self.ci_multiplier > 0):
+            raise ContractError("ci_multiplier must be a finite number > 0")
         check_stopping(self.tol, self.max_iter)
         if self.grid is not None:
             grid = tuple(float(v) for v in check_grid(self.grid))

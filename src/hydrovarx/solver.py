@@ -138,32 +138,31 @@ dposv = _flapack_dposv(scipy.__path__[0])
 
 @dataclass(frozen=True)
 class Penalty:
-    """Elastic-net penalty: lam scales it, alpha mixes L1 vs squared L2."""
+    """Elastic-net penalty: lam scales it, alpha mixes L1 vs squared L2.
+    Neither may be a bool."""
 
     lam: float
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ContractError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ContractError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if isinstance(self.lam, bool) or not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ContractError(f"lambda must be a finite number >= 0, got {self.lam}")
+        if isinstance(self.alpha, bool) or not (0.0 <= self.alpha <= 1.0):
+            raise ContractError(f"alpha must be a number in [0, 1], got {self.alpha}")
 
 
-def _json_int(name, value):
-    """``value``, a model document's field ``name``, if it is an integer
-    >= 0 and not a bool; else ValueError naming the field."""
-    if not (_is_int(value) and value >= 0):
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    return value
-
-
-def _json_bool(name, value):
-    """``value``, a model document's field ``name``, if it is a bool; else
-    ValueError naming the field."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
+def _check_written(name, doc, written):
+    """Raise ValueError naming the field ``name`` unless ``doc`` is ``written``
+    in value and JSON type at every key both have; an int may stand for a float."""
+    if isinstance(written, dict) and isinstance(doc, dict):
+        for key in filter(doc.__contains__, written):
+            _check_written(f"{name}.{key}" if name else key, doc[key], written[key])
+    elif isinstance(written, list) and isinstance(doc, list) and len(doc) == len(written):
+        for one, other in zip(doc, written):
+            _check_written(name, one, other)
+    elif doc != written or (type(doc) is not type(written)
+                            and (type(doc), type(written)) != (int, float)):
+        raise ValueError(f"{name} must be {written!r}, got {doc!r}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ class FittedModel:
     iterations per target equation, each a gradient pass and at most one face
     step, or a warm start's opening face step (stored in ``model.json``);
     ``converged`` says whether every equation was certified optimal within
-    ``max_iter`` iterations.
+    ``max_iter`` iterations. ``support`` is read off ``coeffs``.
     """
 
     nu: np.ndarray
@@ -188,7 +187,6 @@ class FittedModel:
     lam: float
     alpha: float
     sigma2: float
-    support: tuple[str, ...]
     col_labels: tuple[str, ...]
     target_names: tuple[str, ...]
     exog_names: tuple[str, ...]
@@ -221,6 +219,12 @@ class FittedModel:
     def beta(self) -> np.ndarray:
         """Exogenous matrices, shape (s, k, m): beta[j-1] applies to lag j."""
         return split_lags(self.coeffs, self.p, self.s, self.m)[1]
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        """The ``col_labels`` of the columns with a nonzero coefficient."""
+        nonzero = (self.coeffs != 0.0).any(axis=0)
+        return tuple(lbl for lbl, nz in zip(self.col_labels, nonzero) if nz)
 
     # -- serialization ---------------------------------------------------------
 
@@ -257,13 +261,12 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
-        """The model of a ``to_dict`` document. ``p``, ``s``, ``n_rows`` and
-        each ``n_iter`` must be integers >= 0, and ``converged`` and
-        ``scaling.enabled`` bools; a field of another type raises ValueError
-        naming it."""
+        """The model of a ``to_dict`` document, which must be what that model
+        writes (``_check_written``) with ``n_rows`` and ``n_iter`` >= 0, or
+        ValueError names the field."""
         if d.get("version") != 1:
             raise CompatibilityError(f"unsupported model version {d.get('version')!r}")
-        p, s = _json_int("p", d["p"]), _json_int("s", d["s"])
+        p, s = len(d["phi"]), len(d["beta"])
         k, m = len(d["nu"]), len(d["exog_names"])
         coeffs = stack_lags(np.asarray(d["phi"], dtype=float).reshape(p, k, k),
                             np.asarray(d["beta"], dtype=float).reshape(s, k, m))
@@ -272,28 +275,33 @@ class FittedModel:
         if sc.get("stat_rows") not in (None, [0, d["n_rows"]]):
             raise ValueError(f"scaling.stat_rows {sc['stat_rows']!r} is not "
                              f"[0, n_rows] = [0, {d['n_rows']!r}]")
+        n_iter = d.get("n_iter", [])
+        for name, count in [("n_rows", d["n_rows"])] + [("n_iter", v) for v in n_iter]:
+            if not 0 <= count < math.inf:  # -1 is written back as -1; int(inf) overflows
+                raise ValueError(f"{name} must be >= 0, got {count!r}")
         scaling = ScalingInfo(
             z_mean=np.asarray(sc["z_mean"], dtype=float),
             z_sd=np.asarray(sc["z_sd"], dtype=float),
             y_mean=np.asarray(sc["y_mean"], dtype=float),
             constant=np.asarray(sc["constant"], dtype=bool),
-            enabled=_json_bool("scaling.enabled", sc["enabled"]),
+            enabled=bool(sc["enabled"]),
         )
-        return cls(
+        model = cls(
             nu=np.asarray(d["nu"], dtype=float),
             coeffs=coeffs,
             scaled_intercept=np.asarray(d["scaled_intercept"], dtype=float),
             scaled_coeffs=np.asarray(d["scaled_coeffs"], dtype=float),
             lam=float(d["lambda"]), alpha=float(d["alpha"]),
-            sigma2=float(d["sigma2"]), support=tuple(d["support"]),
-            col_labels=tuple(d["col_labels"]),
-            target_names=tuple(d["target_names"]),
-            exog_names=tuple(d["exog_names"]),
+            sigma2=float(d["sigma2"]),
+            col_labels=tuple(map(str, d["col_labels"])),
+            target_names=tuple(map(str, d["target_names"])),
+            exog_names=tuple(map(str, d["exog_names"])),
             p=p, s=s, lag_mode=str(d.get("lag_mode", "calendar")),
-            scaling=scaling, n_rows=_json_int("n_rows", d["n_rows"]),
-            converged=_json_bool("converged", d["converged"]),
-            n_iter=tuple(_json_int("n_iter", v) for v in d.get("n_iter", ())),
+            scaling=scaling, n_rows=int(d["n_rows"]),
+            converged=bool(d["converged"]), n_iter=tuple(map(int, n_iter)),
         )
+        _check_written("", d, model.to_dict())
+        return model
 
 
 class Gram(NamedTuple):
@@ -331,10 +339,11 @@ def prepare(design: DesignMatrix, *, standardize_design: bool = True):
 
 
 def check_stopping(tol, max_iter) -> None:
-    """Refuse a ``tol`` that is not finite and >= 0 (a negative bound is never
-    met) or a ``max_iter`` that is not an int >= 0 (it is never reached)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractError(f"tol must be finite and >= 0, got {tol}")
+    """Refuse a ``tol`` that is a bool or not finite and >= 0 (a negative
+    bound is never met) or a ``max_iter`` that is not an int >= 0 (it is
+    never reached)."""
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0):
+        raise ContractError(f"tol must be a finite number >= 0, got {tol}")
     if not (_is_int(max_iter) and max_iter >= 0):
         raise ContractError(f"max_iter must be an int >= 0, got {max_iter!r}")
 
@@ -517,8 +526,8 @@ def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,
             scaled_b, n_iter, converged) -> FittedModel:
     """The model of a ``solve`` result on the problem of ``design`` with
     means ``mean`` and ``scales`` (``prepare``'s): its scaling, intercept
-    (zero on standardized columns, which have mean zero), original units,
-    support and sigma2."""
+    (zero on standardized columns, which have mean zero), original units
+    and sigma2."""
     n, q, k = design.n_eff, design.q, design.k
     if scales is None:
         info = ScalingInfo.identity(q, k)
@@ -530,17 +539,15 @@ def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,
     raw_b = scaled_b / info.z_sd
     raw_nu = info.y_mean + scaled_a - raw_b @ info.z_mean
     raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
-    nonzero = (raw_b != 0.0).any(axis=0)
-    support = tuple(lbl for lbl, nz in zip(design.col_labels, nonzero) if nz)
 
     resid = design.Y - (raw_nu + design.Z @ raw_b.T)
     rss = float((resid * resid).sum())
-    dof = max(1, n - len(support) - k)
+    dof = max(1, n - int((raw_b != 0.0).any(axis=0).sum()) - k)
     sigma2 = rss / dof
 
     return FittedModel(
         nu=raw_nu, coeffs=raw_b, scaled_intercept=scaled_a, scaled_coeffs=scaled_b,
-        lam=penalty.lam, alpha=penalty.alpha, sigma2=sigma2, support=support,
+        lam=penalty.lam, alpha=penalty.alpha, sigma2=sigma2,
         col_labels=design.col_labels, target_names=design.target_names,
         exog_names=design.exog_names, p=design.p, s=design.s,
         lag_mode=design.mode, scaling=info, n_rows=n,

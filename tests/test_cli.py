@@ -186,16 +186,18 @@ def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
 
 @pytest.mark.parametrize("field, value", [
     ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("p", 2.0),
-    ("scaling.enabled", "false")])
+    ("scaling.enabled", "false"), ("support", lambda model: [*model["support"], "Y1L3"])])
 def test_evaluate_refuses_a_model_field_of_the_wrong_type(synth_csv, tmp_path,
                                                           capsys, field, value):
-    # each used to evaluate (exit 0): 198.7 rows as 198, "no" as converged, ...
+    # each used to evaluate (exit 0): 198.7 rows as 198, "no" as converged,
+    # a label with no coefficient as support, ...
     fit_dir = tmp_path / "fit"
     assert _fit(synth_csv, fit_dir) == 0
     path = fit_dir / "model.json"
     doc = json.loads(path.read_text())
     parent, _, key = field.rpartition(".")
-    (doc["model"][parent] if parent else doc["model"])[key] = value
+    at = doc["model"][parent] if parent else doc["model"]
+    at[key] = value(doc["model"]) if callable(value) else value
     path.write_text(json.dumps(doc))
     assert _evaluate(path, synth_csv, tmp_path / "eval") == 3
     err = capsys.readouterr().err

@@ -60,6 +60,8 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     phi, beta = fixed["model"]["phi"], fixed["model"]["beta"]
     assert [len(phi), len(beta)] == [2, 1]
     assert phi[0][0] + phi[1][0] + beta[0][0] == fixed["model"]["coeffs"][0]
+    assert all(doc["datasets"][key]["model"]["round_trip"]
+               for key in ("tiny/fixed", "tiny/fixed-raw", "tiny/expanding"))
     for contract in equivalence.CONTRACTS:
         assert equivalence.main(["compare", str(tiny), str(tiny),
                                  "--contract", contract]) == 0

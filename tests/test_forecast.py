@@ -94,8 +94,7 @@ def test_persistence_model_scores_cp_zero():
     split = SplitPlan(design.n_eff)
     base = fit(design.take(slice(0, split.T2)), Penalty(0.0, 0.5))
     from dataclasses import replace
-    persist = replace(base, nu=np.zeros(1), coeffs=np.ones((1, 1)),
-                      support=("Y1L1",))
+    persist = replace(base, nu=np.zeros(1), coeffs=np.ones((1, 1)))
     series = rolling_forecast(persist, design, split)
     rep = full_report((series.observed, series.predicted))
     np.testing.assert_allclose(rep.values["cp"], 0.0, atol=1e-12)
@@ -107,9 +106,10 @@ def test_multiplier_must_be_positive():
         rolling_forecast(model, design, split, multiplier=0.0)
 
 
-@pytest.mark.parametrize("multiplier", [float("nan"), float("inf")])
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), True])
 def test_multiplier_must_be_finite(multiplier):
-    # a NaN band would cover nothing, an infinite one everything
+    # a NaN band would cover nothing, an infinite one everything; a bool is
+    # no number
     model, design, split = _fitted(4)
     with pytest.raises(ContractError, match="finite"):
         rolling_forecast(model, design, split, multiplier=multiplier)

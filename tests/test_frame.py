@@ -290,7 +290,7 @@ def reference_load_csv(path, targets, date_column="Date", exog_columns=None):
         return token.strip().lower() in {"", "na", "nan"}
 
     targets = list(targets)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -500,6 +500,27 @@ def test_load_csv_reports_undecodable_bytes_where_the_loop_meets_them(tmp_path):
     assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
     with pytest.raises(UnicodeDecodeError):
         load_csv(path, ["Y"])
+
+
+_LONG_BODY = "".join(f"{_DAY0 + d},{d},0\n" for d in range(1, 2000))
+
+
+@pytest.mark.parametrize("body,rows", [
+    ("2016-01-02,1.5,2\r\n2016-01-01,3,4\r\n", 2),  # plain: the bulk pass
+    ("2016-01-01,1,2\n2016-01-02,NA,3\n2016-01-03,4,5\n", 2),  # a gap: the loop
+    # bytes that do not decode 28 kB on: the loop re-reads the file from its
+    # start and meets the bad number first
+    ("2016-01-01,1,2\n2015-12-31,oops,3\n" + _LONG_BODY + "2030-01-01,\xff,4\n", None)],
+    ids=["plain", "gapped", "undecodable"])
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, body, rows):
+    # Excel's "CSV UTF-8" starts the header with a BOM, which once hid "Date"
+    path = tmp_path / "d.csv"
+    data = b"Date,Y,a\n" + body.encode("latin-1")
+    path.write_bytes(data)
+    plain = _outcome(load_csv, path)
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    assert _outcome(load_csv, path) == plain
+    assert plain[3] == (rows, 1) if rows else plain[0] is InputError
 
 
 def test_bulk_parse_reads_plain_bodies_and_declines_the_rest():

@@ -247,11 +247,12 @@ def test_errors_carry_the_stage_name():
     ("max_iter", -1), ("max_iter", 2.5),
     ("ci_multiplier", float("nan")), ("ci_multiplier", float("inf")),
     ("refit_every", 2.5), ("p", 2.5), ("s", 1.5),
-    ("max_iter", True), ("refit_every", True), ("p", True), ("s", False)])
+    ("max_iter", True), ("refit_every", True), ("p", True), ("s", False),
+    ("tol", True), ("ci_multiplier", True), ("alpha", True)])
 def test_spec_refuses_settings_that_crash_or_hang_the_solver(field, value):
     # a negative tol is never met, a negative or fractional max_iter never
     # reached, and a fractional lag order fails in build_design; a bool is
-    # no integer setting; only specs are made here, so no solve starts
+    # no integer or float setting; only specs are made here, so no solve starts
     with pytest.raises(ContractError, match=field):
         ModelSpec(**{field: value})
 

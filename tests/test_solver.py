@@ -1,5 +1,6 @@
 """Coordinate-descent solver tests: OLS oracle, brute-force oracle, invariants."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -706,15 +707,40 @@ def test_model_round_trips_through_dict(k, p, s, m):
     assert FittedModel.from_dict(doc).n_rows == model.n_rows
 
 
+@pytest.mark.parametrize("k,p,s,m", LAG_SHAPES)
+@pytest.mark.parametrize("standardize_design", [True, False])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1])
+def test_model_document_round_trips_through_json(k, p, s, m, standardize_design, alpha):
+    design = _random_design(26, k=k, m=m, p=p, s=s)
+    for max_iter in (10000, 3):  # 3 stops some fits unconverged
+        model = fit(design, Penalty(4.0, alpha), max_iter=max_iter,
+                    standardize_design=standardize_design)
+        doc = model.to_dict()
+        assert FittedModel.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+    # documents written before lag_mode or n_iter was stored, or with
+    # stat_rows, still load
+    legacy = [({"lag_mode": None}, doc), ({"n_iter": None}, {**doc, "n_iter": []}),
+              ({"scaling": {**doc["scaling"], "stat_rows": [0, model.n_rows]}}, doc)]
+    for edit, written in legacy:
+        old = {key: value for key, value in {**doc, **edit}.items() if value is not None}
+        assert FittedModel.from_dict(old).to_dict() == written
+
+
 @pytest.mark.parametrize("field,value", [
     ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("converged", 1),
     ("p", 2.0), ("p", -1), ("s", False), ("n_iter", [2.5]),
-    ("scaling.enabled", "false")])
+    ("scaling.enabled", "false"), ("alpha", True), ("lambda", "4.0"),
+    ("sigma2", "1e3"), ("support", "Y1L1"), ("lag_mode", 5), ("nu", ["1.5"]),
+    ("scaling.constant", [0.5, 2]), ("version", True), ("n_rows", -1),
+    ("n_iter", [float("inf")]), ("target_names", "Y1"), ("exog_names", [1, 2]),
+    ("support", lambda doc: doc["col_labels"])])
 def test_model_document_field_of_the_wrong_type_is_refused(field, value):
-    # each of these used to load: 198.7 as 198 rows, "no" as converged, ...
+    # each of these used to load: 198.7 as 198 rows, "no" as converged, a
+    # support that is not the coefficients' as the model's support, ...
     doc = fit(_random_design(25), Penalty(4.0, 0.5)).to_dict()
     parent, _, key = field.rpartition(".")
-    (doc[parent] if parent else doc)[key] = value
+    at = doc[parent] if parent else doc
+    at[key] = value(doc) if callable(value) else value
     with pytest.raises(ValueError, match=f"^{field} must be"):
         FittedModel.from_dict(doc)
 
@@ -745,6 +771,11 @@ def test_penalty_validation():
         Penalty(-1.0, 0.5)
     with pytest.raises(ContractError):
         Penalty(1.0, 1.5)
+    # a bool is no float setting: model.json would store alpha as true
+    with pytest.raises(ContractError, match="lambda"):
+        Penalty(True, 0.5)
+    with pytest.raises(ContractError, match="alpha"):
+        Penalty(1.0, True)
 
 
 def test_fit_needs_two_rows():
@@ -758,7 +789,7 @@ def test_fit_needs_two_rows():
 
 @pytest.mark.parametrize("tol,max_iter", [
     (-1.0, 10000), (float("nan"), 10000), (float("inf"), 10000), (0.0, -1),
-    (1e-7, 2.5), (1e-7, True)])
+    (1e-7, 2.5), (1e-7, True), (True, 10000)])
 def test_fit_refuses_a_stopping_rule_before_solving(monkeypatch, tol, max_iter):
     def no_solve(*args, **kwargs):
         pytest.fail("fit started a solve")

@@ -11,7 +11,9 @@ Run from the repository root:
 path (grid, MSFE, chosen index and the solver's counters), the final
 model (lambda, support, ``n_iter``, ``converged``, raw and scaled
 coefficients and intercepts, the raw coefficients again as the per-lag
-blocks ``phi`` and ``beta`` that ``model.json`` stores, sigma2), the test
+blocks ``phi`` and ``beta`` that ``model.json`` stores, sigma2, and
+``round_trip``: whether ``FittedModel.from_dict`` of the model's own
+``to_dict`` document, through JSON, writes that document again), the test
 forecasts and their se, per target every metric of ``METRIC_ORDER`` and
 its flag, the regression line's slope and intercept, the leakage-audit
 counts, and for an order scan its candidates, BICs, lambdas, chosen (p, s)
@@ -41,9 +43,10 @@ absolute and relative to max(1, |old|). It exits 1 when the contract fails.
   counts).
 - ``kernel``: the same lambda grid, chosen index and lambda, support,
   (p, s), candidates and their chosen lambdas, solves, iterations and
-  ``n_iter``, non-converged counts, ``converged``, audit counts, metric
-  flags, and command-line exit codes and artifact hashes; every other
-  number, coefficients and metrics included, within 1e-9 * max(1, |old|).
+  ``n_iter``, non-converged counts, ``converged``, ``round_trip``, audit
+  counts, metric flags, and command-line exit codes and artifact hashes;
+  every other number, coefficients and metrics included, within
+  1e-9 * max(1, |old|).
 
 BLAS and OpenMP pools are pinned to one thread before numpy loads, so a
 digest does not depend on the machine's core count.
@@ -76,6 +79,7 @@ KERNEL_EXACT = {
     "lambda_path.grid", "lambda_path.chosen_index", "lambda_path.solves",
     "lambda_path.iterations", "lambda_path.nonconverged",
     "model.lambda", "model.support", "model.n_iter", "model.converged",
+    "model.round_trip",
     "scan.candidates", "scan.lambdas", "scan.chosen", "scan.solves",
     "scan.iterations", "scan.nonconverged", "metric_flags", "cli.rc",
 }
@@ -93,9 +97,10 @@ def _path_digest(path) -> dict:
 
 
 def _report_digest(report, frame) -> dict:
-    from hydrovarx import METRIC_ORDER, leakage_audit
+    from hydrovarx import METRIC_ORDER, FittedModel, leakage_audit
 
     model, series, line = report.model, report.forecast, report.regression
+    doc = model.to_dict()
     return {
         "lambda_path": _path_digest(report.lambda_path),
         "model": {"lambda": model.lam, "support": list(model.support),
@@ -104,7 +109,9 @@ def _report_digest(report, frame) -> dict:
                   "phi": model.phi.tolist(), "beta": model.beta.tolist(),
                   "scaled_coeffs": model.scaled_coeffs.tolist(),
                   "scaled_intercept": model.scaled_intercept.tolist(),
-                  "sigma2": model.sigma2},
+                  "sigma2": model.sigma2,
+                  "round_trip": FittedModel.from_dict(
+                      json.loads(json.dumps(doc))).to_dict() == doc},
         "forecast": {"predicted": series.predicted.tolist(),
                      "se": series.se.tolist()},
         "metrics": {key: [m.values[key] for m in report.metrics]
