@@ -22,11 +22,11 @@ from .errors import (
 )
 from .frame import SEASONS, TimeSeriesFrame, freeze
 from .solver import (
-    SNAP_TOL,
     FittedModel,
     Gram,
     Penalty,
     _moment_gram,
+    _snap,
     check_stopping,
     predict_rows,
     solve,
@@ -394,7 +394,7 @@ def _order_bics(Z, Y, mean, scales, B) -> np.ndarray:
         raw = B / scales[0][:, None, None]
     X = np.vstack([B.reshape(len(B), -1), np.tile(-np.eye(k), B.shape[1])])
     rss = _sq_errors(F, X).reshape(-1, k).sum(axis=1)
-    support = (np.abs(raw) >= SNAP_TOL).any(axis=2).sum(axis=0)
+    support = (_snap(raw) != 0.0).any(axis=2).sum(axis=0)
     yy = float(np.sum(Y * Y))
     return np.array([_bic(n, float(r), int(sz), k, yy)
                      for r, sz in zip(rss, support)])

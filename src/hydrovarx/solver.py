@@ -96,7 +96,6 @@ from .design import (
     _scaling,
     _sds,
     split_lags,
-    stack_lags,
 )
 from .errors import (
     CompatibilityError,
@@ -107,6 +106,18 @@ from .frame import freeze
 
 #: back-transformed coefficients below this magnitude are reported as zero
 SNAP_TOL = 1e-12
+
+
+def _snap(raw):
+    """``raw`` with every entry below ``SNAP_TOL`` in magnitude set to zero."""
+    return np.where(np.abs(raw) < SNAP_TOL, 0.0, raw)
+
+
+def _to_original(scaled_a, scaled_b, info: ScalingInfo):
+    """``(nu, snapped coeffs)`` in original units of the solution ``(scaled_a,
+    scaled_b)`` on the columns ``info`` scaled: the same fitted values."""
+    raw_b = scaled_b / info.z_sd
+    return info.y_mean + scaled_a - raw_b @ info.z_mean, _snap(raw_b)
 
 
 def _flapack_dposv(scipy_dir: str):
@@ -165,6 +176,13 @@ def _check_written(name, doc, written):
         raise ValueError(f"{name} must be {written!r}, got {doc!r}")
 
 
+def _shaped(name, value, like):
+    """``value`` as an array like ``like``, or ValueError naming the field ``name``."""
+    if np.shape(value) != like.shape:
+        raise ValueError(f"{name} must be of shape {like.shape}, got {np.shape(value)}")
+    return np.asarray(value, dtype=like.dtype)
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted sparse VARX model in original units.
@@ -177,7 +195,8 @@ class FittedModel:
     iterations per target equation, each a gradient pass and at most one face
     step, or a warm start's opening face step (stored in ``model.json``);
     ``converged`` says whether every equation was certified optimal within
-    ``max_iter`` iterations. ``support`` is read off ``coeffs``.
+    ``max_iter`` iterations. ``support`` is read off ``coeffs``. At load
+    (``from_dict``) the raw copy is derived from the scaled one.
     """
 
     nu: np.ndarray
@@ -262,14 +281,13 @@ class FittedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
         """The model of a ``to_dict`` document, which must be what that model
-        writes (``_check_written``) with ``n_rows`` and ``n_iter`` >= 0, or
-        ValueError names the field."""
+        writes (``_check_written``) with ``n_rows`` and ``n_iter`` numbers >= 0,
+        or ValueError names the field; the raw copy is derived by ``_to_original``."""
         if d.get("version") != 1:
             raise CompatibilityError(f"unsupported model version {d.get('version')!r}")
         p, s = len(d["phi"]), len(d["beta"])
-        k, m = len(d["nu"]), len(d["exog_names"])
-        coeffs = stack_lags(np.asarray(d["phi"], dtype=float).reshape(p, k, k),
-                            np.asarray(d["beta"], dtype=float).reshape(s, k, m))
+        scaled_b = np.asarray(d["scaled_coeffs"], dtype=float)
+        k, q = scaled_b.shape
         sc = d["scaling"]
         # documents written before stat_rows was dropped carry [0, n_rows]
         if sc.get("stat_rows") not in (None, [0, d["n_rows"]]):
@@ -277,20 +295,18 @@ class FittedModel:
                              f"[0, n_rows] = [0, {d['n_rows']!r}]")
         n_iter = d.get("n_iter", [])
         for name, count in [("n_rows", d["n_rows"])] + [("n_iter", v) for v in n_iter]:
-            if not 0 <= count < math.inf:  # -1 is written back as -1; int(inf) overflows
-                raise ValueError(f"{name} must be >= 0, got {count!r}")
-        scaling = ScalingInfo(
-            z_mean=np.asarray(sc["z_mean"], dtype=float),
-            z_sd=np.asarray(sc["z_sd"], dtype=float),
-            y_mean=np.asarray(sc["y_mean"], dtype=float),
-            constant=np.asarray(sc["constant"], dtype=bool),
-            enabled=bool(sc["enabled"]),
-        )
+            # -1 is written back as -1; int(inf) overflows
+            if type(count) not in (int, float) or not 0 <= count < math.inf:
+                raise ValueError(f"{name} must be a number >= 0, got {count!r}")
+        scaling = ScalingInfo.identity(q, k)  # its arrays have the shapes that fit
+        scaled_a = _shaped("scaled_intercept", d["scaled_intercept"], scaling.y_mean)
+        if sc["enabled"]:
+            scaling = ScalingInfo(*(
+                _shaped(f"scaling.{key}", sc[key], getattr(scaling, key))
+                for key in ("z_mean", "z_sd", "y_mean", "constant")))
+        nu, coeffs = _to_original(scaled_a, scaled_b, scaling)
         model = cls(
-            nu=np.asarray(d["nu"], dtype=float),
-            coeffs=coeffs,
-            scaled_intercept=np.asarray(d["scaled_intercept"], dtype=float),
-            scaled_coeffs=np.asarray(d["scaled_coeffs"], dtype=float),
+            nu=nu, coeffs=coeffs, scaled_intercept=scaled_a, scaled_coeffs=scaled_b,
             lam=float(d["lambda"]), alpha=float(d["alpha"]),
             sigma2=float(d["sigma2"]),
             col_labels=tuple(map(str, d["col_labels"])),
@@ -535,10 +551,7 @@ def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,
     else:
         info, scaled_a = _scaling(mean, q, *scales), np.zeros(k)
 
-    # original units; the fitted values are the same under both
-    raw_b = scaled_b / info.z_sd
-    raw_nu = info.y_mean + scaled_a - raw_b @ info.z_mean
-    raw_b = np.where(np.abs(raw_b) < SNAP_TOL, 0.0, raw_b)
+    raw_nu, raw_b = _to_original(scaled_a, scaled_b, info)
 
     resid = design.Y - (raw_nu + design.Z @ raw_b.T)
     rss = float((resid * resid).sum())

@@ -186,7 +186,8 @@ def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
 
 @pytest.mark.parametrize("field, value", [
     ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("p", 2.0),
-    ("scaling.enabled", "false"), ("support", lambda model: [*model["support"], "Y1L3"])])
+    ("scaling.enabled", "false"), ("support", lambda model: [*model["support"], "Y1L3"]),
+    ("scaling.z_sd", [1.0])])
 def test_evaluate_refuses_a_model_field_of_the_wrong_type(synth_csv, tmp_path,
                                                           capsys, field, value):
     # each used to evaluate (exit 0): 198.7 rows as 198, "no" as converged,
@@ -203,6 +204,23 @@ def test_evaluate_refuses_a_model_field_of_the_wrong_type(synth_csv, tmp_path,
     err = capsys.readouterr().err
     assert f"hydrovarx evaluate: setup: {path}: malformed model document: " \
         f"{field} must be" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_refuses_a_model_that_is_not_its_scaled_copy(synth_csv, tmp_path,
+                                                              capsys):
+    # the raw copy is read off the scaled one, so a moved scaled entry no
+    # longer evaluates (exit 0) with the stored raw copy
+    fit_dir = tmp_path / "fit"
+    assert _fit(synth_csv, fit_dir) == 0
+    path = fit_dir / "model.json"
+    doc = json.loads(path.read_text())
+    doc["model"]["scaled_coeffs"][0][0] += 0.5
+    path.write_text(json.dumps(doc))
+    assert _evaluate(path, synth_csv, tmp_path / "eval") == 3
+    err = capsys.readouterr().err
+    assert f"hydrovarx evaluate: setup: {path}: malformed model document: " \
+        "nu must be" in err
     assert not (tmp_path / "eval").exists()
 
 

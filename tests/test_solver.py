@@ -733,15 +733,42 @@ def test_model_document_round_trips_through_json(k, p, s, m, standardize_design,
     ("sigma2", "1e3"), ("support", "Y1L1"), ("lag_mode", 5), ("nu", ["1.5"]),
     ("scaling.constant", [0.5, 2]), ("version", True), ("n_rows", -1),
     ("n_iter", [float("inf")]), ("target_names", "Y1"), ("exog_names", [1, 2]),
-    ("support", lambda doc: doc["col_labels"])])
+    ("support", lambda doc: doc["col_labels"]), ("n_rows", "12"), ("n_rows", None),
+    ("n_iter", ["3"]), ("scaling.z_sd", [1.0]), ("scaled_intercept", []),
+    ("scaling.z_mean", lambda doc: doc["scaling"]["z_mean"][:-1])])
 def test_model_document_field_of_the_wrong_type_is_refused(field, value):
     # each of these used to load: 198.7 as 198 rows, "no" as converged, a
-    # support that is not the coefficients' as the model's support, ...
+    # support that is not the coefficients' as the model's support, a z_sd
+    # of one entry that divided every column, ...
     doc = fit(_random_design(25), Penalty(4.0, 0.5)).to_dict()
     parent, _, key = field.rpartition(".")
     at = doc[parent] if parent else doc
     at[key] = value(doc) if callable(value) else value
     with pytest.raises(ValueError, match=f"^{field} must be"):
+        FittedModel.from_dict(doc)
+
+
+def _move_first(entries):
+    entries[0] += 0.5
+
+
+@pytest.mark.parametrize("standardize_design,edit,named", [
+    (True, lambda doc: doc.update(scaled_coeffs=[[1.0]]), "scaling.z_mean"),
+    (True, lambda doc: _move_first(doc["scaled_coeffs"][0]), "nu"),
+    (True, lambda doc: _move_first(doc["scaling"]["y_mean"]), "nu"),
+    (True, lambda doc: doc["scaling"].update(enabled=False), "nu"),
+    (False, lambda doc: _move_first(doc["scaling"]["z_sd"]), "scaling.z_sd")],
+    ids=["scaled_coeffs-shape", "scaled_coeffs-moved", "y_mean-moved", "enabled-false",
+         "identity-moved"])
+def test_model_document_that_is_not_its_scaled_copy_is_refused(standardize_design,
+                                                                edit, named):
+    # the raw copy, the support and a disabled scaling are read off the
+    # scaled copy and its scaling, so the document is refused where it
+    # first differs from that model's; each of these used to load
+    doc = fit(_random_design(25), Penalty(4.0, 0.5),
+              standardize_design=standardize_design).to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{named} must be"):
         FittedModel.from_dict(doc)
 
 

@@ -13,7 +13,8 @@ model (lambda, support, ``n_iter``, ``converged``, raw and scaled
 coefficients and intercepts, the raw coefficients again as the per-lag
 blocks ``phi`` and ``beta`` that ``model.json`` stores, sigma2, and
 ``round_trip``: whether ``FittedModel.from_dict`` of the model's own
-``to_dict`` document, through JSON, writes that document again), the test
+``to_dict`` document, through JSON, writes that document again, its raw
+copy derived from the scaled one by the back-transform), the test
 forecasts and their se, per target every metric of ``METRIC_ORDER`` and
 its flag, the regression line's slope and intercept, the leakage-audit
 counts, and for an order scan its candidates, BICs, lambdas, chosen (p, s)
