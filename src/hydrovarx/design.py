@@ -131,17 +131,27 @@ def stack_lags(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _lag_indices(dates: np.ndarray, lag: int, resolution: str):
-    """Positions of each date's lag-`lag` predecessor, with a validity mask."""
+    """Positions of each date's lag-`lag` predecessor, with a validity mask.
+
+    On a gap-free stretch the predecessor of row i is row i - lag (clipped
+    to row 0), so that row is tried first; dates strictly increase, so a
+    date match there is the only one. Only the rows it misses are found by
+    binary search.
+    """
     if resolution == "daily":
         wanted = dates - np.timedelta64(lag, "D")
         pool = dates
     else:
         pool = dates.astype("datetime64[M]")
         wanted = pool - lag
-    idx = np.searchsorted(pool, wanted)
-    idx_c = np.minimum(idx, len(pool) - 1)
-    valid = pool[idx_c] == wanted
-    return idx_c, valid
+    idx = np.maximum(np.arange(-lag, len(pool) - lag), 0)
+    valid = pool[idx] == wanted
+    miss = np.flatnonzero(~valid)
+    if len(miss):
+        # a wanted date precedes its own row's, so the search stays in range
+        idx[miss] = np.searchsorted(pool, wanted[miss])
+        valid[miss] = pool[idx[miss]] == wanted[miss]
+    return idx, valid
 
 
 def build_design(frame: TimeSeriesFrame, spec: LagSpec) -> DesignMatrix:
@@ -270,35 +280,44 @@ def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
 
     Source rows are located independently of ``build_design``: by exact date
     lookup in the frame (calendar mode) or by position minus lag (positional
-    mode), one whole-column pass per (lag, block), at column offsets of its
-    own, not ``split_lags``'.
+    mode), at column offsets of its own, not ``split_lags'``. Each date is
+    looked for first at the frame row a gap-free frame would hold it in (a
+    design row at its end-aligned row, a lag source at its row's position
+    minus lag), and by binary search only where that row holds another date.
+    Each lag is located once and serves the target and exogenous blocks.
     """
+    if frame.n == 0:
+        return design.Z.size
     dates = design.row_dates
 
-    def locate(wanted):
+    def locate(wanted, guess):
         """Frame position of each wanted date, and whether it is there."""
-        pos = np.searchsorted(frame.dates, wanted)
-        found = pos < frame.n
-        found[found] = frame.dates[pos[found]] == wanted[found]
+        pos = np.clip(guess, 0, frame.n - 1)
+        found = frame.dates[pos] == wanted
+        miss = np.flatnonzero(~found)
+        if len(miss):
+            pos[miss] = np.minimum(np.searchsorted(frame.dates, wanted[miss]),
+                                   frame.n - 1)
+            found[miss] = frame.dates[pos[miss]] == wanted[miss]
         return pos, found
 
-    row_pos, row_found = locate(dates)
-    k, m, p = frame.k, frame.m, design.p
-    entries = [(lag, frame.targets, k, (lag - 1) * k) for lag in range(1, p + 1)]
-    entries += [(lag, frame.exog, m, p * k + (lag - 1) * m)
-                for lag in range(1, design.s + 1)]
+    row_pos, row_found = locate(dates, np.arange(len(dates)) + frame.n - len(dates))
+    k, m, p, s = frame.k, frame.m, design.p, design.s
     bad = 0
-    for lag, source, width, off in entries:
+    for lag in range(1, max(p, s) + 1):
         if design.mode == "positional":
-            src, ok = row_pos - lag, row_pos >= lag
+            src, ok = np.maximum(row_pos - lag, 0), row_pos >= lag
         elif frame.resolution == "daily":
-            src, ok = locate(dates - np.timedelta64(lag, "D"))
+            src, ok = locate(dates - np.timedelta64(lag, "D"), row_pos - lag)
         else:
             months = dates.astype("datetime64[M]") - lag
-            src, ok = locate(months.astype("datetime64[D]"))
-        ok &= row_found
-        ok[ok] = frame.dates[src[ok]] < dates[ok]
-        cells = design.Z[ok, off: off + width]
-        bad += width * int(np.count_nonzero(~ok)) \
-            + int(np.count_nonzero(source[src[ok]] != cells))
+            src, ok = locate(months.astype("datetime64[D]"), row_pos - lag)
+        # a row whose source is missing or not earlier counts every cell
+        not_ok = ~(ok & row_found & (frame.dates[src] < dates))[:, None]
+        for source, width, off, top in (
+                (frame.targets, k, (lag - 1) * k, p),
+                (frame.exog, m, p * k + (lag - 1) * m, s)):
+            if lag <= top:
+                cells = design.Z[:, off: off + width]
+                bad += int(np.count_nonzero((source[src] != cells) | not_ok))
     return bad

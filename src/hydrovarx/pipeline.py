@@ -150,8 +150,9 @@ def leakage_audit(report: EvaluationReport,
 
     Checks: no regressor cell draws on data dated at or after its row
     (recomputed from the source frame), forecast rows are exactly the test
-    segment, train/validation/test dates never overlap, and the final model's
-    scaling statistics reproduce bit-for-bit from the pre-test rows alone.
+    segment, train/validation/test dates never overlap (counted on integer
+    days), and the final model's scaling statistics reproduce bit-for-bit
+    from the pre-test rows alone.
     """
     spec = report.spec
     pre = preprocess(frame, spec, report.dropped)
@@ -166,9 +167,9 @@ def leakage_audit(report: EvaluationReport,
     counts["forecast_dates"] = int(np.sum(dates[:common] != test_dates[:common])) \
         + abs(len(dates) - len(test_dates))
 
-    train_d = set(design.row_dates[split.train].tolist())
-    val_d = set(design.row_dates[split.validate].tolist())
-    test_d = set(test_dates.tolist())
+    days = design.row_dates.view(np.int64)
+    train_d, val_d, test_d = (set(days[rows].tolist())
+                              for rows in (split.train, split.validate, split.test))
     counts["split_overlap"] = len(train_d & val_d) + len(train_d & test_d) \
         + len(val_d & test_d)
 

@@ -286,7 +286,13 @@ class FittedModel:
         if d.get("version") != 1:
             raise CompatibilityError(f"unsupported model version {d.get('version')!r}")
         p, s = len(d["phi"]), len(d["beta"])
-        scaled_b = np.asarray(d["scaled_coeffs"], dtype=float)
+        try:
+            scaled_b = np.asarray(d["scaled_coeffs"], dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or a non-number entry
+            scaled_b = None
+        if scaled_b is None or scaled_b.ndim != 2:
+            raise ValueError("scaled_coeffs must be a (k x q) matrix of numbers, "
+                             f"got {d['scaled_coeffs']!r}")
         k, q = scaled_b.shape
         sc = d["scaling"]
         # documents written before stat_rows was dropped carry [0, n_rows]

@@ -187,7 +187,7 @@ def test_evaluate_rejects_model_fit_on_test_rows(synth_csv, tmp_path, capsys,
 @pytest.mark.parametrize("field, value", [
     ("n_rows", 198.7), ("n_rows", True), ("converged", "no"), ("p", 2.0),
     ("scaling.enabled", "false"), ("support", lambda model: [*model["support"], "Y1L3"]),
-    ("scaling.z_sd", [1.0])])
+    ("scaling.z_sd", [1.0]), ("scaled_coeffs", [[1.0], [1.0, 2.0]])])
 def test_evaluate_refuses_a_model_field_of_the_wrong_type(synth_csv, tmp_path,
                                                           capsys, field, value):
     # each used to evaluate (exit 0): 198.7 rows as 198, "no" as converged,

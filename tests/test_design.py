@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from datetime import timedelta
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import daily_dates, make_frame
 from hydrovarx import (
@@ -16,7 +17,7 @@ from hydrovarx import (
     lookahead_violations,
     standardize,
 )
-from hydrovarx.design import regressor_labels
+from hydrovarx.design import _lag_indices, regressor_labels
 from hydrovarx.errors import ContractError, InsufficientDataError
 
 
@@ -91,6 +92,81 @@ def test_calendar_exog_lags_longer_than_target_lags_on_gapped_dates():
     np.testing.assert_array_equal(design.row_dates, dates[[3, 4, 8, 9, 10]])
     np.testing.assert_array_equal(design.Z[2], [8.0, 80.0, 70.0, 60.0])
     assert lookahead_violations(design, frame) == 0
+
+
+def reference_design(frame, p, s, mode):
+    """Per-row reference of ``build_design``: each lag's source position
+    per frame row (None when there is none), found in a dict of the frame's
+    days (daily) or (year, month) pairs (monthly) in calendar mode, or by
+    position in positional mode; and the frame rows with every source, and
+    their cells, copied row by row."""
+    if frame.resolution == "daily":
+        keys = frame.dates.tolist()
+        def back(day, lag):
+            return day - timedelta(days=lag)
+    else:
+        keys = [(day.year, day.month) for day in frame.dates.tolist()]
+        def back(ym, lag):
+            year, month = divmod(12 * ym[0] + ym[1] - 1 - lag, 12)
+            return year, month + 1
+    pos = {key: i for i, key in enumerate(keys)}
+    lags = range(1, max(p, s) + 1)
+    sources = [[(t - lag if t >= lag else None) if mode == "positional"
+                else pos.get(back(key, lag)) for t, key in enumerate(keys)]
+               for lag in lags]
+    rows = [t for t in range(frame.n) if all(src[t] is not None for src in sources)]
+    Z = np.array([np.concatenate(
+        [frame.targets[sources[lag - 1][t]] for lag in lags[:p]]
+        + [frame.exog[sources[lag - 1][t]] for lag in lags[:s]]) for t in rows])
+    return sources, rows, Z.reshape(len(rows), p * frame.k + s * frame.m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(setting=st.sampled_from(["daily", "monthly", "positional"]),
+       keep=st.lists(st.booleans(), min_size=1, max_size=40),
+       p=st.integers(1, 4), s=st.integers(0, 3), k=st.integers(1, 2),
+       m=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+# dates d0, d2, d3: the lag-2 source of the row at d2 is d0, at the clipped
+# guess (row 1 - 2 clipped to row 0)
+@example(setting="daily", keep=[True, False, True, True], p=2, s=0, k=1, m=1, seed=0)
+# gaps right after the first row and right before the last
+@example(setting="daily", keep=[True, False] + [True] * 6 + [False, True],
+         p=1, s=2, k=1, m=2, seed=1)
+@example(setting="monthly", keep=[True, False] + [True] * 6 + [False, True],
+         p=2, s=1, k=2, m=1, seed=2)
+@example(setting="positional", keep=[True, False] + [True] * 6 + [False, True],
+         p=3, s=3, k=1, m=1, seed=3)
+def test_build_design_matches_reference_rows_and_cells(setting, keep, p, s, k, m,
+                                                       seed):
+    # a design that dropped a usable row, kept an unusable one or misplaced a
+    # cell differs here; test_lookahead_violations_match_reference checks
+    # only the cells of the rows a design kept
+    rng = np.random.default_rng(seed)
+    offsets = np.flatnonzero(keep)
+    assume(len(offsets) > 0)
+    frame = make_frame(rng.normal(size=(len(offsets), k)),
+                       rng.normal(size=(len(offsets), m)))
+    if setting == "monthly":
+        months = np.datetime64("2001-11", "M") + offsets
+        frame = replace(frame, dates=months.astype("datetime64[D]"),
+                        resolution="monthly")
+    else:
+        frame = replace(frame, dates=daily_dates(len(keep))[offsets])
+    mode = "positional" if setting == "positional" else "calendar"
+    sources, rows, Z = reference_design(frame, p, s, mode)
+    if mode == "calendar":
+        for lag, src in enumerate(sources, start=1):
+            idx, valid = _lag_indices(frame.dates, lag, frame.resolution)
+            assert valid.tolist() == [t is not None for t in src]
+            assert idx[valid].tolist() == [t for t in src if t is not None]
+    if not rows:
+        with pytest.raises(InsufficientDataError):
+            build_design(frame, LagSpec(p=p, s=s, mode=mode))
+        return
+    design = build_design(frame, LagSpec(p=p, s=s, mode=mode))
+    np.testing.assert_array_equal(design.row_dates, frame.dates[rows])
+    assert design.Z.tobytes() == Z.tobytes()
+    np.testing.assert_array_equal(design.Y, frame.targets[rows])
 
 
 def test_too_few_rows_rejected():
@@ -237,6 +313,20 @@ def test_lookahead_violations_counts_row_missing_from_frame(mode):
     short = replace(frame, dates=frame.dates[:-1], targets=frame.targets[:-1],
                     exog=frame.exog[:-1])
     assert lookahead_violations(design, short) == design.q
+
+
+@pytest.mark.parametrize("mode, resolution", [("calendar", "daily"),
+                                              ("positional", "daily"),
+                                              ("calendar", "monthly")])
+def test_lookahead_violations_counts_every_cell_against_an_empty_frame(mode,
+                                                                       resolution):
+    # a frame of no rows has no exogenous columns (TimeSeriesFrame makes an
+    # empty exog block 0 wide)
+    frame = make_frame(np.random.default_rng(7).normal(size=(20, 2)))
+    design = build_design(frame, LagSpec(p=3, s=0, mode=mode))
+    empty = replace(frame, dates=frame.dates[:0], targets=frame.targets[:0],
+                    exog=frame.exog[:0], resolution=resolution)
+    assert lookahead_violations(design, empty) == design.n_eff * design.q
 
 
 def reference_violations(design, frame):

@@ -151,6 +151,18 @@ def test_audit_counts_a_forecast_one_row_short():
     assert counts["lookahead"] == counts["split_overlap"] == counts["scaling"] == 0
 
 
+def test_audit_counts_a_validation_row_redated_to_a_training_date():
+    frame = _synth_frame(seed=18)
+    report = run_pipeline(frame, ModelSpec(p=2, s=1, grid=SMALL_GRID))
+    dates = report.design.row_dates.copy()
+    dates[report.split.T1] = dates[3]
+    forged = dataclasses.replace(
+        report, design=dataclasses.replace(report.design, row_dates=dates))
+    counts = leakage_audit(forged, frame)
+    assert counts["split_overlap"] == 1
+    assert counts["forecast_dates"] == 0
+
+
 def test_unstandardized_run_audits_clean():
     frame = _synth_frame(seed=17)
     report = run_pipeline(frame, ModelSpec(p=1, s=1, grid=SMALL_GRID,

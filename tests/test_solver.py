@@ -735,7 +735,9 @@ def test_model_document_round_trips_through_json(k, p, s, m, standardize_design,
     ("n_iter", [float("inf")]), ("target_names", "Y1"), ("exog_names", [1, 2]),
     ("support", lambda doc: doc["col_labels"]), ("n_rows", "12"), ("n_rows", None),
     ("n_iter", ["3"]), ("scaling.z_sd", [1.0]), ("scaled_intercept", []),
-    ("scaling.z_mean", lambda doc: doc["scaling"]["z_mean"][:-1])])
+    ("scaling.z_mean", lambda doc: doc["scaling"]["z_mean"][:-1]),
+    ("scaled_coeffs", []), ("scaled_coeffs", [1.0, 2.0]),
+    ("scaled_coeffs", [[1.0], [1.0, 2.0]])])
 def test_model_document_field_of_the_wrong_type_is_refused(field, value):
     # each of these used to load: 198.7 as 198 rows, "no" as converged, a
     # support that is not the coefficients' as the model's support, a z_sd
