@@ -130,28 +130,32 @@ def stack_lags(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
                       beta.swapaxes(0, 1).reshape(k, -1)])
 
 
-def _lag_indices(dates: np.ndarray, lag: int, resolution: str):
-    """Positions of each date's lag-`lag` predecessor, with a validity mask.
+def _lag_indices(dates: np.ndarray, max_lag: int, resolution: str):
+    """Positions of each date's predecessor at lags 1..max_lag, with masks.
 
-    On a gap-free stretch the predecessor of row i is row i - lag (clipped
-    to row 0), so that row is tried first; dates strictly increase, so a
-    date match there is the only one. Only the rows it misses are found by
-    binary search.
+    A lag-L predecessor is tried at row i - L, where a gap-free stretch holds
+    it; dates strictly increase, so a match there is the only one. Misses are
+    searched, and so is every row once most rows miss (misses grow with the
+    lag), or in a frame under 512 rows, where searching is the cheaper.
     """
-    if resolution == "daily":
-        wanted = dates - np.timedelta64(lag, "D")
-        pool = dates
-    else:
-        pool = dates.astype("datetime64[M]")
-        wanted = pool - lag
-    idx = np.maximum(np.arange(-lag, len(pool) - lag), 0)
-    valid = pool[idx] == wanted
-    miss = np.flatnonzero(~valid)
-    if len(miss):
-        # a wanted date precedes its own row's, so the search stays in range
-        idx[miss] = np.searchsorted(pool, wanted[miss])
-        valid[miss] = pool[idx[miss]] == wanted[miss]
-    return idx, valid
+    pool = dates if resolution == "daily" else dates.astype("datetime64[M]")
+    unit = np.timedelta64(1, "D" if resolution == "daily" else "M")
+    lags, n, guess = [], len(pool), len(pool) >= 512
+    for lag in range(1, max_lag + 1):
+        wanted = pool - lag * unit
+        if guess:
+            idx, valid = np.arange(-lag, n - lag), np.zeros(n, dtype=bool)
+            valid[lag:] = pool[:max(n - lag, 0)] == wanted[lag:]
+            miss = np.flatnonzero(~valid)
+            guess = 2 * len(miss) <= n
+        if guess:  # a wanted date precedes its row's: searches stay in range
+            idx[miss] = np.searchsorted(pool, wanted[miss])
+            valid[miss] = pool[idx[miss]] == wanted[miss]
+        else:
+            idx = np.searchsorted(pool, wanted)
+            valid = pool[idx] == wanted
+        lags.append((idx, valid))
+    return lags
 
 
 def build_design(frame: TimeSeriesFrame, spec: LagSpec) -> DesignMatrix:
@@ -174,8 +178,7 @@ def build_design(frame: TimeSeriesFrame, spec: LagSpec) -> DesignMatrix:
     else:
         # one lookup per lag serves the target blocks (lags 1..p) and the
         # exogenous blocks (lags 1..s)
-        lags = [_lag_indices(frame.dates, lag, frame.resolution)
-                for lag in range(1, max(p, s) + 1)]
+        lags = _lag_indices(frame.dates, max(p, s), frame.resolution)
         usable = np.logical_and.reduce([ok for _, ok in lags])
         if not usable.any():
             raise InsufficientDataError(
@@ -280,11 +283,9 @@ def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
 
     Source rows are located independently of ``build_design``: by exact date
     lookup in the frame (calendar mode) or by position minus lag (positional
-    mode), at column offsets of its own, not ``split_lags'``. Each date is
-    looked for first at the frame row a gap-free frame would hold it in (a
-    design row at its end-aligned row, a lag source at its row's position
-    minus lag), and by binary search only where that row holds another date.
-    Each lag is located once and serves the target and exogenous blocks.
+    mode), once per lag for both blocks, at column offsets of its own, not
+    ``split_lags``'. Each date is tried first where a gap-free frame holds it
+    (rows end-aligned, sources at row minus lag), and searched if not there.
     """
     if frame.n == 0:
         return design.Z.size
@@ -292,7 +293,7 @@ def lookahead_violations(design: DesignMatrix, frame: TimeSeriesFrame) -> int:
 
     def locate(wanted, guess):
         """Frame position of each wanted date, and whether it is there."""
-        pos = np.clip(guess, 0, frame.n - 1)
+        pos = np.maximum(guess, 0)  # no guess lies past the frame's last row
         found = frame.dates[pos] == wanted
         miss = np.flatnonzero(~found)
         if len(miss):

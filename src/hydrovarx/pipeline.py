@@ -150,9 +150,8 @@ def leakage_audit(report: EvaluationReport,
 
     Checks: no regressor cell draws on data dated at or after its row
     (recomputed from the source frame), forecast rows are exactly the test
-    segment, train/validation/test dates never overlap (counted on integer
-    days), and the final model's scaling statistics reproduce bit-for-bit
-    from the pre-test rows alone.
+    segment, train/validation/test share no integer day, and the final model's
+    scaling statistics reproduce bit-for-bit from the pre-test rows alone.
     """
     spec = report.spec
     pre = preprocess(frame, spec, report.dropped)

@@ -123,24 +123,37 @@ def reference_design(frame, p, s, mode):
 
 @settings(max_examples=200, deadline=None)
 @given(setting=st.sampled_from(["daily", "monthly", "positional"]),
-       keep=st.lists(st.booleans(), min_size=1, max_size=40),
+       keep=st.lists(st.booleans(), min_size=1, max_size=40), long=st.booleans(),
        p=st.integers(1, 4), s=st.integers(0, 3), k=st.integers(1, 2),
        m=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-# dates d0, d2, d3: the lag-2 source of the row at d2 is d0, at the clipped
-# guess (row 1 - 2 clipped to row 0)
-@example(setting="daily", keep=[True, False, True, True], p=2, s=0, k=1, m=1, seed=0)
+# dates d0, d2, d3: the lag-2 source of the row at d2 (row 1) is d0, though
+# no row 1 - 2 exists to be tried first
+@example(setting="daily", keep=[True, False, True, True], long=False,
+         p=2, s=0, k=1, m=1, seed=0)
+@example(setting="daily", keep=[True, False, True, True], long=True,
+         p=2, s=0, k=1, m=1, seed=0)
 # gaps right after the first row and right before the last
 @example(setting="daily", keep=[True, False] + [True] * 6 + [False, True],
-         p=1, s=2, k=1, m=2, seed=1)
+         long=False, p=1, s=2, k=1, m=2, seed=1)
+@example(setting="daily", keep=[True, False] + [True] * 6 + [False, True],
+         long=True, p=1, s=2, k=1, m=2, seed=1)
 @example(setting="monthly", keep=[True, False] + [True] * 6 + [False, True],
-         p=2, s=1, k=2, m=1, seed=2)
+         long=False, p=2, s=1, k=2, m=1, seed=2)
+@example(setting="monthly", keep=[True, False] + [True] * 6 + [False, True],
+         long=True, p=2, s=1, k=2, m=1, seed=2)
 @example(setting="positional", keep=[True, False] + [True] * 6 + [False, True],
-         p=3, s=3, k=1, m=1, seed=3)
-def test_build_design_matches_reference_rows_and_cells(setting, keep, p, s, k, m,
-                                                       seed):
+         long=False, p=3, s=3, k=1, m=1, seed=3)
+# every fourth day missing: lag 1 finds most sources at row i - 1, lag 2
+# misses most, so lags 2 and 3 are found by binary search for every row
+@example(setting="daily", keep=[True, True, True, False] * 5 + [True],
+         long=True, p=3, s=1, k=1, m=1, seed=4)
+def test_build_design_matches_reference_rows_and_cells(setting, keep, long, p, s,
+                                                       k, m, seed):
     # a design that dropped a usable row, kept an unusable one or misplaced a
     # cell differs here; test_lookahead_violations_match_reference checks
     # only the cells of the rows a design kept
+    if long:  # past the 512 rows below which build_design searches every row
+        keep = keep * (1000 // len(keep) + 1)
     rng = np.random.default_rng(seed)
     offsets = np.flatnonzero(keep)
     assume(len(offsets) > 0)
@@ -155,8 +168,9 @@ def test_build_design_matches_reference_rows_and_cells(setting, keep, p, s, k, m
     mode = "positional" if setting == "positional" else "calendar"
     sources, rows, Z = reference_design(frame, p, s, mode)
     if mode == "calendar":
-        for lag, src in enumerate(sources, start=1):
-            idx, valid = _lag_indices(frame.dates, lag, frame.resolution)
+        lags = _lag_indices(frame.dates, len(sources), frame.resolution)
+        assert len(lags) == len(sources)
+        for (idx, valid), src in zip(lags, sources):
             assert valid.tolist() == [t is not None for t in src]
             assert idx[valid].tolist() == [t for t in src if t is not None]
     if not rows:
