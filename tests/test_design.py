@@ -334,10 +334,9 @@ def test_lookahead_violations_counts_row_missing_from_frame(mode):
                                               ("calendar", "monthly")])
 def test_lookahead_violations_counts_every_cell_against_an_empty_frame(mode,
                                                                        resolution):
-    # a frame of no rows has no exogenous columns (TimeSeriesFrame makes an
-    # empty exog block 0 wide)
-    frame = make_frame(np.random.default_rng(7).normal(size=(20, 2)))
-    design = build_design(frame, LagSpec(p=3, s=0, mode=mode))
+    rng = np.random.default_rng(7)
+    frame = make_frame(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
+    design = build_design(frame, LagSpec(p=3, s=2, mode=mode))
     empty = replace(frame, dates=frame.dates[:0], targets=frame.targets[:0],
                     exog=frame.exog[:0], resolution=resolution)
     assert lookahead_violations(design, empty) == design.n_eff * design.q

@@ -44,13 +44,15 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
             "evaluate", "evaluate-expanding", "evaluate-raw", "ablate",
             "select-order"]
     simulate_only = ["tiny/cli/k1-iid/simulate", "tiny/cli/k3-ar1/simulate"]
+    gapped = ["tiny/cli/k1/fit-gapped", "tiny/cli/k1/evaluate-gapped"]
     assert sorted(cli) == sorted([f"tiny/cli/k{k}/{run}" for k in (1, 2)
-                                  for run in runs] + simulate_only)
+                                  for run in runs] + simulate_only + gapped)
     assert {entry["rc"] for entry in cli.values()} == {0}
     for key in simulate_only:
         assert sorted(cli[key]["sha256"]) == ["synth.csv", "truth.json"]
-    assert sorted(cli["tiny/cli/k2/evaluate"]["sha256"]) == [
-        "config.json", "forecast.csv", "metrics.csv", "regression_line.json"]
+    for key in ("tiny/cli/k2/evaluate", "tiny/cli/k1/evaluate-gapped"):
+        assert sorted(cli[key]["sha256"]) == [
+            "config.json", "forecast.csv", "metrics.csv", "regression_line.json"]
     fixed = doc["datasets"]["tiny/fixed"]
     assert fixed["audit"] == {"lookahead": 0, "forecast_dates": 0,
                               "split_overlap": 0, "scaling": 0}

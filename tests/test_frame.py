@@ -2,6 +2,7 @@
 
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hydrovarx.errors import (
     NonFiniteError,
     UnsupportedResolutionError,
 )
-from hydrovarx.frame import _parse_plain
+from hydrovarx.frame import _iso_days, _plain_columns
 
 
 def _write(path, text):
@@ -117,7 +118,7 @@ def test_load_csv_targets_keyword(tmp_path):
 @pytest.mark.parametrize("other_row", ["2016-01-02,2", "2016-01-02,NA"],
                          ids=["plain", "with-missing-cell"])
 def test_load_csv_rejects_dates_naming_no_day(tmp_path, token, other_row):
-    # the plain file is read in one bulk pass, the other by the per-line loop
+    # a missing cell on a later line must not hide the error
     csv_path = _write(tmp_path / "d.csv",
                       f"Date,Y\n2016-01-01,1\n {token} ,3\n{other_row}\n")
     message = f"line 3: column 'Date': date '{token}' names no calendar day"
@@ -246,6 +247,17 @@ def test_a_record_copies_a_view_of_a_writable_array_and_keeps_a_read_only_one():
     assert np.shares_memory(tail.targets, frame.targets)
 
 
+def test_a_frame_of_no_rows_keeps_its_exogenous_columns():
+    frame = make_frame(np.arange(3.0), np.zeros((3, 2)))
+    empty = replace(frame, dates=frame.dates[:0], targets=frame.targets[:0],
+                    exog=frame.exog[:0])
+    assert empty.exog.shape == (0, 2) and empty.exog_names == ("x1", "x2")
+    # a 1-D exog is one column, or none when empty
+    target = (Column("Y", role="target"),)
+    assert TimeSeriesFrame(daily_dates(3), np.zeros(3), [], target).exog.shape == (3, 0)
+    assert TimeSeriesFrame(daily_dates(0), [], [], target).exog.shape == (0, 0)
+
+
 def test_frame_rejects_no_target_and_repeated_names():
     with pytest.raises(ContractError, match="at least one target"):
         TimeSeriesFrame(daily_dates(3), np.zeros((3, 0)), np.zeros((3, 1)),
@@ -280,12 +292,12 @@ def test_load_csv_without_a_target_is_refused(tmp_path):
         load_csv(path, [])
 
 
-# -- bulk parse against the per-line loop ------------------------------------
+# -- load_csv against the per-line loop ---------------------------------------
 
 def reference_load_csv(path, targets, date_column="Date", exog_columns=None):
-    """The per-line loop ``load_csv`` falls back to, kept as the oracle of
-    its bulk path: every row read by ``csv``, every cell stripped, checked
-    and converted on its own."""
+    """A per-line loop, kept as the oracle of ``load_csv``'s column-wise
+    reader: every row read by ``csv``, every cell stripped, checked and
+    converted on its own, in line order."""
     def is_missing(token):
         return token.strip().lower() in {"", "na", "nan"}
 
@@ -416,7 +428,8 @@ def csv_texts(draw):
     than the header or not, with no, one or three defects. A defect is an
     odd value (a missing spelling, NaN, inf, a quote, a bad token), an odd
     date (one that names no day, a missing or bad token), a short or
-    over-long row, or a blank row. A plain file is read by the bulk pass."""
+    over-long row, or a blank row. A plain file is split on commas, any
+    other read by ``csv``."""
     names = ["Y", "a", "b"][:draw(st.integers(1, 3))]
     date_pos = draw(st.integers(0, len(names)))
     header = names[:date_pos] + ["Date"] + names[date_pos:]
@@ -470,6 +483,12 @@ def _outcome(load, path):
 @example(text="Date,Y\n0999-12-31,1\n1000-01-01,2\n")  # loop-only year
 @example(text="Date,Y\n2016-01-01,1\n2016-01-02T00:00Z,2\n")  # a timezone
 @example(text="Date,Y\n2016-01-01,1\n\n1\n")  # an emptied row, and one grown again
+@example(text="Date,Y,a\n2016-01-01,1,2\n2016-01-02,oops,NA\n")  # dropped, not bad
+@example(text="Date,Y\n2016-01-01,1\n NA ,oops\n,x\n")  # no date: never converted
+@example(text="Date,Y\n2016-01-02,oops\n2016-13-01,1\n")  # bad number, then bad date
+@example(text="Date,Y,a\n2016-01-01,1,2\n  , \t,\n2016-01-02,NA,3\n")  # blank, gap
+@example(text="Date,Y,a\n2016-01-01,NA,2\n2016-01-02,1\n")  # a short row after a gap
+@example(text="Date,Y\n2016-01-01,1\n2016-01-02,2,3\n2016-01-03,3\n")  # one wide row
 def test_load_csv_matches_per_line_loop(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
@@ -478,12 +497,12 @@ def test_load_csv_matches_per_line_loop(tmp_path, text):
 
 @settings(max_examples=1000, deadline=None)
 @given(token=st.one_of(date_tokens(), st.text(_DATE_CHARS, min_size=8, max_size=12)))
-def test_bulk_parse_accepts_only_dates_written_yyyy_mm_dd(token):
-    # the bulk pass's cheap test (10 characters, "-" 5th and 8th, years
-    # 1000-9999) must pass only dates the loop's str(date) == token accepts
-    parsed = _parse_plain(f"{token},1\n", 2, 0, [1])
-    if parsed is not None:
-        assert str(parsed[0][0]) == token.strip()
+def test_fast_date_check_accepts_only_dates_written_yyyy_mm_dd(token):
+    # the cheap test for a whole column (10 characters, "-" 5th and 8th,
+    # years 1000-9999) must pass only dates the loop's str(date) == token accepts
+    days = _iso_days([token.strip()])
+    if days is not None:
+        assert str(days[0]) == token.strip()
 
 
 def test_load_csv_reports_undecodable_bytes_where_the_loop_meets_them(tmp_path):
@@ -506,10 +525,10 @@ _LONG_BODY = "".join(f"{_DAY0 + d},{d},0\n" for d in range(1, 2000))
 
 
 @pytest.mark.parametrize("body,rows", [
-    ("2016-01-02,1.5,2\r\n2016-01-01,3,4\r\n", 2),  # plain: the bulk pass
-    ("2016-01-01,1,2\n2016-01-02,NA,3\n2016-01-03,4,5\n", 2),  # a gap: the loop
-    # bytes that do not decode 28 kB on: the loop re-reads the file from its
-    # start and meets the bad number first
+    ("2016-01-02,1.5,2\r\n2016-01-01,3,4\r\n", 2),  # plain
+    ("2016-01-01,1,2\n2016-01-02,NA,3\n2016-01-03,4,5\n", 2),  # a gap
+    # bytes that do not decode 28 kB on: csv re-reads the file from its
+    # start, and the bad number before them is reported
     ("2016-01-01,1,2\n2015-12-31,oops,3\n" + _LONG_BODY + "2030-01-01,\xff,4\n", None)],
     ids=["plain", "gapped", "undecodable"])
 def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, body, rows):
@@ -523,26 +542,28 @@ def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, body, rows):
     assert plain[3] == (rows, 1) if rows else plain[0] is InputError
 
 
-def test_bulk_parse_reads_plain_bodies_and_declines_the_rest():
-    # header Date,Y,a: the dates are column 0, the values columns 1 and 2
-    parsed = _parse_plain("2016-01-02, 1.5 ,3,y\r\n2016-01-01,1e3,-0,x\r\n", 3, 0, [1, 2])
-    assert parsed is not None
-    dates, values = parsed
-    assert dates.tolist() == [np.datetime64("2016-01-02"), np.datetime64("2016-01-01")]
-    assert values.tolist() == [[1.5, 3.0], [1000.0, -0.0]]
-    for body in ['2016-01-01,"1",2\n',              # quote
-                 "2016-01-01,1,2\x852016-01-02,1,2",  # a break csv does not split on
-                 "2016-01-01,1,2\n\n",              # blank row
-                 "2016-01-01,1,2\n  ,  ,  \n",      # whitespace-only row
-                 "2016-01-01,1\n",                   # short row
-                 "2016-01-01,1,2\n2016-01-02,1,2,3\n",  # rows of unequal length
-                 "2016-01-01,1,NA\n",               # missing cell
-                 "2016-01-01,1, nan \n",            # NaN value
-                 "NaT,1,2\n", "today,1,2\n",        # no calendar day
-                 "2016-13-01,1,2\n", "2016-01-01,x,2\n",  # bad tokens
-                 "2016-01-01,1," + "9" * (csv.field_size_limit() + 1) + "\n",
-                 ""]:
-        assert _parse_plain(body, 3, 0, [1, 2]) is None, body
+@pytest.mark.parametrize("body, split", [
+    ("2016-01-02, 1.5 ,3,y\r\n2016-01-01,1e3,-0,x\r\n", True),  # wider than the header
+    ('2016-01-01,"1",2\n', False),                # quote
+    ("2016-01-01,1,2\x852016-01-02,1,2", False),   # a break csv does not split on
+    ("2016-01-01,1,2\n\n", False),                 # blank row
+    ("2016-01-01,1,2\n  ,  ,  \n", True),          # whitespace-only row
+    ("2016-01-01,1\n", False),                     # short row
+    ("2016-01-01,1,2\n2016-01-02,1,2,3\n", False),  # rows of unequal length
+    ("2016-01-01,1,NA\n", True),                   # missing cell
+    ("2016-01-01,1, nan \n", True),                # NaN value
+    ("NaT,1,2\n", True), ("today,1,2\n", True),     # no calendar day
+    ("2016-13-01,1,2\n", True), ("2016-01-01,x,2\n", True),  # bad tokens
+    ("2016-01-01,1," + "9" * (csv.field_size_limit() + 1) + "\n", False),
+    ("", False)], ids=["wide", "quote", "nel", "blank-row", "whitespace-row",
+                       "short-row", "unequal-rows", "na", "nan", "nat", "today",
+                       "bad-date", "bad-number", "long-field", "empty"])
+def test_load_csv_matches_the_loop_on_each_tokenizer_branch(tmp_path, body, split):
+    # header Date,Y,a; a body the comma split takes must give csv's fields
+    assert (_plain_columns(body, 3) is not None) == split
+    path = tmp_path / "d.csv"
+    path.write_bytes(("Date,Y,a\n" + body).encode())
+    assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
 
 
 # -- seasonal filtering -------------------------------------------------------

@@ -31,8 +31,10 @@ and counters. The dataset sets (``--set``):
   growing season and unstandardized; ``evaluate`` of the fixed, the
   expanding and the unstandardized model; ``ablate``; ``select-order``) plus
   two more ``simulate`` runs (k = 1 with iid drivers over two lags, and
-  k = 3 with AR(1) drivers), whose exit codes and the sha256 of every
-  artifact they write are recorded.
+  k = 3 with AR(1) drivers), and at k = 1 a ``fit``, and an ``evaluate`` of
+  its model, on a copy of the data with gaps (``NA``, empty and
+  blank cells, dates included, and one quoted number), whose exit codes and
+  the sha256 of every artifact they write are recorded.
   They run in one temporary working directory with relative paths,
   because the artifacts record the paths.
 
@@ -238,6 +240,19 @@ _CLI_RUNS = (
 )
 
 
+def _gapped_copy(src, dst):
+    """Write the CSV ``src`` to ``dst`` with about 3% of its cells, dates
+    included, set to ``NA``, empty or blank (a fixed draw), and its first
+    value quoted."""
+    header, *lines = Path(src).read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    draw = np.random.default_rng(32)
+    for row, i in zip(*np.nonzero(draw.random((len(rows), len(rows[0]))) < 0.03)):
+        rows[row][i] = ("NA", "", "  ")[draw.integers(3)]
+    rows[0][1] = f'"{rows[0][1]}"'
+    Path(dst).write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
 def _cli_runs():
     """Run the command-line set in a temporary working directory and yield
     each run's exit code and the sha256 of every file it wrote."""
@@ -267,6 +282,15 @@ def _cli_runs():
                     argv = command.format(k=f"k{k}").split()
                     yield run(f"k{k}/{name}",
                               [*argv, *common, "--out", f"k{k}/{name}"])
+            _gapped_copy("k1/simulate/synth.csv", "k1/gapped.csv")
+            common = ["--input", "k1/gapped.csv", "--target", "Y1", "--p", "2",
+                      "--s", "1", "--grid", "0.5:50:4"]
+            # fit-fixed's model would be refused here: it was fit on more
+            # rows than the gapped copy's first two thirds hold
+            for name, command in (("fit-gapped", "fit"), ("evaluate-gapped",
+                                  "evaluate --model k1/fit-gapped/model.json")):
+                yield run(f"k1/{name}",
+                          [*command.split(), *common, "--out", f"k1/{name}"])
             for name, flags in _CLI_SIMULATE_ONLY.items():
                 yield run(f"{name}/simulate", [
                     "simulate", "--out", f"{name}/simulate", "--n", "730",
