@@ -226,21 +226,23 @@ def _comoments(X):
     """The column means and centered co-moments (X - mean)'(X - mean) of
     X's rows, taken on X less its first row: there a column that is
     constant is exactly zero, so its mean is exact and its co-moments are
-    exactly zero."""
-    shift = X[0]
+    exactly zero. X may be a stack of row blocks (..., rows, columns); each
+    block's figures are those it has alone, to the bit."""
+    shift = X[..., :1, :]
     dev = X - shift
-    mean = dev.sum(axis=0) / len(X)
+    mean = dev.sum(axis=-2, keepdims=True) / X.shape[-2]
     dev -= mean
-    return shift + mean, dev.T @ dev
+    return (shift + mean)[..., 0, :], np.swapaxes(dev, -1, -2) @ dev
 
 
 def _sds(n, mean, M, q):
     """The scales of Z's columns and their constant flags, from n rows of
     [Z | Y], Z's q columns first, with column means ``mean`` and centered
     co-moments ``M``: each column's ddof=1 standard deviation, or 1 for a
-    column whose sd is zero to rounding, relative to its mean."""
-    sd = np.sqrt(M.diagonal()[:q] / (n - 1))
-    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mean[:q]))
+    column whose sd is zero to rounding, relative to its mean. Stacked
+    problems give n as a column of row counts."""
+    sd = np.sqrt(np.diagonal(M, axis1=-2, axis2=-1)[..., :q] / (n - 1))
+    constant = sd <= 1e-12 * np.maximum(1.0, np.abs(mean[..., :q]))
     return np.where(constant, 1.0, sd), constant
 
 

@@ -207,100 +207,136 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     return _lambda_path(design, split, spec)[0][0]
 
 
-def _merge(n, mean, M, X):
-    """``(mean, M)`` of n rows, with the rows of X folded in, by the pairwise
-    update of Chan, Golub & LeVeque (1983): with d the difference of the two
-    parts' means, M = M_a + M_b + d d' n_a n_b / (n_a + n_b). Unlike
-    S - n mean mean', it does not cancel. With n = 0 it is X's own."""
-    n_x = len(X)
-    if n_x == 1:
-        # one row is its own mean, with zero co-moment
-        d = X[0] - mean
-        w = 1 / (n + 1)
-        return mean + d * w, M + np.outer(d, d * (n * w))
-    mean_x, M_x = _comoments(X)
-    d = mean_x - mean
-    w = n_x / (n + n_x)
-    return mean + d * w, M + M_x + np.outer(d, d * (n * w))
+#: the most bytes a block of refit windows holds in stacked arrays, with the
+#: solutions a path keeps for it; a block has at least one window
+BLOCK_BYTES = 1 << 20
 
 
-def _windows(design: DesignMatrix, split: SplitPlan, spec: ModelSpec):
-    """Each refit window: ``(start, stop, gram, mean, scales, rows)``, the
-    problem ``(gram, mean, scales)`` of rows [0, start) (``prepare``'s
-    form), and the rows [start, stop) it predicts, less the means, Z's
-    columns divided by the sds: a solution b predicts them with the error
-    zs @ b.T - ys.
+def _window_blocks(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
+                   n_solutions: int):
+    """The refit windows in blocks, each ``(starts, gram, mean, scales,
+    rows)`` stacked over its W windows: each window's start, the problem
+    ``(gram, mean, scales)`` of rows [0, start) (``prepare``'s form: G
+    (W x q x q), c (W x k x q), means (W x (q + k)), and the sds and
+    constant flags (W x q) or None), and the r rows [start, start + r) it
+    predicts (W x r x (q + k)), less its means, Z's columns divided by its
+    sds: a solution b predicts them with the error zs @ b.T - ys.
 
     Fixed refit is one window, [0, T1), that predicts the whole validation
     segment; expanding refit re-fits on [0, t) every ``refit_every`` rows t.
     The running means and centered co-moments of [Z | Y] take in each
-    window's new rows (``_merge``); each Gram is read off them by
+    window's new rows by the pairwise update of Chan, Golub & LeVeque
+    (1983): with d the difference of the two parts' means, M = M_a + M_b +
+    d d' n_a n_b / (n_a + n_b). Unlike S - n mean mean', it does not cancel.
+    A block's windows each take in as many rows and predict as many. Their
+    new rows' own moments come from one stacked ``_comoments`` (one row is
+    its own mean, with zero co-moment), the means' recurrence runs once over
+    the block, and the co-moments are one running sum (``np.add.accumulate``)
+    of the update's terms in its order. Each Gram is read off them by
     ``solver._moment_gram``. The first window's problem is ``prepare``'s on
     rows [0, T1) to the bit, a later one's up to rounding.
-    [Z | Y] is stacked only up to the last window's start, so a fixed refit
-    holds no validation row twice; the last window stacks its own rows.
+
+    A block holds at most ``BLOCK_BYTES`` in its own arrays and in the
+    ``n_solutions`` solution columns a path keeps per window, or one window.
+    It stacks [Z | Y] from the first row it takes in to the last row it
+    predicts and scales its rows in place, so a fixed refit holds no
+    validation row twice.
     """
     if split.T1 < 2:  # before any row is merged or solved
         raise DegenerateFitError(f"cannot fit on {split.T1} rows")
     step = split.T2 - split.T1 if spec.refit == "fixed" else spec.refit_every
-    last = range(split.T1, split.T2, step)[-1]
-    q = design.q
-    X = np.hstack([design.Z[:last], design.Y[:last]])
-    n, mean, M = 0, 0.0, 0.0
-    for start in range(split.T1, split.T2, step):
-        stop = min(start + step, split.T2)
-        mean, M = _merge(n, mean, M, X[n:start])
-        n = start
-        gram, mean, scales = _moment_gram(start, mean, M, q, spec.standardize)
-        if start < last:
-            rows = X[start:stop] - mean
-        else:  # the last window's rows lie past X
-            rows = np.hstack([design.Z[start:stop], design.Y[start:stop]])
-            rows -= mean
+    T1, T2 = split.T1, split.T2
+    windows = [(start, min(start + step, T2)) for start in range(T1, T2, step)]
+    q, width = design.q, design.q + design.k
+    n, mean, M = 0, 0.0, np.zeros((width, width))
+    i = 0
+    while i < len(windows):
+        new, r = windows[i][0] - n, windows[i][1] - windows[i][0]
+        # 8 bytes per stacked float, 32 per float in a list of solutions
+        size = (8 * width * (3 * width + new + r)
+                + (8 * (width + 2 * r) + 32 * q) * n_solutions)
+        j = i + 1
+        while (j < len(windows) and (j - i + 1) * size <= BLOCK_BYTES
+               and windows[j][0] - windows[j - 1][0] == new
+               and windows[j][1] - windows[j][0] == r):
+            j += 1
+        starts = np.array([start for start, _ in windows[i:j]])
+        W, stop = j - i, windows[j - 1][1]
+        X = np.hstack([design.Z[n:stop], design.Y[n:stop]])
+        fresh = X[:starts[-1] - n].reshape(W, new, width)
+        if new == 1:
+            mean_x, M_x = fresh[:, 0], None
+        else:
+            mean_x, M_x = _comoments(fresh)
+        w = new / starts
+        # the update's terms in its order: per window M_x (if more than one
+        # row), then d d' n w, w = n_x / (n + n_x)
+        terms = np.empty((1 + (1 if M_x is None else 2) * W, width, width))
+        terms[0] = M
+        if M_x is not None:
+            terms[1::2] = M_x
+        d = np.empty((W, width))
+        means = np.empty((W, width))
+        for t in range(W):
+            d[t] = mean_x[t] - mean
+            mean = means[t] = mean + d[t] * w[t]
+        np.multiply(d[:, :, None], (d * ((starts - new) * w)[:, None])[:, None, :],
+                    out=terms[1:] if M_x is None else terms[2::2])
+        np.add.accumulate(terms, axis=0, out=terms)
+        Ms = terms[1:] if M_x is None else terms[2::2]
+        M = Ms[-1].copy()
+        gram, means, scales = _moment_gram(starts[:, None], means, Ms, q,
+                                           spec.standardize)
+        rows = X[starts[0] - n:].reshape(W, r, width)
+        rows -= means[:, None, :]
         if scales is not None:
-            rows[:, :q] /= scales[0]
-        yield start, stop, gram, mean, scales, rows
+            rows[:, :, :q] /= scales[0][:, None, :]
+        yield starts, gram, means, scales, rows
+        n, i = int(starts[-1]), j
 
 
-def _cut(gram, idx):
-    """The ``Gram`` of the columns ``idx`` of ``gram``'s design (None:
-    ``gram`` itself). Centering and scaling are per column, so this is the
-    G and c of those columns' rows alone, but for the rounding of the
-    co-moment product, whose diagonal also gives the sds."""
+def _cut(G, c, idx):
+    """The G and c of the columns ``idx`` of a problem's design (None: the
+    problem's own), of one problem or a stack of them. Centering and
+    scaling are per column, so these are the G and c of those columns' rows
+    alone, but for the rounding of the co-moment product, whose diagonal
+    also gives the sds."""
     if idx is None:
-        return gram
-    return Gram(gram.G[np.ix_(idx, idx)], gram.c[:, idx])
+        return G, c
+    return G[..., idx[:, None], idx], c[..., idx]
 
 
 def _sq_errors(F, X):
     """The column sums of (F @ X)^2 for the scaled rows F = [zs ys], taken
     through a factor R with R'R = F'F: F itself when it has at most as many
     rows as columns, else the R of its QR factorization. (A Gram form of
-    the same sums would square the rows' conditioning.)"""
-    if len(F) > F.shape[1]:
+    the same sums would square the rows' conditioning.) F and X may be
+    stacks, one product per item."""
+    if F.shape[-2] > F.shape[-1]:
         F = np.linalg.qr(F, mode="r")
     E = F @ X
-    return (E * E).sum(axis=0)
+    return (E * E).sum(axis=-2)
 
 
 def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
                  cuts=(None,)):
     """One ``select_lambda`` path per column cut of ``design``, all from one
-    pass over its windows (``_windows``); a cut is an index array of the
-    design's columns, and None is the whole design.
+    pass over its refit windows (``_window_blocks``); a cut is an index
+    array of the design's columns, and None is the whole design.
 
-    In each window a cut's G and c are cut from the window's (``_cut``),
-    and its grid is solved as ``select_lambda``'s: chained down the grid in
-    the first window, then each lambda from its own previous window. The
-    window's solutions, every cut's at every lambda, are kept in one array
-    X, scored on its scaled rows in one product (``_sq_errors``), and the
-    next window starts each solve from X.
+    In each block of windows a cut's G and c are cut from the block's
+    (``_cut``), and each window's grid is one ``solve``: chained down the
+    grid in the first window, then each lambda from its own previous
+    window's solution. The block's solutions, every cut's at every lambda
+    in the design's columns, are kept in one array X, and scored on the
+    block's scaled rows in one stacked product (``_sq_errors``); the sums
+    run on across windows in window order (``np.add.accumulate``).
 
     Returns the paths, then the first window's means and scales (the whole
-    design's, as ``_windows`` yields them) and solutions, X's (q x cut x
-    lambda x k) block, zero outside each cut. Under either refit policy
-    the first window is [0, T1), the training segment ``split.train``, so
-    these are the train fits at every lambda.
+    design's) and solutions, X's (q x cut x lambda x k) block, zero outside
+    each cut. Under either refit policy the first window is [0, T1), the
+    training segment ``split.train``, so these are the train fits at every
+    lambda.
     """
     _check_split(design, split)
     grid = default_grid() if spec.grid is None else np.array(spec.grid)
@@ -309,35 +345,43 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
         raise InsufficientDataError(
             f"validation segment has {n_val} rows; need >= 2")
 
-    penalties = [Penalty(float(lam), spec.alpha) for lam in grid]
+    # every chain runs down the grid, from its largest lambda
+    penalties = [Penalty(float(lam), spec.alpha) for lam in grid[::-1]]
     q, k, n_cut, n_grid = design.q, design.k, len(cuts), grid.size
-    # every solution of a window in the design's columns, over -I: a block
-    # of k columns per (cut, lambda), so [zs ys] @ X holds their errors
-    X = np.zeros((q + k, n_cut, n_grid, k))
-    X[q:] = -np.eye(k)[:, None, None, :]
     sse = np.zeros((n_cut, n_grid))
     counts = [[0, 0, 0, 0.0] for _ in cuts]  # solves, iterations, nonconverged, kkt
+    warm = [None] * n_cut  # each cut's solutions in its last window
     first = None
-    for _, _, gram, mean, scales, rows in _windows(design, split, spec):
-        for idx, count, Xc in zip(cuts, counts, X.swapaxes(0, 1)):
-            sub = _cut(gram, idx)
+    for starts, (G, c), mean, scales, rows in _window_blocks(
+            design, split, spec, n_cut * n_grid * k):
+        W = len(starts)
+        # the block's solutions over -I: per window a block of k columns per
+        # (cut, lambda), so [zs ys] @ X holds their errors
+        X = np.zeros((W, q + k, n_cut, n_grid, k))
+        X[:, q:] = -np.eye(k)[:, None, None, :]
+        for ci, (idx, count) in enumerate(zip(cuts, counts)):
+            G_cut, c_cut = _cut(G, c, idx)
+            solved = []
+            for t in range(W):
+                results = solve(Gram(G_cut[t], c_cut[t]), penalties, spec.tol,
+                                spec.max_iter, warm[ci])
+                warm[ci] = [rows_b for rows_b, _, _, _ in results]
+                solved.append(warm[ci])
+                for _, n_iter, converged, kkt in results:
+                    count[1] += sum(n_iter)
+                    count[2] += not converged
+                    count[3] = max(count[3], kkt)
+            count[0] += W * n_grid
+            # solved is (W x lambda x k x columns), from the largest lambda
             cols = slice(0, q) if idx is None else idx
-            b = None
-            for gi in range(n_grid - 1, -1, -1):
-                # the first window chains warm starts down the grid; later
-                # ones start each lambda from its own previous window
-                b, n_iter, converged, kkt = solve(
-                    sub, penalties[gi], spec.tol, spec.max_iter,
-                    b if first is None else Xc[cols, gi].T)
-                Xc[cols, gi] = b.T
-                count[0] += 1
-                count[1] += sum(n_iter)
-                count[2] += not converged
-                count[3] = max(count[3], kkt)
+            X[:, cols, ci] = np.transpose(solved, (0, 3, 1, 2))[:, :, ::-1]
         if first is None:
-            first = mean, scales, X[:q].copy()
-        sse += _sq_errors(rows, X.reshape(q + k, -1)).reshape(
-            n_cut, n_grid, k).sum(axis=2)
+            first = (mean[0].copy(),
+                     None if scales is None else tuple(a[0].copy() for a in scales),
+                     X[0, :q].copy())
+        block_sse = _sq_errors(rows, X.reshape(W, q + k, -1)).reshape(
+            W, n_cut, n_grid, k).sum(axis=3)
+        sse = np.add.accumulate(np.concatenate([sse[None], block_sse]), axis=0)[-1]
 
     paths = []
     for msfe, (solves, iterations, nonconverged, kkt_max) in zip(

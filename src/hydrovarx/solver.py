@@ -19,12 +19,13 @@ off the column means and centered co-moments of the rows of [Z | Y] by
 ``_moment_gram``. A problem is ``(gram, mean, scales)``: that ``Gram``,
 the column means of [Z | Y] and Z's scales (None when not standardized).
 ``prepare`` takes the co-moments from a design's rows, and
-``selection._windows`` from co-moments that grow with each refit window.
-``solve``, the one way to solve a problem, reads only the ``Gram`` and
-returns its standardized coefficients at one penalty, from zero or from a
-given start, so a lambda grid forms each window's Gram once and builds no
-model. ``fit`` is ``prepare``, ``solve``, then ``_finish``, the one mapping
-back from the means and scales to a model.
+``selection._window_blocks`` from co-moments that grow with each refit
+window, a block of windows at a time. ``solve``, the one way to solve a
+problem, reads only the ``Gram`` and returns its standardized coefficients
+at each penalty of a grid, chained from zero or from a start per penalty,
+so a lambda grid forms each window's Gram once and builds no model.
+``fit`` is ``prepare``, ``solve`` at one penalty, then ``_finish``, the one
+mapping back from the means and scales to a model.
 
 The kernel (``_cd_solve``) is the active-set method of Osborne, Presnell &
 Turlach (2000). With t = lambda alpha / 2, b is optimal when every nonzero
@@ -341,18 +342,22 @@ def _moment_gram(n, mean, M, q, standardize):
     ``M``: its ``Gram``, ``mean``, and the scales of Z's columns with their
     constant flags (``design._sds``), or None when not standardized.
     Standardized, it is G = D^-1 M_zz D^-1 and c = M_yz D^-1, with D those
-    sds; the scaled columns then have mean zero."""
-    G, c = M[:q, :q], M[q:, :q]
+    sds; the scaled columns then have mean zero. The division is
+    elementwise, so a stack of problems (n a column of row counts) gives
+    each problem's figures to the bit."""
+    G, c = M[..., :q, :q], M[..., q:, :q]
     if not standardize:
         return Gram(G, c), mean, None
     scales = _sds(n, mean, M, q)
     sd = scales[0]
-    return Gram(G / sd / sd[:, None], c / sd), mean, scales
+    G = G / sd[..., None, :] / sd[..., :, None]
+    return Gram(G, c / sd[..., None, :]), mean, scales
 
 
 def prepare(design: DesignMatrix, *, standardize_design: bool = True):
     """The problem ``(gram, mean, scales)`` of ``design``'s rows, read off
-    their co-moments as every refit window's is (``selection._windows``)."""
+    their co-moments as every refit window's is
+    (``selection._window_blocks``)."""
     n = design.n_eff
     if n < 2:  # before _comoments, which reads the first row
         raise DegenerateFitError(f"cannot fit on {n} rows")
@@ -424,23 +429,24 @@ def _face_step(H, c, thr, b, g, face, signs, new):
     return True
 
 
-def _cd_solve(H, thr, h_diag, bound, c, b, max_iter):
+def _cd_solve(H, thr, h_diag, bound, c, cl, start, max_iter):
     """Active-set solve of one equation on centered data, with H = G +
-    lambda (1 - alpha) I, thr = lambda alpha / 2, H's diagonal as a list and
-    the KKT bound tol * max(1, max_j G_jj), which ``solve`` forms once for
-    all of a problem's equations.
+    lambda (1 - alpha) I, thr = lambda alpha / 2, H's diagonal as a list,
+    the KKT bound tol * max(1, max_j G_jj), the equation's c as an array
+    and as the list ``cl``, which ``solve`` forms once for a grid of
+    penalties, and ``start`` a list of floats, which is left as it is.
 
     Returns ``(b, iterations, converged, kkt)``: b as a list of floats,
     ``kkt`` the largest KKT residual of the returned b, and ``converged``
     whether it is within ``bound``. H need not be bit-symmetric. See the
     module docstring for the iteration.
     """
-    cl = c.tolist()
-    b = b.tolist()
     if max_iter > 0 and min(h_diag) <= 0.0:
         # H_jj = 0: a zero column, whose coefficient stays pinned at zero;
         # max_iter = 0 returns the start as it is
-        b = [v if d > 0.0 else 0.0 for v, d in zip(b, h_diag)]
+        b = [v if d > 0.0 else 0.0 for v, d in zip(start, h_diag)]
+    else:
+        b = list(start)
     iters = 0
     converged = False
     # a warm start re-solves its face without the first pass, as iteration
@@ -492,36 +498,44 @@ def _cd_solve(H, thr, h_diag, bound, c, b, max_iter):
     return b, iters, converged, kkt
 
 
-def solve(gram: Gram, penalty: Penalty, tol: float = 1e-7,
-          max_iter: int = 10000, start=None):
-    """Solve the problem of ``gram`` at one penalty; returns ``(scaled_b,
-    n_iter, converged, kkt)``: the (k x q) coefficients on the problem's
-    scale, the iterations per equation, whether every equation was
-    certified optimal, and the largest KKT residual over the equations
-    (see ``_cd_solve``). ``start`` is a ``scaled_b`` to start from (None:
-    zero).
+def solve(gram: Gram, penalties, tol: float = 1e-7, max_iter: int = 10000,
+          starts=None):
+    """Solve the problem of ``gram`` at each of ``penalties`` in turn;
+    returns one ``(rows, n_iter, converged, kkt)`` per penalty: the (k x q)
+    coefficients on the problem's scale as k lists of floats, the
+    iterations per equation, whether every equation was certified optimal,
+    and the largest KKT residual over the equations (see ``_cd_solve``).
+
+    ``starts`` holds one start per penalty, k lists of q floats each. None
+    chains the grid: the first penalty starts from zero (one zero list,
+    shared by every equation), each next one from the solution before it.
+    H for every penalty (one stacked copy of G, the ridges added on its
+    diagonals), their diagonals, the KKT bound and c's lists are formed
+    once, so the loop holds only the kernel's calls.
     """
     G, c = gram
-    ridge = penalty.lam * (1.0 - penalty.alpha)
-    H = G
-    if ridge:
-        H = G.copy()
-        H.flat[::len(G) + 1] += ridge
-    thr = penalty.lam * penalty.alpha / 2.0
-    h_diag = H.diagonal().tolist()
+    n, q = len(penalties), len(G)
+    H = G[None].repeat(n, 0)
+    diagonals = H.reshape(n, -1)[:, ::q + 1]
+    diagonals += np.array([p.lam * (1.0 - p.alpha) for p in penalties])[:, None]
+    h_diags = diagonals.tolist()
     bound = tol * max([1.0] + G.diagonal().tolist())
-    start = np.zeros(c.shape) if start is None else np.asarray(start, dtype=float)
-    rows = []
-    n_iter = []
-    converged = True
-    kkt = 0.0
-    for i in range(len(c)):
-        b, iters, ok, r = _cd_solve(H, thr, h_diag, bound, c[i], start[i], max_iter)
-        rows.append(b)
-        n_iter.append(iters)
-        converged &= ok
-        kkt = max(kkt, r)
-    return np.array(rows), tuple(n_iter), converged, kkt
+    c_lists = c.tolist()
+    rows = [[0.0] * q] * len(c)
+    out = []
+    for gi, penalty in enumerate(penalties):
+        thr = penalty.lam * penalty.alpha / 2.0
+        start = rows if starts is None else starts[gi]
+        rows, n_iter, converged, kkt = [], [], True, 0.0
+        for i, cl in enumerate(c_lists):
+            b, iters, ok, r = _cd_solve(H[gi], thr, h_diags[gi], bound, c[i], cl,
+                                        start[i], max_iter)
+            rows.append(b)
+            n_iter.append(iters)
+            converged &= ok
+            kkt = max(kkt, r)
+        out.append((rows, tuple(n_iter), converged, kkt))
+    return out
 
 
 def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = True,
@@ -540,8 +554,8 @@ def fit(design: DesignMatrix, penalty: Penalty, *, standardize_design: bool = Tr
     """
     check_stopping(tol, max_iter)
     gram, mean, scales = prepare(design, standardize_design=standardize_design)
-    scaled_b, n_iter, converged, _ = solve(gram, penalty, tol, max_iter)
-    return _finish(design, mean, scales, penalty, scaled_b, n_iter, converged)
+    (rows, n_iter, converged, _), = solve(gram, [penalty], tol, max_iter)
+    return _finish(design, mean, scales, penalty, np.array(rows), n_iter, converged)
 
 
 def _finish(design: DesignMatrix, mean, scales, penalty: Penalty,

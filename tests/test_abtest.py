@@ -51,3 +51,20 @@ def test_summary_pairs_runs_by_seed_and_reads_each_metrics_direction():
     assert abs(p50["median_change_rel"] - (0.018 / 0.020 - 1.0)) < 1e-15
     rate = w["ops_per_s"]
     assert rate["change_better_pairs"] == 2 and rate["tied_pairs"] == 1
+
+
+
+def test_paired_change_is_not_led_by_drift_between_pairs():
+    # the host slows by 20% from pair to pair; the change is 2% faster in
+    # four pairs and 1% slower in the middle one, whose runs are both
+    # sides' medians: the medians' ratio reads that one pair, the median of
+    # the pairs' ratios reads the other four
+    runs = []
+    for seed, effect in zip(range(1, 6), (0.98, 0.98, 1.01, 0.98, 0.98)):
+        parent = 0.020 * (1.0 + 0.2 * seed)
+        runs += [_run("parent", seed, parent, 50.0),
+                 _run("change", seed, parent * effect, 50.0)]
+    p50 = abtest.summarize(runs, {"op_s_p50": "lower"})["w"]["op_s_p50"]
+    assert p50["change_better_pairs"] == 4
+    assert abs(p50["median_change_rel"] - 0.01) < 1e-12
+    assert abs(p50["median_pair_rel"] - (-0.02)) < 1e-12

@@ -38,8 +38,10 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
     cli = {key: entry["cli"] for key, entry in doc["datasets"].items()
            if key.startswith("tiny/cli/")}
     assert sorted(set(doc["datasets"]) - set(cli)) == [
-        "tiny/expanding", "tiny/expanding-raw", "tiny/fixed", "tiny/fixed-raw",
-        "tiny/scan", "tiny/scan-raw"]
+        "tiny/expanding", "tiny/expanding-k2", "tiny/expanding-raw",
+        "tiny/fixed", "tiny/fixed-raw", "tiny/scan", "tiny/scan-expanding1",
+        "tiny/scan-expanding1-raw", "tiny/scan-expanding3",
+        "tiny/scan-expanding3-raw", "tiny/scan-raw"]
     runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing", "fit-raw",
             "evaluate", "evaluate-expanding", "evaluate-raw", "ablate",
             "select-order"]

@@ -33,7 +33,7 @@ from hydrovarx import (
     select_lambda,
     select_order,
 )
-from hydrovarx.design import _sds
+from hydrovarx.design import _comoments
 from hydrovarx.errors import (
     ContractError,
     DegenerateFitError,
@@ -43,14 +43,14 @@ from hydrovarx.errors import (
 from hydrovarx.selection import (
     _cut,
     _lambda_path,
-    _merge,
-    _windows,
+    _window_blocks,
     check_grid,
 )
 from hydrovarx.simulate import SynthSpec, simulate
 from hydrovarx.solver import (
     Gram,
     _finish,
+    _moment_gram,
     kkt_violation,
     prepare,
     solve,
@@ -198,8 +198,10 @@ def reference_select_lambda(design, split, alpha, grid, refit, refit_every,
 
     def fit_from(start, window, penalty):
         gram, mean, scales = prepare(window, standardize_design=standardize_design)
-        b, n_iter, converged, _ = solve(gram, penalty, start=start)
-        return _finish(window, mean, scales, penalty, b, n_iter, converged)
+        (b, n_iter, converged, _), = solve(
+            gram, [penalty], starts=None if start is None else [start.tolist()])
+        return _finish(window, mean, scales, penalty, np.array(b), n_iter,
+                       converged)
 
     for gi in range(grid.size - 1, -1, -1):
         penalty = Penalty(float(grid[gi]), alpha)
@@ -271,12 +273,36 @@ def test_select_lambda_matches_reference_on_random_problems(
     assert path.chosen_index == chosen
 
 
+def reference_merge(n, mean, M, X):
+    """``(mean, M)`` of n rows, with the rows of X folded in one window at a
+    time, by the pairwise update of Chan, Golub & LeVeque (1983): the loop
+    that the stacked blocks replaced. With n = 0 it is X's own."""
+    n_x = len(X)
+    if n_x == 1:
+        d = X[0] - mean
+        w = 1 / (n + 1)
+        return mean + d * w, M + np.outer(d, d * (n * w))
+    mean_x, M_x = _comoments(X)
+    d = mean_x - mean
+    w = n_x / (n + n_x)
+    return mean + d * w, M + M_x + np.outer(d, d * (n * w))
+
+
+def _unstacked(blocks):
+    """Every window of ``_window_blocks``' blocks: ``(start, G, c, mean,
+    scales, rows)``."""
+    return [(int(start), G[t], c[t], mean[t],
+             None if scales is None else (scales[0][t], scales[1][t]), rows[t])
+            for starts, (G, c), mean, scales, rows in blocks
+            for t, start in enumerate(starts)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), n=st.integers(12, 80),
        refit_every=st.sampled_from([1, 2, 3, 7]), standardize=st.booleans(),
-       level=st.sampled_from([0.0, 0.3, -41.7]))
+       level=st.sampled_from([0.0, 0.3, -41.7]), one_per_block=st.booleans())
 def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
-                                         level):
+                                         level, one_per_block):
     split = SplitPlan(n)
     # the first column is constant over the first window and a few rows
     # beyond, then varies
@@ -284,45 +310,56 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
     q = design.q
     spec = ModelSpec(refit="expanding", refit_every=refit_every,
                      standardize=standardize)
-    windows = list(_windows(design, split, spec))
+    with pytest.MonkeyPatch.context() as mp:
+        if one_per_block:
+            mp.setattr(hydrovarx.selection, "BLOCK_BYTES", 0)
+        blocks = list(_window_blocks(design, split, spec, 1))
+    windows = _unstacked(blocks)
     starts = list(range(split.T1, split.T2, refit_every))
-    assert [(start, stop) for start, stop, *_ in windows] \
-        == [(t, min(t + refit_every, split.T2)) for t in starts]
-    # the running co-moments, merged as the windows merge them
+    assert [start for start, *_ in windows] == starts
+    if one_per_block:
+        assert len(blocks) == len(starts)
+    # the running co-moments, merged one window at a time
     X = np.hstack([design.Z, design.Y])
     n_rows, mean, M = 0, 0.0, 0.0
-    for start, stop, gram, got_mean, got_scales, rows in windows:
-        mean, M = _merge(n_rows, mean, M, X[n_rows:start])
+    for start, G, c, got_mean, got_scales, rows in windows:
+        mean, M = reference_merge(n_rows, mean, M, X[n_rows:start])
         n_rows = start
-        # every window's problem is a bare Gram with the running means and
-        # scales, equal to the plain row arithmetic's on its rows to rounding
-        assert isinstance(gram, Gram)
+        # every window's problem has the running means and scales, equal to
+        # the plain row arithmetic's on its rows to rounding
         train = design.take(slice(0, start))
-        assert_problem_close((gram, got_mean, got_scales),
+        assert_problem_close((Gram(G, c), got_mean, got_scales),
                              reference_prepare(train, standardize), train.Y)
+        # and, stacked, it is the one-window reading of the running moments
+        # to the bit
         assert got_mean.tobytes() == mean.tobytes()
+        (want_G, want_c), _, want_scales = _moment_gram(start, mean, M, q,
+                                                        standardize)
+        assert G.tobytes() == want_G.tobytes()
+        assert c.tobytes() == want_c.tobytes()
         if standardize:
-            sd, constant = _sds(start, mean, M, q)
+            sd, constant = want_scales
             assert got_scales[0].tobytes() == sd.tobytes()
             assert got_scales[1].tobytes() == constant.tobytes()
         else:
             assert got_scales is None
         # the scoring rows: the window's rows less its means, Z's columns
         # divided by its sds
-        scaled = X[start:stop] - mean
+        scaled = X[start:min(start + refit_every, split.T2)] - mean
         if standardize:
             scaled[:, :q] /= sd
         assert rows.shape == scaled.shape
         assert rows.tobytes() == scaled.tobytes()
     # the first window's problem is prepare's on its rows to the bit, and
     # fixed refit is that one window
-    fixed, = _windows(design, split, replace(spec, refit="fixed"))
-    assert fixed[:2] == (split.T1, split.T2)
+    fixed, = _unstacked(_window_blocks(design, split,
+                                       replace(spec, refit="fixed"), 1))
+    assert fixed[0] == split.T1 and len(fixed[-1]) == split.T2 - split.T1
     (G, c), want_mean, want_scales = prepare(design.take(split.train),
                                              standardize_design=standardize)
     assert (want_scales is not None) == standardize
-    for _, _, gram, got_mean, got_scales, _ in (fixed, windows[0]):
-        got = [*gram, got_mean, *(got_scales or ())]
+    for _, got_G, got_c, got_mean, got_scales, _ in (fixed, windows[0]):
+        got = [got_G, got_c, got_mean, *(got_scales or ())]
         want = [G, c, want_mean, *(want_scales or ())]
         assert len(got) == len(want) == (5 if standardize else 3)
         for a, b in zip(got, want, strict=True):
@@ -330,6 +367,81 @@ def test_expanding_windows_match_prepare(seed, k, n, refit_every, standardize,
             assert a.tobytes() == b.tobytes()
         if standardize:
             assert got_scales[1][0]  # the first column is constant there
+
+
+def _path_bits(result):
+    """The bytes of everything ``_lambda_path`` returns."""
+    paths, mean, scales, X0 = result
+    return ([(path.grid.tobytes(), path.msfe.tobytes(), path.chosen_index,
+              path.solves, path.iterations, path.nonconverged, path.kkt_max)
+             for path in paths],
+            mean.tobytes(), scales and [a.tobytes() for a in scales],
+            X0.tobytes())
+
+
+@pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
+                                               ("expanding", 3)])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_block_budget_changes_no_bit(refit, refit_every, standardize):
+    # one window per block against the default budget: the same paths,
+    # counters and train fits, to the bit, for every cut of an order scan
+    rng = np.random.default_rng(33)
+    n = 150
+    y = rng.normal(size=(n, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, 2))
+    design = build_design(make_frame(y, rng.normal(size=(n, 2))), LagSpec(3, 2))
+    split = SplitPlan(design.n_eff)
+    cuts = [None] + [np.r_[0:p * 2, 6:6 + s * 2] for p in (1, 3) for s in (0, 2)]
+    spec = ModelSpec(grid=np.geomspace(0.5, 80.0, 5), refit=refit,
+                     refit_every=refit_every, standardize=standardize)
+    blocks = []
+    window_blocks = hydrovarx.selection._window_blocks
+
+    def spy(*args):
+        for block in window_blocks(*args):
+            blocks.append(len(block[0]))
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hydrovarx.selection, "_window_blocks", spy)
+        wide = _lambda_path(design, split, spec, cuts)
+        shared, blocks = blocks, []
+        mp.setattr(hydrovarx.selection, "BLOCK_BYTES", 0)
+        single = _lambda_path(design, split, spec, cuts)
+    windows = len(range(split.T1, split.T2,
+                        refit_every if refit == "expanding" else n))
+    assert sum(shared) == len(blocks) == windows
+    # the first window is a block of its own; later ones share blocks
+    assert shared[0] == 1 and (windows == 1 or max(shared) > 1)
+    assert _path_bits(wide) == _path_bits(single)
+
+
+def test_lambda_path_memory_does_not_grow_with_the_windows():
+    # an expanding order scan of 24 candidates over n = 3000 rows, at 50 and
+    # at 200 windows: its blocks hold a bounded number of windows, so one
+    # bound that counts no window holds both (all 200 windows at once would
+    # hold about 8 MB)
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    n = 3000
+    y = rng.normal(size=(n, 1)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, 1))
+    design = build_design(make_frame(y, rng.normal(size=(n, 3))), LagSpec(6, 3))
+    split = SplitPlan(design.n_eff)
+    cuts = [np.r_[0:p, 6:6 + s * 3] for p in range(1, 7) for s in range(4)]
+    peaks = []
+    for refit_every in (20, 5):
+        spec = ModelSpec(grid=(10.0, 100.0), refit="expanding",
+                         refit_every=refit_every)
+        tracemalloc.start()
+        try:
+            _lambda_path(design, split, spec, cuts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # two blocks of 1 MiB (the one being formed, and the one last solved),
+    # and the first window's rows: three copies of T1 rows of [Z | Y]
+    bound = 2 * 2**20 + 3 * 8 * split.T1 * (design.q + design.k)
+    assert max(peaks) <= bound, peaks
 
 
 @pytest.mark.parametrize("refit,refit_every", [("fixed", 1), ("expanding", 1),
@@ -556,7 +668,7 @@ def test_select_order_matches_per_candidate_reference(
         mp.setattr(hydrovarx.selection, "_lambda_path", spy)
         scan = select_order(frame, p_range, s_range, spec)
     (wide, split, cuts, (paths, mean, scales, X0)), = seen
-    (_, _, gram, *_) = next(_windows(wide, split, spec))
+    _, (G, c), *_ = next(_window_blocks(wide, split, spec, 1))
     assert scan.lambdas.tolist() == [lam for _, lam, *_ in want]
     for ci, ((d, _, ref_bic, ref_model, ref_train), got_bic, idx, path) \
             in enumerate(zip(want, scan.bic, cuts, paths, strict=True)):
@@ -565,12 +677,10 @@ def test_select_order_matches_per_candidate_reference(
         assert wide.Z[:, idx].tobytes() == d.Z.tobytes()
         for name in ("Y", "row_dates"):
             assert getattr(wide, name).tobytes() == getattr(d, name).tobytes()
-        cut = _cut(gram, idx)
-        assert isinstance(cut, Gram)
         own, _, _ = prepare(d.take(split.train),
                             standardize_design=standardize_design)
-        for name in ("G", "c"):
-            close(getattr(cut, name), getattr(own, name))
+        for got, want in zip(_cut(G[0], c[0], idx), own, strict=True):
+            close(got, want)
         # the train solutions are zero outside the candidate's columns
         b = X0[:, ci, path.chosen_index].T
         assert not np.delete(b, idx, axis=1).any()
@@ -632,23 +742,25 @@ def test_expanding_run_scales_once_per_path_and_never_per_window(monkeypatch):
         made.append(self)
         init(self)
 
-    per_window = []  # the ScalingInfo made while each window was formed
-    windows = hydrovarx.selection._windows
+    per_block = []  # the ScalingInfo made while each block was formed
+    windows = []  # and the windows of each block
+    blocks = hydrovarx.selection._window_blocks
 
     def spy(*args):
         before = len(made)
-        for window in windows(*args):
-            per_window.append(len(made) - before)
-            yield window
+        for block in blocks(*args):
+            per_block.append(len(made) - before)
+            windows.append(len(block[0]))
+            yield block
             before = len(made)
 
     monkeypatch.setattr(ScalingInfo, "__post_init__", counted)
-    monkeypatch.setattr(hydrovarx.selection, "_windows", spy)
+    monkeypatch.setattr(hydrovarx.selection, "_window_blocks", spy)
     report = run_pipeline(frame, ModelSpec(grid=np.geomspace(0.1, 10.0, 3),
                                            refit="expanding", refit_every=2))
     split = report.split
-    assert per_window == [0] * len(range(split.T1, split.T2, 2))
-    assert len(per_window) > 10
+    assert per_block == [0] * len(windows)
+    assert sum(windows) == len(range(split.T1, split.T2, 2)) > 10
     # the final fit's prepare alone
     assert len(made) == 1
 

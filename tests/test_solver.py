@@ -249,9 +249,9 @@ def _kernel_case(q, n_extra, alpha, lam_frac, warm, zero_col, asym, seed,
 def cd_solve(G, c, penalty, b, tol, max_iter):
     """The kernel on one equation, through ``solve``: ``(b, iterations,
     converged, kkt)`` with b a list."""
-    rows, n_iter, ok, kkt = solve(Gram(G, c[None]), penalty, tol, max_iter,
-                                  start=b[None])
-    return rows[0].tolist(), n_iter[0], ok, kkt
+    (rows, n_iter, ok, kkt), = solve(Gram(G, c[None]), [penalty], tol, max_iter,
+                                     [[b.tolist()]])
+    return rows[0], n_iter[0], ok, kkt
 
 
 def _solve(G, c, penalty, b0, max_iter, tol=1e-7):
@@ -544,14 +544,44 @@ def test_prepare_and_standardize_match_the_row_arithmetic(seed, k, n, flat, leve
     close(scaled.Y, design.Y - mean[q:], np.abs(design.Y).max())
 
 
+def _bits(result):
+    """One ``solve`` result with its rows as bytes."""
+    rows, *rest = result
+    return np.array(rows).tobytes(), *rest
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_solve_on_a_grid_is_one_solve_per_penalty(alpha):
+    # a grid in one call, chained: the first penalty from zero, each next
+    # from the one before, as single solves chained by hand, to the bit
+    design = _random_design(27, k=2, m=2)
+    gram, _, _ = prepare(design)
+    penalties = [Penalty(lam, alpha) for lam in (40.0, 8.0, 1.5, 0.2)]
+    chained = solve(gram, penalties)
+    assert len(chained) == len(penalties)
+    start = None
+    for penalty, got in zip(penalties, chained, strict=True):
+        want, = solve(gram, [penalty], starts=None if start is None else [start])
+        assert _bits(got) == _bits(want)
+        start = want[0]
+    # a start per penalty, read and never changed
+    starts = [rows for rows, *_ in chained][::-1]
+    kept = [[list(row) for row in rows] for rows in starts]
+    again = solve(gram, penalties[::-1], starts=starts)
+    assert starts == kept
+    for penalty, start, got in zip(penalties[::-1], kept, again, strict=True):
+        want, = solve(gram, [penalty], starts=[start])
+        assert _bits(got) == _bits(want)
+
+
 def test_solve_on_prepared_problem_equals_fit_on_design():
     design = _random_design(26, k=2, m=2)
     for standardize_design in (True, False):
         gram, _, _ = prepare(design, standardize_design=standardize_design)
-        b, n_iter, converged, kkt = solve(gram, Penalty(3.0, 0.5))
+        (b, n_iter, converged, kkt), = solve(gram, [Penalty(3.0, 0.5)])
         model = fit(design, Penalty(3.0, 0.5),
                     standardize_design=standardize_design)
-        assert b.tobytes() == model.scaled_coeffs.tobytes()
+        assert np.array(b).tobytes() == model.scaled_coeffs.tobytes()
         assert (n_iter, converged) == (model.n_iter, model.converged)
         bound = 1e-7 * max(1.0, gram.G.diagonal().max())
         assert converged and 0.0 <= kkt <= bound
@@ -659,9 +689,9 @@ def test_warm_start_agrees_with_cold_start():
     cold = fit(design, penalty)
     hot_source = fit(design, Penalty(50.0, 0.5))
     gram, mean, scales = prepare(design)
-    b, n_iter, converged, _ = solve(gram, penalty,
-                                    start=hot_source.scaled_coeffs)
-    warm = _finish(design, mean, scales, penalty, b, n_iter, converged)
+    (b, n_iter, converged, _), = solve(
+        gram, [penalty], starts=[hot_source.scaled_coeffs.tolist()])
+    warm = _finish(design, mean, scales, penalty, np.array(b), n_iter, converged)
     assert warm.converged
     np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-6)
 

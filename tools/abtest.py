@@ -20,8 +20,11 @@ an interrupted A/B keeps the pairs it finished. Per workload, ``summary``
 holds the seeds, the attempted and failed ops and whether every op was
 correct, per side; and per end-to-end metric of ``BENCHMARK.json`` each
 side's median, quartiles (``statistics.quantiles``, inclusive) and run
-count, the pairs where the change is better or tied, and the change's
-median relative to the parent's.
+count, the pairs where the change is better or tied, the change's median
+relative to the parent's (``median_change_rel``), and the median over pairs
+of each pair's change / parent - 1 (``median_pair_rel``). A pair's two runs
+are neighbours in time, so the paired figure cancels host drift slower than
+one pair, which moves both medians alike.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 "pairs": len(pairs),
                 "median_change_rel": (stats["change"]["median"]
                                       / stats["parent"]["median"] - 1.0),
+                "median_pair_rel": statistics.median(
+                    c / p - 1.0 for p, c in zip(values["parent"], values["change"])),
             }
         summary[workload] = entry
     return summary

@@ -25,8 +25,10 @@ and counters. The dataset sets (``--set``):
   ``fit_audit_daily`` as the ``run_pipeline`` it wraps);
 - ``acceptance06``: the 40 order scans of acceptance check 06;
 - ``tiny``: one small series, run with fixed and expanding refit and
-  scanned over a few orders, each standardized and not, for a quick
-  self-check; and a fixed set of command-line runs at k = 1 and k = 2
+  scanned over a few orders under fixed refit and under expanding refit
+  every 1 and every 3 rows, each standardized and not, for a quick
+  self-check; a k = 2 series run with expanding refit every row; and a
+  fixed set of command-line runs at k = 1 and k = 2
   (``simulate``; ``fit`` with fixed and with expanding refit, over the
   growing season and unstandardized; ``evaluate`` of the fixed, the
   expanding and the unstandardized model; ``ablate``; ``select-order``) plus
@@ -207,6 +209,16 @@ def _tiny():
         scan = select_order(frame, [1, 2], [0, 1],
                             ModelSpec(grid=grid, standardize=standardize))
         yield f"tiny/scan{tag}", {"scan": _scan_digest(scan)}
+        for every in (1, 3):
+            scan = select_order(frame, [1, 2], [0, 1], ModelSpec(
+                grid=grid, refit="expanding", refit_every=every,
+                standardize=standardize))
+            yield f"tiny/scan-expanding{every}{tag}", {"scan": _scan_digest(scan)}
+    frame, _ = simulate(SynthSpec(n=120, phi=np.array([[[0.5, 0.1], [0.2, 0.4]]]),
+                                  beta=np.array([[[0.8], [-0.5]]]),
+                                  noise_sd=0.5, seed=3))
+    spec = ModelSpec(p=2, s=1, grid=grid, refit="expanding", refit_every=1)
+    yield "tiny/expanding-k2", _report_digest(run_pipeline(frame, spec), frame)
     yield from _cli_runs()
 
 
