@@ -114,6 +114,13 @@ def regressor_labels(target_names, exog_names, p: int, s: int) -> tuple[str, ...
     return tuple(labels)
 
 
+def order_columns(k: int, m: int, p_max: int, p: int, s: int) -> np.ndarray:
+    """The columns of the orders (p, s) in a lag-major design of orders
+    (p_max, s_max), p <= p_max and s <= s_max, with k targets and m
+    exogenous series: its target lags 1..p, then its exogenous lags 1..s."""
+    return np.r_[0:p * k, p_max * k:p_max * k + s * m]
+
+
 def split_lags(coeffs: np.ndarray, p: int, s: int, m: int):
     """Views of a (k x q) lag-major coefficient matrix as its per-lag blocks
     ``phi`` (p, k, k) and ``beta`` (s, k, m), ``[l-1]`` of each at lag l."""

@@ -117,11 +117,13 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 class _Report:
-    """Mutable builder so metric code reads as `put`/`flag` one-liners."""
+    """Mutable builder so metric code reads as one-liners: `put`/`flag`,
+    and one rule each for a checked sum and a ratio metric."""
 
     def __init__(self) -> None:
         self.values: dict[str, float] = {}
         self.flags: dict[str, str] = {}
+        self.lost: set[str] = set()  # keys that need a sum out of range
 
     def put(self, key: str, value: float) -> None:
         self.values[key] = float(value)
@@ -129,6 +131,33 @@ class _Report:
     def flag(self, key: str, reason: str) -> None:
         self.values[key] = math.nan
         self.flags[key] = reason
+
+    def need(self, ok: bool, *keys: str) -> None:
+        """``keys`` are lost (``OUT_OF_RANGE``) unless ``ok``."""
+        if not ok:
+            self.lost.update(keys)
+
+    def finite(self, total: float, *keys: str) -> float:
+        """``total``, which ``keys`` need finite."""
+        self.need(math.isfinite(total), *keys)
+        return total
+
+    def sum(self, factors, *keys: str, dot: bool = False) -> float:
+        """The sum of the products of the entries of ``factors``, which
+        ``keys`` need in range (``_in_range``): the dot product of the two
+        with ``dot``, else numpy's pairwise sum; the two round differently."""
+        total = float(factors[0] @ factors[1] if dot else math.prod(factors).sum())
+        self.need(_in_range(total, *factors), *keys)
+        return total
+
+    def one_minus(self, key: str, num: float, den: float, reason: str) -> None:
+        """``key`` = 1 - num / den, or flagged ``reason`` where den is 0. Only
+        wNSE's den can be negative; the others are sums of squares or of
+        magnitudes, and a NaN one is out of range, so ``key`` is lost."""
+        if den != 0.0:
+            self.put(key, 1.0 - num / den)
+        else:
+            self.flag(key, reason)
 
     def done(self) -> MetricsReport:
         return MetricsReport(values=self.values, flags=self.flags)
@@ -204,34 +233,21 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         raise ContractError("n_predictors must be >= 0")
     n = len(obs)
     e = sim - obs
-    sum_e = float(e.sum())
-    sum_abs_e = float(np.abs(e).sum())
+    r = _Report()
+    sum_e = r.finite(float(e.sum()), "ME", "ubRMSE", "PBIAS%")
+    sum_abs_e = r.finite(float(np.abs(e).sum()), "MAE", "VE", "mNSE", "dr", "md")
     # MSE sums e^2 with numpy's pairwise sum and the SSE ratios with a dot
     # product; the two round differently, so each keeps its own
-    sum_sq_e = float((e * e).sum())
-    mse = sum_sq_e / n
-    sse = float(e @ e)
-    total = float(obs.sum())
+    mse = r.sum((e, e), "MSE", "RMSE", "ubRMSE", "NRMSE%", "RSR") / n
+    sse = r.sum((e, e), "NSE", "NNSE", "R2", "adjR2", "d", dot=True)
+    total = r.finite(float(obs.sum()), "PBIAS%", "VE")
     mo, ms = _moments(obs), _moments(sim)
     (obar, dev, sd_obs, sst, spread_o), (sbar, dev_s, sd_sim, sss, spread_s) = mo, ms
+    r.need(spread_o, "NRMSE%", "RSR", "rSD", "NSE", "NNSE", "R2", "adjR2", "bR2")
+    r.need(spread_s, "rSD", "bR2")
     abs_dev = np.abs(dev)
-    sum_abs_dev = float(abs_dev.sum())
+    sum_abs_dev = r.finite(float(abs_dev.sum()), "mNSE", "dr")
     agree = np.abs(sim - obar) + abs_dev
-    r = _Report()
-    lost = set()
-
-    def need(ok, *keys):
-        if not ok:
-            lost.update(keys)
-
-    need(math.isfinite(sum_e), "ME", "ubRMSE", "PBIAS%")
-    need(math.isfinite(sum_abs_e), "MAE", "VE", "mNSE", "dr", "md")
-    need(_in_range(sum_sq_e, e, e), "MSE", "RMSE", "ubRMSE", "NRMSE%", "RSR")
-    need(_in_range(sse, e, e), "NSE", "NNSE", "R2", "adjR2", "d")
-    need(math.isfinite(total), "PBIAS%", "VE")
-    need(spread_o, "NRMSE%", "RSR", "rSD", "NSE", "NNSE", "R2", "adjR2", "bR2")
-    need(spread_s, "rSD", "bR2")
-    need(math.isfinite(sum_abs_dev), "mNSE", "dr")
 
     me = sum_e / n
     rmse = math.sqrt(mse)
@@ -266,42 +282,21 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     else:
         for key in ("NSE", "NNSE", "R2", "adjR2"):
             r.flag(key, "constant observations")
-    if sum_abs_dev > 0:
-        r.put("mNSE", 1.0 - sum_abs_e / sum_abs_dev)
-    else:
-        r.flag("mNSE", "constant observations")
+    r.one_minus("mNSE", sum_abs_e, sum_abs_dev, "constant observations")
     if np.any(obs == 0.0) or obar == 0.0:
         r.flag("rNSE", "zero observation under relative residuals")
         r.flag("rd", "zero observation under relative residuals")
     else:
         rel, rel_dev, rel_agree = e / obs, dev / obar, agree / obar
-        rel_sse = float(np.sum(rel ** 2))
-        rel_den = float(np.sum(rel_dev ** 2))
-        rd_den = float(np.sum(rel_agree ** 2))
-        need(_in_range(rel_sse, rel, rel), "rNSE", "rd")
-        need(_in_range(rel_den, rel_dev, rel_dev), "rNSE")
-        need(_in_range(rd_den, rel_agree, rel_agree), "rd")
-        if rel_den > 0:
-            r.put("rNSE", 1.0 - rel_sse / rel_den)
-        else:
-            r.flag("rNSE", "constant observations")
-        if rd_den > 0:
-            r.put("rd", 1.0 - rel_sse / rd_den)
-        else:
-            r.flag("rd", "degenerate agreement denominator")
-    w_den = float(np.sum(obs * dev * dev))
-    w_num = float(np.sum(obs * e * e))
-    need(_in_range(w_den, obs, dev, dev) and _in_range(w_num, obs, e, e), "wNSE")
-    if w_den != 0.0:
-        r.put("wNSE", 1.0 - w_num / w_den)
-    else:
-        r.flag("wNSE", "zero weighted variance")
-    d_den = float(np.sum(agree ** 2))
-    need(_in_range(d_den, agree, agree), "d")
-    if d_den > 0:
-        r.put("d", 1.0 - sse / d_den)
-    else:
-        r.flag("d", "degenerate agreement denominator")
+        rel_sse = r.sum((rel, rel), "rNSE", "rd")
+        r.one_minus("rNSE", rel_sse, r.sum((rel_dev, rel_dev), "rNSE"),
+                    "constant observations")
+        r.one_minus("rd", rel_sse, r.sum((rel_agree, rel_agree), "rd"),
+                    "degenerate agreement denominator")
+    r.one_minus("wNSE", r.sum((obs, e, e), "wNSE"), r.sum((obs, dev, dev), "wNSE"),
+                "zero weighted variance")
+    r.one_minus("d", sse, r.sum((agree, agree), "d"),
+                "degenerate agreement denominator")
     # refined index: dr = 1 - A/B when A <= B else B/A - 1, with B = 2*sum|dev|
     B = 2.0 * sum_abs_dev
     if B > 0:
@@ -310,36 +305,25 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         r.put("dr", 1.0)
     else:
         r.flag("dr", "constant observations")
-    md_den = float(np.sum(agree))
-    need(math.isfinite(md_den), "md")
-    if md_den > 0:
-        r.put("md", 1.0 - sum_abs_e / md_den)
-    else:
-        r.flag("md", "degenerate agreement denominator")
+    r.one_minus("md", sum_abs_e, r.finite(float(agree.sum()), "md"),
+                "degenerate agreement denominator")
     if n < 3:
         r.flag("cp", "need at least 3 points")
     else:
         step, e_next = np.diff(obs), e[1:]
-        cp_den = float(np.sum(step ** 2))
-        cp_num = float(np.sum(e_next ** 2))
-        need(_in_range(cp_den, step, step) and _in_range(cp_num, e_next, e_next),
-             "cp")
-        if cp_den > 0:
-            r.put("cp", 1.0 - cp_num / cp_den)
-        else:
-            r.flag("cp", "zero persistence denominator")
+        r.one_minus("cp", r.sum((e_next, e_next), "cp"), r.sum((step, step), "cp"),
+                    "zero persistence denominator")
 
     # r scales the deviations first (_pearson): it needs them finite, but no
     # sum in range
     flat_o, flat_s = _constant(obs), _constant(sim)
     if not (flat_o or flat_s):
+        r.need(np.isfinite(dev).all() and np.isfinite(dev_s).all(), "r")
         pearson = _pearson(dev, dev_s)
-        cov = dev @ dev_s
-        need(np.isfinite(dev).all() and np.isfinite(dev_s).all(), "r")
-        need(_in_range(float(cov), dev, dev_s), "bR2")
+        cov = r.sum((dev, dev_s), "bR2", dot=True)
         r.put("r", pearson)
         # a numpy division: an sst lost to underflow is 0
-        r.put("bR2", abs(float(cov / sst)) * pearson * pearson)
+        r.put("bR2", abs(float(np.divide(cov, sst))) * pearson * pearson)
     else:
         reason = "constant observations" if flat_o else "constant simulations"
         r.flag("r", reason)
@@ -366,7 +350,7 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
     elif flat_o or flat_s:
         r.flag("KGEnp", "constant series")
     else:
-        need(math.isfinite(n * obar) and math.isfinite(n * sbar), "KGEnp")
+        r.need(math.isfinite(n * obar) and math.isfinite(n * sbar), "KGEnp")
         rho = _pearson(_centered(_average_ranks(obs))[1],
                        _centered(_average_ranks(sim))[1])
         fdc_o = np.sort(obs) / (n * obar)
@@ -374,7 +358,7 @@ def full_report(pair, n_predictors: int = 1) -> MetricsReport:
         alpha_np = 1.0 - 0.5 * float(np.abs(fdc_s - fdc_o).sum())
         r.put("KGEnp", _kge(rho, alpha_np, sbar / obar))
     for key in METRIC_ORDER:
-        if key in lost:
+        if key in r.lost:
             r.flag(key, OUT_OF_RANGE)
 
     report = r.done()

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, LagSpec, _comoments, _is_int, build_design
+from .design import (
+    DesignMatrix,
+    LagSpec,
+    _comoments,
+    _is_int,
+    build_design,
+    order_columns,
+)
 from .errors import (
     ContractError,
     DegenerateFitError,
@@ -204,7 +211,7 @@ def select_lambda(design: DesignMatrix, split: SplitPlan,
     which ``ModelSpec`` has validated. The lag orders are the design's own;
     ``spec.p``, ``spec.s`` and ``spec.lag_mode`` are not read.
     """
-    return _lambda_path(design, split, spec)[0][0]
+    return _lambda_path(design, split, spec, [np.arange(design.q)])[0][0]
 
 
 #: the most bytes a block of refit windows holds in stacked arrays, with the
@@ -265,6 +272,8 @@ def _window_blocks(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
         X = np.hstack([design.Z[n:stop], design.Y[n:stop]])
         fresh = X[:starts[-1] - n].reshape(W, new, width)
         if new == 1:
+            # a row is its own mean with zero co-moments (_comoments' figures
+            # to the bit in the running sums), at half the terms to add
             mean_x, M_x = fresh[:, 0], None
         else:
             mean_x, M_x = _comoments(fresh)
@@ -296,13 +305,10 @@ def _window_blocks(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
 
 
 def _cut(G, c, idx):
-    """The G and c of the columns ``idx`` of a problem's design (None: the
-    problem's own), of one problem or a stack of them. Centering and
-    scaling are per column, so these are the G and c of those columns' rows
-    alone, but for the rounding of the co-moment product, whose diagonal
-    also gives the sds."""
-    if idx is None:
-        return G, c
+    """The G and c of the columns ``idx`` of a problem's design, of one
+    problem or a stack of them. Centering and scaling are per column, so
+    these are the G and c of those columns' rows alone, but for the
+    rounding of the co-moment product, whose diagonal also gives the sds."""
     return G[..., idx[:, None], idx], c[..., idx]
 
 
@@ -318,11 +324,10 @@ def _sq_errors(F, X):
     return (E * E).sum(axis=-2)
 
 
-def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
-                 cuts=(None,)):
+def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec, cuts):
     """One ``select_lambda`` path per column cut of ``design``, all from one
     pass over its refit windows (``_window_blocks``); a cut is an index
-    array of the design's columns, and None is the whole design.
+    array of the design's columns.
 
     In each block of windows a cut's G and c are cut from the block's
     (``_cut``), and each window's grid is one ``solve``: chained down the
@@ -373,8 +378,7 @@ def _lambda_path(design: DesignMatrix, split: SplitPlan, spec: ModelSpec,
                     count[3] = max(count[3], kkt)
             count[0] += W * n_grid
             # solved is (W x lambda x k x columns), from the largest lambda
-            cols = slice(0, q) if idx is None else idx
-            X[:, cols, ci] = np.transpose(solved, (0, 3, 1, 2))[:, :, ::-1]
+            X[:, idx, ci] = np.transpose(solved, (0, 3, 1, 2))[:, :, ::-1]
         if first is None:
             first = (mean[0].copy(),
                      None if scales is None else tuple(a[0].copy() for a in scales),
@@ -510,7 +514,7 @@ def select_order(frame: TimeSeriesFrame, p_range, s_range,
     k, m = wide.k, len(wide.exog_names)
 
     candidates = [(p, s) for p in p_range for s in s_range]
-    cuts = [np.r_[0:p * k, p_max * k:p_max * k + s * m] for p, s in candidates]
+    cuts = [order_columns(k, m, p_max, p, s) for p, s in candidates]
     paths, mean, scales, X0 = _lambda_path(wide, split, spec, cuts)
     # each train model is its path's train solve at its lambda
     B = X0[:, np.arange(len(cuts)), [path.chosen_index for path in paths]]

@@ -17,7 +17,7 @@ from hydrovarx import (
     lookahead_violations,
     standardize,
 )
-from hydrovarx.design import _lag_indices, regressor_labels
+from hydrovarx.design import _lag_indices, order_columns, regressor_labels
 from hydrovarx.errors import ContractError, InsufficientDataError
 
 
@@ -30,6 +30,18 @@ def test_labels_are_lag_major():
 def test_label_counts():
     labels = regressor_labels(("Y1",), ("a", "b", "c"), p=4, s=2)
     assert len(labels) == 4 * 1 + 2 * 3
+
+
+def test_order_columns_pick_each_orders_labels_from_a_wider_design():
+    rng = np.random.default_rng(4)
+    frame = make_frame(rng.normal(size=(40, 2)), rng.normal(size=(40, 3)))
+    wide = build_design(frame, LagSpec(p=3, s=2))
+    labels = np.array(wide.col_labels)
+    for p in range(4):
+        for s in range(3):
+            cols = order_columns(2, 3, 3, p, s)
+            assert tuple(labels[cols]) == regressor_labels(
+                frame.target_names, frame.exog_names, p, s)
 
 
 def test_build_design_hand_case():

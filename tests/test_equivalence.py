@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hydrovarx import METRIC_ORDER
+from hydrovarx.metrics import OUT_OF_RANGE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,9 +40,14 @@ def test_a_digest_holds_to_itself_under_every_contract(tiny, capsys):
            if key.startswith("tiny/cli/")}
     assert sorted(set(doc["datasets"]) - set(cli)) == [
         "tiny/expanding", "tiny/expanding-k2", "tiny/expanding-raw",
-        "tiny/fixed", "tiny/fixed-raw", "tiny/scan", "tiny/scan-expanding1",
-        "tiny/scan-expanding1-raw", "tiny/scan-expanding3",
-        "tiny/scan-expanding3-raw", "tiny/scan-raw"]
+        "tiny/fixed", "tiny/fixed-raw", "tiny/metrics-1e-160",
+        "tiny/metrics-1e200", "tiny/metrics-small-obs", "tiny/scan",
+        "tiny/scan-expanding1", "tiny/scan-expanding1-raw",
+        "tiny/scan-expanding3", "tiny/scan-expanding3-raw", "tiny/scan-raw"]
+    # the fixed full_report pairs reach the flags of sums out of range
+    for name in ("1e-160", "1e200", "small-obs"):
+        flags, = doc["datasets"][f"tiny/metrics-{name}"]["metric_flags"]
+        assert OUT_OF_RANGE in flags, name
     runs = ["simulate", "fit-fixed", "fit-expanding", "fit-growing", "fit-raw",
             "evaluate", "evaluate-expanding", "evaluate-raw", "ablate",
             "select-order"]

@@ -719,6 +719,39 @@ def test_sums_outside_the_float_range_flag_their_metrics():
         == "zero weighted variance"
 
 
+@pytest.mark.parametrize("obs, sim, lost, kept", [
+    # e / obs overflows at a tiny observation: the relative SSE
+    ([1e-160, 2, 3, 4], [1, 2.5, 2.5, 4.5], {"rNSE", "rd"}, {"MSE", "NSE", "d"}),
+    # dev / mean overflows at a tiny mean: rNSE's denominator, and rd's
+    ([1, -1, 1e-300], [1.5, -0.5, 1e-300], {"rNSE", "rd"}, {"MSE", "NSE", "d"}),
+    # (|sim - mean| + |dev|) / mean overflows and dev / mean does not: rd's
+    # denominator alone
+    ([-1e152, 1e152, 1], [5e153, -5e153, 1], {"rd"}, {"rNSE", "MSE", "NSE", "d"}),
+    # sum(e) overflows
+    ([0, 0, 1], [1.5e308, 1.5e308, 1], {"ME", "ubRMSE", "PBIAS%"}, set()),
+    # sum|e| overflows and sum(e) does not
+    ([1, 2, 3], [1.5e308, -1.5e308, 1e308], {"MAE", "VE", "mNSE", "dr", "md"},
+     {"ME"}),
+    # sum(obs) overflows, and so does the mean; sim = obs
+    ([1.5e308, 1.5e308, 1e308], None, {"PBIAS%", "VE", "KGEnp"},
+     {"ME", "MAE", "MSE"}),
+    # a deviation overflows: sum|dev|, and r's deviations
+    ([1.7e308, -1.7e308, -1.7e308], None, {"mNSE", "dr", "r"}, {"ME", "MAE", "MSE"}),
+    # sum(|sim - mean| + |dev|) overflows and sum|dev| does not
+    ([-6e307, 6e307, 0], None, {"md", "d"}, {"mNSE", "dr", "MAE"}),
+    # the terms of the co-moment dev @ dev_s underflow and cancel
+    ([1, -1, 0, 0], [1e-308, 1e-308, 1, -1], {"bR2"}, {"r", "MSE", "NSE"}),
+])
+def test_each_checked_sum_flags_its_metrics(obs, sim, lost, kept):
+    obs = np.array(obs, dtype=float)
+    got = full_report((obs, obs if sim is None else np.array(sim, dtype=float)))
+    for key in lost:
+        assert math.isnan(got.values[key]), key
+        assert got.flags[key] == OUT_OF_RANGE, key
+    for key in kept:
+        assert key not in got.flags and math.isfinite(got.values[key]), key
+
+
 #: the power of two each metric scales by when both series scale by 2^k
 _SCALE_POWER = {"ME": 1, "MAE": 1, "RMSE": 1, "ubRMSE": 1, "MSE": 2}
 # values of at least 1e-6 in magnitude, so that no difference of them, and

@@ -288,6 +288,18 @@ def reference_merge(n, mean, M, X):
     return mean + d * w, M + M_x + np.outer(d, d * (n * w))
 
 
+def test_one_row_comoments_are_the_row_and_exact_zeros():
+    # _window_blocks takes a one-row window's row as its mean and adds no
+    # co-moments for it: that is _comoments' figures to the bit in running
+    # sums that start from +0.0, since they read the row's -0.0 as +0.0 and
+    # its co-moments are +0.0
+    X = np.array([[[1.5, -0.0, 1e-310, -2e300]], [[0.0, 3.0, -7.25, 1e-20]]])
+    mean, M = _comoments(X)
+    assert mean.tobytes() == (X[:, 0] + 0.0).tobytes()
+    assert M.shape == (2, 4, 4)
+    assert M.tobytes() == np.zeros((2, 4, 4)).tobytes()
+
+
 def _unstacked(blocks):
     """Every window of ``_window_blocks``' blocks: ``(start, G, c, mean,
     scales, rows)``."""
@@ -390,7 +402,8 @@ def test_block_budget_changes_no_bit(refit, refit_every, standardize):
     y = rng.normal(size=(n, 2)).cumsum(axis=0) * 0.1 + rng.normal(size=(n, 2))
     design = build_design(make_frame(y, rng.normal(size=(n, 2))), LagSpec(3, 2))
     split = SplitPlan(design.n_eff)
-    cuts = [None] + [np.r_[0:p * 2, 6:6 + s * 2] for p in (1, 3) for s in (0, 2)]
+    cuts = [np.arange(design.q)] + [np.r_[0:p * 2, 6:6 + s * 2]
+                                    for p in (1, 3) for s in (0, 2)]
     spec = ModelSpec(grid=np.geomspace(0.5, 80.0, 5), refit=refit,
                      refit_every=refit_every, standardize=standardize)
     blocks = []

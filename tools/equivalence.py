@@ -27,7 +27,10 @@ and counters. The dataset sets (``--set``):
 - ``tiny``: one small series, run with fixed and expanding refit and
   scanned over a few orders under fixed refit and under expanding refit
   every 1 and every 3 rows, each standardized and not, for a quick
-  self-check; a k = 2 series run with expanding refit every row; and a
+  self-check; a k = 2 series run with expanding refit every row; the
+  metrics and flags of three fixed ``full_report`` pairs whose sums leave
+  the float range (both series scaled by 1e200, both by 1e-160, and one
+  observation of 1e-160); and a
   fixed set of command-line runs at k = 1 and k = 2
   (``simulate``; ``fit`` with fixed and with expanding refit, over the
   growing season and unstandardized; ``evaluate`` of the fixed, the
@@ -102,7 +105,7 @@ def _path_digest(path) -> dict:
 
 
 def _report_digest(report, frame) -> dict:
-    from hydrovarx import METRIC_ORDER, FittedModel, leakage_audit
+    from hydrovarx import FittedModel, leakage_audit
 
     model, series, line = report.model, report.forecast, report.regression
     doc = model.to_dict()
@@ -119,14 +122,20 @@ def _report_digest(report, frame) -> dict:
                       json.loads(json.dumps(doc))).to_dict() == doc},
         "forecast": {"predicted": series.predicted.tolist(),
                      "se": series.se.tolist()},
-        "metrics": {key: [m.values[key] for m in report.metrics]
-                    for key in METRIC_ORDER},
-        "metric_flags": [[m.flags.get(key, "") for key in METRIC_ORDER]
-                         for m in report.metrics],
+        **_metrics_digest(report.metrics),
         "regression": {"slope": line.slope.tolist(),
                        "intercept": line.intercept.tolist()},
         "audit": leakage_audit(report, frame),
     }
+
+
+def _metrics_digest(reports) -> dict:
+    from hydrovarx import METRIC_ORDER
+
+    return {"metrics": {key: [m.values[key] for m in reports]
+                        for key in METRIC_ORDER},
+            "metric_flags": [[m.flags.get(key, "") for key in METRIC_ORDER]
+                             for m in reports]}
 
 
 def _scan_digest(scan) -> dict:
@@ -194,7 +203,8 @@ def _acceptance06():
 
 
 def _tiny():
-    from hydrovarx import ModelSpec, SynthSpec, run_pipeline, select_order, simulate
+    from hydrovarx import (ModelSpec, SynthSpec, full_report, run_pipeline,
+                           select_order, simulate)
 
     frame, _ = simulate(SynthSpec(n=120, phi=np.array([0.6]),
                                   beta=np.array([[[0.8]]]), noise_sd=0.5,
@@ -219,6 +229,11 @@ def _tiny():
                                   noise_sd=0.5, seed=3))
     spec = ModelSpec(p=2, s=1, grid=grid, refit="expanding", refit_every=1)
     yield "tiny/expanding-k2", _report_digest(run_pipeline(frame, spec), frame)
+    obs, sim = np.array([1.0, 2.0, 4.0, 3.0]), np.array([1.5, 2.0, 3.5, 3.5])
+    for name, pair in (("1e200", (obs * 1e200, sim * 1e200)),
+                       ("1e-160", (obs * 1e-160, sim * 1e-160)),
+                       ("small-obs", ([1e-160, 2.0, 3.0, 4.0], [1.0, 2.5, 2.5, 4.5]))):
+        yield f"tiny/metrics-{name}", _metrics_digest([full_report(pair)])
     yield from _cli_runs()
 
 
